@@ -30,11 +30,13 @@ __all__ = [
     "WignerGrid",
     "JointCharFunction",
     "char_from_rho",
+    "state_evaluator",
     "char_of_state",
     "propagate_char",
     "wigner_from_char",
     "fock_from_char",
-    "char_overlap",
+    "resampled",
+    "overlap",
     "rotate_char",
     "joint_two_mode_char",
 ]
@@ -86,18 +88,17 @@ class CharGrid:
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Sampled characteristic function, plus an exact evaluator when known.
+    """Sampled characteristic function plus its exact evaluator.
 
-    ``values[i, j] = chi(axis[i] + 1j * axis[j])``.  The evaluator (closed
-    form or Fock-sum) lets downstream transforms query chi off-grid without
-    interpolation error; the sampled values are the general-purpose view.
+    ``values[i, j] = chi(axis[i] + 1j * axis[j])``.  Every chi the package
+    builds is the input's chi mapped by a Gaussian channel, so the evaluator
+    (closed form or Fock sum, composed with the channel) is always known and
+    downstream transforms query chi off-grid through it.
     """
 
     grid: CharGrid
     values: np.ndarray = field(repr=False)
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -110,33 +111,8 @@ class CharFunction:
         return float(max(v[0].max(), v[-1].max(), v[:, 0].max(), v[:, -1].max()))
 
     def __call__(self, beta: np.ndarray) -> np.ndarray:
-        """Evaluate chi at arbitrary points: exact if possible, else bilinear."""
-        if self.evaluator is not None:
-            return self.evaluator(np.asarray(beta, dtype=complex))
-        return self._interpolate(beta)
-
-    def _interpolate(self, beta: np.ndarray) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
-        beta = np.asarray(beta, dtype=complex)
-        pts = np.stack([beta.real.ravel(), beta.imag.ravel()], axis=-1)
-        outside = np.max(np.abs(pts), axis=-1) > self.grid.extent
-        if np.any(outside) and self.boundary_magnitude() > BOUNDARY_TOL:
-            raise ValueError(
-                "requested points leave the sampled grid while chi is still "
-                f"{self.boundary_magnitude():.2e} at the boundary; extend the grid"
-            )
-        axes = (self.grid.axis, self.grid.axis)
-        out = np.empty(pts.shape[0], dtype=complex)
-        for part, comp in ((np.real, 1.0), (np.imag, 1j)):
-            interp = RegularGridInterpolator(
-                axes, part(self.values), bounds_error=False, fill_value=0.0
-            )
-            if part is np.real:
-                out = interp(pts).astype(complex)
-            else:
-                out += 1j * interp(pts)
-        return out.reshape(beta.shape)
+        """Evaluate chi exactly at arbitrary points."""
+        return self.evaluator(np.asarray(beta, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -213,50 +189,56 @@ def char_from_rho(rho: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 def _auto_grid(
     evaluator, grid: CharGrid | None, what: str, boundary_tol: float = BOUNDARY_TOL
-) -> tuple[CharGrid, np.ndarray]:
-    """Evaluate on the given grid, or grow the extent until chi has decayed."""
+) -> CharFunction:
+    """Sample on the given grid, or grow the extent until chi has decayed."""
     if grid is not None:
-        values = evaluator(grid.mesh())
-        cf = CharFunction(grid, values)
-        if cf.boundary_magnitude() > BOUNDARY_TOL:
+        chi = CharFunction(grid, evaluator(grid.mesh()), evaluator)
+        if chi.boundary_magnitude() > BOUNDARY_TOL:
             warnings.warn(
-                f"{what}: |chi| = {cf.boundary_magnitude():.2e} at the grid "
+                f"{what}: |chi| = {chi.boundary_magnitude():.2e} at the grid "
                 "boundary; results may alias",
                 stacklevel=3,
             )
-        return grid, values
+        return chi
     extent = BASE_EXTENT
     while True:
         g = CharGrid.with_extent(extent)
-        values = evaluator(g.mesh())
-        if CharFunction(g, values).boundary_magnitude() <= boundary_tol:
-            return g, values
+        chi = CharFunction(g, evaluator(g.mesh()), evaluator)
+        if chi.boundary_magnitude() <= boundary_tol:
+            return chi
         if extent >= MAX_EXTENT:
-            if CharFunction(g, values).boundary_magnitude() > 1e-3:
+            if chi.boundary_magnitude() > 1e-3:
                 warnings.warn(
                     f"{what}: chi not decayed even at extent {extent:g}", stacklevel=3
                 )
-            return g, values
+            return chi
         extent = min(extent * 1.5, MAX_EXTENT)
+
+
+def resampled(chi: CharFunction, tol: float, what: str) -> CharFunction:
+    """``chi`` itself if it has decayed below ``tol`` at its boundary, else
+    chi re-sampled through its evaluator on an auto-grown grid.  ``what``
+    names the calling stage in warnings."""
+    if chi.boundary_magnitude() <= tol:
+        return chi
+    return _auto_grid(chi.evaluator, None, what, boundary_tol=tol)
+
+
+def state_evaluator(state: QuantumState) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact chi of a Fock-basis state: its closed form, else the Fock sum."""
+    if state.char_eval is not None:
+        return state.char_eval
+    rho = state.rho
+    return lambda b: char_from_rho(rho, b)
 
 
 def char_of_state(state: QuantumState, grid: CharGrid | None = None) -> CharFunction:
     """Characteristic function of a Fock-basis state.
 
-    Uses the state's closed-form evaluator when available; the grid is
-    enlarged automatically until the boundary magnitude falls below
-    ``BOUNDARY_TOL`` (unless an explicit grid is passed, which only warns).
+    The grid is enlarged automatically until the boundary magnitude falls
+    below ``BOUNDARY_TOL`` (unless an explicit grid is passed, which only warns).
     """
-    if state.char_eval is not None:
-        evaluator = state.char_eval
-    else:
-        rho = state.rho
-
-        def evaluator(b, _rho=rho):
-            return char_from_rho(_rho, b)
-
-    g, values = _auto_grid(evaluator, grid, "char_of_state")
-    return CharFunction(g, values, evaluator)
+    return _auto_grid(state_evaluator(state), grid, "char_of_state")
 
 
 def propagate_char(decomp, chi_u: CharFunction, grid: CharGrid | None = None) -> CharFunction:
@@ -269,9 +251,7 @@ def propagate_char(decomp, chi_u: CharFunction, grid: CharGrid | None = None) ->
                         * exp(-|beta C* - beta* D|^2 / 2)
                         * exp(-|beta E*|^2 / 2).
 
-    The input chi is queried through its exact evaluator when present and
-    by bilinear interpolation otherwise (raising if the mapped points leave
-    a grid whose boundary has not decayed).
+    The input chi is queried through its exact evaluator.
     """
     A, B, C, D, E = decomp.A, decomp.B, decomp.C, decomp.D, decomp.E
 
@@ -283,8 +263,7 @@ def propagate_char(decomp, chi_u: CharFunction, grid: CharGrid | None = None) ->
         vac = np.exp(-0.5 * (np.abs(mu_k) ** 2 + np.abs(mu_s) ** 2))
         return chi_u(mu_u) * vac
 
-    g, values = _auto_grid(evaluator, grid, "propagate_char")
-    return CharFunction(g, values, evaluator)
+    return _auto_grid(evaluator, grid, "propagate_char")
 
 
 def wigner_from_char(
@@ -323,12 +302,9 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     """
     if dim > MAX_FOCK_DIM:
         raise ValueError(f"dim {dim} exceeds the supported cap {MAX_FOCK_DIM}")
-    if chi.evaluator is not None and chi.boundary_magnitude() > 1e-6:
-        # Boundary truncation of the quadrature feeds straight into spurious
-        # negativity of rho; with an exact evaluator at hand, resample on a
-        # reconstruction-grade grid instead.
-        g, values = _auto_grid(chi.evaluator, None, "fock_from_char", boundary_tol=1e-6)
-        chi = CharFunction(g, values, chi.evaluator)
+    # Boundary truncation of the quadrature feeds straight into spurious
+    # negativity of rho: resample on a reconstruction-grade grid.
+    chi = resampled(chi, 1e-6, "fock_from_char")
     if chi.boundary_magnitude() > 1e-3:
         warnings.warn(
             "chi has not decayed at the grid boundary; reconstruction may alias",
@@ -363,57 +339,11 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     return QuantumState(rho)
 
 
-def char_overlap(chi_a: CharFunction, chi_b_values: np.ndarray) -> float:
-    """Tr[rho_a rho_b] = (1/pi) int chi_a(beta) conj(chi_b(beta)) d^2 beta.
-
-    ``chi_b_values`` must be sampled on chi_a's grid.
-    """
-    acc = np.sum(chi_a.values * np.conj(chi_b_values)) * chi_a.grid.weight / np.pi
-    return float(np.real(acc))
-
-
-def save_char_csv(chi: CharFunction, path) -> None:
-    """CSV of Re/Im chi with grid metadata in '#' headers and a JSON sidecar."""
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    header = [
-        f"# extent: {chi.grid.extent}",
-        f"# n_side: {chi.grid.n_side}",
-        "# layout: row = Re(beta) index, column = Im(beta) index; Re block then Im block",
-    ]
-    rows = [",".join(f"{v:.16e}" for v in row) for row in chi.values.real]
-    rows += [",".join(f"{v:.16e}" for v in row) for row in chi.values.imag]
-    path.write_text("\n".join(header + rows) + "\n")
-    sidecar = {"extent": chi.grid.extent, "n_side": chi.grid.n_side,
-               "boundary_magnitude": chi.boundary_magnitude()}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def save_wigner_csv(w: WignerGrid, path) -> None:
-    """CSV of W(x, p) values with axis metadata and a JSON sidecar."""
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    header = [
-        f"# x_axis: {w.x_axis[0]} .. {w.x_axis[-1]} ({len(w.x_axis)} points)",
-        f"# p_axis: {w.p_axis[0]} .. {w.p_axis[-1]} ({len(w.p_axis)} points)",
-        "# convention: a = (x + ip)/sqrt2, int W dx dp = 1",
-    ]
-    rows = [",".join(f"{v:.16e}" for v in row) for row in w.values]
-    path.write_text("\n".join(header + rows) + "\n")
-    sidecar = {
-        "x_extent": [float(w.x_axis[0]), float(w.x_axis[-1])],
-        "p_extent": [float(w.p_axis[0]), float(w.p_axis[-1])],
-        "integral": w.integral(),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+def overlap(chi: CharFunction, target_values: np.ndarray) -> float:
+    """Re (1/pi) int conj(chi(beta)) chi_target(beta) d^2 beta, which is
+    Tr[rho rho_target] for states.  ``target_values`` is sampled on chi's grid."""
+    weight = chi.grid.weight / np.pi
+    return float(np.real(np.sum(np.conj(chi.values) * target_values)) * weight)
 
 
 def rotate_char(chi: CharFunction, phi: float) -> CharFunction:
@@ -424,8 +354,7 @@ def rotate_char(chi: CharFunction, phi: float) -> CharFunction:
     def evaluator(b):
         return chi(np.asarray(b, dtype=complex) * rot)
 
-    values = evaluator(chi.grid.mesh())
-    return CharFunction(chi.grid, values, evaluator if chi.evaluator is not None else None)
+    return CharFunction(chi.grid, evaluator(chi.grid.mesh()), evaluator)
 
 
 @dataclass(frozen=True)
@@ -437,16 +366,18 @@ class JointCharFunction:
 
     grid: CharGrid
     values: np.ndarray = field(repr=False)
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
+        repr=False, compare=False
     )
 
     def marginal(self, which: int) -> CharFunction:
         """Single-mode chi of one output mode (the other argument at 0)."""
-        mesh = self.grid.mesh()
-        zero = np.zeros_like(mesh)
-        args = (mesh, zero) if which == 0 else (zero, mesh)
-        return CharFunction(self.grid, self.evaluator(*args), None)
+
+        def evaluator(b):
+            zero = np.zeros_like(b)
+            return self.evaluator(b, zero) if which == 0 else self.evaluator(zero, b)
+
+        return CharFunction(self.grid, evaluator(self.grid.mesh()), evaluator)
 
     def purity(self) -> float:
         """Global two-mode purity (1/pi^2) int |chi|^2 d^4 beta."""

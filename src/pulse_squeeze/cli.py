@@ -37,7 +37,7 @@ from .config import (
 )
 from .coherence import single_mode_condition
 from .grids import TemporalGrid
-from .kernels import BogoliubovKernels, load_kernels, save_kernels, verify_symplectic
+from .kernels import BogoliubovKernels, verify_symplectic
 from .pipeline import (
     device_from_config,
     grid_from_config,
@@ -67,24 +67,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _build_device(cfg: dict, grid: TemporalGrid) -> BogoliubovKernels:
-    cache_dir = cfg.get("cache_dir")
-    if not cache_dir:
-        return device_from_config(cfg["device"], grid)
-    key = config_hash({"device": cfg["device"], "grid": cfg["grid"]})
-    path = Path(cache_dir) / f"kernels-{key[:24]}.npz"
-    if path.exists():
-        return load_kernels(path)
-    kernels = device_from_config(cfg["device"], grid)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_kernels(path, kernels)
-    return kernels
-
-
 def _point_result(cfg: dict) -> dict:
     """Occupation metrics of a single (possibly sweep-modified) config."""
     grid = grid_from_config(cfg["grid"])
-    kernels = _build_device(cfg, grid)
+    kernels = device_from_config(cfg["device"], grid)
     u = input_mode_from_config(cfg["input"], grid)
     state = input_state_from_config(cfg["input"])
     result = run_modes(kernels, u, state)
@@ -100,10 +86,19 @@ def _sweep_worker(args):
 
 
 def _workers() -> int:
+    """Sweep pool size: ``PULSE_SQUEEZE_WORKERS``, else as many workers as
+    fit on the cores next to each one's BLAS threads.
+
+    With no BLAS thread count set, BLAS already uses every core, so the
+    sweep runs in one process; extra workers would only oversubscribe.
+    """
     env = os.environ.get("PULSE_SQUEEZE_WORKERS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    if not threads:
+        return 1
+    return max(1, (os.cpu_count() or 1) // max(1, int(threads)))
 
 
 def cmd_modes(cfg: dict, out: Path) -> RunManifest:
@@ -124,7 +119,7 @@ def cmd_modes(cfg: dict, out: Path) -> RunManifest:
     grid = grid_from_config(cfg["grid"])
     n_vac = 8
     for i, (axis_value, point_cfg) in enumerate(points):
-        kern = _build_device(point_cfg, grid)
+        kern = device_from_config(point_cfg["device"], grid)
         u = input_mode_from_config(point_cfg["input"], grid)
         state = input_state_from_config(point_cfg["input"])
         res = run_modes(kern, u, state)
@@ -185,7 +180,7 @@ def cmd_state(cfg: dict, out: Path) -> RunManifest:
     """Full state pipeline at a single parameter point."""
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
     grid = grid_from_config(cfg["grid"])
-    kern = _build_device(cfg, grid)
+    kern = device_from_config(cfg["device"], grid)
     u = input_mode_from_config(cfg["input"], grid)
     state = input_state_from_config(cfg["input"])
     fock_dim = int(cfg.get("fock_dim", 40))
@@ -230,18 +225,16 @@ def cmd_sweep(cfg: dict, out: Path) -> RunManifest:
     ratio_map = np.full((len(vals1), len(vals2)), np.nan)
     workers = _workers()
     if workers == 1:
-        results = map(_sweep_worker, jobs)
+        results = list(map(_sweep_worker, jobs))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_sweep_worker, jobs, chunksize=4)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_worker, jobs, chunksize=4))
     for (i, j), metrics, error in results:
         if error is not None:
             manifest.failures.append({"point": [int(i), int(j)], "error": error})
             continue
         n1_map[i, j] = metrics["n1"]
         ratio_map[i, j] = metrics.get("ratio", np.nan)
-    if workers > 1:
-        pool.shutdown()
 
     meta = {
         "config": config_hash(cfg),

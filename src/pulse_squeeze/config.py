@@ -39,8 +39,6 @@ _DEVICE_KEYS = {
     "twpa": {"n_stages", "per_stage_gain", "total_gain", "stage"},
 }
 
-_ANALYSES = {"modes", "state", "wigner", "metrics", "sweep"}
-
 
 class ConfigError(ValueError):
     """Configuration failed validation; message carries the offending key."""
@@ -132,9 +130,6 @@ def validate_config(cfg: dict) -> None:
     mode = cfg.get("output_mode", "auto_v1")
     if mode not in ("auto_v1", "auto_v2") and not mode.startswith("file:"):
         raise ConfigError(f"output_mode: unknown selector {mode!r}")
-    for item in cfg.get("analysis", []):
-        if item not in _ANALYSES:
-            raise ConfigError(f"analysis: unknown entry {item!r}")
     axes = (cfg.get("sweep") or {}).get("axes") or []
     if len(axes) > 2:
         raise ConfigError("sweep.axes: at most two sweep axes are supported")

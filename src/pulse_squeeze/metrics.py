@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import CharFunction, _auto_grid, char_of_state
+from .charfun import CharFunction, char_of_state, overlap, resampled, state_evaluator
 from .states import QuantumState, destroy
 
 __all__ = [
@@ -72,12 +72,6 @@ def fidelity(rho: QuantumState, target_pure: QuantumState) -> float:
     return float(np.clip(val, 0.0, 1.0))
 
 
-def _chi_eval(state):
-    if isinstance(state, CharFunction):
-        return state
-    return char_of_state(state)
-
-
 def quadrature_moments(state, angle: float) -> tuple[float, float]:
     """(<x_theta>, <x_theta^2>) for x_theta = (a e^{-i theta} + a^dag e^{i theta}) / sqrt2.
 
@@ -93,7 +87,7 @@ def quadrature_moments(state, angle: float) -> tuple[float, float]:
         m2 = float(np.real(state.expect(x @ x)))
         return m1, m2
 
-    chi = _chi_eval(state)
+    chi = _as_char(state)
 
     def probe(h):
         eps = np.array([-2 * h, -h, 0.0, h, 2 * h])
@@ -142,15 +136,7 @@ def squeeze_target_evaluator(input_state: QuantumState, r: float):
     amplified axis is displayed as p in figure conventions (one global
     pi/2 phase-space rotation relates the frames).
     """
-    base = input_state.char_eval
-    if base is None:
-        rho = input_state.rho
-
-        def base(b, _rho=rho):
-            from .charfun import char_from_rho
-
-            return char_from_rho(_rho, b)
-
+    base = state_evaluator(input_state)
     ch, sh = np.cosh(r), np.sinh(r)
 
     def evaluator(b):
@@ -175,21 +161,15 @@ def optimize_squeeze_fidelity(
     maximum.  Fidelities are overlap quadratures in the characteristic
     picture, so non-Gaussian inputs need no Fock truncation.
     """
-    chi_v = _as_char(rho_v1)
-    if chi_v.evaluator is not None and chi_v.boundary_magnitude() > 1e-6:
-        g, values = _auto_grid(chi_v.evaluator, None, "squeeze fit", boundary_tol=1e-6)
-        chi_v = CharFunction(g, values, chi_v.evaluator)
+    chi_v = resampled(_as_char(rho_v1), 1e-6, "squeeze fit")
     mesh = chi_v.grid.mesh()
-    weight = chi_v.grid.weight / np.pi
-    base = np.conj(chi_v.values)
 
     if r_grid is None:
         r_grid = _default_r_grid()
     r_grid = np.asarray(sorted(set(float(r) for r in r_grid)))
 
     def fid(r):
-        target = squeeze_target_evaluator(input_state, r)(mesh)
-        val = float(np.real(np.sum(base * target)) * weight)
+        val = overlap(chi_v, squeeze_target_evaluator(input_state, r)(mesh))
         return float(np.clip(val, 0.0, 1.0))
 
     curve = [(float(r), fid(r)) for r in r_grid]

@@ -15,6 +15,7 @@ from .charfun import (
     CharFunction,
     char_of_state,
     fock_from_char,
+    overlap,
     propagate_char,
     rotate_char,
     wigner_from_char,
@@ -197,19 +198,12 @@ def align_amplified_axis(
     if half_spread < 0.025 * mean:
         return chi, 0.0
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
+    mesh = chi.grid.mesh()
     best = None
     for phi in (theta, theta + np.pi):
         rot = rotate_char(chi, phi)
-        mesh = rot.grid.mesh()
-        w = rot.grid.weight / np.pi
         score = max(
-            float(
-                np.real(
-                    np.sum(np.conj(rot.values) * squeeze_target_evaluator(input_state, r)(mesh))
-                )
-                * w
-            )
-            for r in probe_rs
+            overlap(rot, squeeze_target_evaluator(input_state, r)(mesh)) for r in probe_rs
         )
         if best is None or score > best[0]:
             best = (score, rot, phi)
@@ -240,8 +234,6 @@ def run_state_analysis(
     state: QuantumState,
     output_mode: str = "auto_v1",
     fock_dim: int = 0,
-    r_grid=None,
-    align: bool = True,
 ) -> PointResult:
     """Full pipeline for the state in one output mode.
 
@@ -261,10 +253,8 @@ def run_state_analysis(
         decomp = decompose_output_mode(kernels, u, v)
     chi_u = char_of_state(state)
     chi_out = propagate_char(decomp, chi_u)
-    rotation = 0.0
-    if align:
-        chi_out, rotation = align_amplified_axis(chi_out, state)
-    fit = optimize_squeeze_fidelity(chi_out, state, r_grid=r_grid)
+    chi_out, rotation = align_amplified_axis(chi_out, state)
+    fit = optimize_squeeze_fidelity(chi_out, state)
     result.decomposition = decomp
     result.chi_out = chi_out
     result.fit = fit
@@ -284,6 +274,6 @@ def run_state_analysis(
     return result
 
 
-def wigner_for_display(chi: CharFunction, extent: float = 6.0, n_side: int = 129):
+def wigner_for_display(chi: CharFunction):
     """Wigner map in the figure frame (amplified quadrature along p)."""
-    return wigner_from_char(rotate_char(chi, np.pi / 2.0), extent=extent, n_side=n_side)
+    return wigner_from_char(rotate_char(chi, np.pi / 2.0))

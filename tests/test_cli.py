@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ def _base_config(**overrides):
             "pulse": {"center": 0.0, "width": 1.0},
         },
         "output_mode": "auto_v1",
-        "analysis": ["modes"],
     }
     cfg.update(overrides)
     return cfg
@@ -142,7 +142,6 @@ class TestCliCommands:
                 if r and not r.startswith("#")]
         n1 = float(rows[1].split(",")[1])
         cfg_modes = _base_config()
-        del cfg_modes["analysis"]
         path2 = tmp_path / "cfg2.yaml"
         path2.write_text(dump_config(cfg_modes))
         out2 = tmp_path / "modes"
@@ -193,6 +192,16 @@ class TestCliCommands:
         m1 = json.loads((outs[1] / "manifest.json").read_text())
         assert m0["files"] == m1["files"]
         assert m0["config_hash"] == m1["config_hash"]
+
+    def test_workers_default_leaves_cores_to_blas(self, monkeypatch):
+        for name in ("PULSE_SQUEEZE_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        # BLAS threads unpinned: they already use every core
+        assert cli._workers() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert cli._workers() == os.cpu_count()
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "3")
+        assert cli._workers() == 3
 
 
 class TestExplicitModeFile:

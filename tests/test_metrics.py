@@ -132,12 +132,11 @@ class TestOptimizeSqueezeFidelity:
         assert fit.best_fidelity == pytest.approx(1.0, abs=1e-6)
 
     def test_recovers_known_squeeze(self):
-        from pulse_squeeze.charfun import CharFunction, _auto_grid
+        from pulse_squeeze.charfun import _auto_grid
 
         input_state = even_cat_state(2.0, 50)
         target_eval = squeeze_target_evaluator(input_state, 0.7)
-        g, values = _auto_grid(target_eval, None, "test", boundary_tol=1e-6)
-        chi = CharFunction(g, values, target_eval)
+        chi = _auto_grid(target_eval, None, "test", boundary_tol=1e-6)
         fit = optimize_squeeze_fidelity(chi, input_state)
         assert fit.best_fidelity == pytest.approx(1.0, abs=1e-4)
         assert fit.best_r == pytest.approx(0.7, abs=5e-3)
@@ -151,10 +150,9 @@ class TestOptimizeSqueezeFidelity:
     def test_edge_peak_warns(self):
         input_state = vacuum_state(20)
         target_eval = squeeze_target_evaluator(input_state, 1.5)
-        from pulse_squeeze.charfun import CharFunction, _auto_grid
+        from pulse_squeeze.charfun import _auto_grid
 
-        g, values = _auto_grid(target_eval, None, "test", boundary_tol=1e-6)
-        chi = CharFunction(g, values, target_eval)
+        chi = _auto_grid(target_eval, None, "test", boundary_tol=1e-6)
         with pytest.warns(UserWarning, match="edge"):
             optimize_squeeze_fidelity(chi, input_state, r_grid=np.linspace(0.0, 0.5, 6))
 

@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
 from pulse_squeeze.charfun import (
-    CharFunction,
     CharGrid,
     char_from_rho,
     char_of_state,
@@ -160,34 +157,6 @@ class TestPropagateChar:
         mid = chi_out.grid.n_side // 2
         assert chi_out.values[mid, mid] == pytest.approx(1.0, abs=1e-12)
 
-    def test_bilinear_fallback_path(self, grid, u_mode):
-        # strip the evaluator: propagation falls back to interpolation
-        state = coherent_state(0.8, 40)
-        chi_u = char_of_state(state)
-        bare = CharFunction(chi_u.grid, chi_u.values, None)
-        d = OutputDecomposition(
-            A=np.sqrt(0.9), B=0.0, C=0.0, D=np.sqrt(0.1), E=0.0,
-            zeta=1.0, xi=np.sqrt(0.1),
-            overlap_fu=1.0, overlap_ug=0.0, overlap_hk=0.0,
-        )
-        approx = propagate_char(d, bare, grid=chi_u.grid)
-        exact = propagate_char(d, chi_u, grid=chi_u.grid)
-        # bilinear interpolation error: h^2/8 * |d2 chi| at h ~ 0.094
-        assert np.abs(approx.values - exact.values).max() < 5e-3
-
-    @pytest.mark.filterwarnings("ignore:char_of_state")
-    def test_interpolation_out_of_range_raises(self):
-        state = coherent_state(2.0, 60)
-        chi_u = char_of_state(state, grid=CharGrid(3.0, 65))
-        bare = CharFunction(chi_u.grid, chi_u.values, None)
-        d = OutputDecomposition(
-            A=np.cosh(1.0), B=np.sinh(1.0), C=0.0, D=0.0, E=0.0,
-            zeta=np.cosh(1.0), xi=np.sinh(1.0),
-            overlap_fu=1.0, overlap_ug=1.0, overlap_hk=0.0,
-        )
-        with pytest.raises(ValueError, match="extend the grid"):
-            propagate_char(d, bare, grid=CharGrid(3.0, 65))
-
 
 def _wigner_parity_oracle(rho, points):
     """Displaced-parity Wigner values, via dense expm displacements.
@@ -312,6 +281,11 @@ class TestJointTwoModeChar:
         single = propagate_char(d, chi_u, grid=joint.grid)
         marg = joint.marginal(0)
         assert np.abs(marg.values - single.values).max() < 1e-8
+        # off the joint grid, the marginal evaluates exactly like the
+        # single-mode propagated evaluator
+        rng = np.random.default_rng(5)
+        beta = rng.uniform(-3.0, 3.0, 64) + 1j * rng.uniform(-3.0, 3.0, 64)
+        assert np.abs(marg(beta) - single(beta)).max() < 1e-8
 
     def test_entanglement_of_seeded_pair(self, grid, u_mode, opo_kernels):
         # Fock input through the amplifier: the joint state of the seeded
@@ -329,27 +303,3 @@ class TestJointTwoModeChar:
     def test_requires_orthogonal_modes(self, grid, u_mode, opo_kernels):
         with pytest.raises(ValueError, match="orthogonal"):
             joint_two_mode_char(opo_kernels, u_mode, u_mode, u_mode, char_of_state(vacuum_state(10)))
-
-
-class TestCsvExports:
-    def test_char_csv_with_sidecar(self, tmp_path):
-        from pulse_squeeze.charfun import save_char_csv
-
-        chi = char_of_state(vacuum_state(10))
-        path = tmp_path / "chi.csv"
-        save_char_csv(chi, path)
-        rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
-        assert len(rows) == 2 * chi.grid.n_side
-        sidecar = json.loads((tmp_path / "chi.csv.json").read_text())
-        assert sidecar["n_side"] == chi.grid.n_side
-
-    def test_wigner_csv_with_sidecar(self, tmp_path):
-        from pulse_squeeze.charfun import save_wigner_csv
-
-        w = wigner_from_char(char_of_state(vacuum_state(10)))
-        path = tmp_path / "w.csv"
-        save_wigner_csv(w, path)
-        data = np.loadtxt(path, delimiter=",", comments="#")
-        assert data.shape == w.values.shape
-        sidecar = json.loads((tmp_path / "w.csv.json").read_text())
-        assert sidecar["integral"] == pytest.approx(1.0, abs=1e-3)
