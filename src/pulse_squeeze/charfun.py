@@ -188,9 +188,15 @@ def char_from_rho(rho: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _auto_grid(
-    evaluator, grid: CharGrid | None, what: str, boundary_tol: float = BOUNDARY_TOL
+    evaluator,
+    grid: CharGrid | None,
+    what: str,
+    boundary_tol: float = BOUNDARY_TOL,
+    start: CharFunction | None = None,
 ) -> CharFunction:
-    """Sample on the given grid, or grow the extent until chi has decayed."""
+    """Sample on the given grid, or grow the extent by 1.5x until chi has
+    decayed: from ``BASE_EXTENT``, or from the grid of ``start``, a chi of
+    ``evaluator`` that is already sampled."""
     if grid is not None:
         chi = CharFunction(grid, evaluator(grid.mesh()), evaluator)
         if chi.boundary_magnitude() > BOUNDARY_TOL:
@@ -200,28 +206,32 @@ def _auto_grid(
                 stacklevel=3,
             )
         return chi
-    extent = BASE_EXTENT
-    while True:
+    if start is None:
+        extent = BASE_EXTENT
         g = CharGrid.with_extent(extent)
         chi = CharFunction(g, evaluator(g.mesh()), evaluator)
-        if chi.boundary_magnitude() <= boundary_tol:
-            return chi
+    else:
+        # Auto-grown grids below the cap sit exactly on BASE_EXTENT * 1.5**k,
+        # so growing from start's extent continues that same sequence.
+        chi, extent = start, min(start.grid.extent, MAX_EXTENT)
+    while chi.boundary_magnitude() > boundary_tol:
         if extent >= MAX_EXTENT:
             if chi.boundary_magnitude() > 1e-3:
                 warnings.warn(
                     f"{what}: chi not decayed even at extent {extent:g}", stacklevel=3
                 )
-            return chi
+            break
         extent = min(extent * 1.5, MAX_EXTENT)
+        g = CharGrid.with_extent(extent)
+        chi = CharFunction(g, evaluator(g.mesh()), evaluator)
+    return chi
 
 
 def resampled(chi: CharFunction, tol: float, what: str) -> CharFunction:
     """``chi`` itself if it has decayed below ``tol`` at its boundary, else
-    chi re-sampled through its evaluator on an auto-grown grid.  ``what``
-    names the calling stage in warnings."""
-    if chi.boundary_magnitude() <= tol:
-        return chi
-    return _auto_grid(chi.evaluator, None, what, boundary_tol=tol)
+    chi re-sampled through its evaluator on grids grown from its own extent
+    up to ``MAX_EXTENT``.  ``what`` names the calling stage in warnings."""
+    return _auto_grid(chi.evaluator, None, what, boundary_tol=tol, start=chi)
 
 
 def state_evaluator(state: QuantumState) -> Callable[[np.ndarray], np.ndarray]:

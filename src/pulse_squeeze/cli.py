@@ -85,6 +85,18 @@ def _sweep_worker(args):
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
+def _env_int(*names: str) -> int | None:
+    """Integer value of the first of ``names`` set in the environment."""
+    for name in names:
+        value = os.environ.get(name)
+        if value:
+            try:
+                return int(value)
+            except ValueError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    return None
+
+
 def _workers() -> int:
     """Sweep pool size: ``PULSE_SQUEEZE_WORKERS``, else as many workers as
     fit on the cores next to each one's BLAS threads.
@@ -92,13 +104,13 @@ def _workers() -> int:
     With no BLAS thread count set, BLAS already uses every core, so the
     sweep runs in one process; extra workers would only oversubscribe.
     """
-    env = os.environ.get("PULSE_SQUEEZE_WORKERS")
-    if env:
-        return max(1, int(env))
-    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    if not threads:
+    workers = _env_int("PULSE_SQUEEZE_WORKERS")
+    if workers is not None:
+        return max(1, workers)
+    threads = _env_int("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    if threads is None:
         return 1
-    return max(1, (os.cpu_count() or 1) // max(1, int(threads)))
+    return max(1, (os.cpu_count() or 1) // max(1, threads))
 
 
 def cmd_modes(cfg: dict, out: Path) -> RunManifest:

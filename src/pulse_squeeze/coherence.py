@@ -9,18 +9,20 @@ pulse's second moments and the device kernels:
 
 with ``f~ = F u`` and ``g~ = G u`` (dt-weighted) and n, m the input
 occupation and anomalous moment.  The first four terms depend on the input
-state and have rank at most two; the last is the squeezed vacuum the
-device emits on its own.
+state and have rank at most two (a 2x2 problem gives their modes); the
+last, the squeezed vacuum the device emits on its own, depends on the
+device alone, and its mode ladder is diagonalized only when read.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .grids import HermitianKernel, ModeFunction, eigendecompose
+from .grids import HermitianKernel, ModeFunction, _clamp_negative, _pin_phase, eigendecompose
 from .kernels import BogoliubovKernels, apply_to_mode
 from .states import QuantumState, destroy
 
@@ -67,17 +69,24 @@ class ModeSpectrum:
     """Occupations and mode shapes of the output field.
 
     ``seeded`` holds the (at most two) input-fed modes, ``vacuum`` the
-    squeezed-vacuum ladder truncated at ``OCCUPATION_CUT`` of the total.
+    squeezed-vacuum ladder of ``kernels`` truncated at ``OCCUPATION_CUT`` of
+    the total; the ladder is diagonalized the first time it is read.
     """
 
     seeded: list[tuple[float, ModeFunction]]
-    vacuum: list[tuple[float, ModeFunction]]
     seeded_total: float
     vacuum_total: float
+    kernels: BogoliubovKernels = field(repr=False)
 
     @property
     def total(self) -> float:
         return self.seeded_total + self.vacuum_total
+
+    @cached_property
+    def vacuum(self) -> list[tuple[float, ModeFunction]]:
+        cut = OCCUPATION_CUT * self.total
+        return [(lam, mode) for lam, mode in eigendecompose(vacuum_kernel(self.kernels))
+                if lam > cut]
 
 
 def input_moments(state: QuantumState) -> InputMoments:
@@ -123,36 +132,26 @@ def seeded_vacuum_split(
 ) -> ModeSpectrum:
     """Split g1 into input-seeded modes and squeezed-vacuum modes.
 
-    The seeded part is the difference ``g1_total - vacuum``; its rank must
-    not exceed two (more than two significant eigenvalues indicates a bug
-    upstream and raises).
+    With ``V = [F u, conj(G u)] = Q R`` and ``M = [[n, m*], [m, n]]``, the
+    seeded part of g1 is ``Q R M^T R^dag Q^dag``: the eigenpairs ``(lam, y)``
+    of the 2x2 matrix ``dt R M^T R^dag`` give the seeded occupations and
+    modes ``Q y``.
     """
-    vac = vacuum_kernel(k)
-    g1 = g1_total(k, u, moments)
-    seeded_entries = g1.entries - vac.entries
-    total = max(g1.trace(), 1e-300)
-
-    seeded_pairs = eigendecompose(
-        HermitianKernel(k.grid, seeded_entries, atol=1e-8),
-        neg_tol=SEEDED_NEG_TOL,
-    )
-    cut = OCCUPATION_CUT * total
-    seeded = [(lam, mode) for lam, mode in seeded_pairs if lam > cut]
-    if len(seeded) > 2:
-        raise RuntimeError(
-            f"seeded part has {len(seeded)} significant modes; "
-            "a single input pulse can feed at most two"
-        )
-    vac_pairs = eigendecompose(vac)
-    vacuum = [(lam, mode) for lam, mode in vac_pairs if lam > cut]
-    seeded_total = float(sum(lam for lam, _ in seeded_pairs))
-    vacuum_total = vac.trace()
-    return ModeSpectrum(
-        seeded=seeded,
-        vacuum=vacuum,
-        seeded_total=seeded_total,
-        vacuum_total=vacuum_total,
-    )
+    dt = k.grid.dt
+    fu, gu = apply_to_mode(k, u)
+    q, r = np.linalg.qr(np.column_stack([fu, gu.conj()]))
+    mt = np.array([[moments.n, moments.m], [np.conj(moments.m), moments.n]])
+    vals, vecs = np.linalg.eigh(dt * (r @ mt @ r.conj().T))
+    vals = _clamp_negative(vals[::-1], SEEDED_NEG_TOL)
+    seeded_total = float(vals.sum())
+    vacuum_total = dt**2 * float(np.sum(np.abs(k.G) ** 2))
+    cut = OCCUPATION_CUT * (seeded_total + vacuum_total)
+    seeded = [
+        (float(lam), ModeFunction(k.grid, _pin_phase(q @ y) / np.sqrt(dt)))
+        for lam, y in zip(vals, vecs[:, ::-1].T)
+        if lam > cut
+    ]
+    return ModeSpectrum(seeded, seeded_total, vacuum_total, kernels=k)
 
 
 def single_mode_condition(moments: InputMoments) -> tuple[bool, float]:

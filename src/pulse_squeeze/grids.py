@@ -196,15 +196,24 @@ def _pin_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(ph) / ph)
 
 
-def eigendecompose(
-    kernel: HermitianKernel, neg_tol: float = NEGATIVE_EIG_TOL
-) -> list[tuple[float, ModeFunction]]:
+def _clamp_negative(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Descending eigenvalues of a positive-semidefinite kernel, round-off
+    negatives (within ``tol`` of the largest) clamped to zero; larger raise."""
+    top = max(vals[0], 0.0) if len(vals) else 0.0
+    if np.any(vals < -tol * max(top, 1e-300)):
+        raise ValueError(
+            f"kernel has a significant negative eigenvalue: {vals.min():.3e} "
+            f"(largest {top:.3e})"
+        )
+    return np.clip(vals, 0.0, None)
+
+
+def eigendecompose(kernel: HermitianKernel) -> list[tuple[float, ModeFunction]]:
     """Mode decomposition ``K(x1, x2) = sum_i lam_i conj(v_i(x1)) v_i(x2)``.
 
-    Eigenvalues are sorted descending and the modes are orthonormal under
-    :func:`inner_product`.  Negative eigenvalues within ``neg_tol`` of the
-    largest (round-off of a positive-semidefinite kernel) are clamped to
-    zero; larger ones raise.
+    Eigenvalues are sorted descending, round-off negatives clamped to zero
+    (``NEGATIVE_EIG_TOL``), and the modes are orthonormal under
+    :func:`inner_product`.
     """
     dt = kernel.grid.dt
     # K(x1,x2) = sum lam conj(v(x1)) v(x2) means the matrix transpose is the
@@ -213,16 +222,8 @@ def eigendecompose(
     m = kernel.entries.T * dt
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
-    vals = vals[order]
+    vals = _clamp_negative(vals[order], NEGATIVE_EIG_TOL)
     vecs = vecs[:, order]
-    top = max(vals[0], 0.0) if len(vals) else 0.0
-    floor = -neg_tol * max(top, 1e-300)
-    if np.any(vals < floor):
-        raise ValueError(
-            f"kernel has a significant negative eigenvalue: {vals.min():.3e} "
-            f"(largest {top:.3e})"
-        )
-    vals = np.clip(vals, 0.0, None)
     out = []
     for i in range(len(vals)):
         amp = _pin_phase(vecs[:, i]) / np.sqrt(dt)

@@ -199,15 +199,15 @@ def align_amplified_axis(
         return chi, 0.0
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
     mesh = chi.grid.mesh()
-    best = None
-    for phi in (theta, theta + np.pi):
-        rot = rotate_char(chi, phi)
-        score = max(
-            overlap(rot, squeeze_target_evaluator(input_state, r)(mesh)) for r in probe_rs
-        )
-        if best is None or score > best[0]:
-            best = (score, rot, phi)
-    return best[1], float(best[2])
+    phis = (theta, theta + np.pi)
+    rots = [rotate_char(chi, phi) for phi in phis]
+    scores = [-np.inf, -np.inf]
+    # One probe target at a time, scored against both candidates.
+    for r in probe_rs:
+        target = squeeze_target_evaluator(input_state, r)(mesh)
+        scores = [max(score, overlap(rot, target)) for score, rot in zip(scores, rots)]
+    best = 1 if scores[1] > scores[0] else 0
+    return rots[best], float(phis[best])
 
 
 def run_modes(
@@ -219,7 +219,6 @@ def run_modes(
     metrics = {
         "n1": spectrum.seeded[0][0] if spectrum.seeded else 0.0,
         "n2": spectrum.seeded[1][0] if len(spectrum.seeded) > 1 else 0.0,
-        "m1": spectrum.vacuum[0][0] if spectrum.vacuum else 0.0,
         "seeded_total": spectrum.seeded_total,
         "vacuum_total": spectrum.vacuum_total,
     }
@@ -242,6 +241,10 @@ def run_state_analysis(
     the characteristic picture.
     """
     result = run_modes(kernels, u, state)
+    # Diagonalize the vacuum ladder now, before the chi stages allocate
+    # their grids, so its n x n workspace is not part of their peak memory.
+    vacuum = result.spectrum.vacuum
+    result.metrics["m1"] = vacuum[0][0] if vacuum else 0.0
     v = select_output_mode(result.spectrum, output_mode, kernels.grid)
     decomp = decompose_output_mode(kernels, u, v)
     # Anchor the output mode's global phase to the input carrier: rotate v

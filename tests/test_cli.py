@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +196,7 @@ class TestCliCommands:
         assert m0["files"] == m1["files"]
         assert m0["config_hash"] == m1["config_hash"]
 
-    def test_workers_default_leaves_cores_to_blas(self, monkeypatch):
+    def test_workers_default_leaves_cores_to_blas(self, monkeypatch, tmp_path):
         for name in ("PULSE_SQUEEZE_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         # BLAS threads unpinned: they already use every core
@@ -202,6 +205,49 @@ class TestCliCommands:
         assert cli._workers() == os.cpu_count()
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "3")
         assert cli._workers() == 3
+        # a malformed count is a configuration error that names its variable
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "two")
+        with pytest.raises(ConfigError, match="PULSE_SQUEEZE_WORKERS"):
+            cli._workers()
+        cfg = _base_config(sweep={"axes": [
+            {"name": "device.r", "values": [0.8]},
+            {"name": "input.pulse.width", "values": [1.0]},
+        ]})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
+        monkeypatch.delenv("PULSE_SQUEEZE_WORKERS")
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            monkeypatch.setenv(name, "two")
+            with pytest.raises(ConfigError, match=name):
+                cli._workers()
+
+    def test_sweep_identical_across_workers_and_blas_threads(self, tmp_path):
+        cfg = load_recipe("fig3ab")
+        cfg["sweep"] = {"axes": [
+            {"name": "input.pulse.center", "start": -3.0, "stop": 1.0, "points": 4},
+            {"name": "device.pump.width", "start": 0.02, "stop": 2.0, "points": 4,
+             "log": True},
+        ]}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        layouts = {
+            "serial": {"PULSE_SQUEEZE_WORKERS": "1"},
+            "pool": {"PULSE_SQUEEZE_WORKERS": "2", "OPENBLAS_NUM_THREADS": "1"},
+        }
+        for run, extra in layouts.items():
+            subprocess.run(
+                [sys.executable, "-m", "pulse_squeeze.cli", "sweep", "--config", str(path),
+                 "--out", str(tmp_path / run)],
+                env={**env, **extra}, check=True, timeout=300,
+            )
+        for name in ("heatmap_n1.csv", "heatmap_ratio.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
 
 class TestExplicitModeFile:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pulse_squeeze.coherence import (
+    OCCUPATION_CUT,
     InputMoments,
     g1_total,
     input_moments,
@@ -10,13 +11,14 @@ from pulse_squeeze.coherence import (
     single_mode_condition,
     vacuum_kernel,
 )
-from pulse_squeeze.grids import eigendecompose, inner_product
+from pulse_squeeze.grids import ModeFunction, eigendecompose, inner_product
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import (
     QuantumState,
     coherent_state,
     even_cat_state,
     fock_state,
+    squeezed_state,
 )
 
 
@@ -127,6 +129,42 @@ class TestSeededVacuumSplit:
         v1, v2 = sp.seeded[0][1], sp.seeded[1][1]
         assert abs(inner_product(v1, v1)) == pytest.approx(1.0, abs=1e-9)
         assert abs(inner_product(v1, v2)) < 1e-9
+
+    def test_matches_dense_oracle(self, grid, u_mode, opo_kernels):
+        # Dense oracle: diagonalize the n x n seeded part g1 - vacuum directly.
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        rho = np.zeros((12, 12), complex)
+        rho[:6, :6] = psi @ psi.conj().T
+        cases = [
+            (opo_kernels, input_moments(coherent_state(1.5, 40))),
+            (opo_kernels, input_moments(fock_state(1, 30))),
+            (opo_kernels, input_moments(QuantumState(rho / np.trace(rho)))),
+            # |m| slightly above n: the seeded part dips just below zero
+            (opo_kernels, input_moments(even_cat_state(2.5, 60))),
+            (opo_kernels, InputMoments(0.0, 0.0)),
+            (identity_kernels(grid), input_moments(fock_state(1, 30))),
+        ]
+        dt = grid.dt
+        for k, moments in cases:
+            g1 = g1_total(k, u_mode, moments)
+            cut = OCCUPATION_CUT * g1.trace()
+            vals, vecs = np.linalg.eigh(dt * (g1.entries - vacuum_kernel(k).entries).T)
+            vals, vecs = vals[::-1], vecs[:, ::-1] / np.sqrt(dt)
+            sp = seeded_vacuum_split(k, u_mode, moments)
+            assert len(sp.seeded) == np.count_nonzero(vals > cut)
+            for (lam, v), lam_dense, vec in zip(sp.seeded, vals, vecs.T):
+                assert abs(lam - lam_dense) <= 1e-12 * vals[0]
+                assert abs(inner_product(v, ModeFunction(grid, vec))) >= 1 - 1e-9
+            eager = [(lam, mode) for lam, mode in eigendecompose(vacuum_kernel(k)) if lam > cut]
+            assert [lam for lam, _ in sp.vacuum] == [lam for lam, _ in eager]
+            for (_, v), (_, w) in zip(sp.vacuum, eager):
+                np.testing.assert_array_equal(v.amplitudes, w.amplitudes)
+
+    def test_squeezed_input_raises(self, u_mode, opo_kernels):
+        # |m| > n: the seeded part is indefinite, not a coherence function
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            seeded_vacuum_split(opo_kernels, u_mode, input_moments(squeezed_state(0.6, 40)))
 
 
 class TestSingleModeCondition:
