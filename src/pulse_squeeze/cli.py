@@ -297,7 +297,7 @@ def _verify_checks(corrupt: bool):
     checks.append(("opa symplectic", verify_symplectic(opa).max_residual, 1e-5))
 
     twpa = build_twpa(
-        TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), 20, 0.05),
+        TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), 100, 0.01),
         TemporalGrid(-10.0, 30.0, 256),
     )
     checks.append(("twpa symplectic", verify_symplectic(twpa).max_residual, 1e-4))

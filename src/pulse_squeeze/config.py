@@ -13,6 +13,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .charfun import MAX_FOCK_DIM
+from .states import state_library
+
 __all__ = [
     "ConfigError",
     "load_config",
@@ -127,6 +130,15 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"grid.{key}: missing")
     if "input" not in cfg or "state" not in cfg["input"]:
         raise ConfigError("input.state: missing")
+    try:
+        state_library(cfg["input"]["state"])
+    except KeyError as exc:
+        raise ConfigError(f"input.state: missing parameter {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"input.state: {exc}") from None
+    fock_dim = cfg.get("fock_dim")
+    if fock_dim is not None and (type(fock_dim) is not int or not 1 <= fock_dim <= MAX_FOCK_DIM):
+        raise ConfigError(f"fock_dim: need an integer in 1..{MAX_FOCK_DIM}, got {fock_dim!r}")
     mode = cfg.get("output_mode", "auto_v1")
     if mode not in ("auto_v1", "auto_v2") and not mode.startswith("file:"):
         raise ConfigError(f"output_mode: unknown selector {mode!r}")

@@ -32,7 +32,6 @@ __all__ = [
     "ideal_squeezer_kernels",
     "compose",
     "verify_symplectic",
-    "renormalize_symplectic",
     "pullback_output_mode",
     "apply_to_mode",
     "save_kernels",
@@ -140,26 +139,6 @@ def verify_symplectic(k: BogoliubovKernels) -> SymplecticReport:
         commutator_residual=float(np.linalg.norm(c1) / delta_norm),
         pairing_residual=float(np.linalg.norm(c2) / delta_norm),
     )
-
-
-def renormalize_symplectic(k: BogoliubovKernels) -> BogoliubovKernels:
-    """Re-project drifted kernels onto the symplectic manifold.
-
-    Left-multiplies by the inverse Hermitian square root of
-    ``F F^dag - G* G^T`` (the polar correction of the doubled-up matrix),
-    which restores the commutator condition exactly and preserves the
-    pairing condition.
-    """
-    dt = k.grid.dt
-    A = k.F * dt
-    B = k.G.conj() * dt
-    N = A @ A.conj().T - B @ B.conj().T
-    N = 0.5 * (N + N.conj().T)
-    vals, vecs = np.linalg.eigh(N)
-    if np.any(vals <= 0):
-        raise ValueError("kernels drifted too far from symplectic to renormalize")
-    X = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return BogoliubovKernels(k.grid, (X @ A) / dt, (X @ B).conj() / dt)
 
 
 def apply_to_mode(k: BogoliubovKernels, u: ModeFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -85,10 +85,23 @@ class TestCliCommands:
         assert cli.main(["modes"]) == 1
         assert "config" in capsys.readouterr().err
 
-    def test_invalid_config_exit_code(self, tmp_path):
+    def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("device: {kind: flux_capacitor}\n")
         assert cli.main(["modes", "--config", str(path)]) == 1
+        # malformed state settings are config errors, caught before any compute
+        cases = [
+            ("fock_dim", {"fock_dim": 0}),
+            ("fock_dim", {"fock_dim": 80}),
+            ("input.state", {"input": {"state": {"kind": "thermal", "dim": 20}}}),
+            ("input.state", {"input": {"state": {"kind": "fock", "dim": 20}}}),
+        ]
+        for key, override in cases:
+            cfg = _base_config(**override)
+            path.write_text(dump_config(cfg))
+            out = tmp_path / "run"
+            assert cli.main(["state", "--config", str(path), "--out", str(out)]) == 1, override
+            assert key in capsys.readouterr().err, override
 
     def test_modes_identity_device(self, tmp_path):
         cfg = _base_config()

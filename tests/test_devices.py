@@ -169,11 +169,10 @@ class TestBuildTwpa:
         assert np.array_equal(k1.F, ko.F)
         assert np.array_equal(k1.G, ko.G)
 
-    def test_two_stages_equal_composition(self, chain_grid, stage):
-        k2 = build_twpa(TwpaParams(stage, 2, 0.05), chain_grid)
-        ko = build_opo(
-            OpoParams(0.0, 1.0, GaussianPump(0.05, 0.0, 0.2)), chain_grid
-        )
+    @pytest.mark.parametrize("n_stages", [2, 64])
+    def test_two_stages_equal_composition(self, chain_grid, stage, n_stages):
+        k2 = build_twpa(TwpaParams(stage, n_stages, 0.05), chain_grid)
+        ko = build_twpa(TwpaParams(stage, n_stages // 2, 0.05), chain_grid)
         kc = compose(ko, ko)
         scale = np.abs(kc.F).max()
         assert np.abs(k2.F - kc.F).max() < 1e-10 * scale
@@ -191,3 +190,5 @@ class TestBuildTwpa:
     def test_long_chain_symplectic(self, chain_grid, stage):
         k = build_twpa(TwpaParams(stage, 100, 0.05), chain_grid)
         assert verify_symplectic(k).max_residual < 1e-4
+        k = build_twpa(TwpaParams(stage, 1000, 0.005), chain_grid)
+        assert verify_symplectic(k).max_residual < 1e-10

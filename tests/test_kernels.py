@@ -12,7 +12,6 @@ from pulse_squeeze.kernels import (
     identity_kernels,
     load_kernels,
     pullback_output_mode,
-    renormalize_symplectic,
     save_kernels,
     verify_symplectic,
 )
@@ -198,12 +197,3 @@ def test_serialization_round_trip(tmp_path, opo_kernels):
     assert loaded.grid == opo_kernels.grid
     assert np.array_equal(loaded.F, opo_kernels.F)
     assert np.array_equal(loaded.G, opo_kernels.G)
-
-
-def test_renormalize_restores_commutator(grid, opo_kernels):
-    rng = np.random.default_rng(10)
-    drift = 1e-4 * rng.normal(size=opo_kernels.F.shape) / grid.dt
-    drifted = BogoliubovKernels(grid, opo_kernels.F * (1 + 1e-4) + drift * 0, opo_kernels.G)
-    assert verify_symplectic(drifted).commutator_residual > 1e-5
-    fixed = renormalize_symplectic(drifted)
-    assert verify_symplectic(fixed).commutator_residual < 1e-12
