@@ -80,6 +80,21 @@ class CharGrid:
         re, im = np.meshgrid(self.axis, self.axis, indexing="ij")
         return re + 1j * im
 
+    def sample(self, evaluator: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``evaluator`` on the mesh, for a chi with ``chi(-beta) = conj(chi(beta))``.
+
+        Every chi the package samples is ``Tr[rho D(beta)]`` of a density
+        matrix, and ``D(beta)^dag = D(-beta)`` makes it Hermitian in this
+        sense.  Rows ``0 .. half`` (Re beta <= 0, the beta = 0 row included)
+        are evaluated; every later row is the conjugate of its mirror image.
+        """
+        half = self.n_side // 2
+        axis = self.axis
+        values = np.empty((self.n_side, self.n_side), dtype=complex)
+        values[: half + 1] = evaluator(axis[: half + 1, None] + 1j * axis[None, :])
+        values[half + 1 :] = np.conj(values[half - 1 :: -1, ::-1])
+        return values
+
     @staticmethod
     def with_extent(extent: float, spacing: float = BASE_SPACING) -> "CharGrid":
         half = max(2, int(np.ceil(extent / spacing)))
@@ -139,7 +154,6 @@ class WignerGrid:
 
 def _laguerre_seq(x: np.ndarray, d: int, count: int):
     """Yield associated Laguerre values L_a^{(d)}(x) for a = 0 .. count-1."""
-    prev2 = None
     prev = np.ones_like(x)
     yield prev
     if count == 1:
@@ -198,7 +212,7 @@ def _auto_grid(
     decayed: from ``BASE_EXTENT``, or from the grid of ``start``, a chi of
     ``evaluator`` that is already sampled."""
     if grid is not None:
-        chi = CharFunction(grid, evaluator(grid.mesh()), evaluator)
+        chi = CharFunction(grid, grid.sample(evaluator), evaluator)
         if chi.boundary_magnitude() > BOUNDARY_TOL:
             warnings.warn(
                 f"{what}: |chi| = {chi.boundary_magnitude():.2e} at the grid "
@@ -209,7 +223,7 @@ def _auto_grid(
     if start is None:
         extent = BASE_EXTENT
         g = CharGrid.with_extent(extent)
-        chi = CharFunction(g, evaluator(g.mesh()), evaluator)
+        chi = CharFunction(g, g.sample(evaluator), evaluator)
     else:
         # Auto-grown grids below the cap sit exactly on BASE_EXTENT * 1.5**k,
         # so growing from start's extent continues that same sequence.
@@ -223,7 +237,7 @@ def _auto_grid(
             break
         extent = min(extent * 1.5, MAX_EXTENT)
         g = CharGrid.with_extent(extent)
-        chi = CharFunction(g, evaluator(g.mesh()), evaluator)
+        chi = CharFunction(g, g.sample(evaluator), evaluator)
     return chi
 
 
@@ -306,12 +320,21 @@ def wigner_from_char(
 def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     """Invert the Weyl transform: rho = (1/pi) int chi(beta) D(-beta) d^2 beta.
 
+    The quadrature is summed once per distinct grid radius.  The matrix
+    element <a+d|D(-beta)|a> is (-beta)^d e^{-|beta|^2/2} L_a^{(d)}(|beta|^2)
+    up to a constant (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and
+    every grid point has |beta|^2 = spacing^2 (i^2 + j^2) for integer i, j.
+    So for each d, chi (-beta)^d is folded onto the distinct radii (two
+    ``bincount`` passes over the grid), and the Laguerre recurrence runs on
+    the radii alone: 42,860 instead of 528,529 points on the 727 x 727 grid
+    of the fig4 state, for O(dim N_beta + dim^2 N_radii) work in all.
+
     The reconstruction is Hermitized, tiny negative eigenvalues (quadrature
     round-off, above -1e-6) are clamped to zero, and the result is
     renormalized; larger negativity means the grid is too coarse and raises.
     """
-    if dim > MAX_FOCK_DIM:
-        raise ValueError(f"dim {dim} exceeds the supported cap {MAX_FOCK_DIM}")
+    if not 1 <= dim <= MAX_FOCK_DIM:
+        raise ValueError(f"dim {dim} is outside the supported range 1..{MAX_FOCK_DIM}")
     # Boundary truncation of the quadrature feeds straight into spurious
     # negativity of rho: resample on a reconstruction-grade grid.
     chi = resampled(chi, 1e-6, "fock_from_char")
@@ -320,20 +343,29 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
             "chi has not decayed at the grid boundary; reconstruction may alias",
             stacklevel=2,
         )
-    b = chi.grid.mesh().ravel()
-    vals = chi.values.ravel()
-    x = np.abs(b) ** 2
+    grid = chi.grid
+    steps = np.arange(grid.n_side) - grid.n_side // 2
+    keys, radius_of = np.unique(
+        (steps[:, None] ** 2 + steps[None, :] ** 2).ravel(), return_inverse=True
+    )
+    n_r = len(keys)
+    x = grid.weight * keys
     pref = np.exp(-0.5 * x)
-    scale = chi.grid.weight / np.pi
-    weighted = vals * pref
+    minus_b = -grid.mesh().ravel()
+    core = chi.values.ravel().copy()  # chi (-beta)^d, from d = 0 up
+    scale = grid.weight / np.pi
     rho = np.zeros((dim, dim), dtype=complex)
     for d in range(dim):
-        bdm = (-b) ** d
+        folded = np.empty((2, n_r))
+        folded[0] = np.bincount(radius_of, weights=core.real, minlength=n_r)
+        folded[1] = np.bincount(radius_of, weights=core.imag, minlength=n_r)
+        folded *= pref
         coeff = float(np.exp(-0.5 * gammaln(d + 1.0)))
-        core = weighted * bdm
         for a, lag in enumerate(_laguerre_seq(x, d, dim - d)):
-            rho[a + d, a] = scale * coeff * np.sum(core * lag)
+            re, im = folded @ lag
+            rho[a + d, a] = scale * coeff * complex(re, im)
             coeff *= np.sqrt((a + 1.0) / (a + 1.0 + d))
+        core *= minus_b
     rho = rho + np.tril(rho, -1).conj().T
     rho = 0.5 * (rho + rho.conj().T)
 
@@ -364,7 +396,7 @@ def rotate_char(chi: CharFunction, phi: float) -> CharFunction:
     def evaluator(b):
         return chi(np.asarray(b, dtype=complex) * rot)
 
-    return CharFunction(chi.grid, evaluator(chi.grid.mesh()), evaluator)
+    return CharFunction(chi.grid, chi.grid.sample(evaluator), evaluator)
 
 
 @dataclass(frozen=True)
@@ -387,7 +419,7 @@ class JointCharFunction:
             zero = np.zeros_like(b)
             return self.evaluator(b, zero) if which == 0 else self.evaluator(zero, b)
 
-        return CharFunction(self.grid, evaluator(self.grid.mesh()), evaluator)
+        return CharFunction(self.grid, self.grid.sample(evaluator), evaluator)
 
     def purity(self) -> float:
         """Global two-mode purity (1/pi^2) int |chi|^2 d^4 beta."""

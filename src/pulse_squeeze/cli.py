@@ -271,7 +271,7 @@ def _verify_checks(corrupt: bool):
     from .grids import ModeFunction, gaussian_mode, normalize
     from .kernels import compose, identity_kernels, ideal_squeezer_kernels, pullback_output_mode
     from .metrics import quadrature_variance
-    from .states import fock_state, vacuum_state
+    from .states import coherent_state, fock_state, vacuum_state
     from .charfun import char_of_state, fock_from_char
 
     checks = []
@@ -332,9 +332,11 @@ def _verify_checks(corrupt: bool):
     trace_err = abs(g1.trace() - (sp.seeded_total + sp.vacuum_total)) / max(g1.trace(), 1e-12)
     checks.append(("g1 trace consistency", trace_err, 1e-6))
 
-    chi = char_of_state(vacuum_state(20))
-    rec = fock_from_char(chi, 20)
-    checks.append(("char round trip (vacuum)", float(abs(rec.rho[0, 0] - 1.0)), 1e-6))
+    # A state without rotational symmetry, so the angular phases of the
+    # Fock reconstruction are exercised.
+    coh = coherent_state(1.0 + 0.5j, 20)
+    rec = fock_from_char(char_of_state(coh), 20)
+    checks.append(("char round trip (coherent)", float(np.abs(rec.rho - coh.rho).max()), 1e-6))
 
     dsq = decompose_output_mode(sq, u, u)
     from .charfun import propagate_char

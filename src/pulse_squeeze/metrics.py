@@ -162,14 +162,13 @@ def optimize_squeeze_fidelity(
     picture, so non-Gaussian inputs need no Fock truncation.
     """
     chi_v = resampled(_as_char(rho_v1), 1e-6, "squeeze fit")
-    mesh = chi_v.grid.mesh()
 
     if r_grid is None:
         r_grid = _default_r_grid()
     r_grid = np.asarray(sorted(set(float(r) for r in r_grid)))
 
     def fid(r):
-        val = overlap(chi_v, squeeze_target_evaluator(input_state, r)(mesh))
+        val = overlap(chi_v, chi_v.grid.sample(squeeze_target_evaluator(input_state, r)))
         return float(np.clip(val, 0.0, 1.0))
 
     curve = [(float(r), fid(r)) for r in r_grid]

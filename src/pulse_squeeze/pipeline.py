@@ -198,13 +198,12 @@ def align_amplified_axis(
     if half_spread < 0.025 * mean:
         return chi, 0.0
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
-    mesh = chi.grid.mesh()
     phis = (theta, theta + np.pi)
     rots = [rotate_char(chi, phi) for phi in phis]
     scores = [-np.inf, -np.inf]
     # One probe target at a time, scored against both candidates.
     for r in probe_rs:
-        target = squeeze_target_evaluator(input_state, r)(mesh)
+        target = chi.grid.sample(squeeze_target_evaluator(input_state, r))
         scores = [max(score, overlap(rot, target)) for score, rot in zip(scores, rots)]
     best = 1 if scores[1] > scores[0] else 0
     return rots[best], float(phis[best])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln
 
 from pulse_squeeze.charfun import (
+    MAX_FOCK_DIM,
     CharGrid,
     char_from_rho,
     char_of_state,
@@ -119,6 +120,47 @@ class TestCharFunctions:
     def test_explicit_small_grid_warns(self):
         with pytest.warns(UserWarning, match="boundary"):
             char_of_state(coherent_state(2.0, 60), grid=CharGrid(2.0, 33))
+
+
+class TestCharGridSample:
+    def _evaluators(self, u_mode, opo_kernels):
+        library = {
+            "vacuum": vacuum_state(10),
+            "fock 1": fock_state(1, 10),
+            "coherent": coherent_state(1.0 - 0.7j, 40),
+            "even cat": even_cat_state(2.0, 60),
+            "squeezed": squeezed_state(0.6, 60),
+        }
+        evaluators = [(name, s.char_eval) for name, s in library.items()]
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+        evaluators.append(("random mixed", lambda b: char_from_rho(rho, b)))
+        d = decompose_output_mode(opo_kernels, u_mode, u_mode)
+        chi_out = propagate_char(d, char_of_state(fock_state(1, 20)))
+        evaluators.append(("opo output", chi_out.evaluator))
+        return evaluators
+
+    @pytest.mark.filterwarnings("ignore:propagate_char")
+    @pytest.mark.parametrize("grid_", [CharGrid.with_extent(6.0), CharGrid(5.0, 65)])
+    def test_matches_full_mesh(self, grid_, u_mode, opo_kernels):
+        half = grid_.n_side // 2
+        for name, evaluator in self._evaluators(u_mode, opo_kernels):
+            values = grid_.sample(evaluator)
+            full = evaluator(grid_.mesh())
+            assert np.abs(values - full).max() < 1e-14, name
+            assert np.array_equal(values[half + 1 :], np.conj(values[half - 1 :: -1, ::-1])), name
+
+    def test_evaluates_one_half(self):
+        grid_ = CharGrid(3.0, 9)
+        shapes = []
+
+        def evaluator(b):
+            shapes.append(b.shape)
+            return np.exp(-0.5 * np.abs(b) ** 2)
+
+        grid_.sample(evaluator)
+        assert shapes == [(5, 9)]
 
 
 class TestPropagateChar:
@@ -249,9 +291,42 @@ class TestFockFromChar:
         )
         assert np.abs(pops[::2] - expected).max() < 1e-4
 
-    def test_dim_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            fock_from_char(char_of_state(vacuum_state(10)), 61)
+    def test_matches_grid_sum_oracle(self):
+        # rho_mn = (h^2/pi) sum_beta chi(beta) <m|D(-beta)|n> over every grid
+        # point, with the displacement matrix elements from scipy's Laguerre
+        # polynomials.  The state has no rotational symmetry, so the angular
+        # phases count; the grid is off the with_extent sequence, and chi has
+        # decayed below 1e-6 at its boundary, so fock_from_char keeps it.
+        dim = 20
+        state = coherent_state(1.0 + 0.5j, dim)
+        chi = char_of_state(state, grid=CharGrid(5.6, 65))
+        assert chi.boundary_magnitude() < 1e-6
+        alpha = -chi.grid.mesh().ravel()
+        x = np.abs(alpha) ** 2
+        gauss = chi.values.ravel() * np.exp(-0.5 * x)
+        oracle = np.empty((dim, dim), dtype=complex)
+        for m in range(dim):
+            for n in range(dim):
+                lo, d = min(m, n), abs(m - n)
+                phase = alpha**d if m >= n else (-np.conj(alpha)) ** d
+                norm = np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(lo + d + 1.0)))
+                element = norm * phase * eval_genlaguerre(lo, d, x)
+                oracle[m, n] = np.sum(gauss * element)
+        oracle *= chi.grid.weight / np.pi
+        assert np.abs(oracle - oracle.conj().T).max() < 1e-14
+        assert np.abs(oracle - state.rho).max() < 1e-5
+        # This coarse grid leaves eigenvalues near -1e-8 in the sum, so the
+        # oracle goes through the same clamp and renormalisation.
+        eigvals, eigvecs = np.linalg.eigh(oracle)
+        assert eigvals.min() > -1e-6
+        clamped = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
+        expected = clamped / np.trace(clamped).real
+        assert np.abs(fock_from_char(chi, dim).rho - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("dim", [0, MAX_FOCK_DIM + 1])
+    def test_dim_cap(self, dim):
+        with pytest.raises(ValueError, match=rf"outside the supported range 1\.\.{MAX_FOCK_DIM}"):
+            fock_from_char(char_of_state(vacuum_state(10)), dim)
 
 
 class TestJointTwoModeChar:
