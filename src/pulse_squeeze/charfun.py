@@ -53,20 +53,45 @@ MAX_FOCK_DIM = 60
 
 @dataclass(frozen=True)
 class CharGrid:
-    """Square grid in the complex beta plane, symmetric about the origin."""
+    """Rectangle in the complex beta plane, symmetric about the origin.
+
+    Both axes share one spacing; each has its own extent.  ``extent`` and
+    ``n_side`` describe the Re beta axis, ``im_extent`` and ``im_n_side``
+    the Im beta axis, which default to the square.  A squeezed chi is long
+    on one axis and short on the other: the fig4 output state lives on
+    727 x 129 points (extent 34.03 x 6.0) instead of 727 x 727.
+    """
 
     extent: float
     n_side: int
+    im_extent: float | None = None
+    im_n_side: int | None = None
 
     def __post_init__(self):
-        if self.extent <= 0 or self.n_side < 3:
-            raise ValueError("need positive extent and at least 3 points per side")
-        if self.n_side % 2 == 0:
-            raise ValueError("n_side must be odd so the grid contains beta = 0")
+        if self.im_extent is None:
+            object.__setattr__(self, "im_extent", self.extent)
+        if self.im_n_side is None:
+            object.__setattr__(self, "im_n_side", self.n_side)
+        for extent, n in ((self.extent, self.n_side), (self.im_extent, self.im_n_side)):
+            if extent <= 0 or n < 3:
+                raise ValueError("need positive extent and at least 3 points per side")
+            if n % 2 == 0:
+                raise ValueError("n_side must be odd so the grid contains beta = 0")
+        im_spacing = 2.0 * self.im_extent / (self.im_n_side - 1)
+        if abs(im_spacing - self.spacing) > 1e-12 * self.spacing:
+            raise ValueError("both axes must share one spacing")
 
     @property
-    def axis(self) -> np.ndarray:
+    def shape(self) -> tuple[int, int]:
+        return (self.n_side, self.im_n_side)
+
+    @property
+    def re_axis(self) -> np.ndarray:
         return np.linspace(-self.extent, self.extent, self.n_side)
+
+    @property
+    def im_axis(self) -> np.ndarray:
+        return np.linspace(-self.im_extent, self.im_extent, self.im_n_side)
 
     @property
     def spacing(self) -> float:
@@ -77,8 +102,7 @@ class CharGrid:
         return self.spacing**2
 
     def mesh(self) -> np.ndarray:
-        re, im = np.meshgrid(self.axis, self.axis, indexing="ij")
-        return re + 1j * im
+        return self.re_axis[:, None] + 1j * self.im_axis[None, :]
 
     def sample(self, evaluator: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """``evaluator`` on the mesh, for a chi with ``chi(-beta) = conj(chi(beta))``.
@@ -86,29 +110,35 @@ class CharGrid:
         Every chi the package samples is ``Tr[rho D(beta)]`` of a density
         matrix, and ``D(beta)^dag = D(-beta)`` makes it Hermitian in this
         sense.  Rows ``0 .. half`` (Re beta <= 0, the beta = 0 row included)
-        are evaluated; every later row is the conjugate of its mirror image.
+        are evaluated; every later row is the conjugate of its mirror image,
+        beta -> -beta taking row i to n - 1 - i and column j to m - 1 - j.
         """
         half = self.n_side // 2
-        axis = self.axis
-        values = np.empty((self.n_side, self.n_side), dtype=complex)
-        values[: half + 1] = evaluator(axis[: half + 1, None] + 1j * axis[None, :])
+        values = np.empty(self.shape, dtype=complex)
+        re, im = self.re_axis, self.im_axis
+        values[: half + 1] = evaluator(re[: half + 1, None] + 1j * im[None, :])
         values[half + 1 :] = np.conj(values[half - 1 :: -1, ::-1])
         return values
 
     @staticmethod
-    def with_extent(extent: float, spacing: float = BASE_SPACING) -> "CharGrid":
-        half = max(2, int(np.ceil(extent / spacing)))
-        return CharGrid(half * spacing, 2 * half + 1)
+    def with_extent(
+        extent: float, im_extent: float | None = None, spacing: float = BASE_SPACING
+    ) -> "CharGrid":
+        """The grid of ``spacing`` reaching at least ``extent`` on Re beta and
+        ``im_extent`` (default: ``extent``) on Im beta."""
+        im_extent = extent if im_extent is None else im_extent
+        re_half, im_half = (max(2, int(np.ceil(e / spacing))) for e in (extent, im_extent))
+        return CharGrid(re_half * spacing, 2 * re_half + 1, im_half * spacing, 2 * im_half + 1)
 
 
 @dataclass(frozen=True)
 class CharFunction:
     """Sampled characteristic function plus its exact evaluator.
 
-    ``values[i, j] = chi(axis[i] + 1j * axis[j])``.  Every chi the package
-    builds is the input's chi mapped by a Gaussian channel, so the evaluator
-    (closed form or Fock sum, composed with the channel) is always known and
-    downstream transforms query chi off-grid through it.
+    ``values[i, j] = chi(re_axis[i] + 1j * im_axis[j])``.  Every chi the
+    package builds is the input's chi mapped by a Gaussian channel, so the
+    evaluator (closed form or Fock sum, composed with the channel) is always
+    known and downstream transforms query chi off-grid through it.
     """
 
     grid: CharGrid
@@ -117,13 +147,21 @@ class CharFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_side, self.grid.n_side):
+        if v.shape != self.grid.shape:
             raise ValueError("values shape does not match the grid")
         object.__setattr__(self, "values", v)
 
     def boundary_magnitude(self) -> float:
-        v = np.abs(self.values)
-        return float(max(v[0].max(), v[-1].max(), v[:, 0].max(), v[:, -1].max()))
+        """Largest |chi| on the four edges of the grid."""
+        return max(self.edge_magnitudes())
+
+    def edge_magnitudes(self) -> tuple[float, float]:
+        """Largest |chi| on the Re beta = +-extent edges, and on the
+        Im beta = +-im_extent edges."""
+        v = self.values
+        re_edges = max(np.abs(v[0]).max(), np.abs(v[-1]).max())
+        im_edges = max(np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max())
+        return float(re_edges), float(im_edges)
 
     def __call__(self, beta: np.ndarray) -> np.ndarray:
         """Evaluate chi exactly at arbitrary points."""
@@ -208,9 +246,11 @@ def _auto_grid(
     boundary_tol: float = BOUNDARY_TOL,
     start: CharFunction | None = None,
 ) -> CharFunction:
-    """Sample on the given grid, or grow the extent by 1.5x until chi has
-    decayed: from ``BASE_EXTENT``, or from the grid of ``start``, a chi of
-    ``evaluator`` that is already sampled."""
+    """Sample on the given grid, or grow it until chi has decayed: from
+    ``BASE_EXTENT`` on both axes, or from the grid of ``start``, a chi of
+    ``evaluator`` that is already sampled.  Each step grows by 1.5x only the
+    axis whose own edges exceed ``boundary_tol``, up to ``MAX_EXTENT``, so a
+    chi whose |chi| is isotropic keeps a square grid."""
     if grid is not None:
         chi = CharFunction(grid, grid.sample(evaluator), evaluator)
         if chi.boundary_magnitude() > BOUNDARY_TOL:
@@ -221,23 +261,28 @@ def _auto_grid(
             )
         return chi
     if start is None:
-        extent = BASE_EXTENT
-        g = CharGrid.with_extent(extent)
+        extents = [BASE_EXTENT, BASE_EXTENT]
+        g = CharGrid.with_extent(*extents)
         chi = CharFunction(g, g.sample(evaluator), evaluator)
     else:
         # Auto-grown grids below the cap sit exactly on BASE_EXTENT * 1.5**k,
-        # so growing from start's extent continues that same sequence.
-        chi, extent = start, min(start.grid.extent, MAX_EXTENT)
-    while chi.boundary_magnitude() > boundary_tol:
-        if extent >= MAX_EXTENT:
-            if chi.boundary_magnitude() > 1e-3:
-                warnings.warn(
-                    f"{what}: chi not decayed even at extent {extent:g}", stacklevel=3
-                )
+        # so growing from start's extents continues that same sequence.
+        chi = start
+        extents = [start.grid.extent, start.grid.im_extent]
+    while True:
+        grow = [
+            edge > boundary_tol and extent < MAX_EXTENT
+            for edge, extent in zip(chi.edge_magnitudes(), extents)
+        ]
+        if not any(grow):
             break
-        extent = min(extent * 1.5, MAX_EXTENT)
-        g = CharGrid.with_extent(extent)
+        extents = [min(e * 1.5, MAX_EXTENT) if up else e for e, up in zip(extents, grow)]
+        g = CharGrid.with_extent(*extents)
         chi = CharFunction(g, g.sample(evaluator), evaluator)
+    if chi.boundary_magnitude() > max(boundary_tol, 1e-3):
+        warnings.warn(
+            f"{what}: chi not decayed even at extent {MAX_EXTENT:g}", stacklevel=3
+        )
     return chi
 
 
@@ -305,8 +350,8 @@ def wigner_from_char(
             stacklevel=2,
         )
     axis = np.linspace(-extent, extent, n_side)
-    u = chi.grid.axis  # Re beta
-    v = chi.grid.axis  # Im beta
+    u = chi.grid.re_axis
+    v = chi.grid.im_axis
     # W(x,p) = (1/2 pi^2) sum_{u,v} chi e^{i sqrt2 (u p - v x)} h^2
     phase_p = np.exp(1j * np.sqrt(2.0) * np.outer(u, axis))
     phase_x = np.exp(-1j * np.sqrt(2.0) * np.outer(v, axis))
@@ -323,11 +368,12 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     The quadrature is summed once per distinct grid radius.  The matrix
     element <a+d|D(-beta)|a> is (-beta)^d e^{-|beta|^2/2} L_a^{(d)}(|beta|^2)
     up to a constant (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and
-    every grid point has |beta|^2 = spacing^2 (i^2 + j^2) for integer i, j.
-    So for each d, chi (-beta)^d is folded onto the distinct radii (two
-    ``bincount`` passes over the grid), and the Laguerre recurrence runs on
-    the radii alone: 42,860 instead of 528,529 points on the 727 x 727 grid
-    of the fig4 state, for O(dim N_beta + dim^2 N_radii) work in all.
+    both axes share one spacing, so every grid point has |beta|^2 =
+    spacing^2 (i^2 + j^2) for integer steps i, j.  So for each d,
+    chi (-beta)^d is folded onto the distinct radii (two ``bincount`` passes
+    over the grid), and the Laguerre recurrence runs on the radii alone:
+    17,918 instead of 93,783 points on the 727 x 129 grid of the fig4
+    state, for O(dim N_beta + dim^2 N_radii) work in all.
 
     The reconstruction is Hermitized, tiny negative eigenvalues (quadrature
     round-off, above -1e-6) are clamped to zero, and the result is
@@ -344,9 +390,10 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
             stacklevel=2,
         )
     grid = chi.grid
-    steps = np.arange(grid.n_side) - grid.n_side // 2
+    re_steps = np.arange(grid.n_side) - grid.n_side // 2
+    im_steps = np.arange(grid.im_n_side) - grid.im_n_side // 2
     keys, radius_of = np.unique(
-        (steps[:, None] ** 2 + steps[None, :] ** 2).ravel(), return_inverse=True
+        (re_steps[:, None] ** 2 + im_steps[None, :] ** 2).ravel(), return_inverse=True
     )
     n_r = len(keys)
     x = grid.weight * keys
@@ -390,20 +437,25 @@ def overlap(chi: CharFunction, target_values: np.ndarray) -> float:
 
 def rotate_char(chi: CharFunction, phi: float) -> CharFunction:
     """Phase-space rotation by ``phi``: the quadrature x_theta maps to
-    x_(theta+phi), implemented as chi(beta) -> chi(beta e^{i phi})."""
+    x_(theta+phi), implemented as chi(beta) -> chi(beta e^{i phi}).
+
+    Sampled on chi's grid, which then grows on each axis whose edges have
+    not decayed: a rotated ellipse needs a different rectangle."""
     rot = np.exp(1j * phi)
 
     def evaluator(b):
         return chi(np.asarray(b, dtype=complex) * rot)
 
-    return CharFunction(chi.grid, chi.grid.sample(evaluator), evaluator)
+    turned = CharFunction(chi.grid, chi.grid.sample(evaluator), evaluator)
+    return _auto_grid(evaluator, None, "rotate_char", start=turned)
 
 
 @dataclass(frozen=True)
 class JointCharFunction:
     """Two-mode characteristic function chi(beta1, beta2) on a 4-D grid.
 
-    ``values[i, j, k, l] = chi(axis[i] + 1j axis[j], axis[k] + 1j axis[l])``.
+    ``values[i, j, k, l] = chi(a[i] + 1j a[j], a[k] + 1j a[l])`` on the square
+    grid's axis ``a = grid.re_axis``.
     """
 
     grid: CharGrid

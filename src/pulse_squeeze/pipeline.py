@@ -13,6 +13,7 @@ import numpy as np
 
 from .charfun import (
     CharFunction,
+    CharGrid,
     char_of_state,
     fock_from_char,
     overlap,
@@ -60,6 +61,10 @@ __all__ = [
     "run_modes",
     "run_state_analysis",
 ]
+
+# The theta + pi alignment candidate must beat theta by more than this
+# relative margin; below it the two scores differ by summation round-off.
+ALIGN_TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -188,9 +193,12 @@ def align_amplified_axis(
     The output-mode eigenvector carries an arbitrary global phase, which
     shows up as a phase-space rotation of the propagated state.  The
     principal axis of the covariance fixes the rotation up to pi; the
-    remaining two candidates are settled by a coarse fidelity probe.
-    Near-isotropic states (no measurable squeezing) are left untouched:
-    their principal axis is covariance noise.
+    remaining two candidates are settled by a coarse fidelity probe.  The
+    theta + pi candidate is chi(-beta e^{i theta}) = conj(chi(beta e^{i theta})),
+    so it is the first candidate conjugated, and it wins only by more than
+    round-off: a parity-symmetric state such as the even cat scores both
+    alike.  Near-isotropic states (no measurable squeezing) are left
+    untouched: their principal axis is covariance noise.
     """
     vx, vp, c = gaussian_covariance(chi)
     half_spread = np.sqrt(0.25 * (vx - vp) ** 2 + c * c)
@@ -199,13 +207,17 @@ def align_amplified_axis(
         return chi, 0.0
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
     phis = (theta, theta + np.pi)
-    rots = [rotate_char(chi, phi) for phi in phis]
+    first = rotate_char(chi, theta)
+    mirrored = CharFunction(
+        first.grid, np.conj(first.values), lambda b: first(-np.asarray(b, dtype=complex))
+    )
+    rots = [first, mirrored]
     scores = [-np.inf, -np.inf]
     # One probe target at a time, scored against both candidates.
     for r in probe_rs:
-        target = chi.grid.sample(squeeze_target_evaluator(input_state, r))
+        target = first.grid.sample(squeeze_target_evaluator(input_state, r))
         scores = [max(score, overlap(rot, target)) for score, rot in zip(scores, rots)]
-    best = 1 if scores[1] > scores[0] else 0
+    best = 1 if scores[1] - scores[0] > ALIGN_TIE_RTOL * abs(scores[0]) else 0
     return rots[best], float(phis[best])
 
 
@@ -277,5 +289,14 @@ def run_state_analysis(
 
 
 def wigner_for_display(chi: CharFunction):
-    """Wigner map in the figure frame (amplified quadrature along p)."""
-    return wigner_from_char(rotate_char(chi, np.pi / 2.0))
+    """Wigner map in the figure frame (amplified quadrature along p).
+
+    The pi/2 rotation chi(beta) -> chi(i beta) maps chi's grid onto the grid
+    with its axes swapped, value [i, j] coming from [n - 1 - j, i], so it is
+    an index permutation with no re-evaluation."""
+    g = chi.grid
+    turned = CharGrid(g.im_extent, g.im_n_side, g.extent, g.n_side)
+    quarter = CharFunction(
+        turned, chi.values[::-1, :].T, lambda b: chi(1j * np.asarray(b, dtype=complex))
+    )
+    return wigner_from_char(quarter)

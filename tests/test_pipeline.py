@@ -62,6 +62,50 @@ class TestStateAnalysis:
         assert vx > vp  # fit family amplifies x in package conventions
 
 
+class TestAlignAmplifiedAxis:
+    @staticmethod
+    def _through_squeezer(grid, u_mode, state, r):
+        from pulse_squeeze.charfun import char_of_state, propagate_char
+        from pulse_squeeze.decomposition import decompose_output_mode
+        from pulse_squeeze.kernels import ideal_squeezer_kernels
+
+        d = decompose_output_mode(ideal_squeezer_kernels(grid, u_mode, r), u_mode, u_mode)
+        return propagate_char(d, char_of_state(state))
+
+    @staticmethod
+    def _principal_angle(chi):
+        from pulse_squeeze.metrics import gaussian_covariance
+
+        vx, vp, c = gaussian_covariance(chi)
+        return 0.5 * np.arctan2(2.0 * c, vx - vp)
+
+    @pytest.mark.parametrize("r", [0.6, 0.9, 1.3])
+    def test_parity_tie_keeps_theta(self, grid, u_mode, r):
+        # The even cat is parity symmetric: theta and theta + pi score alike
+        # up to round-off, and the tie goes to theta.
+        cat = even_cat_state(2.0, 50)
+        chi = self._through_squeezer(grid, u_mode, cat, r)
+        aligned, phi = align_amplified_axis(chi, cat)
+        assert phi == self._principal_angle(chi)
+        assert abs(phi) < 1e-6
+
+    def test_mirror_candidate_wins_when_better(self, grid, u_mode):
+        from pulse_squeeze.charfun import rotate_char
+
+        state = coherent_state(1.0 + 0.3j, 40)
+        chi = self._through_squeezer(grid, u_mode, state, 0.9)
+        flipped = rotate_char(chi, np.pi)
+        aligned, phi = align_amplified_axis(flipped, state)
+        assert phi == pytest.approx(self._principal_angle(flipped) + np.pi, abs=1e-12)
+        assert abs(phi - np.pi) < 1e-6
+        # aligning undoes the flip, up to the covariance estimate of theta
+        beta = chi.grid.mesh()[::9, ::9]
+        assert np.abs(aligned(beta) - chi(beta)).max() < 1e-4
+        assert np.abs(flipped(beta) - chi(beta)).max() > 0.5
+        # the unflipped state keeps theta
+        assert abs(align_amplified_axis(chi, state)[1]) < 1e-6
+
+
 class TestDeviceDispatch:
     def test_grid_and_device_from_config(self):
         grid = grid_from_config({"t_start": -10.0, "t_end": 30.0, "n_points": 64})

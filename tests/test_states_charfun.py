@@ -4,14 +4,21 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
 from pulse_squeeze.charfun import (
+    BASE_EXTENT,
+    BASE_SPACING,
+    BOUNDARY_TOL,
     MAX_FOCK_DIM,
+    CharFunction,
     CharGrid,
+    _auto_grid,
     char_from_rho,
     char_of_state,
     fock_from_char,
     joint_two_mode_char,
+    overlap,
     propagate_char,
     rotate_char,
+    state_evaluator,
     wigner_from_char,
 )
 from pulse_squeeze.coherence import input_moments, seeded_vacuum_split
@@ -113,8 +120,8 @@ class TestCharFunctions:
 
     def test_normalization_and_hermiticity(self):
         chi = char_of_state(even_cat_state(2.0, 60))
-        mid = chi.grid.n_side // 2
-        assert chi.values[mid, mid] == pytest.approx(1.0, abs=1e-9)
+        origin = (chi.grid.n_side // 2, chi.grid.im_n_side // 2)
+        assert chi.values[origin] == pytest.approx(1.0, abs=1e-9)
         assert np.abs(chi.values - chi.values[::-1, ::-1].conj()).max() < 1e-8
 
     def test_explicit_small_grid_warns(self):
@@ -142,7 +149,15 @@ class TestCharGridSample:
         return evaluators
 
     @pytest.mark.filterwarnings("ignore:propagate_char")
-    @pytest.mark.parametrize("grid_", [CharGrid.with_extent(6.0), CharGrid(5.0, 65)])
+    @pytest.mark.parametrize(
+        "grid_",
+        [
+            CharGrid.with_extent(6.0),
+            CharGrid(5.0, 65),
+            CharGrid.with_extent(9.0, 4.0),
+            CharGrid.with_extent(3.0, 7.0),
+        ],
+    )
     def test_matches_full_mesh(self, grid_, u_mode, opo_kernels):
         half = grid_.n_side // 2
         for name, evaluator in self._evaluators(u_mode, opo_kernels):
@@ -161,6 +176,97 @@ class TestCharGridSample:
 
         grid_.sample(evaluator)
         assert shapes == [(5, 9)]
+
+
+class TestRectangularGrid:
+    @pytest.mark.parametrize(
+        "state, extent",
+        [(vacuum_state(10), 6.0), (coherent_state(1.0 + 0.5j, 20), 6.0),
+         (fock_state(20, 40), 13.5)],
+        ids=["vacuum", "coherent", "fock20"],
+    )
+    def test_isotropic_chi_keeps_square_grid(self, state, extent):
+        evaluator = state_evaluator(state)
+        chi = _auto_grid(evaluator, None, "test")
+        square = CharGrid.with_extent(extent)
+        assert chi.grid == square
+        assert (chi.grid.n_side, chi.grid.im_n_side) == (square.n_side, square.n_side)
+        assert np.array_equal(chi.values, square.sample(evaluator))
+
+    def test_squeezed_chi_gets_rectangle(self, grid, u_mode):
+        chi = self._squeezed_output(grid, u_mode, vacuum_state(20))
+        re_edges, im_edges = chi.edge_magnitudes()
+        # chi is long on Re beta and compressed by e^-r on Im beta
+        assert chi.grid.n_side > 2 * chi.grid.im_n_side
+        assert chi.grid.im_extent == BASE_EXTENT
+        assert im_edges < 1e-30
+        assert re_edges < BOUNDARY_TOL
+        assert chi.grid.spacing == pytest.approx(BASE_SPACING, rel=1e-15)
+        assert chi.values.shape == chi.grid.shape
+
+    def test_rejects_mixed_spacing(self):
+        with pytest.raises(ValueError, match="one spacing"):
+            CharGrid(5.0, 65, 5.0, 33)
+
+    @staticmethod
+    def _squeezed_output(grid, u_mode, state, r=1.3):
+        k = ideal_squeezer_kernels(grid, u_mode, r)
+        d = decompose_output_mode(k, u_mode, u_mode)
+        return propagate_char(d, char_of_state(state))
+
+    @staticmethod
+    def _on_enclosing_square(chi):
+        square = CharGrid(chi.grid.extent, chi.grid.n_side)
+        assert square.extent >= chi.grid.im_extent
+        return CharFunction(square, square.sample(chi.evaluator), chi.evaluator)
+
+    def test_quadratures_match_enclosing_square(self, grid, u_mode):
+        from pulse_squeeze.metrics import optimize_squeeze_fidelity, squeeze_target_evaluator
+
+        state = fock_state(1, 20)
+        rect = _auto_grid(
+            self._squeezed_output(grid, u_mode, state).evaluator, None, "test",
+            boundary_tol=1e-6,
+        )
+        square = self._on_enclosing_square(rect)
+        assert rect.grid.im_n_side < square.grid.im_n_side
+        assert rect.boundary_magnitude() < 1e-6
+
+        rho_rect = fock_from_char(rect, 20).rho
+        rho_square = fock_from_char(square, 20).rho
+        assert np.abs(rho_rect - rho_square).max() < 1e-14
+
+        target = squeeze_target_evaluator(state, 1.2)
+        assert overlap(rect, rect.grid.sample(target)) == pytest.approx(
+            overlap(square, square.grid.sample(target)), abs=1e-14
+        )
+
+        r_grid = np.linspace(1.0, 1.6, 7)
+        fit_rect = optimize_squeeze_fidelity(rect, state, r_grid=r_grid)
+        fit_square = optimize_squeeze_fidelity(square, state, r_grid=r_grid)
+        assert fit_rect.best_r == fit_square.best_r
+        for (r1, f1), (r2, f2) in zip(fit_rect.fidelity_curve, fit_square.fidelity_curve):
+            assert r1 == r2 and abs(f1 - f2) < 1e-14
+
+    def test_quarter_turn_is_rotate_char(self, grid, u_mode, monkeypatch):
+        from pulse_squeeze import pipeline
+
+        chi = self._squeezed_output(grid, u_mode, coherent_state(1.0 + 0.5j, 30), r=0.9)
+        assert chi.grid.n_side != chi.grid.im_n_side
+        seen = []
+        monkeypatch.setattr(
+            pipeline, "wigner_from_char", lambda c: seen.append(c) or wigner_from_char(c)
+        )
+        shown = pipeline.wigner_for_display(chi)
+        (quarter,) = seen
+        g = chi.grid
+        assert quarter.grid == CharGrid(g.im_extent, g.im_n_side, g.extent, g.n_side)
+        rotated = rotate_char(chi, np.pi / 2.0)
+        assert np.abs(quarter.values - quarter.grid.sample(rotated.evaluator)).max() < 1e-14
+        beta = quarter.grid.mesh()[::7, ::5]
+        assert np.abs(quarter(beta) - rotated(beta)).max() < 1e-14
+        reference = wigner_from_char(rotated)
+        assert np.abs(shown.values - reference.values).max() < 1e-14
 
 
 class TestPropagateChar:
@@ -196,8 +302,8 @@ class TestPropagateChar:
     def test_origin_pinned(self, grid, u_mode, opo_kernels):
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
         chi_out = propagate_char(d, char_of_state(fock_state(1, 20)))
-        mid = chi_out.grid.n_side // 2
-        assert chi_out.values[mid, mid] == pytest.approx(1.0, abs=1e-12)
+        origin = (chi_out.grid.n_side // 2, chi_out.grid.im_n_side // 2)
+        assert chi_out.values[origin] == pytest.approx(1.0, abs=1e-12)
 
 
 def _wigner_parity_oracle(rho, points):
