@@ -1,0 +1,66 @@
+"""Thread counts of the OpenBLAS libraries numpy and scipy load.
+
+numpy and scipy each ship their own OpenBLAS, so one process runs two
+thread pools.  How many threads a LAPACK call or a matrix product splits
+its work over changes its summation order, so a result that must not
+depend on the thread count is computed inside :func:`one_blas_thread`.
+Both pools are driven through OpenBLAS's own C interface (numpy's symbols
+carry the ILP64 suffix ``64_``).  Where no OpenBLAS is loaded, as on a
+build against another BLAS or on a system without ``/proc``, the helpers
+do nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy  # noqa: F401  (loads numpy's OpenBLAS before the probe)
+import scipy.linalg  # noqa: F401  (loads scipy's)
+
+__all__ = ["blas_threads", "one_blas_thread"]
+
+
+@functools.cache
+def _pools() -> tuple:
+    """(library file, get_num_threads, set_num_threads) per loaded OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((Path(path).name, get, put))
+                break
+    return tuple(pools)
+
+
+def blas_threads() -> dict[str, int]:
+    """Current thread count of every loaded OpenBLAS, by library file."""
+    return {name: get() for name, get, _ in _pools()}
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS pool at one thread; restore on exit.
+
+    The counts are process-wide, so BLAS calls that other threads make
+    during the block run on one thread too."""
+    saved = [(get(), put) for _, get, put in _pools()]
+    for _, put in saved:
+        put(1)
+    try:
+        yield
+    finally:
+        for count, put in saved:
+            put(count)

@@ -113,6 +113,32 @@ def _workers() -> int:
     return max(1, (os.cpu_count() or 1) // max(1, threads))
 
 
+def _modes_point(point_cfg: dict, grid: TemporalGrid, n_vac: int):
+    """One ``modes`` point: its occupations row (n1, n2, ratio and the top
+    ``n_vac`` ladder occupations), its spectrum record and its dominant mode.
+
+    Only these leave the function, so the point's n x n kernels are freed
+    before the next point builds its own."""
+    kern = device_from_config(point_cfg["device"], grid)
+    u = input_mode_from_config(point_cfg["input"], grid)
+    state = input_state_from_config(point_cfg["input"])
+    res = run_modes(kern, u, state)
+    sp = res.spectrum
+    vac = [lam for lam, _ in sp.vacuum[:n_vac]]
+    vac += [0.0] * (n_vac - len(vac))
+    row = [res.metrics["n1"], res.metrics["n2"], res.metrics.get("ratio", float("nan"))] + vac
+    holds, deviation = single_mode_condition(res.moments)
+    record = {
+        "seeded": [lam for lam, _ in sp.seeded],
+        "vacuum": [lam for lam, _ in sp.vacuum],
+        "seeded_total": sp.seeded_total,
+        "vacuum_total": sp.vacuum_total,
+        "single_mode_condition": {"holds": holds, "deviation": deviation},
+    }
+    pool = sp.seeded if sp.seeded else sp.vacuum
+    return row, record, (pool[0][1].amplitudes if pool else None)
+
+
 def cmd_modes(cfg: dict, out: Path) -> RunManifest:
     """Occupation spectra, optionally along one sweep axis."""
     axes = sweep_axes(cfg)
@@ -131,34 +157,11 @@ def cmd_modes(cfg: dict, out: Path) -> RunManifest:
     grid = grid_from_config(cfg["grid"])
     n_vac = 8
     for i, (axis_value, point_cfg) in enumerate(points):
-        kern = device_from_config(point_cfg["device"], grid)
-        u = input_mode_from_config(point_cfg["input"], grid)
-        state = input_state_from_config(point_cfg["input"])
-        res = run_modes(kern, u, state)
-        sp = res.spectrum
-        vac = [lam for lam, _ in sp.vacuum[:n_vac]]
-        vac += [0.0] * (n_vac - len(vac))
-        occ_rows.append(
-            [axis_value if axis_value is not None else 0.0,
-             res.metrics["n1"], res.metrics["n2"], res.metrics.get("ratio", float("nan"))]
-            + vac
-        )
-        holds, deviation = single_mode_condition(res.moments)
-        spectra.append(
-            {
-                "axis_value": axis_value,
-                "seeded": [lam for lam, _ in sp.seeded],
-                "vacuum": [lam for lam, _ in sp.vacuum],
-                "seeded_total": sp.seeded_total,
-                "vacuum_total": sp.vacuum_total,
-                "single_mode_condition": {"holds": holds, "deviation": deviation},
-            }
-        )
-        if i == 0 or i == len(points) - 1:
-            pool = sp.seeded if sp.seeded else sp.vacuum
-            if pool:
-                tag = "first" if i == 0 else "last"
-                mode_columns[f"dominant_{tag}"] = pool[0][1].amplitudes
+        row, record, dominant = _modes_point(point_cfg, grid, n_vac)
+        occ_rows.append([axis_value if axis_value is not None else 0.0] + row)
+        spectra.append({"axis_value": axis_value, **record})
+        if (i == 0 or i == len(points) - 1) and dominant is not None:
+            mode_columns[f"dominant_{'first' if i == 0 else 'last'}"] = dominant
 
     axis_name = axes[0][0] if axes else "point"
     meta = {

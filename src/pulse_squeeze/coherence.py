@@ -11,7 +11,9 @@ with ``f~ = F u`` and ``g~ = G u`` (dt-weighted) and n, m the input
 occupation and anomalous moment.  The first four terms depend on the input
 state and have rank at most two (a 2x2 problem gives their modes); the
 last, the squeezed vacuum the device emits on its own, depends on the
-device alone, and its mode ladder is diagonalized only when read.
+device alone, and its mode ladder is diagonalized only when read: only the
+few eigenpairs above ``OCCUPATION_CUT`` of the total, on one BLAS thread, so
+the ladder's bits do not depend on the machine's thread count.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
+import scipy.linalg.blas
 
-from .grids import HermitianKernel, ModeFunction, _clamp_negative, _pin_phase, eigendecompose
+from .blas import one_blas_thread
+from .grids import HermitianKernel, ModeFunction, _clamp_negative, _pin_phase
 from .kernels import BogoliubovKernels, apply_to_mode
 from .states import QuantumState, destroy
 
@@ -70,7 +75,9 @@ class ModeSpectrum:
 
     ``seeded`` holds the (at most two) input-fed modes, ``vacuum`` the
     squeezed-vacuum ladder of ``kernels`` truncated at ``OCCUPATION_CUT`` of
-    the total; the ladder is diagonalized the first time it is read.
+    the total.  The ladder is diagonalized the first time it is read, and
+    only its eigenpairs above the cut are computed (``(lam, mode)`` pairs,
+    descending), typically a dozen of n.
     """
 
     seeded: list[tuple[float, ModeFunction]]
@@ -84,9 +91,29 @@ class ModeSpectrum:
 
     @cached_property
     def vacuum(self) -> list[tuple[float, ModeFunction]]:
+        """Ladder eigenpairs above the cut, as ``eigendecompose`` of
+        :func:`vacuum_kernel` would give them after filtering.
+
+        The matrix diagonalized, ``vacuum_kernel(k).entries.T * dt`` as in
+        ``eigendecompose``, is the Gram matrix ``dt^2 conj(G) G^T``: one
+        rank-k update (``herk``) fills its lower triangle, the one the solve
+        reads.  It is positive semidefinite by construction, so the
+        negative-eigenvalue guard of ``eigendecompose`` has nothing to check
+        here, and a solve restricted to ``(cut, inf)`` misses nothing but
+        round-off.  Both run on one BLAS thread: their bits then do not
+        depend on the thread count.
+        """
+        k = self.kernels
+        dt = k.grid.dt
         cut = OCCUPATION_CUT * self.total
-        return [(lam, mode) for lam, mode in eigendecompose(vacuum_kernel(self.kernels))
-                if lam > cut]
+        with one_blas_thread():
+            # herk with trans=2 forms a^H a; a = G^T is a view, not a copy.
+            m = scipy.linalg.blas.zherk(dt**2, k.G.T, trans=2, lower=1)
+            vals, vecs = scipy.linalg.eigh(m, subset_by_value=(cut, np.inf), overwrite_a=True)
+        return [
+            (float(lam), ModeFunction(k.grid, _pin_phase(vec) / np.sqrt(dt)))
+            for lam, vec in zip(vals[::-1], vecs[:, ::-1].T)
+        ]
 
 
 def input_moments(state: QuantumState) -> InputMoments:

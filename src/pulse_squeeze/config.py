@@ -5,14 +5,18 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
+from .blas import blas_threads
 from .charfun import MAX_FOCK_DIM
 from .states import state_library
 
@@ -161,9 +165,23 @@ def validate_config(cfg: dict) -> None:
             )
 
 
+def _run_environment() -> dict:
+    """What a run's speed and parallel layout depend on: cores, the thread
+    count of each loaded OpenBLAS, the sweep worker setting, versions."""
+    return {
+        "cores": os.cpu_count(),
+        "blas_threads": blas_threads(),
+        "PULSE_SQUEEZE_WORKERS": os.environ.get("PULSE_SQUEEZE_WORKERS"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 @dataclass
 class RunManifest:
-    """Record of one CLI run: config identity plus emitted files."""
+    """Record of one CLI run: config identity, emitted files, failures and
+    the environment it ran in."""
 
     config_hash: str
     tool_version: str
@@ -172,6 +190,7 @@ class RunManifest:
     )
     files: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
+    environment: dict = field(default_factory=_run_environment)
 
     def add_file(self, path: Path) -> None:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -184,5 +203,6 @@ class RunManifest:
             "created_utc": self.created_utc,
             "files": self.files,
             "failures": self.failures,
+            "environment": self.environment,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

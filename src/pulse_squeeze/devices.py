@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .blas import one_blas_thread
 from .grids import TemporalGrid
 from .kernels import BogoliubovKernels, compose, verify_symplectic
 
@@ -235,7 +236,9 @@ def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     )
     J = params.gain * pump
 
-    lam, O = np.linalg.eigh(J)
+    # One BLAS thread: the eigenbasis's bits then do not depend on the thread count.
+    with one_blas_thread():
+        lam, O = np.linalg.eigh(J)
     sigma = 2.0 * np.abs(lam) * dw
     if sigma.max() > 300.0:
         raise ValueError(

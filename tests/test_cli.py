@@ -138,6 +138,22 @@ class TestCliCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"]) >= {"rho_re.csv", "wigner.csv", "metrics.json"}
 
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "3")
+        cfg = _base_config()
+        cfg["device"] = {"kind": "identity"}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        out = tmp_path / "run"
+        assert cli.main(["modes", "--config", str(path), "--out", str(out)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert set(env) == {"cores", "blas_threads", "PULSE_SQUEEZE_WORKERS",
+                            "python", "numpy", "scipy"}
+        assert env["cores"] == os.cpu_count()
+        assert env["PULSE_SQUEEZE_WORKERS"] == "3"
+        assert env["numpy"] == np.__version__
+        assert all(isinstance(n, int) and n >= 1 for n in env["blas_threads"].values())
+
     def test_sweep_requires_two_axes(self, tmp_path):
         cfg = _base_config()
         path = tmp_path / "cfg.yaml"
@@ -236,6 +252,23 @@ class TestCliCommands:
             with pytest.raises(ConfigError, match=name):
                 cli._workers()
 
+    @staticmethod
+    def _run_layouts(tmp_path, command: str, cfg: dict, layouts: dict) -> None:
+        """Run ``command`` on ``cfg`` in a fresh interpreter per layout, with
+        no BLAS thread setting inherited, into ``tmp_path / layout``."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for run, extra in layouts.items():
+            subprocess.run(
+                [sys.executable, "-m", "pulse_squeeze.cli", command, "--config", str(path),
+                 "--out", str(tmp_path / run)],
+                env={**env, **extra}, check=True, timeout=300,
+            )
+
     def test_sweep_identical_across_workers_and_blas_threads(self, tmp_path):
         cfg = load_recipe("fig3ab")
         cfg["sweep"] = {"axes": [
@@ -243,24 +276,39 @@ class TestCliCommands:
             {"name": "device.pump.width", "start": 0.02, "stop": 2.0, "points": 4,
              "log": True},
         ]}
-        path = tmp_path / "cfg.yaml"
-        path.write_text(dump_config(cfg))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        layouts = {
+        self._run_layouts(tmp_path, "sweep", cfg, {
             "serial": {"PULSE_SQUEEZE_WORKERS": "1"},
             "pool": {"PULSE_SQUEEZE_WORKERS": "2", "OPENBLAS_NUM_THREADS": "1"},
-        }
-        for run, extra in layouts.items():
-            subprocess.run(
-                [sys.executable, "-m", "pulse_squeeze.cli", "sweep", "--config", str(path),
-                 "--out", str(tmp_path / run)],
-                env={**env, **extra}, check=True, timeout=300,
-            )
+        })
         for name in ("heatmap_n1.csv", "heatmap_ratio.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+    @pytest.mark.parametrize("case", ["modes", "modes-opa", "state"])
+    def test_identical_across_blas_threads(self, tmp_path, case):
+        # The n x n vacuum ladder (modes: occupations.csv, spectrum.json;
+        # state: m1 in metrics.json), the OPA eigenbasis and the Wigner
+        # products (wigner.csv) are the BLAS calls whose bits would follow
+        # the thread count.
+        modes_files = ("occupations.csv", "modes.csv", "spectrum.json")
+        if case == "modes":
+            cfg = load_recipe("fig2b")
+            cfg["sweep"]["axes"] = [{"name": "device.pump.width", "values": [0.1, 0.5]}]
+            files = modes_files
+        elif case == "modes-opa":
+            cfg = load_recipe("fig3cd")
+            cfg["sweep"]["axes"] = [
+                {"name": "device.pump_center_detuning", "values": [0.0, 1.0]}]
+            files = modes_files
+        else:
+            cfg = load_recipe("fig4")
+            cfg["input"]["state"] = {"kind": "fock", "n": 1, "dim": 30}
+            cfg["fock_dim"] = 20
+            files = ("rho_re.csv", "rho_im.csv", "wigner.csv", "metrics.json")
+        cfg["grid"]["n_points"] = 512
+        self._run_layouts(tmp_path, case.split("-")[0], cfg, {
+            "default": {}, "one": {"OPENBLAS_NUM_THREADS": "1"}})
+        for name in files:
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
 
 class TestExplicitModeFile:

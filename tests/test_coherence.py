@@ -156,15 +156,58 @@ class TestSeededVacuumSplit:
             for (lam, v), lam_dense, vec in zip(sp.seeded, vals, vecs.T):
                 assert abs(lam - lam_dense) <= 1e-12 * vals[0]
                 assert abs(inner_product(v, ModeFunction(grid, vec))) >= 1 - 1e-9
-            eager = [(lam, mode) for lam, mode in eigendecompose(vacuum_kernel(k)) if lam > cut]
-            assert [lam for lam, _ in sp.vacuum] == [lam for lam, _ in eager]
-            for (_, v), (_, w) in zip(sp.vacuum, eager):
-                np.testing.assert_array_equal(v.amplitudes, w.amplitudes)
 
     def test_squeezed_input_raises(self, u_mode, opo_kernels):
         # |m| > n: the seeded part is indefinite, not a coherence function
         with pytest.raises(ValueError, match="negative eigenvalue"):
             seeded_vacuum_split(opo_kernels, u_mode, input_moments(squeezed_state(0.6, 40)))
+
+
+class TestVacuumLadder:
+    """The ladder's subset solve against the dense oracle: every eigenpair of
+    the n x n vacuum kernel, filtered at the cut."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, grid, u_mode, opo_kernels, freq_grid):
+        from pulse_squeeze.devices import (
+            GaussianPump, OpaParams, OpoParams, TwpaParams, build_opa, build_twpa)
+        from pulse_squeeze.grids import TemporalGrid, gaussian_mode
+
+        twpa_grid = TemporalGrid(-10.0, 30.0, 256)
+        twpa = build_twpa(
+            TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), 20, 0.05), twpa_grid)
+        return {
+            "opo": (opo_kernels, u_mode, input_moments(fock_state(1, 30))),
+            "opo-vacuum": (opo_kernels, u_mode, InputMoments(0.0, 0.0)),
+            "opa": (build_opa(OpaParams(0.4, 0.0, 2.0), freq_grid),
+                    gaussian_mode(freq_grid, 0.0, 1.0), input_moments(coherent_state(1.5, 40))),
+            "twpa-20": (twpa, gaussian_mode(twpa_grid, 0.0, 1.0),
+                        input_moments(even_cat_state(2.5, 60))),
+        }
+
+    @pytest.mark.parametrize("name", ["opo", "opo-vacuum", "opa", "twpa-20"])
+    def test_matches_dense_oracle(self, cases, name, monkeypatch):
+        k, u, moments = cases[name]
+        sp = seeded_vacuum_split(k, u, moments)
+        cut = OCCUPATION_CUT * sp.total
+        dense = eigendecompose(vacuum_kernel(k))
+        kept = [(lam, mode) for lam, mode in dense if lam > cut]
+        assert 0 < len(kept) < len(dense)
+        built = []
+
+        def counting_mode(*args):
+            built.append(args)
+            return ModeFunction(*args)
+
+        monkeypatch.setattr("pulse_squeeze.coherence.ModeFunction", counting_mode)
+        ladder = sp.vacuum
+        assert len(ladder) == len(kept) == len(built)
+        top = dense[0][0]
+        for (lam, v), (lam_dense, w) in zip(ladder, kept):
+            assert abs(lam - lam_dense) <= 1e-13 * top
+            assert abs(inner_product(w, v)) >= 1 - 1e-9
+        # Read once: the ladder is solved on first access only.
+        assert sp.vacuum is ladder
 
 
 class TestSingleModeCondition:
