@@ -11,6 +11,9 @@ Conventions, fixed once for the whole package:
 States propagate through an output-mode decomposition exactly in this
 picture: the seeded part maps the argument of the input characteristic
 function and every orthogonal port contributes a Gaussian vacuum factor.
+
+One policy, ``_auto_grid``, sizes every chi grid; overlaps, the Fock
+reconstruction and the Wigner transform work on the grid of the chi they get.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "propagate_char",
     "wigner_from_char",
     "fock_from_char",
-    "resampled",
     "overlap",
     "rotate_char",
     "joint_two_mode_char",
@@ -45,7 +47,7 @@ __all__ = [
 BASE_EXTENT = 6.0
 BASE_SPACING = 12.0 / 128.0
 MAX_EXTENT = 34.0
-BOUNDARY_TOL = 1e-4
+BOUNDARY_TOL = 1e-6  # |chi| at the edges, low enough for the fit and Fock sums
 
 # Fock reconstruction cap: displacement matrix elements above this size are
 # not resolved by the default grid spacing.
@@ -122,14 +124,13 @@ class CharGrid:
         return values
 
     @staticmethod
-    def with_extent(
-        extent: float, im_extent: float | None = None, spacing: float = BASE_SPACING
-    ) -> "CharGrid":
-        """The grid of ``spacing`` reaching at least ``extent`` on Re beta and
-        ``im_extent`` (default: ``extent``) on Im beta."""
+    def with_extent(extent: float, im_extent: float | None = None) -> "CharGrid":
+        """The grid of spacing ``BASE_SPACING`` reaching at least ``extent`` on
+        Re beta and ``im_extent`` (default: ``extent``) on Im beta."""
         im_extent = extent if im_extent is None else im_extent
-        re_half, im_half = (max(2, int(np.ceil(e / spacing))) for e in (extent, im_extent))
-        return CharGrid(re_half * spacing, 2 * re_half + 1, im_half * spacing, 2 * im_half + 1)
+        h = BASE_SPACING
+        re_half, im_half = (max(2, int(np.ceil(e / h))) for e in (extent, im_extent))
+        return CharGrid(re_half * h, 2 * re_half + 1, im_half * h, 2 * im_half + 1)
 
 
 @dataclass(frozen=True)
@@ -240,58 +241,30 @@ def char_from_rho(rho: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _auto_grid(
-    evaluator,
-    grid: CharGrid | None,
-    what: str,
-    boundary_tol: float = BOUNDARY_TOL,
-    start: CharFunction | None = None,
-) -> CharFunction:
-    """Sample on the given grid, or grow it until chi has decayed: from
-    ``BASE_EXTENT`` on both axes, or from the grid of ``start``, a chi of
-    ``evaluator`` that is already sampled.  Each step grows by 1.5x only the
-    axis whose own edges exceed ``boundary_tol``, up to ``MAX_EXTENT``, so a
-    chi whose |chi| is isotropic keeps a square grid."""
-    if grid is not None:
-        chi = CharFunction(grid, grid.sample(evaluator), evaluator)
-        if chi.boundary_magnitude() > BOUNDARY_TOL:
-            warnings.warn(
-                f"{what}: |chi| = {chi.boundary_magnitude():.2e} at the grid "
-                "boundary; results may alias",
-                stacklevel=3,
-            )
-        return chi
-    if start is None:
-        extents = [BASE_EXTENT, BASE_EXTENT]
+def _auto_grid(evaluator, what: str) -> CharFunction:
+    """Sample ``evaluator`` on the grid where chi has decayed: the one policy
+    for sizing every chi grid in the package.
+
+    From ``BASE_EXTENT`` on both axes, each step grows by 1.5x only the axis
+    whose own edges exceed ``BOUNDARY_TOL``, up to ``MAX_EXTENT``, so a chi
+    whose |chi| is isotropic keeps a square grid.  A chi still above 1e-3 at
+    the cap is kept and warned about; ``what`` names the stage."""
+    extents = [BASE_EXTENT, BASE_EXTENT]
+    while True:
         g = CharGrid.with_extent(*extents)
         chi = CharFunction(g, g.sample(evaluator), evaluator)
-    else:
-        # Auto-grown grids below the cap sit exactly on BASE_EXTENT * 1.5**k,
-        # so growing from start's extents continues that same sequence.
-        chi = start
-        extents = [start.grid.extent, start.grid.im_extent]
-    while True:
         grow = [
-            edge > boundary_tol and extent < MAX_EXTENT
+            edge > BOUNDARY_TOL and extent < MAX_EXTENT
             for edge, extent in zip(chi.edge_magnitudes(), extents)
         ]
         if not any(grow):
             break
         extents = [min(e * 1.5, MAX_EXTENT) if up else e for e, up in zip(extents, grow)]
-        g = CharGrid.with_extent(*extents)
-        chi = CharFunction(g, g.sample(evaluator), evaluator)
-    if chi.boundary_magnitude() > max(boundary_tol, 1e-3):
+    if chi.boundary_magnitude() > 1e-3:
         warnings.warn(
             f"{what}: chi not decayed even at extent {MAX_EXTENT:g}", stacklevel=3
         )
     return chi
-
-
-def resampled(chi: CharFunction, tol: float, what: str) -> CharFunction:
-    """``chi`` itself if it has decayed below ``tol`` at its boundary, else
-    chi re-sampled through its evaluator on grids grown from its own extent
-    up to ``MAX_EXTENT``.  ``what`` names the calling stage in warnings."""
-    return _auto_grid(chi.evaluator, None, what, boundary_tol=tol, start=chi)
 
 
 def state_evaluator(state: QuantumState) -> Callable[[np.ndarray], np.ndarray]:
@@ -302,16 +275,14 @@ def state_evaluator(state: QuantumState) -> Callable[[np.ndarray], np.ndarray]:
     return lambda b: char_from_rho(rho, b)
 
 
-def char_of_state(state: QuantumState, grid: CharGrid | None = None) -> CharFunction:
-    """Characteristic function of a Fock-basis state.
-
-    The grid is enlarged automatically until the boundary magnitude falls
-    below ``BOUNDARY_TOL`` (unless an explicit grid is passed, which only warns).
-    """
-    return _auto_grid(state_evaluator(state), grid, "char_of_state")
+def char_of_state(state: QuantumState) -> CharFunction:
+    """Characteristic function of a Fock-basis state, on the grid where it
+    has decayed below ``BOUNDARY_TOL``.  ``CharGrid.sample`` of
+    ``state_evaluator(state)`` puts it on any other grid."""
+    return _auto_grid(state_evaluator(state), "char_of_state")
 
 
-def propagate_char(decomp, chi_u: CharFunction, grid: CharGrid | None = None) -> CharFunction:
+def propagate_char(decomp, chi_u: CharFunction) -> CharFunction:
     """Characteristic function of the output-mode state.
 
     With the output operator ``A a_u + B a_u^dag + C a_k + D a_k^dag + E a_s``
@@ -321,7 +292,8 @@ def propagate_char(decomp, chi_u: CharFunction, grid: CharGrid | None = None) ->
                         * exp(-|beta C* - beta* D|^2 / 2)
                         * exp(-|beta E*|^2 / 2).
 
-    The input chi is queried through its exact evaluator.
+    The input chi is queried through its exact evaluator, and the output
+    is sampled on the grid where it has decayed below ``BOUNDARY_TOL``.
     """
     A, B, C, D, E = decomp.A, decomp.B, decomp.C, decomp.D, decomp.E
 
@@ -333,7 +305,7 @@ def propagate_char(decomp, chi_u: CharFunction, grid: CharGrid | None = None) ->
         vac = np.exp(-0.5 * (np.abs(mu_k) ** 2 + np.abs(mu_s) ** 2))
         return chi_u(mu_u) * vac
 
-    return _auto_grid(evaluator, grid, "propagate_char")
+    return _auto_grid(evaluator, "propagate_char")
 
 
 def wigner_from_char(
@@ -381,12 +353,10 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     The reconstruction is Hermitized, tiny negative eigenvalues (quadrature
     round-off, above -1e-6) are clamped to zero, and the result is
     renormalized; larger negativity means the grid is too coarse and raises.
+    The quadrature runs on chi's own grid, as ``_auto_grid`` sized it.
     """
     if not 1 <= dim <= MAX_FOCK_DIM:
         raise ValueError(f"dim {dim} is outside the supported range 1..{MAX_FOCK_DIM}")
-    # Boundary truncation of the quadrature feeds straight into spurious
-    # negativity of rho: resample on a reconstruction-grade grid.
-    chi = resampled(chi, 1e-6, "fock_from_char")
     if chi.boundary_magnitude() > 1e-3:
         warnings.warn(
             "chi has not decayed at the grid boundary; reconstruction may alias",
@@ -442,15 +412,14 @@ def rotate_char(chi: CharFunction, phi: float) -> CharFunction:
     """Phase-space rotation by ``phi``: the quadrature x_theta maps to
     x_(theta+phi), implemented as chi(beta) -> chi(beta e^{i phi}).
 
-    Sampled on chi's grid, which then grows on each axis whose edges have
-    not decayed: a rotated ellipse needs a different rectangle."""
+    A rotated ellipse needs its own rectangle, so the rotated chi is sized
+    like every other chi."""
     rot = np.exp(1j * phi)
 
     def evaluator(b):
         return chi(np.asarray(b, dtype=complex) * rot)
 
-    turned = CharFunction(chi.grid, chi.grid.sample(evaluator), evaluator)
-    return _auto_grid(evaluator, None, "rotate_char", start=turned)
+    return _auto_grid(evaluator, "rotate_char")
 
 
 @dataclass(frozen=True)

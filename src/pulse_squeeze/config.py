@@ -18,6 +18,7 @@ import yaml
 
 from .blas import blas_threads
 from .charfun import MAX_FOCK_DIM
+from .grids import load_mode_samples
 from .states import state_library
 
 __all__ = [
@@ -106,6 +107,8 @@ def _axis_values(axis: dict) -> np.ndarray:
     start, stop = float(axis["start"]), float(axis["stop"])
     points = int(axis["points"])
     if axis.get("log", False):
+        if min(start, stop) <= 0:
+            raise ValueError("log spacing needs positive start and stop")
         return np.geomspace(start, stop, points)
     return np.linspace(start, stop, points)
 
@@ -146,6 +149,13 @@ def validate_config(cfg: dict) -> None:
     mode = cfg.get("output_mode", "auto_v1")
     if mode not in ("auto_v1", "auto_v2") and not mode.startswith("file:"):
         raise ConfigError(f"output_mode: unknown selector {mode!r}")
+    if mode.startswith("file:"):
+        try:
+            rows = len(load_mode_samples(mode[5:]))
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(f"output_mode: cannot read mode file: {exc}") from None
+        if rows != grid["n_points"]:
+            raise ConfigError(f"output_mode: {rows} rows, grid.n_points is {grid['n_points']}")
     axes = (cfg.get("sweep") or {}).get("axes") or []
     if len(axes) > 2:
         raise ConfigError("sweep.axes: at most two sweep axes are supported")
@@ -163,6 +173,12 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(
                 f"sweep.axes[{i}]: need either 'values' or 'start/stop/points'"
             )
+        try:
+            values = _axis_values(ax)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"sweep.axes[{i}]: {exc}") from None
+        if values.size == 0:
+            raise ConfigError(f"sweep.axes[{i}]: no values")
 
 
 def _run_environment() -> dict:

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .grids import ModeFunction, inner_product, orthogonal_complement
 from .kernels import BogoliubovKernels, pullback_output_mode
@@ -283,6 +282,9 @@ def bloch_messiah_params(decomp: OutputDecomposition, tol: float = 1e-10) -> dic
     for rank-deficient rows handled by convention (xi = 0 keeps r2 = 0, a
     pure vacuum row pins theta3 = pi/2).
     """
+    # Imported here: no CLI command fits a circuit, so the CLI never loads it.
+    from scipy.optimize import least_squares
+
     row = decomp.row
     E = row[4]
     degenerate = decomp.xi == 0.0 or abs(abs(E) - 1.0) < 1e-12

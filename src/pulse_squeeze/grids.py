@@ -23,6 +23,7 @@ __all__ = [
     "orthogonal_complement",
     "eigendecompose",
     "gaussian_mode",
+    "load_mode_samples",
 ]
 
 # Residual norms below this are treated as "contained in the span".
@@ -239,3 +240,10 @@ def gaussian_mode(grid: TemporalGrid, center: float, width: float) -> ModeFuncti
     amp = np.exp(-((t - center) ** 2) / (2.0 * width**2)).astype(complex)
     mode, _ = normalize(ModeFunction(grid, amp))
     return mode
+
+
+def load_mode_samples(path) -> np.ndarray:
+    """Complex mode samples from a CSV file with columns t, re[, im]; lines
+    starting with ``#`` are comments."""
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    return data[:, 1] + 1j * (data[:, 2] if data.shape[1] > 2 else 0.0)

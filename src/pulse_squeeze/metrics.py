@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import CharFunction, char_of_state, overlap, resampled, state_evaluator
+from .charfun import CharFunction, char_of_state, overlap, state_evaluator
 from .states import QuantumState, destroy
 
 __all__ = [
@@ -54,11 +54,11 @@ def _as_char(state) -> CharFunction:
 
 
 def purity(state) -> float:
-    """Tr[rho^2], from the density matrix or the |chi|^2 quadrature."""
+    """Tr[rho^2], from the density matrix or the overlap of chi with itself."""
     if isinstance(state, QuantumState):
         return float(np.real(np.trace(state.rho @ state.rho)))
     chi = _as_char(state)
-    return float(np.sum(np.abs(chi.values) ** 2) * chi.grid.weight / np.pi)
+    return overlap(chi, chi.values)
 
 
 def fidelity(rho: QuantumState, target_pure: QuantumState) -> float:
@@ -159,9 +159,10 @@ def optimize_squeeze_fidelity(
     Sweeps the squeeze parameter over ``r_grid`` (default: 40 gains
     log-spaced in [1, 10]), refines once around the peak, and reports the
     maximum.  Fidelities are overlap quadratures in the characteristic
-    picture, so non-Gaussian inputs need no Fock truncation.
+    picture, so non-Gaussian inputs need no Fock truncation; each target is
+    sampled on the grid of ``rho_v1``'s chi.
     """
-    chi_v = resampled(_as_char(rho_v1), 1e-6, "squeeze fit")
+    chi_v = _as_char(rho_v1)
 
     if r_grid is None:
         r_grid = _default_r_grid()

@@ -38,7 +38,7 @@ from .devices import (
     build_opo,
     build_twpa,
 )
-from .grids import ModeFunction, TemporalGrid, gaussian_mode
+from .grids import ModeFunction, TemporalGrid, gaussian_mode, load_mode_samples, normalize
 from .kernels import BogoliubovKernels, ideal_squeezer_kernels, identity_kernels
 from .metrics import (
     SqueezeFitResult,
@@ -65,6 +65,8 @@ __all__ = [
 # The theta + pi alignment candidate must beat theta by more than this
 # relative margin; below it the two scores differ by summation round-off.
 ALIGN_TIE_RTOL = 1e-12
+# Squeeze parameters of the fit targets that settle the alignment.
+ALIGN_PROBE_RS = (0.5, 1.0, 1.5)
 
 
 @dataclass
@@ -163,14 +165,11 @@ def select_output_mode(
     if selector.startswith("file:"):
         if grid is None:
             raise ValueError("an explicit mode file needs the grid")
-        data = np.loadtxt(selector[5:], delimiter=",", comments="#")
-        if data.shape[0] != grid.n_points:
+        amplitudes = load_mode_samples(selector[5:])
+        if len(amplitudes) != grid.n_points:
             raise ValueError(
-                f"mode file has {data.shape[0]} samples, grid has {grid.n_points}"
+                f"mode file has {len(amplitudes)} samples, grid has {grid.n_points}"
             )
-        amplitudes = data[:, 1] + 1j * (data[:, 2] if data.shape[1] > 2 else 0.0)
-        from .grids import normalize
-
         mode, _ = normalize(ModeFunction(grid, amplitudes))
         return mode
     pool = spectrum.seeded if spectrum.seeded else spectrum.vacuum
@@ -186,7 +185,7 @@ def select_output_mode(
 
 
 def align_amplified_axis(
-    chi: CharFunction, input_state: QuantumState, probe_rs=(0.5, 1.0, 1.5)
+    chi: CharFunction, input_state: QuantumState
 ) -> tuple[CharFunction, float]:
     """Rotate the state so its amplified quadrature matches the fit family.
 
@@ -214,7 +213,7 @@ def align_amplified_axis(
     rots = [first, mirrored]
     scores = [-np.inf, -np.inf]
     # One probe target at a time, scored against both candidates.
-    for r in probe_rs:
+    for r in ALIGN_PROBE_RS:
         target = first.grid.sample(squeeze_target_evaluator(input_state, r))
         scores = [max(score, overlap(rot, target)) for score, rot in zip(scores, rots)]
     best = 1 if scores[1] - scores[0] > ALIGN_TIE_RTOL * abs(scores[0]) else 0

@@ -89,19 +89,56 @@ class TestCliCommands:
         path = tmp_path / "bad.yaml"
         path.write_text("device: {kind: flux_capacitor}\n")
         assert cli.main(["modes", "--config", str(path)]) == 1
-        # malformed state settings are config errors, caught before any compute
+        short_mode = tmp_path / "short.csv"
+        short_mode.write_text("\n".join(f"{t},1.0,0.0" for t in range(10)))
+
+        def axis(**spec):
+            return {"sweep": {"axes": [{"name": "device.r", **spec}]}}
+
+        # malformed settings are config errors, caught before any compute
         cases = [
-            ("fock_dim", {"fock_dim": 0}),
-            ("fock_dim", {"fock_dim": 80}),
-            ("input.state", {"input": {"state": {"kind": "thermal", "dim": 20}}}),
-            ("input.state", {"input": {"state": {"kind": "fock", "dim": 20}}}),
+            ("state", "fock_dim", {"fock_dim": 0}),
+            ("state", "fock_dim", {"fock_dim": 80}),
+            ("state", "input.state", {"input": {"state": {"kind": "thermal", "dim": 20}}}),
+            ("state", "input.state", {"input": {"state": {"kind": "fock", "dim": 20}}}),
+            ("state", "output_mode", {"output_mode": f"file:{tmp_path / 'missing.csv'}"}),
+            ("state", "output_mode", {"output_mode": f"file:{short_mode}"}),
+            ("modes", "sweep.axes[0]", axis(values=[0.5, "abc"])),
+            ("modes", "sweep.axes[0]", axis(start=0.1, stop=1.0, points="abc")),
+            ("modes", "sweep.axes[0]", axis(values=[])),
+            ("modes", "sweep.axes[0]", axis(start=0.0, stop=1.0, points=3, log=True)),
         ]
-        for key, override in cases:
+        for command, key, override in cases:
             cfg = _base_config(**override)
             path.write_text(dump_config(cfg))
             out = tmp_path / "run"
-            assert cli.main(["state", "--config", str(path), "--out", str(out)]) == 1, override
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1, override
             assert key in capsys.readouterr().err, override
+
+    def test_cli_never_imports_scipy_optimize(self, tmp_path):
+        # Only the circuit fit of decomposition.bloch_messiah_params needs
+        # scipy.optimize, and no command runs it.
+        cfg = _base_config(fock_dim=8)
+        cfg["grid"]["n_points"] = 64
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        runs = [
+            ["state", "--config", str(path), "--out", str(tmp_path / "state")],
+            ["modes", "--config", str(path), "--out", str(tmp_path / "modes")],
+            ["verify"],
+        ]
+        script = (
+            "import sys\n"
+            "from pulse_squeeze import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300,
+                       stdout=subprocess.DEVNULL)
 
     def test_modes_identity_device(self, tmp_path):
         cfg = _base_config()

@@ -136,7 +136,7 @@ class TestOptimizeSqueezeFidelity:
 
         input_state = even_cat_state(2.0, 50)
         target_eval = squeeze_target_evaluator(input_state, 0.7)
-        chi = _auto_grid(target_eval, None, "test", boundary_tol=1e-6)
+        chi = _auto_grid(target_eval, "test")
         fit = optimize_squeeze_fidelity(chi, input_state)
         assert fit.best_fidelity == pytest.approx(1.0, abs=1e-4)
         assert fit.best_r == pytest.approx(0.7, abs=5e-3)
@@ -152,7 +152,7 @@ class TestOptimizeSqueezeFidelity:
         target_eval = squeeze_target_evaluator(input_state, 1.5)
         from pulse_squeeze.charfun import _auto_grid
 
-        chi = _auto_grid(target_eval, None, "test", boundary_tol=1e-6)
+        chi = _auto_grid(target_eval, "test")
         with pytest.warns(UserWarning, match="edge"):
             optimize_squeeze_fidelity(chi, input_state, r_grid=np.linspace(0.0, 0.5, 6))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -124,9 +126,17 @@ class TestCharFunctions:
         assert chi.values[origin] == pytest.approx(1.0, abs=1e-9)
         assert np.abs(chi.values - chi.values[::-1, ::-1].conj()).max() < 1e-8
 
-    def test_explicit_small_grid_warns(self):
-        with pytest.warns(UserWarning, match="boundary"):
-            char_of_state(coherent_state(2.0, 60), grid=CharGrid(2.0, 33))
+    def test_squeezed_vacuum_at_cap_warns_once(self, grid, u_mode):
+        # exp(-beta^2 e^{-2r} / 2) is still 0.02 at Re beta = 34 for r = 2.5
+        k = ideal_squeezer_kernels(grid, u_mode, 2.5)
+        d = decompose_output_mode(k, u_mode, u_mode)
+        chi_u = char_of_state(vacuum_state(20))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chi = propagate_char(d, chi_u)
+        messages = [str(w.message) for w in caught]
+        assert messages == ["propagate_char: chi not decayed even at extent 34"]
+        assert chi.boundary_magnitude() > 1e-3
 
 
 class TestCharGridSample:
@@ -187,7 +197,7 @@ class TestRectangularGrid:
     )
     def test_isotropic_chi_keeps_square_grid(self, state, extent):
         evaluator = state_evaluator(state)
-        chi = _auto_grid(evaluator, None, "test")
+        chi = _auto_grid(evaluator, "test")
         square = CharGrid.with_extent(extent)
         assert chi.grid == square
         assert (chi.grid.n_side, chi.grid.im_n_side) == (square.n_side, square.n_side)
@@ -224,10 +234,7 @@ class TestRectangularGrid:
         from pulse_squeeze.metrics import optimize_squeeze_fidelity, squeeze_target_evaluator
 
         state = fock_state(1, 20)
-        rect = _auto_grid(
-            self._squeezed_output(grid, u_mode, state).evaluator, None, "test",
-            boundary_tol=1e-6,
-        )
+        rect = self._squeezed_output(grid, u_mode, state)
         square = self._on_enclosing_square(rect)
         assert rect.grid.im_n_side < square.grid.im_n_side
         assert rect.boundary_magnitude() < 1e-6
@@ -247,6 +254,27 @@ class TestRectangularGrid:
         assert fit_rect.best_r == fit_square.best_r
         for (r1, f1), (r2, f2) in zip(fit_rect.fidelity_curve, fit_square.fidelity_curve):
             assert r1 == r2 and abs(f1 - f2) < 1e-14
+
+    def test_propagated_chi_decays_below_tolerance(self, grid, u_mode):
+        chi = self._squeezed_output(grid, u_mode, fock_state(1, 20))
+        assert chi.boundary_magnitude() < 1e-6
+
+    def test_fock_and_fit_keep_chi_grid(self, grid, u_mode, monkeypatch):
+        from pulse_squeeze.metrics import optimize_squeeze_fidelity
+
+        state = fock_state(1, 20)
+        chi = self._squeezed_output(grid, u_mode, state)
+        grown, sampled = [], []
+        with_extent, sample = CharGrid.with_extent, CharGrid.sample
+        monkeypatch.setattr(
+            CharGrid, "with_extent", staticmethod(lambda *a: grown.append(a) or with_extent(*a))
+        )
+        monkeypatch.setattr(CharGrid, "sample", lambda g, ev: sampled.append(g) or sample(g, ev))
+        fock_from_char(chi, 20)
+        optimize_squeeze_fidelity(chi, state, r_grid=np.linspace(1.0, 1.6, 7))
+        assert grown == []
+        # one target per r: 7 on the grid plus the refinement around the peak
+        assert len(sampled) > 7 and all(g == chi.grid for g in sampled)
 
     def test_quarter_turn_is_rotate_char(self, grid, u_mode, monkeypatch):
         from pulse_squeeze import pipeline
@@ -274,8 +302,8 @@ class TestPropagateChar:
         state = even_cat_state(1.5, 50)
         d = decompose_output_mode(identity_kernels(grid), u_mode, u_mode)
         chi_u = char_of_state(state)
-        chi_out = propagate_char(d, chi_u, grid=chi_u.grid)
-        assert np.abs(chi_out.values - chi_u.values).max() < 1e-12
+        out = propagate_char(d, chi_u).evaluator
+        assert np.abs(chi_u.grid.sample(out) - chi_u.values).max() < 1e-12
 
     def test_squeezer_on_vacuum(self, grid, u_mode):
         r = 0.7
@@ -379,8 +407,8 @@ class TestFockFromChar:
         chi = char_of_state(state)
         rec = fock_from_char(chi, 50)
         assert np.abs(rec.rho - state.rho).max() < 1e-6
-        chi_back = char_of_state(rec, grid=chi.grid)
-        assert np.abs(chi_back.values - chi.values).max() < 1e-5
+        chi_back = chi.grid.sample(state_evaluator(rec))
+        assert np.abs(chi_back - chi.values).max() < 1e-5
 
     def test_squeezed_vacuum_populations(self, grid, u_mode):
         r = 0.5
@@ -402,10 +430,11 @@ class TestFockFromChar:
         # point, with the displacement matrix elements from scipy's Laguerre
         # polynomials.  The state has no rotational symmetry, so the angular
         # phases count; the grid is off the with_extent sequence, and chi has
-        # decayed below 1e-6 at its boundary, so fock_from_char keeps it.
+        # decayed below 1e-6 at its boundary.
         dim = 20
         state = coherent_state(1.0 + 0.5j, dim)
-        chi = char_of_state(state, grid=CharGrid(5.6, 65))
+        g, ev = CharGrid(5.6, 65), state_evaluator(state)
+        chi = CharFunction(g, g.sample(ev), ev)
         assert chi.boundary_magnitude() < 1e-6
         alpha = -chi.grid.mesh().ravel()
         x = np.abs(alpha) ** 2
@@ -459,9 +488,9 @@ class TestJointTwoModeChar:
         chi_u = char_of_state(state)
         joint = joint_two_mode_char(opo_kernels, u_mode, v1, v2, chi_u)
         d = decompose_output_mode(opo_kernels, u_mode, v1)
-        single = propagate_char(d, chi_u, grid=joint.grid)
+        single = propagate_char(d, chi_u)
         marg = joint.marginal(0)
-        assert np.abs(marg.values - single.values).max() < 1e-8
+        assert np.abs(marg.values - joint.grid.sample(single.evaluator)).max() < 1e-8
         # off the joint grid, the marginal evaluates exactly like the
         # single-mode propagated evaluator
         rng = np.random.default_rng(5)
