@@ -303,7 +303,7 @@ def _verify_checks(corrupt: bool):
         TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), 100, 0.01),
         TemporalGrid(-10.0, 30.0, 256),
     )
-    checks.append(("twpa symplectic", verify_symplectic(twpa).max_residual, 1e-4))
+    checks.append(("twpa symplectic", verify_symplectic(twpa).max_residual, 1e-10))
 
     worst = 0.0
     for _ in range(5):

@@ -131,6 +131,10 @@ def validate_config(cfg: dict) -> None:
     for key in device:
         if key not in allowed:
             raise ConfigError(f"device.{key}: not a parameter of device {kind!r}")
+    if kind == "twpa":
+        _check_n_stages(device.get("n_stages"), "device.n_stages")
+        if "total_gain" not in device and "per_stage_gain" not in device:
+            raise ConfigError("device.total_gain: a twpa needs total_gain or per_stage_gain")
     grid = cfg.get("grid")
     for key in ("t_start", "t_end", "n_points"):
         if not isinstance(grid, dict) or key not in grid:
@@ -179,6 +183,16 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(f"sweep.axes[{i}]: {exc}") from None
         if values.size == 0:
             raise ConfigError(f"sweep.axes[{i}]: no values")
+        if kind == "twpa" and name == "device.n_stages":
+            for value in values:
+                _check_n_stages(float(value), f"sweep.axes[{i}] (device.n_stages)")
+
+
+def _check_n_stages(value, key: str) -> None:
+    """A stage count is an integral number >= 1 (a sweep axis gives floats)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < 1):
+        raise ConfigError(f"{key}: need an integer >= 1, got {value!r}")
 
 
 def _run_environment() -> dict:

@@ -9,11 +9,13 @@ map symplectic to round-off instead of leaking one vacuum mode at the
 window edge.  The chain converges to the continuum input-output kernels
 at second order in dt.
 
-A TWPA is a chain of identical OPO stages, folded by binary exponentiation
-of ``compose`` (about log2(n_stages) squarings).  Composition of symplectic
-maps is symplectic, so the folded chain needs no re-projection: at 100
-stages on 1024 points, and at 1000 stages on 512 points, the residual of
-``verify_symplectic`` stays near 1e-12.
+A TWPA is a chain of identical OPO stages, folded as one power of the
+stage's real 2n x 2n quadrature map (the product ``compose`` uses): about
+log2(n_stages) real squarings, half the flops of the complex kernel
+products.  Powers of a symplectic map are symplectic, so the folded chain
+needs no re-projection.  Measured residuals of ``verify_symplectic``:
+1.9e-12 at 100 stages on 1024 points, 4.8e-13 at 100 stages on 256 points,
+2.0e-12 at 1000 stages on 256 points and 2.1e-12 at 1000 stages on 512.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.special import erf
 
 from .blas import one_blas_thread
 from .grids import TemporalGrid
-from .kernels import BogoliubovKernels, compose, verify_symplectic
+from .kernels import BogoliubovKernels, _from_quadrature, _to_quadrature, verify_symplectic
 
 __all__ = [
     "GaussianPump",
@@ -264,26 +266,19 @@ def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
 def build_twpa(params: TwpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Fold ``n_stages`` identical OPO stages into one kernel pair.
 
-    Stage folding uses binary exponentiation (composition is associative):
-    floor(log2(n_stages)) squarings, plus one ``compose`` for each set bit
-    of ``n_stages`` above the lowest.  The symplectic residual grows only by
-    round-off (1.9e-12 at 100 stages, n = 1024; 2.3e-12 at 1000 stages,
-    n = 512), so nothing is re-projected.
+    The stage's quadrature map M (see ``kernels.compose``) is raised to the
+    power ``n_stages`` by ``np.linalg.matrix_power``: floor(log2(n_stages))
+    real 2n x 2n squarings, plus one product for each set bit of
+    ``n_stages`` above the lowest.  The stage kernels are released before
+    the power.  The symplectic residual grows only by round-off (1.9e-12 at
+    100 stages, n = 1024; 2.1e-12 at 1000 stages, n = 512), so nothing is
+    re-projected.  One stage returns the stage kernels unchanged.
     """
     stage_params = dataclasses.replace(
         params.stage,
         pump=dataclasses.replace(params.stage.pump, area=params.per_stage_gain),
     )
-    base = build_opo(stage_params, grid)
-
-    result: BogoliubovKernels | None = None
-    power = base
-    m = params.n_stages
-    while m:
-        if m & 1:
-            result = power if result is None else compose(power, result)
-        m >>= 1
-        if m:
-            power = compose(power, power)
-    assert result is not None
-    return result
+    if params.n_stages == 1:
+        return build_opo(stage_params, grid)
+    stage = _to_quadrature(build_opo(stage_params, grid))
+    return _from_quadrature(np.linalg.matrix_power(stage, params.n_stages), grid)

@@ -35,3 +35,20 @@ def random_mode(grid, rng, envelope_center=0.0, envelope_width=6.0):
     raw *= np.exp(-((grid.points - envelope_center) ** 2) / (2 * envelope_width**2))
     mode, _ = normalize(ModeFunction(grid, raw))
     return mode
+
+
+def reference_compose(second, first):
+    """Complex-kernel composition, the oracle for ``kernels.compose``:
+    ``F = (F2 F1 + G2* G1) dt``, ``G = (F2* G1 + G2 F1) dt``."""
+    from pulse_squeeze.kernels import BogoliubovKernels
+
+    dt = first.grid.dt
+    F = (second.F @ first.F + second.G.conj() @ first.G) * dt
+    G = (second.F.conj() @ first.G + second.G @ first.F) * dt
+    return BogoliubovKernels(first.grid, F, G)
+
+
+def max_relative_difference(a, b):
+    """Largest kernel difference of two pairs, relative to the largest entry of ``a``."""
+    scale = max(np.abs(a.F).max(), np.abs(a.G).max())
+    return max(np.abs(a.F - b.F).max(), np.abs(a.G - b.G).max()) / scale

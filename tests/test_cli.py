@@ -92,8 +92,12 @@ class TestCliCommands:
         short_mode = tmp_path / "short.csv"
         short_mode.write_text("\n".join(f"{t},1.0,0.0" for t in range(10)))
 
-        def axis(**spec):
-            return {"sweep": {"axes": [{"name": "device.r", **spec}]}}
+        def axis(name="device.r", **spec):
+            return {"sweep": {"axes": [{"name": name, **spec}]}}
+
+        stage = {"detuning": 0.0, "decay": 1.0, "pump": {"area": 0.01, "center": 0.0, "width": 0.2}}
+        twpa = {"kind": "twpa", "n_stages": 10, "total_gain": 1.0, "stage": stage}
+        no_gain = {k: v for k, v in twpa.items() if k != "total_gain"}
 
         # malformed settings are config errors, caught before any compute
         cases = [
@@ -107,6 +111,14 @@ class TestCliCommands:
             ("modes", "sweep.axes[0]", axis(start=0.1, stop=1.0, points="abc")),
             ("modes", "sweep.axes[0]", axis(values=[])),
             ("modes", "sweep.axes[0]", axis(start=0.0, stop=1.0, points=3, log=True)),
+            ("modes", "device.n_stages", {"device": {**twpa, "n_stages": 0}}),
+            ("modes", "device.n_stages", {"device": {**twpa, "n_stages": 2.5}}),
+            ("modes", "device.n_stages", {"device": {**twpa, "n_stages": "ten"}}),
+            ("modes", "device.total_gain", {"device": no_gain}),
+            ("modes", "sweep.axes[0]",
+             {"device": twpa, **axis("device.n_stages", values=[10, 2.5])}),
+            ("modes", "sweep.axes[0]",
+             {"device": twpa, **axis("device.n_stages", start=0.0, stop=4.0, points=3)}),
         ]
         for command, key, override in cases:
             cfg = _base_config(**override)
@@ -320,13 +332,14 @@ class TestCliCommands:
         for name in ("heatmap_n1.csv", "heatmap_ratio.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
-    @pytest.mark.parametrize("case", ["modes", "modes-opa", "state"])
+    @pytest.mark.parametrize("case", ["modes", "modes-opa", "modes-twpa", "state"])
     def test_identical_across_blas_threads(self, tmp_path, case):
         # The n x n vacuum ladder (modes: occupations.csv, spectrum.json;
-        # state: m1 in metrics.json), the OPA eigenbasis and the Wigner
-        # products (wigner.csv) are the BLAS calls whose bits would follow
-        # the thread count.
+        # state: m1 in metrics.json), the OPA eigenbasis, the TWPA's real
+        # quadrature power (dgemm) and the Wigner products (wigner.csv) are
+        # the BLAS calls whose bits would follow the thread count.
         modes_files = ("occupations.csv", "modes.csv", "spectrum.json")
+        n_points = 512
         if case == "modes":
             cfg = load_recipe("fig2b")
             cfg["sweep"]["axes"] = [{"name": "device.pump.width", "values": [0.1, 0.5]}]
@@ -336,12 +349,17 @@ class TestCliCommands:
             cfg["sweep"]["axes"] = [
                 {"name": "device.pump_center_detuning", "values": [0.0, 1.0]}]
             files = modes_files
+        elif case == "modes-twpa":
+            cfg = load_recipe("fig3ef")
+            cfg["sweep"]["axes"] = [{"name": "device.total_gain", "values": [1.0, 4.0]}]
+            files = modes_files
+            n_points = 256
         else:
             cfg = load_recipe("fig4")
             cfg["input"]["state"] = {"kind": "fock", "n": 1, "dim": 30}
             cfg["fock_dim"] = 20
             files = ("rho_re.csv", "rho_im.csv", "wigner.csv", "metrics.json")
-        cfg["grid"]["n_points"] = 512
+        cfg["grid"]["n_points"] = n_points
         self._run_layouts(tmp_path, case.split("-")[0], cfg, {
             "default": {}, "one": {"OPENBLAS_NUM_THREADS": "1"}})
         for name in files:

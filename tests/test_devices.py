@@ -23,7 +23,7 @@ from pulse_squeeze.grids import (
 )
 from pulse_squeeze.kernels import apply_to_mode, compose, verify_symplectic
 
-from conftest import random_mode
+from conftest import max_relative_difference, random_mode, reference_compose
 
 
 class TestGaussianPump:
@@ -187,8 +187,20 @@ class TestBuildTwpa:
             gains.append(np.sum(np.abs(fu) ** 2) * chain_grid.dt)
         assert gains[0] < gains[1] < gains[2]
 
+    @pytest.mark.parametrize("n_stages", [2, 3, 5, 7, 100])
+    @pytest.mark.parametrize("detuning", [0.0, 0.6])
+    def test_matches_stage_by_stage_fold(self, n_stages, detuning):
+        grid = TemporalGrid(-10.0, 30.0, 128)
+        stage = OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2))
+        k = build_twpa(TwpaParams(stage, n_stages, 0.02), grid)
+        one = build_twpa(TwpaParams(stage, 1, 0.02), grid)
+        expected = one
+        for _ in range(n_stages - 1):
+            expected = reference_compose(one, expected)
+        assert max_relative_difference(expected, k) < 1e-10
+
     def test_long_chain_symplectic(self, chain_grid, stage):
         k = build_twpa(TwpaParams(stage, 100, 0.05), chain_grid)
-        assert verify_symplectic(k).max_residual < 1e-4
+        assert verify_symplectic(k).max_residual < 1e-10
         k = build_twpa(TwpaParams(stage, 1000, 0.005), chain_grid)
         assert verify_symplectic(k).max_residual < 1e-10

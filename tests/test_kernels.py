@@ -3,9 +3,12 @@ import pytest
 
 from pulse_squeeze.charfun import char_of_state, propagate_char
 from pulse_squeeze.decomposition import decompose_output_mode, pullback_rows
-from pulse_squeeze.grids import DegenerateModeError, inner_product
+from pulse_squeeze.grids import DegenerateModeError, gaussian_mode, inner_product
+from pulse_squeeze.devices import GaussianPump, OpaParams, OpoParams, build_opa, build_opo
 from pulse_squeeze.kernels import (
     BogoliubovKernels,
+    _from_quadrature,
+    _to_quadrature,
     apply_to_mode,
     compose,
     ideal_squeezer_kernels,
@@ -17,7 +20,7 @@ from pulse_squeeze.kernels import (
 )
 from pulse_squeeze.states import coherent_state
 
-from conftest import random_mode
+from conftest import max_relative_difference, random_mode, reference_compose
 
 
 class TestIdentity:
@@ -75,6 +78,37 @@ class TestIdealSqueezer:
         pb = pullback_output_mode(k, w)
         assert pb.zeta == pytest.approx(1.0, abs=1e-9)
         assert pb.xi == 0.0
+
+
+def _kernel_pair(name, grid, freq_grid, u_mode, opo_kernels):
+    """Two kernels on one grid: OPO, OPA and ideal-squeezer combinations."""
+    if name == "opo-opo":
+        return opo_kernels, build_opo(OpoParams(-0.4, 1.0, GaussianPump(0.8, 1.0, 0.5)), grid)
+    if name == "opo-squeezer":
+        return opo_kernels, ideal_squeezer_kernels(grid, u_mode, 0.7)
+    if name == "squeezer-opo":
+        return ideal_squeezer_kernels(grid, u_mode, 0.7), opo_kernels
+    opa = build_opa(OpaParams(0.4, 0.3, 2.0), freq_grid)
+    if name == "opa-opa":
+        return opa, build_opa(OpaParams(0.2, -0.5, 1.0), freq_grid)
+    return opa, ideal_squeezer_kernels(freq_grid, gaussian_mode(freq_grid, 0.5, 1.0), -0.4)
+
+
+PAIRS = ["opo-opo", "opo-squeezer", "squeezer-opo", "opa-opa", "opa-squeezer"]
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_compose_matches_complex_reference(self, name, grid, freq_grid, u_mode, opo_kernels):
+        second, first = _kernel_pair(name, grid, freq_grid, u_mode, opo_kernels)
+        expected = reference_compose(second, first)
+        assert max_relative_difference(expected, compose(second, first)) < 1e-13
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_round_trip(self, name, grid, freq_grid, u_mode, opo_kernels):
+        for k in _kernel_pair(name, grid, freq_grid, u_mode, opo_kernels):
+            back = _from_quadrature(_to_quadrature(k), k.grid)
+            assert max_relative_difference(k, back) < 1e-15
 
 
 class TestCompose:
