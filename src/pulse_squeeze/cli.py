@@ -67,22 +67,31 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _point_result(cfg: dict) -> dict:
-    """Occupation metrics of a single (possibly sweep-modified) config."""
-    grid = grid_from_config(cfg["grid"])
-    kernels = device_from_config(cfg["device"], grid)
-    u = input_mode_from_config(cfg["input"], grid)
-    state = input_state_from_config(cfg["input"])
-    result = run_modes(kernels, u, state)
-    return result.metrics
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_worker(args):
+def _sweep_worker(args, kernels: BogoliubovKernels):
+    """Occupation metrics of one sweep point on its device's kernels."""
     index, cfg = args
     try:
-        return index, _point_result(cfg), None
+        u = input_mode_from_config(cfg["input"], kernels.grid)
+        state = input_state_from_config(cfg["input"])
+        return index, run_modes(kernels, u, state).metrics, None
     except Exception as exc:  # recorded per point, run continues
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return index, None, _error_text(exc)
+
+
+def _device_worker(points):
+    """One pool task: build the device the ``(index, cfg)`` points share
+    once, then run each point on its kernels.  A failed build is recorded
+    for every point of the group."""
+    cfg = points[0][1]
+    try:
+        kernels = device_from_config(cfg["device"], grid_from_config(cfg["grid"]))
+    except Exception as exc:  # recorded per point, run continues
+        return [(index, None, _error_text(exc)) for index, _ in points]
+    return [_sweep_worker(point, kernels) for point in points]
 
 
 def _env_int(*names: str) -> int | None:
@@ -230,20 +239,24 @@ def cmd_sweep(cfg: dict, out: Path) -> RunManifest:
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
     (name1, vals1), (name2, vals2) = axes
 
-    jobs = []
+    # Points that share a device and grid share one build: one group per
+    # distinct device, in order of first appearance.
+    groups: dict[str, list] = {}
     for i, v1 in enumerate(vals1):
         for j, v2 in enumerate(vals2):
             point = set_by_path(set_by_path(cfg, name1, float(v1)), name2, float(v2))
-            jobs.append(((i, j), point))
+            key = config_hash({"device": point["device"], "grid": point["grid"]})
+            groups.setdefault(key, []).append(((i, j), point))
 
     n1_map = np.full((len(vals1), len(vals2)), np.nan)
     ratio_map = np.full((len(vals1), len(vals2)), np.nan)
     workers = _workers()
     if workers == 1:
-        results = list(map(_sweep_worker, jobs))
+        done = list(map(_device_worker, groups.values()))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs, chunksize=4))
+            done = list(pool.map(_device_worker, groups.values()))
+    results = sorted((point for group in done for point in group), key=lambda r: r[0])
     for (i, j), metrics, error in results:
         if error is not None:
             manifest.failures.append({"point": [int(i), int(j)], "error": error})

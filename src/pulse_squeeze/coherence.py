@@ -171,7 +171,7 @@ def seeded_vacuum_split(
     vals, vecs = np.linalg.eigh(dt * (r @ mt @ r.conj().T))
     vals = _clamp_negative(vals[::-1], SEEDED_NEG_TOL)
     seeded_total = float(vals.sum())
-    vacuum_total = dt**2 * float(np.sum(np.abs(k.G) ** 2))
+    vacuum_total = k.vacuum_total
     cut = OCCUPATION_CUT * (seeded_total + vacuum_total)
     seeded = [
         (float(lam), ModeFunction(k.grid, _pin_phase(q @ y) / np.sqrt(dt)))

@@ -131,10 +131,22 @@ def validate_config(cfg: dict) -> None:
     for key in device:
         if key not in allowed:
             raise ConfigError(f"device.{key}: not a parameter of device {kind!r}")
+    if kind == "opo":
+        _check_pump(device, "device")
     if kind == "twpa":
         _check_n_stages(device.get("n_stages"), "device.n_stages")
         if "total_gain" not in device and "per_stage_gain" not in device:
             raise ConfigError("device.total_gain: a twpa needs total_gain or per_stage_gain")
+        if "total_gain" in device and "per_stage_gain" in device:
+            raise ConfigError("device.total_gain and device.per_stage_gain: "
+                              "a twpa takes one of the two, not both")
+        stage = device.get("stage")
+        if not isinstance(stage, dict):
+            raise ConfigError("device.stage: missing (the opo parameters of one stage)")
+        for key in stage:
+            if key not in _DEVICE_KEYS["opo"]:
+                raise ConfigError(f"device.stage.{key}: not a parameter of a twpa stage")
+        _check_pump(stage, "device.stage")
     grid = cfg.get("grid")
     for key in ("t_start", "t_end", "n_points"):
         if not isinstance(grid, dict) or key not in grid:
@@ -186,6 +198,18 @@ def validate_config(cfg: dict) -> None:
         if kind == "twpa" and name == "device.n_stages":
             for value in values:
                 _check_n_stages(float(value), f"sweep.axes[{i}] (device.n_stages)")
+
+
+def _check_pump(params: dict, prefix: str) -> None:
+    """An opo (or twpa stage) needs a pump with its area and width."""
+    pump = params.get("pump")
+    if pump is None:
+        raise ConfigError(f"{prefix}.pump: missing")
+    if not isinstance(pump, dict):
+        raise ConfigError(f"{prefix}.pump: need a mapping with area and width, got {pump!r}")
+    for key in ("area", "width"):
+        if key not in pump:
+            raise ConfigError(f"{prefix}.pump.{key}: missing")
 
 
 def _check_n_stages(value, key: str) -> None:

@@ -13,6 +13,7 @@ preservation pins the two symplectic conditions checked by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,13 @@ class BogoliubovKernels:
             raise ValueError("F and G must be n x n for an n-point grid")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "G", G)
+
+    @cached_property
+    def vacuum_total(self) -> float:
+        """Photons the device emits with no input, ``dt^2 ||G||_F^2``: the
+        trace of the squeezed-vacuum part of g1.  It depends on the device
+        alone, so it is computed once per kernel pair."""
+        return self.grid.dt**2 * float(np.sum(np.abs(self.G) ** 2))
 
 
 @dataclass(frozen=True)

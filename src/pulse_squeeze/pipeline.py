@@ -120,7 +120,7 @@ def device_from_config(cfg: dict, grid: TemporalGrid) -> BogoliubovKernels:
             per_stage = float(cfg["total_gain"]) / n_stages
         return build_twpa(
             TwpaParams(
-                stage=_opo_params(cfg.get("stage", cfg)),
+                stage=_opo_params(cfg["stage"]),
                 n_stages=n_stages,
                 per_stage_gain=float(per_stage),
             ),

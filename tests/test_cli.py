@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from pulse_squeeze import cli
+from pulse_squeeze.devices import GridTooShortError
 from pulse_squeeze.config import (
     ConfigError,
     config_hash,
@@ -98,6 +99,10 @@ class TestCliCommands:
         stage = {"detuning": 0.0, "decay": 1.0, "pump": {"area": 0.01, "center": 0.0, "width": 0.2}}
         twpa = {"kind": "twpa", "n_stages": 10, "total_gain": 1.0, "stage": stage}
         no_gain = {k: v for k, v in twpa.items() if k != "total_gain"}
+        both_gains = {**twpa, "per_stage_gain": 0.01}
+        no_stage = {k: v for k, v in twpa.items() if k != "stage"}
+        opo = {"kind": "opo", "detuning": 0.0, "decay": 1.0}
+        both = "device.total_gain and device.per_stage_gain"
 
         # malformed settings are config errors, caught before any compute
         cases = [
@@ -115,6 +120,19 @@ class TestCliCommands:
             ("modes", "device.n_stages", {"device": {**twpa, "n_stages": 2.5}}),
             ("modes", "device.n_stages", {"device": {**twpa, "n_stages": "ten"}}),
             ("modes", "device.total_gain", {"device": no_gain}),
+            ("modes", both, {"device": both_gains}),
+            ("sweep", both, {"device": both_gains, "sweep": {"axes": [
+                {"name": "device.total_gain", "values": [1.0, 8.0]},
+                {"name": "input.pulse.center", "values": [0.0]}]}}),
+            ("modes", "device.stage", {"device": no_stage}),
+            ("modes", "device.stage.pump", {"device": {**twpa, "stage": {"decay": 1.0}}}),
+            ("modes", "device.stage.pump.area",
+             {"device": {**twpa, "stage": {**stage, "pump": {"width": 0.2}}}}),
+            ("modes", "device.stage.gain", {"device": {**twpa, "stage": {**stage, "gain": 1.0}}}),
+            ("modes", "device.pump", {"device": opo}),
+            ("modes", "device.pump", {"device": {**opo, "pump": 1.5}}),
+            ("modes", "device.pump.width", {"device": {**opo, "pump": {"area": 1.5}}}),
+            ("modes", "device.pump.area", {"device": {**opo, "pump": {"width": 0.3}}}),
             ("modes", "sweep.axes[0]",
              {"device": twpa, **axis("device.n_stages", values=[10, 2.5])}),
             ("modes", "sweep.axes[0]",
@@ -238,17 +256,76 @@ class TestCliCommands:
         cfg["device"] = {"kind": "opo", "detuning": 0.0, "decay": 1.0,
                          "pump": {"area": 1.0, "center": 0.0, "width": 0.3}}
         cfg["grid"] = {"t_start": -10.0, "t_end": 30.0, "n_points": 128}
+        # Devices 0 and 2 truncate the pump; the groups of the pool run
+        # column by column, the failures must come back row by row.
+        centers = [29.5, 0.0, 29.8]
         cfg["sweep"] = {"axes": [
-            {"name": "device.pump.center", "values": [0.0, 29.5]},  # 2nd truncates
-            {"name": "device.pump.width", "values": [0.3]},
+            {"name": "input.pulse.center", "values": [-1.0, 0.0]},
+            {"name": "device.pump.center", "values": centers},
         ]}
+        grid = cli.grid_from_config(cfg["grid"])
+        errors = {}
+        for j in (0, 2):
+            with pytest.raises(GridTooShortError) as build:
+                cli.device_from_config(
+                    set_by_path(cfg, "device.pump.center", centers[j])["device"], grid)
+            errors[j] = f"{build.type.__name__}: {build.value}"
         path = tmp_path / "cfg.yaml"
         path.write_text(dump_config(cfg))
         out = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert len(manifest["failures"]) == 1
-        assert manifest["failures"][0]["point"] == [1, 0]
+        # every point of a failed device, in (i, j) order, with its build's error
+        assert manifest["failures"] == [
+            {"point": [i, j], "error": errors[j]} for i in range(2) for j in (0, 2)]
+        for name in ("heatmap_n1.csv", "heatmap_ratio.csv"):
+            rows = [r.split(",") for r in (out / name).read_text().splitlines()
+                    if r and not r.startswith("#")][1:]
+            for row in rows:
+                assert [v == "nan" for v in row[1:]] == [True, False, True]
+                assert np.isfinite(float(row[2]))
+
+    def test_sweep_builds_each_device_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        cfg = load_recipe("fig3ab")
+        cfg["grid"]["n_points"] = 128
+        cfg["sweep"] = {"axes": [
+            {"name": "input.pulse.center", "start": -3.0, "stop": 1.0, "points": 4},
+            {"name": "device.pump.width", "values": [0.1, 0.5]},
+        ]}
+        builds = []
+        build = cli.device_from_config
+        monkeypatch.setattr(cli, "device_from_config",
+                            lambda *args: builds.append(args) or build(*args))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert len(builds) == 2
+
+        # reference: a device built for every point, run through run_modes
+        (name1, vals1), (name2, vals2) = sweep_axes(cfg)
+        n1 = np.full((len(vals1), len(vals2)), np.nan)
+        ratio = np.full_like(n1, np.nan)
+        for i, v1 in enumerate(vals1):
+            for j, v2 in enumerate(vals2):
+                point = set_by_path(set_by_path(cfg, name1, float(v1)), name2, float(v2))
+                grid = cli.grid_from_config(point["grid"])
+                metrics = cli.run_modes(build(point["device"], grid),
+                                        cli.input_mode_from_config(point["input"], grid),
+                                        cli.input_state_from_config(point["input"])).metrics
+                n1[i, j], ratio[i, j] = metrics["n1"], metrics["ratio"]
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        meta = {
+            "config": config_hash(cfg),
+            "rows": f"{name1}: " + " ".join(cli._fmt(v) for v in vals1),
+            "cols": f"{name2}: " + " ".join(cli._fmt(v) for v in vals2),
+        }
+        for name, values in (("heatmap_n1.csv", n1), ("heatmap_ratio.csv", ratio)):
+            cli._write_csv(ref / name, meta, [name2] + [cli._fmt(v) for v in vals2],
+                           [[vals1[i]] + list(values[i]) for i in range(len(vals1))])
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_small_sweep_determinism(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "2")
