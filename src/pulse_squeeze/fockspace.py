@@ -1,9 +1,12 @@
-"""Explicit truncated-Fock circuit construction for small instances.
+"""Truncated-Fock circuit oracle for small instances.
 
-Builds the three-mode beam-splitter/squeezer sequence as dense unitaries
-and traces out the vacuum ports.  This is the brute-force cross-check for
-the characteristic-function propagation path; keep dims small (<= 14 per
-mode) or the tensor space explodes.
+Runs the three-mode beam-splitter/squeezer circuit of
+:func:`pulse_squeeze.decomposition.reconstruct_row` on a ket tensor
+``psi[u, k, s]``: each gate is a dim x dim (one mode) or dim^2 x dim^2 (two
+modes) unitary contracted into its own modes, so no gate is ever embedded in
+the dim^3-dimensional space.  A mixed input goes through as one ket per
+eigenvector.  This is the independent cross-check for the
+characteristic-function propagation path.
 """
 
 from __future__ import annotations
@@ -13,22 +16,25 @@ from scipy.linalg import expm
 
 from .states import QuantumState, destroy
 
-__all__ = [
-    "beamsplitter_unitary",
-    "squeezer_unitary",
-    "three_mode_output_state",
-]
+__all__ = ["three_mode_output_state"]
 
 
 def _two_mode_bs(dim: int, theta: float, phi: float) -> np.ndarray:
     """exp(theta (e^{i phi} a^dag b - e^{-i phi} a b^dag)) on H_a (x) H_b.
 
     Heisenberg action: U^dag a U = cos(theta) a + e^{i phi} sin(theta) b.
+    The generator conserves n_a + n_b, so it is exponentiated one
+    total-photon-number block at a time.
     """
     a = np.kron(destroy(dim), np.eye(dim))
     b = np.kron(np.eye(dim), destroy(dim))
     gen = theta * (np.exp(1j * phi) * a.conj().T @ b - np.exp(-1j * phi) * a @ b.conj().T)
-    return expm(gen)
+    total = np.add.outer(np.arange(dim), np.arange(dim)).ravel()
+    u = np.zeros_like(gen)
+    for n in range(2 * dim - 1):
+        block = np.ix_(total == n, total == n)
+        u[block] = expm(gen[block])
+    return u
 
 
 def _single_mode_squeeze(dim: int, r: float) -> np.ndarray:
@@ -38,70 +44,44 @@ def _single_mode_squeeze(dim: int, r: float) -> np.ndarray:
     return expm(gen)
 
 
-def _swap_last_two(dim: int) -> np.ndarray:
-    """Index permutation exchanging modes 2 and 3 of a three-mode tensor basis."""
-    return np.arange(dim**3).reshape(dim, dim, dim).transpose(0, 2, 1).ravel()
+def _phase(dim: int, phi: float) -> np.ndarray:
+    """exp(i phi n) on one mode (vacuum-port gauge)."""
+    return np.diag(np.exp(1j * phi * np.arange(dim)))
 
 
-def beamsplitter_unitary(dim: int, theta: float, phi: float, pair: str) -> np.ndarray:
-    """Three-mode embedding of a two-mode beam splitter on (u,k) or (u,s)."""
-    u2 = _two_mode_bs(dim, theta, phi)
-    full = np.kron(u2, np.eye(dim))
-    if pair == "uk":
-        return full
-    if pair == "us":
-        perm = _swap_last_two(dim)
-        return full[np.ix_(perm, perm)]
-    raise ValueError(f"unknown pair {pair!r}")
-
-
-def squeezer_unitary(dim: int, r: float, mode: int) -> np.ndarray:
-    """Three-mode embedding of a single-mode squeezer on mode 0, 1 or 2."""
-    s = _single_mode_squeeze(dim, r)
-    eye = np.eye(dim)
-    ops = [eye, eye, eye]
-    ops[mode] = s
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
-
-
-def phase_unitary(dim: int, phi: float, mode: int) -> np.ndarray:
-    """Three-mode embedding of exp(i phi n) on one mode (vacuum-port gauge)."""
-    ph = np.diag(np.exp(1j * phi * np.arange(dim)))
-    eye = np.eye(dim)
-    ops = [eye, eye, eye]
-    ops[mode] = ph
-    return np.kron(np.kron(ops[0], ops[1]), ops[2])
+def _apply(gate: np.ndarray, kets: np.ndarray, modes: tuple[int, ...]) -> np.ndarray:
+    """Contract a gate on ``modes`` (0 = u, 1 = k, 2 = s) into ``kets[j, u, k, s]``."""
+    axes = [m + 1 for m in modes]
+    n = len(axes)
+    g = gate.reshape((kets.shape[1],) * (2 * n))
+    out = np.tensordot(g, kets, axes=(list(range(n, 2 * n)), axes))
+    return np.moveaxis(out, list(range(n)), axes)
 
 
 def three_mode_output_state(params: dict, rho_u: np.ndarray, dim: int) -> QuantumState:
-    """Apply the circuit to rho_u (x) |0><0| (x) |0><0| and trace out ports.
+    """Apply the circuit to rho_u (x) |0><0| (x) |0><0| and trace out the ports.
 
-    The circuit and conventions match
-    :func:`pulse_squeeze.decomposition.reconstruct_row`; the reduced state of
-    mode u is the brute-force counterpart of the characteristic-function
-    propagation.
+    ``rho_u`` is split into kets ``sqrt(w) |e>`` over its eigenvectors of
+    positive weight; the reduced state of mode u is ``sum_j M_j M_j^dag`` with
+    ``M_j`` the output ket j reshaped to dim x dim^2.
     """
-    u = (
-        beamsplitter_unitary(dim, params["theta3"], params["phi3"], "us")
-        @ beamsplitter_unitary(dim, params["theta2"], params["phi2"], "uk")
-        @ squeezer_unitary(dim, params["r1"], 0)
-        @ squeezer_unitary(dim, params["r2"], 1)
-        @ beamsplitter_unitary(dim, params["theta1"], params["phi1"], "uk")
-        @ phase_unitary(dim, params.get("phi_k", 0.0), 1)
-        @ phase_unitary(dim, params.get("phi_u", 0.0), 0)
-    )
-    vac = np.zeros((dim, dim), dtype=complex)
-    vac[0, 0] = 1.0
-    rho3 = np.kron(np.kron(rho_u, vac), vac)
-    out = u @ rho3 @ u.conj().T
-    out6 = out.reshape(dim, dim, dim, dim, dim, dim)
-    reduced = np.einsum("iklmkl->im", out6)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    reduced /= np.real(np.trace(reduced))
-    # Truncation can leave tiny negative weights; clamp like the
-    # reconstruction path does.
-    vals, vecs = np.linalg.eigh(reduced)
-    vals = np.clip(vals, 0.0, None)
-    reduced = (vecs * vals) @ vecs.conj().T
-    reduced /= np.real(np.trace(reduced))
-    return QuantumState(reduced)
+    rho_u = np.asarray(rho_u, dtype=complex)
+    if rho_u.shape != (dim, dim):
+        raise ValueError(f"rho_u has shape {rho_u.shape}, expected ({dim}, {dim})")
+    w, vecs = np.linalg.eigh(rho_u)
+    keep = w > 0
+    kets = np.zeros((int(keep.sum()), dim, dim, dim), dtype=complex)
+    kets[:, :, 0, 0] = (vecs[:, keep] * np.sqrt(w[keep])).T
+    circuit = [
+        (_phase(dim, params.get("phi_u", 0.0)), (0,)),
+        (_phase(dim, params.get("phi_k", 0.0)), (1,)),
+        (_two_mode_bs(dim, params["theta1"], params["phi1"]), (0, 1)),
+        (_single_mode_squeeze(dim, params["r2"]), (1,)),
+        (_single_mode_squeeze(dim, params["r1"]), (0,)),
+        (_two_mode_bs(dim, params["theta2"], params["phi2"]), (0, 1)),
+        (_two_mode_bs(dim, params["theta3"], params["phi3"]), (0, 2)),
+    ]
+    for gate, modes in circuit:
+        kets = _apply(gate, kets, modes)
+    m = kets.transpose(1, 0, 2, 3).reshape(dim, -1)
+    return QuantumState(m @ m.conj().T)

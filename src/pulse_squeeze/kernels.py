@@ -175,17 +175,30 @@ def compose(second: BogoliubovKernels, first: BogoliubovKernels) -> BogoliubovKe
 
 
 def verify_symplectic(k: BogoliubovKernels) -> SymplecticReport:
-    """Residuals of ``F F^dag - G* G^T = delta`` and ``F (G*)^T = G* F^T``."""
-    dt = k.grid.dt
+    """Residuals of ``F F^dag - G* G^T = delta`` and ``F (G*)^T = G* F^T``.
+
+    Both conditions are blocks of ``M Omega M^T - Omega``, ``Omega = [[0, I],
+    [-I, 0]]``, for the quadrature map ``M`` (:func:`_to_quadrature`).  One
+    real product ``X = M[:, :n] M[:, n:]^T`` gives ``D = M Omega M^T = X - X^T``.
+    With ``A = F dt`` and ``B = G* dt``,
+
+        A A^dag - B B^dag - I = (D12 - D21)/2 + i (D11 + D22)/2 - I,
+        A B^T - B A^T = -(D12 + D21)/2 + i (D11 - D22)/2.
+
+    Each residual is the Frobenius norm of its left side over sqrt(n), the
+    norm of the grid delta.
+    """
     n = k.grid.n_points
-    delta_norm = np.sqrt(n) / dt
-    gs = k.G.conj()
-    c1 = dt * (k.F @ k.F.conj().T - gs @ gs.conj().T)
-    c1[np.diag_indices(n)] -= 1.0 / dt
-    c2 = dt * (k.F @ gs.T - gs @ k.F.T)
+    m = _to_quadrature(k)
+    x = m[:, :n] @ m[:, n:].T
+    d = x - x.T
+    d11, d12, d21, d22 = d[:n, :n], d[:n, n:], d[n:, :n], d[n:, n:]
+    norm = np.linalg.norm
+    c1 = np.hypot(norm(0.5 * (d12 - d21) - np.eye(n)), norm(0.5 * (d11 + d22)))
+    c2 = np.hypot(norm(0.5 * (d12 + d21)), norm(0.5 * (d11 - d22)))
     return SymplecticReport(
-        commutator_residual=float(np.linalg.norm(c1) / delta_norm),
-        pairing_residual=float(np.linalg.norm(c2) / delta_norm),
+        commutator_residual=float(c1 / np.sqrt(n)),
+        pairing_residual=float(c2 / np.sqrt(n)),
     )
 
 

@@ -48,6 +48,25 @@ def reference_compose(second, first):
     return BogoliubovKernels(first.grid, F, G)
 
 
+def reference_symplectic(k):
+    """Complex-kernel residuals, the oracle for ``kernels.verify_symplectic``:
+    ``F F^dag - G* G^T = delta`` and ``F (G*)^T = G* F^T``, each as a Frobenius
+    norm over that of the grid delta, ``sqrt(n) / dt``."""
+    from pulse_squeeze.kernels import SymplecticReport
+
+    dt = k.grid.dt
+    n = k.grid.n_points
+    delta_norm = np.sqrt(n) / dt
+    gs = k.G.conj()
+    c1 = dt * (k.F @ k.F.conj().T - gs @ gs.conj().T)
+    c1[np.diag_indices(n)] -= 1.0 / dt
+    c2 = dt * (k.F @ gs.T - gs @ k.F.T)
+    return SymplecticReport(
+        commutator_residual=float(np.linalg.norm(c1) / delta_norm),
+        pairing_residual=float(np.linalg.norm(c2) / delta_norm),
+    )
+
+
 def max_relative_difference(a, b):
     """Largest kernel difference of two pairs, relative to the largest entry of ``a``."""
     scale = max(np.abs(a.F).max(), np.abs(a.G).max())

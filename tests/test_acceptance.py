@@ -257,7 +257,7 @@ def test_criterion_07_small_instance_oracle():
         rho_u = np.zeros((dim, dim), complex)
         rho_u[:3, :3] = np.outer(psi, psi.conj())
 
-        oracle = three_mode_output_state(p, np.pad(rho_u, ((0, 2), (0, 2))), 12)
+        oracle = three_mode_output_state(p, np.pad(rho_u, ((0, 10), (0, 10))), 20)
         chi_out = propagate_char(d, char_of_state(QuantumState(rho_u)))
         rec = fock_from_char(chi_out, dim)
         block = oracle.rho[:dim, :dim]

@@ -12,7 +12,7 @@ from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
 from pulse_squeeze.fockspace import three_mode_output_state
 from pulse_squeeze.grids import inner_product
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
-from pulse_squeeze.states import QuantumState, fock_state
+from pulse_squeeze.states import QuantumState, coherent_state, destroy, fock_state
 
 from conftest import random_mode
 
@@ -125,13 +125,42 @@ class TestFockSpaceOracle:
         rng = np.random.default_rng(6)
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         psi /= np.linalg.norm(psi)
-        rho_u = np.zeros((dim, dim), complex)
-        rho_u[:3, :3] = np.outer(psi, psi.conj())
+        pure = np.zeros((dim, dim), complex)
+        pure[:3, :3] = np.outer(psi, psi.conj())
+        # the mixed input goes through the oracle as one ket per eigenvector
+        mixed = 0.7 * pure
+        mixed[1, 1] += 0.3
 
-        oracle = three_mode_output_state(p, np.pad(rho_u, ((0, 4), (0, 4))), dim + 4)
-        chi_out = propagate_char(d, char_of_state(QuantumState(rho_u)))
-        rec = fock_from_char(chi_out, dim)
-        block = oracle.rho[:dim, :dim]
-        block = block / np.real(np.trace(block))
-        dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rec.rho - block)))
-        assert dist < 1e-4
+        for rho_u in (pure, mixed):
+            oracle = three_mode_output_state(p, np.pad(rho_u, ((0, 12), (0, 12))), 20)
+            chi_out = propagate_char(d, char_of_state(QuantumState(rho_u)))
+            rec = fock_from_char(chi_out, dim)
+            block = oracle.rho[:dim, :dim]
+            block = block / np.real(np.trace(block))
+            dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rec.rho - block)))
+            assert dist < 1e-4
+
+    def test_oracle_matches_heisenberg_moments(self):
+        # a_out = A a + B a^dag + C a_k + D a_k^dag + E a_s with vacuum ports:
+        # <a_out> = A alpha + B alpha* and <a_out^dag a_out> = |<a_out>|^2 + |B|^2 + |D|^2.
+        # The squeezing is weak enough that the dim-20 truncation shows at ~1e-13.
+        p = {
+            "theta1": 0.7, "phi1": 0.4, "theta2": 0.5, "phi2": -1.1,
+            "theta3": 0.3, "phi3": 2.0, "r1": 0.2, "r2": -0.1,
+            "phi_k": 0.6, "phi_u": -0.8,
+        }
+        A, B, _C, D, _E = reconstruct_row(p)
+        alpha = 0.5 - 0.3j
+        dim = 20
+        out = three_mode_output_state(p, coherent_state(alpha, dim).rho, dim)
+        a = destroy(dim)
+        mean = A * alpha + B * np.conj(alpha)
+        assert abs(out.expect(a) - mean) < 1e-10
+        n_out = abs(mean) ** 2 + abs(B) ** 2 + abs(D) ** 2
+        assert abs(out.expect(a.conj().T @ a) - n_out) < 1e-10
+
+    def test_rejects_mis_sized_input(self):
+        p = {"theta1": 0.0, "phi1": 0.0, "theta2": 0.0, "phi2": 0.0,
+             "theta3": 0.0, "phi3": 0.0, "r1": 0.0, "r2": 0.0}
+        with pytest.raises(ValueError):
+            three_mode_output_state(p, fock_state(0, 6).rho, 8)

@@ -3,8 +3,16 @@ import pytest
 
 from pulse_squeeze.charfun import char_of_state, propagate_char
 from pulse_squeeze.decomposition import decompose_output_mode, pullback_rows
-from pulse_squeeze.grids import DegenerateModeError, gaussian_mode, inner_product
-from pulse_squeeze.devices import GaussianPump, OpaParams, OpoParams, build_opa, build_opo
+from pulse_squeeze.grids import DegenerateModeError, TemporalGrid, gaussian_mode, inner_product
+from pulse_squeeze.devices import (
+    GaussianPump,
+    OpaParams,
+    OpoParams,
+    TwpaParams,
+    build_opa,
+    build_opo,
+    build_twpa,
+)
 from pulse_squeeze.kernels import (
     BogoliubovKernels,
     _from_quadrature,
@@ -20,7 +28,12 @@ from pulse_squeeze.kernels import (
 )
 from pulse_squeeze.states import coherent_state
 
-from conftest import max_relative_difference, random_mode, reference_compose
+from conftest import (
+    max_relative_difference,
+    random_mode,
+    reference_compose,
+    reference_symplectic,
+)
 
 
 class TestIdentity:
@@ -174,7 +187,36 @@ class TestCompose:
         assert np.abs(chi_single(pts) - chi_two_stage(pts)).max() < 1e-8
 
 
+@pytest.fixture(scope="module")
+def symplectic_cases(grid, u_mode, opo_kernels, freq_grid):
+    F = opo_kernels.F.copy()
+    F[0, 1] += 0.1
+    stage = OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2))
+    return {
+        "identity": identity_kernels(grid),
+        "squeezer": ideal_squeezer_kernels(grid, u_mode, 2.0),
+        "opo": opo_kernels,
+        "corrupted_opo": BogoliubovKernels(grid, F, opo_kernels.G),
+        "opa": build_opa(OpaParams(0.4, 0.0, 2.0), freq_grid),
+        "twpa": build_twpa(TwpaParams(stage, 100, 0.05), TemporalGrid(-10.0, 30.0, 256)),
+    }
+
+
 class TestVerifySymplectic:
+    @pytest.mark.parametrize(
+        "name", ["identity", "squeezer", "opo", "corrupted_opo", "opa", "twpa"]
+    )
+    def test_matches_complex_reference(self, symplectic_cases, name):
+        # Residuals at round-off differ with the summation order: the OPA's
+        # quadrature map has norm 44 and measures 2.3e-14 here, 1.5e-14 there.
+        k = symplectic_cases[name]
+        got, want = verify_symplectic(k), reference_symplectic(k)
+        for g, w in [
+            (got.commutator_residual, want.commutator_residual),
+            (got.pairing_residual, want.pairing_residual),
+        ]:
+            assert abs(g - w) <= 1e-12 * w + 1e-13
+
     def test_squeezer_analytic(self, grid, u_mode):
         rep = verify_symplectic(ideal_squeezer_kernels(grid, u_mode, 2.0))
         assert rep.max_residual < 1e-10
