@@ -31,6 +31,7 @@ from .config import (
     dump_config,
     load_config,
     load_recipe,
+    parse_config,
     set_by_path,
     sweep_axes,
     validate_config,
@@ -203,21 +204,16 @@ def cmd_modes(cfg: dict, out: Path) -> RunManifest:
 def cmd_state(cfg: dict, out: Path) -> RunManifest:
     """Full state pipeline at a single parameter point."""
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
-    grid = grid_from_config(cfg["grid"])
-    kern = device_from_config(cfg["device"], grid)
-    u = input_mode_from_config(cfg["input"], grid)
+    run = parse_config(cfg)
+    kern = device_from_config(cfg["device"], run.grid)
+    u = input_mode_from_config(cfg["input"], run.grid)
     state = input_state_from_config(cfg["input"])
-    fock_dim = int(cfg.get("fock_dim", 40))
-    res = run_state_analysis(
-        kern, u, state, output_mode=cfg.get("output_mode", "auto_v1"),
-        fock_dim=fock_dim,
-    )
+    res = run_state_analysis(kern, u, state, run.output_mode, run.fock_dim)
     rho = res.rho_out.rho
-    meta = {"config": config_hash(cfg), "dim": fock_dim}
-    _write_csv(out / "rho_re.csv", meta, [f"c{j}" for j in range(fock_dim)],
-               [list(row) for row in rho.real])
-    _write_csv(out / "rho_im.csv", meta, [f"c{j}" for j in range(fock_dim)],
-               [list(row) for row in rho.imag])
+    meta = {"config": config_hash(cfg), "dim": run.fock_dim}
+    columns = [f"c{j}" for j in range(run.fock_dim)]
+    _write_csv(out / "rho_re.csv", meta, columns, [list(row) for row in rho.real])
+    _write_csv(out / "rho_im.csv", meta, columns, [list(row) for row in rho.imag])
     wig = wigner_for_display(res.chi_out)
     wig_meta = dict(meta)
     wig_meta["x_axis"] = f"[{wig.x_axis[0]}, {wig.x_axis[-1]}] x {len(wig.x_axis)}"

@@ -1,16 +1,21 @@
-"""Experiment configuration: YAML schema, validation, sweeps, manifests."""
+"""Experiment configuration: YAML schema, validation, sweeps, manifests.
+
+One table per config block declares its keys; the same parsers validate a
+config and feed the pipeline's builders."""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
 import platform
+import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -18,8 +23,9 @@ import yaml
 
 from .blas import blas_threads
 from .charfun import MAX_FOCK_DIM
-from .grids import load_mode_samples
-from .states import state_library
+from .devices import GaussianPump, OpaParams, OpoParams, TwpaParams
+from .grids import TemporalGrid, integral, load_mode_samples
+from .states import parse_state
 
 __all__ = [
     "ConfigError",
@@ -28,9 +34,9 @@ __all__ = [
     "dump_config",
     "config_hash",
     "validate_config",
+    "parse_config",
     "sweep_axes",
     "set_by_path",
-    "get_by_path",
     "RunManifest",
     "FLOAT_FORMAT",
 ]
@@ -38,14 +44,6 @@ __all__ = [
 # 17 significant digits, scientific: round-trips float64 exactly, so CSV
 # output is byte-reproducible.
 FLOAT_FORMAT = "{:.16e}"
-
-_DEVICE_KEYS = {
-    "identity": set(),
-    "squeezer": {"r", "center", "width"},
-    "opo": {"detuning", "decay", "pump"},
-    "opa": {"gain", "pump_center_detuning", "pump_spectral_width"},
-    "twpa": {"n_stages", "per_stage_gain", "total_gain", "stage"},
-}
 
 
 class ConfigError(ValueError):
@@ -82,141 +80,181 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(dump_config(cfg).encode()).hexdigest()
 
 
-def get_by_path(cfg: dict, dotted: str):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise KeyError(dotted)
-        node = node[part]
-    return node
-
-
 def set_by_path(cfg: dict, dotted: str, value) -> dict:
-    out = copy.deepcopy(cfg)
-    node = out
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    node[parts[-1]] = value
-    return out
+    """A copy of ``cfg`` with its key ``dotted`` set to ``value``, sharing
+    what is off that path; KeyError if ``cfg`` has no such key."""
+    head, _, rest = dotted.partition(".")
+    if not isinstance(cfg, dict) or head not in cfg:
+        raise KeyError(dotted)
+    return {**cfg, head: set_by_path(cfg[head], rest, value) if rest else value}
 
 
-def _axis_values(axis: dict) -> np.ndarray:
-    if "values" in axis:
-        return np.asarray([float(v) for v in axis["values"]])
-    start, stop = float(axis["start"]), float(axis["stop"])
-    points = int(axis["points"])
-    if axis.get("log", False):
-        if min(start, stop) <= 0:
+REQUIRED = object()  # the default of a key that must be given
+_FIELD = re.compile(r"[\w.\[\]]+")  # a key path, such as pump.width or axes[0]
+
+
+class Key(NamedTuple):
+    convert: Callable  # the value's conversion, such as float or a nested Block
+    default: object = REQUIRED  # None: the key may be left out, and stays None
+
+
+def _named(key: str, convert: Callable, value):
+    """``convert(value)``; its error ``"field: problem"`` (how blocks and
+    parameter objects name what they reject) reads ``"key.field: problem"``."""
+    try:
+        return convert(value)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        head, sep, problem = str(exc).partition(": ")
+        if sep and _FIELD.fullmatch(head):
+            raise ValueError(f"{key}.{head}: {problem}") from None
+        raise ValueError(f"{key}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Block:
+    """A config mapping: rejects a missing (or null) or unknown key, converts
+    each value, defaults too, and passes them to ``make`` by keyword."""
+
+    keys: dict
+    make: Callable = SimpleNamespace
+
+    def __call__(self, raw):
+        if not isinstance(raw, dict):
+            raise ValueError(f"need a mapping, got {raw!r}")
+        for key in raw:
+            if key not in self.keys:
+                raise ValueError(f"{key}: unknown key")
+        values = {}
+        for key, (convert, default) in self.keys.items():
+            value = default if raw.get(key) is None else raw[key]
+            if value is REQUIRED:
+                raise ValueError(f"{key}: missing")
+            values[key] = None if value is None else _named(key, convert, value)
+        return self.make(**values)
+
+
+def _twpa(n_stages, stage, total_gain, per_stage_gain) -> TwpaParams:
+    if total_gain is None and per_stage_gain is None:
+        raise ValueError("total_gain: a twpa needs total_gain or per_stage_gain")
+    if total_gain is not None and per_stage_gain is not None:
+        raise ConfigError("device.total_gain and device.per_stage_gain: "
+                          "a twpa takes one of the two, not both")
+    if per_stage_gain is None:
+        per_stage_gain = total_gain / max(n_stages, 1)  # TwpaParams rejects n_stages < 1
+    return TwpaParams(stage, n_stages, per_stage_gain)
+
+
+def _axis(name, values, start, stop, points, log) -> tuple[str, np.ndarray]:
+    if values is None:
+        if None in (start, stop, points):
+            raise ValueError("need either 'values' or 'start/stop/points'")
+        if log and min(start, stop) <= 0:
             raise ValueError("log spacing needs positive start and stop")
-        return np.geomspace(start, stop, points)
-    return np.linspace(start, stop, points)
+        values = (np.geomspace if log else np.linspace)(start, stop, points)
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("no values")
+    return name, values
+
+
+def _sweep(axes: list) -> list[tuple[str, np.ndarray]]:
+    if len(axes) > 2:
+        raise ValueError("axes: at most two sweep axes are supported")
+    return [_named(f"axes[{i}]", _AXIS, axis) for i, axis in enumerate(axes)]
+
+
+def _run(grid, output_mode, fock_dim, **blocks) -> SimpleNamespace:
+    if not 1 <= fock_dim <= MAX_FOCK_DIM:
+        raise ValueError(f"fock_dim: need an integer in 1..{MAX_FOCK_DIM}, got {fock_dim}")
+    if output_mode.startswith("file:"):
+        try:
+            rows = len(load_mode_samples(output_mode[5:]))
+        except (OSError, ValueError, IndexError) as exc:
+            raise ValueError(f"output_mode: cannot read mode file: {exc}") from None
+        if rows != grid.n_points:
+            raise ValueError(f"output_mode: {rows} rows, grid.n_points is {grid.n_points}")
+    elif output_mode not in ("auto_v1", "auto_v2"):
+        raise ValueError(f"output_mode: unknown selector {output_mode!r}")
+    return SimpleNamespace(grid=grid, output_mode=output_mode, fock_dim=fock_dim, **blocks)
+
+
+_OPO = Block({"detuning": Key(float, 0.0), "decay": Key(float, 1.0), "pump": Key(Block(
+    {"area": Key(float), "center": Key(float, 0.0), "width": Key(float)}, GaussianPump))},
+    OpoParams)
+_DEVICES = {
+    "identity": Block({}),
+    "squeezer": Block({"r": Key(float), "center": Key(float, 0.0), "width": Key(float, 1.0)}),
+    "opo": _OPO,
+    "opa": Block({"gain": Key(float), "pump_center_detuning": Key(float, 0.0),
+                  "pump_spectral_width": Key(float)}, OpaParams),
+    "twpa": Block({"n_stages": Key(integral), "stage": Key(_OPO),
+                   "total_gain": Key(float, None), "per_stage_gain": Key(float, None)}, _twpa),
+}
+
+
+def _device(raw) -> tuple[str, object]:
+    """A device block: its ``kind`` picks the Block of its other keys."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in _DEVICES:
+        raise ValueError("kind: " + ("missing" if kind is None else f"unknown device {kind!r}"))
+    return kind, _DEVICES[kind]({key: v for key, v in raw.items() if key != "kind"})
+
+
+_AXIS = Block({"name": Key(str), "values": Key(list, None), "start": Key(float, None),
+               "stop": Key(float, None), "points": Key(integral, None), "log": Key(bool, False)},
+              _axis)
+CONFIG = Block({
+    "name": Key(str, None),
+    "device": Key(_device),
+    "grid": Key(Block({"t_start": Key(float), "t_end": Key(float), "n_points": Key(integral)},
+                      TemporalGrid)),
+    "input": Key(Block({"state": Key(parse_state), "pulse": Key(
+        Block({"center": Key(float, 0.0), "width": Key(float, 1.0)}), {})})),
+    "output_mode": Key(str, "auto_v1"),
+    "fock_dim": Key(integral, 40),
+    "sweep": Key(Block({"axes": Key(list, [])}, _sweep), {}),
+}, _run)
+
+
+def parse_config(cfg: dict, block: str | None = None):
+    """``cfg`` parsed; with ``block``, ``cfg`` is that top-level block of a
+    config (``device`` parses to ``(kind, parameters)``).  A ConfigError
+    names the first bad key."""
+    try:
+        return CONFIG(cfg) if block is None else _named(block, CONFIG.keys[block].convert, cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def sweep_axes(cfg: dict) -> list[tuple[str, np.ndarray]]:
-    sweep = cfg.get("sweep") or {}
-    axes = sweep.get("axes") or []
-    return [(ax["name"], _axis_values(ax)) for ax in axes]
+    return parse_config(cfg).sweep
 
 
 def validate_config(cfg: dict) -> None:
-    """Raise ConfigError naming the bad key; silent on success."""
-    device = cfg.get("device")
-    if not isinstance(device, dict) or "kind" not in device:
-        raise ConfigError("device.kind: missing")
-    kind = device["kind"]
-    if kind not in _DEVICE_KEYS:
-        raise ConfigError(f"device.kind: unknown device {kind!r}")
-    allowed = _DEVICE_KEYS[kind] | {"kind"}
-    for key in device:
-        if key not in allowed:
-            raise ConfigError(f"device.{key}: not a parameter of device {kind!r}")
-    if kind == "opo":
-        _check_pump(device, "device")
-    if kind == "twpa":
-        _check_n_stages(device.get("n_stages"), "device.n_stages")
-        if "total_gain" not in device and "per_stage_gain" not in device:
-            raise ConfigError("device.total_gain: a twpa needs total_gain or per_stage_gain")
-        if "total_gain" in device and "per_stage_gain" in device:
-            raise ConfigError("device.total_gain and device.per_stage_gain: "
-                              "a twpa takes one of the two, not both")
-        stage = device.get("stage")
-        if not isinstance(stage, dict):
-            raise ConfigError("device.stage: missing (the opo parameters of one stage)")
-        for key in stage:
-            if key not in _DEVICE_KEYS["opo"]:
-                raise ConfigError(f"device.stage.{key}: not a parameter of a twpa stage")
-        _check_pump(stage, "device.stage")
-    grid = cfg.get("grid")
-    for key in ("t_start", "t_end", "n_points"):
-        if not isinstance(grid, dict) or key not in grid:
-            raise ConfigError(f"grid.{key}: missing")
-    if "input" not in cfg or "state" not in cfg["input"]:
-        raise ConfigError("input.state: missing")
+    """Raise ConfigError naming the bad key; silent on success.
+
+    Parses the config and builds its input state.  For each value of each
+    sweep axis, parses the top-level block the axis changes with the value
+    substituted, and checks it against the other blocks."""
+    run = parse_config(cfg)
     try:
-        state_library(cfg["input"]["state"])
-    except KeyError as exc:
-        raise ConfigError(f"input.state: missing parameter {exc}") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"input.state: {exc}") from None
-    fock_dim = cfg.get("fock_dim")
-    if fock_dim is not None and (type(fock_dim) is not int or not 1 <= fock_dim <= MAX_FOCK_DIM):
-        raise ConfigError(f"fock_dim: need an integer in 1..{MAX_FOCK_DIM}, got {fock_dim!r}")
-    mode = cfg.get("output_mode", "auto_v1")
-    if mode not in ("auto_v1", "auto_v2") and not mode.startswith("file:"):
-        raise ConfigError(f"output_mode: unknown selector {mode!r}")
-    if mode.startswith("file:"):
-        try:
-            rows = len(load_mode_samples(mode[5:]))
-        except (OSError, ValueError, IndexError) as exc:
-            raise ConfigError(f"output_mode: cannot read mode file: {exc}") from None
-        if rows != grid["n_points"]:
-            raise ConfigError(f"output_mode: {rows} rows, grid.n_points is {grid['n_points']}")
-    axes = (cfg.get("sweep") or {}).get("axes") or []
-    if len(axes) > 2:
-        raise ConfigError("sweep.axes: at most two sweep axes are supported")
-    for i, ax in enumerate(axes):
-        name = ax.get("name")
-        if not name:
-            raise ConfigError(f"sweep.axes[{i}].name: missing")
-        try:
-            get_by_path(cfg, name)
-        except KeyError:
-            raise ConfigError(
-                f"sweep.axes[{i}].name: {name!r} does not exist for this config"
-            ) from None
-        if "values" not in ax and not {"start", "stop", "points"} <= set(ax):
-            raise ConfigError(
-                f"sweep.axes[{i}]: need either 'values' or 'start/stop/points'"
-            )
-        try:
-            values = _axis_values(ax)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"sweep.axes[{i}]: {exc}") from None
-        if values.size == 0:
-            raise ConfigError(f"sweep.axes[{i}]: no values")
-        if kind == "twpa" and name == "device.n_stages":
-            for value in values:
-                _check_n_stages(float(value), f"sweep.axes[{i}] (device.n_stages)")
-
-
-def _check_pump(params: dict, prefix: str) -> None:
-    """An opo (or twpa stage) needs a pump with its area and width."""
-    pump = params.get("pump")
-    if pump is None:
-        raise ConfigError(f"{prefix}.pump: missing")
-    if not isinstance(pump, dict):
-        raise ConfigError(f"{prefix}.pump: need a mapping with area and width, got {pump!r}")
-    for key in ("area", "width"):
-        if key not in pump:
-            raise ConfigError(f"{prefix}.pump.{key}: missing")
-
-
-def _check_n_stages(value, key: str) -> None:
-    """A stage count is an integral number >= 1 (a sweep axis gives floats)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer() or value < 1):
-        raise ConfigError(f"{key}: need an integer >= 1, got {value!r}")
+        _named("input.state", lambda build: build(), run.input.state)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for i, (name, values) in enumerate(run.sweep):
+        block = name.split(".")[0]
+        for value in values:
+            try:
+                point = set_by_path(cfg, name, float(value))
+                _run(**{**vars(run), block: parse_config(point[block], block)})
+            except KeyError:
+                raise ConfigError(
+                    f"sweep.axes[{i}].name: {name!r} does not exist for this config"
+                ) from None
+            except ValueError as exc:
+                raise ConfigError(f"sweep.axes[{i}]: at {name} = {value}: {exc}") from None
 
 
 def _run_environment() -> dict:

@@ -48,9 +48,6 @@ class OutputDecomposition:
     E: float
     zeta: float
     xi: float
-    overlap_fu: complex
-    overlap_ug: complex
-    overlap_hk: complex
     f: ModeFunction | None = field(repr=False, default=None)
     g: ModeFunction | None = field(repr=False, default=None)
     h: ModeFunction | None = field(repr=False, default=None)
@@ -90,18 +87,9 @@ def decompose_output_mode(
     h, h_norm = orthogonal_complement(f, [u])
 
     if g is None:
-        C = 0.0 + 0.0j
-        D = 0.0
-        B = 0.0 + 0.0j
-        ug = 0.0 + 0.0j
-        hk = 0.0 + 0.0j
-        k_mode = None
-        s_mode = h
-        E = zeta * h_norm
         return OutputDecomposition(
-            A=A, B=B, C=C, D=D, E=E, zeta=zeta, xi=xi,
-            overlap_fu=fu, overlap_ug=ug, overlap_hk=hk,
-            f=f, g=None, h=h, k=None, s=s_mode,
+            A=A, B=0.0 + 0.0j, C=0.0 + 0.0j, D=0.0, E=zeta * h_norm, zeta=zeta, xi=xi,
+            f=f, g=None, h=h, k=None, s=h,
         )
 
     ug = inner_product(u, g)  # <u, g>
@@ -113,14 +101,12 @@ def decompose_output_mode(
         # f parallel to u: no squeezed-vacuum beam-splitter ports from f.
         return OutputDecomposition(
             A=A, B=B, C=0.0 + 0.0j, D=D, E=0.0, zeta=zeta, xi=xi,
-            overlap_fu=fu, overlap_ug=ug, overlap_hk=0.0 + 0.0j,
             f=f, g=g, h=None, k=k_mode, s=None,
         )
     if k_mode is None:
         # g parallel to u: the h direction is a pure vacuum port.
         return OutputDecomposition(
             A=A, B=B, C=0.0 + 0.0j, D=D, E=zeta * h_norm, zeta=zeta, xi=xi,
-            overlap_fu=fu, overlap_ug=ug, overlap_hk=0.0 + 0.0j,
             f=f, g=g, h=h, k=None, s=h,
         )
 
@@ -130,7 +116,6 @@ def decompose_output_mode(
     E = zeta * h_norm * (s_norm if s_mode is not None else 0.0)
     return OutputDecomposition(
         A=A, B=B, C=C, D=D, E=E, zeta=zeta, xi=xi,
-        overlap_fu=fu, overlap_ug=ug, overlap_hk=hk,
         f=f, g=g, h=h, k=k_mode, s=s_mode,
     )
 

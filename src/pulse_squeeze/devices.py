@@ -64,7 +64,7 @@ class GaussianPump:
 
     def __post_init__(self):
         if self.width <= 0:
-            raise ValueError("pump width must be positive")
+            raise ValueError(f"width: must be positive, got {self.width}")
 
     def profile(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -95,7 +95,7 @@ class OpoParams:
 
     def __post_init__(self):
         if self.decay <= 0:
-            raise ValueError("cavity decay rate must be positive")
+            raise ValueError(f"decay: the cavity decay rate must be positive, got {self.decay}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ class OpaParams:
 
     def __post_init__(self):
         if self.pump_spectral_width <= 0:
-            raise ValueError("pump spectral width must be positive")
+            raise ValueError(
+                f"pump_spectral_width: must be positive, got {self.pump_spectral_width}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class TwpaParams:
 
     def __post_init__(self):
         if self.n_stages < 1:
-            raise ValueError("need at least one stage")
+            raise ValueError(f"n_stages: need at least one stage, got {self.n_stages}")
 
 
 def default_opo_grid(gamma: float = 1.0, n_points: int = 1024) -> TemporalGrid:

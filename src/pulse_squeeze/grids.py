@@ -8,6 +8,7 @@ devices use it as time, single-pass amplifiers as frequency.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "eigendecompose",
     "gaussian_mode",
     "load_mode_samples",
+    "integral",
 ]
 
 # Residual norms below this are treated as "contained in the span".
@@ -40,6 +42,15 @@ class GridMismatchError(ValueError):
 
 class DegenerateModeError(ValueError):
     """Raised when an operation needs a nonzero mode but got (numerically) zero."""
+
+
+def integral(value) -> int:
+    """``value`` as an int if it is an integral number, such as the float
+    8.0 a sweep axis gives; anything else is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ValueError(f"need an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -61,9 +72,9 @@ class TemporalGrid:
 
     def __post_init__(self):
         if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+            raise ValueError(f"n_points: must be >= 2, got {self.n_points}")
         if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+            raise ValueError(f"t_end: must exceed t_start, got {self.t_end} <= {self.t_start}")
 
     @property
     def dt(self) -> float:

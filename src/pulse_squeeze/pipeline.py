@@ -28,16 +28,9 @@ from .coherence import (
     occupation_ratio,
     seeded_vacuum_split,
 )
+from .config import CONFIG, parse_config
 from .decomposition import OutputDecomposition, decompose_output_mode
-from .devices import (
-    GaussianPump,
-    OpaParams,
-    OpoParams,
-    TwpaParams,
-    build_opa,
-    build_opo,
-    build_twpa,
-)
+from .devices import build_opa, build_opo, build_twpa
 from .grids import ModeFunction, TemporalGrid, gaussian_mode, load_mode_samples, normalize
 from .kernels import BogoliubovKernels, ideal_squeezer_kernels, identity_kernels
 from .metrics import (
@@ -48,7 +41,7 @@ from .metrics import (
     purity,
     squeeze_target_evaluator,
 )
-from .states import QuantumState, state_library
+from .states import QuantumState
 
 __all__ = [
     "PointResult",
@@ -83,9 +76,7 @@ class PointResult:
 
 
 def grid_from_config(cfg: dict) -> TemporalGrid:
-    return TemporalGrid(
-        float(cfg["t_start"]), float(cfg["t_end"]), int(cfg["n_points"])
-    )
+    return parse_config(cfg, "grid")
 
 
 def device_from_config(cfg: dict, grid: TemporalGrid) -> BogoliubovKernels:
@@ -94,63 +85,22 @@ def device_from_config(cfg: dict, grid: TemporalGrid) -> BogoliubovKernels:
     ``identity`` and ``squeezer`` are reference elements used for checks;
     the physical devices are ``opo``, ``opa`` and ``twpa``.
     """
-    kind = cfg.get("kind")
+    kind, params = parse_config(cfg, "device")
     if kind == "identity":
         return identity_kernels(grid)
     if kind == "squeezer":
-        mode = gaussian_mode(
-            grid, float(cfg.get("center", 0.0)), float(cfg.get("width", 1.0))
-        )
-        return ideal_squeezer_kernels(grid, mode, float(cfg["r"]))
-    if kind == "opo":
-        return build_opo(_opo_params(cfg), grid)
-    if kind == "opa":
-        return build_opa(
-            OpaParams(
-                gain=float(cfg["gain"]),
-                pump_center_detuning=float(cfg.get("pump_center_detuning", 0.0)),
-                pump_spectral_width=float(cfg["pump_spectral_width"]),
-            ),
-            grid,
-        )
-    if kind == "twpa":
-        n_stages = int(cfg["n_stages"])
-        per_stage = cfg.get("per_stage_gain")
-        if per_stage is None:
-            per_stage = float(cfg["total_gain"]) / n_stages
-        return build_twpa(
-            TwpaParams(
-                stage=_opo_params(cfg["stage"]),
-                n_stages=n_stages,
-                per_stage_gain=float(per_stage),
-            ),
-            grid,
-        )
-    raise ValueError(f"unknown device kind {kind!r}")
-
-
-def _opo_params(cfg: dict) -> OpoParams:
-    pump = cfg["pump"]
-    return OpoParams(
-        detuning=float(cfg.get("detuning", 0.0)),
-        decay=float(cfg.get("decay", 1.0)),
-        pump=GaussianPump(
-            area=float(pump["area"]),
-            center=float(pump.get("center", 0.0)),
-            width=float(pump["width"]),
-        ),
-    )
+        mode = gaussian_mode(grid, params.center, params.width)
+        return ideal_squeezer_kernels(grid, mode, params.r)
+    return {"opo": build_opo, "opa": build_opa, "twpa": build_twpa}[kind](params, grid)
 
 
 def input_mode_from_config(cfg: dict, grid: TemporalGrid) -> ModeFunction:
-    pulse = cfg.get("pulse", {})
-    return gaussian_mode(
-        grid, float(pulse.get("center", 0.0)), float(pulse.get("width", 1.0))
-    )
+    pulse = parse_config(cfg, "input").pulse
+    return gaussian_mode(grid, pulse.center, pulse.width)
 
 
 def input_state_from_config(cfg: dict) -> QuantumState:
-    return state_library(cfg.get("state", {"kind": "vacuum"}))
+    return parse_config(cfg, "input").state()
 
 
 def select_output_mode(
@@ -165,12 +115,7 @@ def select_output_mode(
     if selector.startswith("file:"):
         if grid is None:
             raise ValueError("an explicit mode file needs the grid")
-        amplitudes = load_mode_samples(selector[5:])
-        if len(amplitudes) != grid.n_points:
-            raise ValueError(
-                f"mode file has {len(amplitudes)} samples, grid has {grid.n_points}"
-            )
-        mode, _ = normalize(ModeFunction(grid, amplitudes))
+        mode, _ = normalize(ModeFunction(grid, load_mode_samples(selector[5:])))
         return mode
     pool = spectrum.seeded if spectrum.seeded else spectrum.vacuum
     if selector == "auto_v1":
@@ -241,7 +186,7 @@ def run_state_analysis(
     kernels: BogoliubovKernels,
     u: ModeFunction,
     state: QuantumState,
-    output_mode: str = "auto_v1",
+    output_mode: str = CONFIG.keys["output_mode"].default,
     fock_dim: int = 0,
 ) -> PointResult:
     """Full pipeline for the state in one output mode.

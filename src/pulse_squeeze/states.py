@@ -8,10 +8,13 @@ interpolation and truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
+
+from .grids import integral
 
 __all__ = [
     "QuantumState",
@@ -22,6 +25,7 @@ __all__ = [
     "coherent_state",
     "even_cat_state",
     "squeezed_state",
+    "parse_state",
     "state_library",
 ]
 
@@ -80,9 +84,7 @@ def _pure(coeffs: np.ndarray, char_eval=None) -> QuantumState:
 
 
 def vacuum_state(dim: int = DEFAULT_DIM) -> QuantumState:
-    c = np.zeros(dim, complex)
-    c[0] = 1.0
-    return _pure(c, char_eval=lambda b: np.exp(-0.5 * np.abs(b) ** 2))
+    return fock_state(0, dim)
 
 
 def fock_state(n: int, dim: int = DEFAULT_DIM) -> QuantumState:
@@ -186,25 +188,43 @@ def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
     return _pure(c, char_eval=char_eval)
 
 
-def state_library(spec: dict | str, dim: int = DEFAULT_DIM) -> QuantumState:
-    """Build a library state from a config-style specifier.
+# The parameters of each state kind, in the order its builder takes them
+# before ``dim``, with their conversions.
+_KINDS = {
+    "vacuum": (vacuum_state, {}),
+    "fock": (fock_state, {"n": integral}),
+    "coherent": (coherent_state, {"alpha": complex}),
+    "even_cat": (even_cat_state, {"alpha": complex}),
+    "squeezed": (squeezed_state, {"r": float}),
+}
 
-    Accepts ``{"kind": "fock", "n": 1}``-style dicts or the bare strings
-    ``vacuum`` / ``fock`` / ``coherent`` / ``even_cat`` / ``squeezed``
-    (with their parameter defaulting to the spec dict's entries).
-    """
-    if isinstance(spec, str):
+
+def parse_state(spec: dict | str, dim: int = DEFAULT_DIM) -> partial:
+    """Check a config-style specifier, ``{"kind": "fock", "n": 1}`` with an
+    optional ``dim`` or a bare kind name; return its builder with the
+    converted parameters bound.  A rejected key is named as ``key: problem``."""
+    if not isinstance(spec, dict):
         spec = {"kind": spec}
     kind = spec.get("kind")
-    dim = int(spec.get("dim", dim))
-    if kind == "vacuum":
-        return vacuum_state(dim)
-    if kind == "fock":
-        return fock_state(int(spec["n"]), dim)
-    if kind == "coherent":
-        return coherent_state(complex(spec["alpha"]), dim)
-    if kind == "even_cat":
-        return even_cat_state(complex(spec["alpha"]), dim)
-    if kind == "squeezed":
-        return squeezed_state(float(spec["r"]), dim)
-    raise ValueError(f"unknown state kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"kind: unknown state kind {kind!r}")
+    build, params = _KINDS[kind]
+    params = {**params, "dim": integral}
+    for key in spec:
+        if key != "kind" and key not in params:
+            raise ValueError(f"{key}: not a parameter of a {kind} state")
+    values = {"dim": dim, **spec}
+    args = []
+    for key, convert in params.items():
+        if key not in values:
+            raise ValueError(f"{key}: missing")
+        try:
+            args.append(convert(values[key]))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return partial(build, *args)
+
+
+def state_library(spec: dict | str, dim: int = DEFAULT_DIM) -> QuantumState:
+    """Build a library state from a config-style specifier (see parse_state)."""
+    return parse_state(spec, dim)()

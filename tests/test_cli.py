@@ -45,6 +45,20 @@ class TestConfig:
         for name in ("fig2a", "fig2b", "fig3ab", "fig3cd", "fig3ef", "fig4"):
             validate_config(load_recipe(name))
 
+    def test_readme_lists_every_config_key(self):
+        from pulse_squeeze import config, states
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme[readme.index("### Config keys"):]
+        keys = {"kind", "dim"} | {key for _, params in states._KINDS.values() for key in params}
+        blocks = [config.CONFIG, config._AXIS, *config._DEVICES.values()]
+        while blocks:
+            for key, (convert, _default) in blocks.pop().keys.items():
+                keys.add(key)
+                if isinstance(convert, config.Block):
+                    blocks.append(convert)
+        assert [key for key in sorted(keys) if f"`{key}`" not in table] == []
+
     def test_unknown_recipe_lists_available(self):
         with pytest.raises(ConfigError, match="fig2a"):
             load_recipe("fig9")
@@ -103,6 +117,10 @@ class TestCliCommands:
         no_stage = {k: v for k, v in twpa.items() if k != "stage"}
         opo = {"kind": "opo", "detuning": 0.0, "decay": 1.0}
         both = "device.total_gain and device.per_stage_gain"
+        pump = {"area": 1.0, "width": 0.3}
+        opa_no_gain = {"kind": "opa", "pump_spectral_width": 2.0}
+        grid = _base_config()["grid"]
+        inp = _base_config()["input"]
 
         # malformed settings are config errors, caught before any compute
         cases = [
@@ -137,6 +155,27 @@ class TestCliCommands:
              {"device": twpa, **axis("device.n_stages", values=[10, 2.5])}),
             ("modes", "sweep.axes[0]",
              {"device": twpa, **axis("device.n_stages", start=0.0, stop=4.0, points=3)}),
+            ("modes", "device.gain", {"device": opa_no_gain}),
+            ("modes", "device.gain", {"device": {**opa_no_gain, "gain": "abc"}}),
+            ("modes", "device.r", {"device": {"kind": "squeezer"}}),
+            ("modes", "grid.t_end", {"grid": {**grid, "t_end": grid["t_start"]}}),
+            ("modes", "grid.t_end", {"grid": {**grid, "t_end": grid["t_start"] - 1.0}}),
+            ("modes", "grid.n_points", {"grid": {**grid, "n_points": 1}}),
+            ("modes", "grid.n_points", {"grid": {**grid, "n_points": 64.5}}),
+            ("modes", "device.pump.width", {"device": {**opo, "pump": {**pump, "width": 0}}}),
+            ("modes", "device.decay", {"device": {**opo, "pump": pump, "decay": 0}}),
+            ("modes", "device.pump.centre",
+             {"device": {**opo, "pump": {**pump, "centre": 1.0}}}),
+            ("modes", "input.pulse.widht", {"input": {**inp, "pulse": {"widht": 2}}}),
+            ("modes", "input.puls", {"input": {"state": inp["state"], "puls": {"width": 2}}}),
+            ("state", "input.state.alpah",
+             {"input": {**inp, "state": {"kind": "coherent", "alpah": 1.0}}}),
+            ("state", "fockdim", {"fockdim": 8}),
+            ("state", "input.state.n",
+             {"input": {**inp, "state": {"kind": "fock", "n": 1.5, "dim": 20}}}),
+            ("state", "input.state", {"input": {**inp, "state": {"kind": "vacuum", "dim": 0}}}),
+            ("modes", "sweep.axes[0]", {"device": {**opo, "pump": pump},
+                                        **axis("device.pump.width", values=[0.0, 0.3])}),
         ]
         for command, key, override in cases:
             cfg = _base_config(**override)

@@ -320,7 +320,6 @@ class TestPropagateChar:
         d = OutputDecomposition(
             A=np.sqrt(eta), B=0.0, C=0.0, D=np.sqrt(1 - eta), E=0.0,
             zeta=1.0, xi=np.sqrt(1 - eta),
-            overlap_fu=1.0, overlap_ug=0.0, overlap_hk=0.0,
         )
         alpha = 1.4 + 0.3j
         chi_out = propagate_char(d, char_of_state(coherent_state(alpha, 50)))
