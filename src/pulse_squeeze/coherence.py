@@ -11,9 +11,21 @@ with ``f~ = F u`` and ``g~ = G u`` (dt-weighted) and n, m the input
 occupation and anomalous moment.  The first four terms depend on the input
 state and have rank at most two (a 2x2 problem gives their modes); the
 last, the squeezed vacuum the device emits on its own, depends on the
-device alone, and its mode ladder is diagonalized only when read: only the
-few eigenpairs above ``OCCUPATION_CUT`` of the total, on one BLAS thread, so
-the ladder's bits do not depend on the machine's thread count.
+device alone, and its mode ladder is solved only when read, and only for
+the few eigenpairs above ``OCCUPATION_CUT`` of the total.
+
+The ladder is the eigenproblem of the Gram matrix ``H H^dag``, with
+``H = dt conj(G)``.  A seeded Gaussian block of a few dozen columns, two
+applications of ``H H^dag`` and a Rayleigh-Ritz step (the range finder of
+Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)) give its top pairs in
+O(n^2 k) without forming the n x n matrix.  Ritz values never exceed the
+eigenvalues they approximate, so ``vacuum_total`` minus the sum of the
+block's Ritz values bounds every eigenvalue the block did not keep; the
+block is accepted when that bound stays under the cut and each kept pair's
+residual is at round-off, and grown from its kept count otherwise.  A
+ladder so wide that its blocks would together pass n / 4 columns goes to
+the dense solve instead.  Both run on one BLAS thread, so the ladder's bits
+do not depend on the machine's thread count.
 """
 
 from __future__ import annotations
@@ -45,6 +57,18 @@ __all__ = [
 # Occupations below this fraction of the total are reported as unpopulated.
 OCCUPATION_CUT = 1e-8
 
+# The ladder's block solve: the seed of its Gaussian start, its first width,
+# and the share of n its blocks may use together before the dense solve is
+# the cheaper one.
+LADDER_SEED = 2011
+LADDER_START = 32
+LADDER_SHARE = 4
+# A kept Ritz pair is accepted when its residual is at round-off against the
+# top value, and small against its gap to the other values: residual over
+# gap bounds the angle to the true eigenvector (Davis-Kahan).
+RITZ_RESIDUAL_TOL = 1e-13
+RITZ_ANGLE_TOL = 1e-5
+
 # The seeded kernel may dip slightly negative for states with |m| > n (the
 # even cat exceeds the single-mode condition by ~1e-5 relative); anything
 # below this relative level is a real error.
@@ -75,9 +99,10 @@ class ModeSpectrum:
 
     ``seeded`` holds the (at most two) input-fed modes, ``vacuum`` the
     squeezed-vacuum ladder of ``kernels`` truncated at ``OCCUPATION_CUT`` of
-    the total.  The ladder is diagonalized the first time it is read, and
-    only its eigenpairs above the cut are computed (``(lam, mode)`` pairs,
-    descending), typically a dozen of n.
+    the total.  The ladder is solved the first time it is read, and only its
+    eigenpairs above the cut are computed (``(lam, mode)`` pairs,
+    descending), typically a dozen of n: by the certified block solve, or
+    by the dense one when the ladder is too wide for it.
     """
 
     seeded: list[tuple[float, ModeFunction]]
@@ -94,26 +119,96 @@ class ModeSpectrum:
         """Ladder eigenpairs above the cut, as ``eigendecompose`` of
         :func:`vacuum_kernel` would give them after filtering.
 
-        The matrix diagonalized, ``vacuum_kernel(k).entries.T * dt`` as in
-        ``eigendecompose``, is the Gram matrix ``dt^2 conj(G) G^T``: one
-        rank-k update (``herk``) fills its lower triangle, the one the solve
-        reads.  It is positive semidefinite by construction, so the
-        negative-eigenvalue guard of ``eigendecompose`` has nothing to check
-        here, and a solve restricted to ``(cut, inf)`` misses nothing but
-        round-off.  Both run on one BLAS thread: their bits then do not
-        depend on the thread count.
+        The matrix solved, ``vacuum_kernel(k).entries.T * dt`` as in
+        ``eigendecompose``, is the Gram matrix ``H H^dag`` of
+        ``H = dt conj(G)``, positive semidefinite by construction.  No
+        eigenvalue exceeds its trace ``vacuum_total``, so a ladder whose
+        total is within the cut is empty.  Otherwise :func:`_block_ladder`
+        solves it from blocks of a few dozen columns and certifies the
+        result; when its blocks would pass n / ``LADDER_SHARE`` columns,
+        :func:`_dense_ladder` forms the matrix and solves it instead.  Both
+        run on one BLAS thread: their bits then do not depend on the thread
+        count.
         """
         k = self.kernels
         dt = k.grid.dt
         cut = OCCUPATION_CUT * self.total
+        if self.vacuum_total <= cut:
+            return []
         with one_blas_thread():
-            # herk with trans=2 forms a^H a; a = G^T is a view, not a copy.
-            m = scipy.linalg.blas.zherk(dt**2, k.G.T, trans=2, lower=1)
-            vals, vecs = scipy.linalg.eigh(m, subset_by_value=(cut, np.inf), overwrite_a=True)
+            vals, vecs = (_block_ladder(k.G, dt, self.vacuum_total, cut)
+                          or _dense_ladder(k.G, dt, cut))
         return [
             (float(lam), ModeFunction(k.grid, _pin_phase(vec) / np.sqrt(dt)))
-            for lam, vec in zip(vals[::-1], vecs[:, ::-1].T)
+            for lam, vec in zip(vals, vecs.T)
         ]
+
+
+def _block_ladder(g: np.ndarray, dt: float, total: float, cut: float):
+    """Descending ladder pairs ``(vals, vecs)`` above ``cut`` from the first
+    certified block, or None when the blocks would together pass
+    n / ``LADDER_SHARE`` columns.  A failed block sizes the next from its
+    kept count k: ``max(width, 2 k) + 16`` columns, or three times as many
+    when all its pairs were kept, since k then only bounds the ladder from
+    below."""
+    budget = g.shape[0] // LADDER_SHARE
+    width = LADDER_START
+    while width <= budget:
+        budget -= width
+        vals, vecs, certified = _ritz_block(g, dt, total, cut, width)
+        if certified:
+            return vals, vecs
+        kept = len(vals)
+        width = 3 * width if kept == width else max(width, 2 * kept) + 16
+    return None
+
+
+def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, width: int):
+    """Ritz pairs above ``cut`` of a ``width``-column block, and whether
+    they are certified.
+
+    ``H x = dt conj(G conj(x))`` and ``H^dag x = dt G^T x`` act on the thin
+    blocks only.  ``Q`` spans ``(H H^dag)^2 Omega``; with
+    ``H^dag Q = W S Z^dag``, the Ritz values are ``S^2``, the Ritz vectors
+    ``Q Z``, and ``H H^dag Q Z = H W S`` gives their residuals.  The Ritz
+    values ``theta`` sit below the eigenvalues they approximate, so every
+    eigenvalue not kept is at most the first value not kept plus
+    ``total - sum(theta)``; certified means that bound is under the cut and
+    every kept residual passes ``RITZ_RESIDUAL_TOL`` and ``RITZ_ANGLE_TOL``,
+    the latter against the gap to the neighbouring kept values (below the
+    last one, to the bound).
+    """
+
+    def h(x):
+        return dt * np.conj(g @ np.conj(x))
+
+    def h_adj(x):
+        return dt * (g.T @ x)
+
+    omega = np.random.default_rng(LADDER_SEED).standard_normal((len(g), 2 * width))
+    q = np.linalg.qr(h(h_adj(omega.view(complex))))[0]
+    q = np.linalg.qr(h(h_adj(q)))[0]
+    w, s, zh = np.linalg.svd(h_adj(q), full_matrices=False)
+    theta = s**2
+    kept = int(np.count_nonzero(theta > cut))
+    vecs = q @ zh[:kept].conj().T
+    residual = np.linalg.norm(h(w[:, :kept] * s[:kept]) - vecs * theta[:kept], axis=0)
+    bound = (theta[kept] if kept < width else 0.0) + (total - theta.sum())
+    edges = np.concatenate([[np.inf], theta[:kept], [bound]])
+    gap = np.minimum(edges[:-2] - edges[1:-1], edges[1:-1] - edges[2:])
+    tol = np.minimum(RITZ_RESIDUAL_TOL * theta[0], RITZ_ANGLE_TOL * gap)
+    return theta[:kept], vecs, bool(bound < cut and np.all(residual <= tol))
+
+
+def _dense_ladder(g: np.ndarray, dt: float, cut: float):
+    """Descending ladder pairs above ``cut`` from the formed Gram matrix: one
+    rank-k update (``herk``) fills its lower triangle, the one the solve
+    reads, and a solve restricted to ``(cut, inf)`` misses nothing but
+    round-off."""
+    # herk with trans=2 forms a^H a; a = G^T is a view, not a copy.
+    m = scipy.linalg.blas.zherk(dt**2, g.T, trans=2, lower=1)
+    vals, vecs = scipy.linalg.eigh(m, subset_by_value=(cut, np.inf), overwrite_a=True)
+    return vals[::-1], vecs[:, ::-1]
 
 
 def input_moments(state: QuantumState) -> InputMoments:

@@ -51,8 +51,15 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str | Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+    """The YAML mapping in ``path``; an unreadable file or invalid YAML is a
+    ConfigError naming the path, on one line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return cfg
@@ -135,6 +142,13 @@ class Block:
         return self.make(**values)
 
 
+def _positive(value) -> float:
+    value = float(value)
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
 def _twpa(n_stages, stage, total_gain, per_stage_gain) -> TwpaParams:
     if total_gain is None and per_stage_gain is None:
         raise ValueError("total_gain: a twpa needs total_gain or per_stage_gain")
@@ -185,7 +199,7 @@ _OPO = Block({"detuning": Key(float, 0.0), "decay": Key(float, 1.0), "pump": Key
     OpoParams)
 _DEVICES = {
     "identity": Block({}),
-    "squeezer": Block({"r": Key(float), "center": Key(float, 0.0), "width": Key(float, 1.0)}),
+    "squeezer": Block({"r": Key(float), "center": Key(float, 0.0), "width": Key(_positive, 1.0)}),
     "opo": _OPO,
     "opa": Block({"gain": Key(float), "pump_center_detuning": Key(float, 0.0),
                   "pump_spectral_width": Key(float)}, OpaParams),
@@ -211,7 +225,7 @@ CONFIG = Block({
     "grid": Key(Block({"t_start": Key(float), "t_end": Key(float), "n_points": Key(integral)},
                       TemporalGrid)),
     "input": Key(Block({"state": Key(parse_state), "pulse": Key(
-        Block({"center": Key(float, 0.0), "width": Key(float, 1.0)}), {})})),
+        Block({"center": Key(float, 0.0), "width": Key(_positive, 1.0)}), {})})),
     "output_mode": Key(str, "auto_v1"),
     "fock_dim": Key(integral, 40),
     "sweep": Key(Block({"axes": Key(list, [])}, _sweep), {}),

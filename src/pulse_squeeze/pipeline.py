@@ -196,8 +196,9 @@ def run_state_analysis(
     the characteristic picture.
     """
     result = run_modes(kernels, u, state)
-    # Diagonalize the vacuum ladder now, before the chi stages allocate
-    # their grids, so its n x n workspace is not part of their peak memory.
+    # Solve the vacuum ladder now, before the chi stages allocate their
+    # grids: a ladder wide enough for the dense solve then keeps its n x n
+    # workspace out of their peak memory.
     vacuum = result.spectrum.vacuum
     result.metrics["m1"] = vacuum[0][0] if vacuum else 0.0
     v = select_output_mode(result.spectrum, output_mode, kernels.grid)

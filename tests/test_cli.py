@@ -176,6 +176,10 @@ class TestCliCommands:
             ("state", "input.state", {"input": {**inp, "state": {"kind": "vacuum", "dim": 0}}}),
             ("modes", "sweep.axes[0]", {"device": {**opo, "pump": pump},
                                         **axis("device.pump.width", values=[0.0, 0.3])}),
+            ("modes", "input.pulse.width", {"input": {**inp, "pulse": {"width": 0}}}),
+            ("modes", "input.pulse.width", {"input": {**inp, "pulse": {"width": -1.0}}}),
+            ("modes", "device.width", {"device": {"kind": "squeezer", "r": 0.8, "width": 0}}),
+            ("modes", "sweep.axes[0]", axis("input.pulse.width", values=[1.0, 0.0])),
         ]
         for command, key, override in cases:
             cfg = _base_config(**override)
@@ -183,6 +187,14 @@ class TestCliCommands:
             out = tmp_path / "run"
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1, override
             assert key in capsys.readouterr().err, override
+
+        # a config file that cannot be read or parsed: one line naming the file
+        path.write_text("device: {kind: [\n")
+        for bad in (tmp_path / "missing.yaml", path):
+            assert cli.main(["modes", "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and str(bad) in err, err
+            assert err.count("\n") == 1, err
 
     def test_cli_never_imports_scipy_optimize(self, tmp_path):
         # Only the circuit fit of decomposition.bloch_messiah_params needs

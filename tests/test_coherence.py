@@ -170,12 +170,21 @@ class TestVacuumLadder:
     @pytest.fixture(scope="class")
     def cases(self, grid, u_mode, opo_kernels, freq_grid):
         from pulse_squeeze.devices import (
-            GaussianPump, OpaParams, OpoParams, TwpaParams, build_opa, build_twpa)
+            GaussianPump, OpaParams, OpoParams, TwpaParams, build_opa, build_opo, build_twpa)
         from pulse_squeeze.grids import TemporalGrid, gaussian_mode
 
         twpa_grid = TemporalGrid(-10.0, 30.0, 256)
         twpa = build_twpa(
             TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), 20, 0.05), twpa_grid)
+        # fig2a at full size, a vacuum-seeded OPO: its ladder keeps 67 pairs
+        # at pump width 1.0, and 231 at 4.0, too many for the block solve.
+        fig2a_grid = TemporalGrid(-30.0, 50.0, 1024)
+        fig2a = {
+            f"fig2a-{width}": (build_opo(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, width)),
+                                         fig2a_grid),
+                               gaussian_mode(fig2a_grid, 0.0, 1.0), InputMoments(0.0, 0.0))
+            for width in (1.0, 4.0)
+        }
         return {
             "opo": (opo_kernels, u_mode, input_moments(fock_state(1, 30))),
             "opo-vacuum": (opo_kernels, u_mode, InputMoments(0.0, 0.0)),
@@ -183,14 +192,27 @@ class TestVacuumLadder:
                     gaussian_mode(freq_grid, 0.0, 1.0), input_moments(coherent_state(1.5, 40))),
             "twpa-20": (twpa, gaussian_mode(twpa_grid, 0.0, 1.0),
                         input_moments(even_cat_state(2.5, 60))),
+            **fig2a,
         }
 
-    @pytest.mark.parametrize("name", ["opo", "opo-vacuum", "opa", "twpa-20"])
-    def test_matches_dense_oracle(self, cases, name, monkeypatch):
-        k, u, moments = cases[name]
-        sp = seeded_vacuum_split(k, u, moments)
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Record each call of the coherence module's function ``name``."""
+        import pulse_squeeze.coherence as coherence
+
+        calls = []
+        real = getattr(coherence, name)
+
+        def spying(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(coherence, name, spying)
+        return calls
+
+    def assert_matches_dense(self, sp, monkeypatch):
         cut = OCCUPATION_CUT * sp.total
-        dense = eigendecompose(vacuum_kernel(k))
+        dense = eigendecompose(vacuum_kernel(sp.kernels))
         kept = [(lam, mode) for lam, mode in dense if lam > cut]
         assert 0 < len(kept) < len(dense)
         built = []
@@ -208,6 +230,77 @@ class TestVacuumLadder:
             assert abs(inner_product(w, v)) >= 1 - 1e-9
         # Read once: the ladder is solved on first access only.
         assert sp.vacuum is ladder
+
+    @pytest.mark.parametrize(
+        "name", ["opo", "opo-vacuum", "opa", "twpa-20", "fig2a-1.0", "fig2a-4.0"])
+    def test_matches_dense_oracle(self, cases, name, monkeypatch):
+        k, u, moments = cases[name]
+        sp = seeded_vacuum_split(k, u, moments)
+        dense_calls = self.spy(monkeypatch, "_dense_ladder")
+        self.assert_matches_dense(sp, monkeypatch)
+        # Only the widest ladder takes the dense solve: its blocks would pass
+        # n / 4 columns.  Every other case is certified from blocks.
+        assert len(dense_calls) == (name == "fig2a-4.0")
+
+    @pytest.mark.parametrize("width", [4, 24])
+    def test_small_block_fails_certificate(self, cases, width, monkeypatch):
+        # One block, too narrow for the 21 pairs of the ladder, and no budget
+        # to grow it: the dense solve gives the answer.  At 4 columns the
+        # remainder fails; at 24 it passes, but the kept residuals do not
+        # (1e-10 of the top value; one vector's overlap is 1 - 3e-6).
+        import pulse_squeeze.coherence as coherence
+
+        k, u, moments = cases["opo"]
+        monkeypatch.setattr(coherence, "LADDER_START", width)
+        monkeypatch.setattr(coherence, "LADDER_SHARE", k.grid.n_points // width)
+        blocks = self.spy(monkeypatch, "_ritz_block")
+        dense_calls = self.spy(monkeypatch, "_dense_ladder")
+        self.assert_matches_dense(seeded_vacuum_split(k, u, moments), monkeypatch)
+        assert [certified for _, _, certified in blocks] == [False]
+        assert len(dense_calls) == 1
+
+    def test_near_degenerate_pair_goes_dense(self, monkeypatch):
+        # A rank-8 ladder with two values 1e-12 apart.  The block spans it
+        # exactly, and any rotation of that pair's vectors has a residual at
+        # round-off: only the residual over the gap shows that the block
+        # cannot pin them down, so the dense solve gives them.
+        from pulse_squeeze.coherence import ModeSpectrum
+        from pulse_squeeze.grids import TemporalGrid
+        from pulse_squeeze.kernels import BogoliubovKernels
+
+        n = 256
+        grid = TemporalGrid(0.0, 1.0, n)
+        rng = np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                for _ in range(2))
+        lam = np.array([1.0, 0.5, 0.5 - 1e-12, 0.1, 1e-2, 1e-3, 1e-4, 1e-5])
+        # H = dt conj(G) = U sqrt(lam) V^dag
+        g = np.conj(u[:, :8] * np.sqrt(lam)) @ v[:, :8].T / grid.dt
+        k = BogoliubovKernels(grid, np.eye(n) / grid.dt, g)
+        blocks = self.spy(monkeypatch, "_ritz_block")
+        dense_calls = self.spy(monkeypatch, "_dense_ladder")
+        ladder = ModeSpectrum([], 0.0, k.vacuum_total, kernels=k).vacuum
+        assert np.abs([value for value, _ in ladder] - lam).max() < 1e-13
+        assert blocks and not any(certified for _, _, certified in blocks)
+        assert len(dense_calls) == 1
+
+    def test_empty_ladder(self, grid, u_mode, monkeypatch):
+        # G = 0: the ladder's total is 0, and so is the cut on a vacuum input.
+        # The ladder is empty without a block or the dense solve.
+        from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
+
+        def never(*args):
+            raise AssertionError("an empty ladder needs no solve")
+
+        monkeypatch.setattr("pulse_squeeze.coherence._ritz_block", never)
+        monkeypatch.setattr("pulse_squeeze.coherence._dense_ladder", never)
+        unpumped = build_opo(OpoParams(0.0, 1.0, GaussianPump(0.0, 0.0, 0.3)), grid)
+        assert not unpumped.G.any()
+        for k in (identity_kernels(grid), unpumped):
+            for moments in (InputMoments(0.0, 0.0), input_moments(fock_state(1, 30))):
+                sp = seeded_vacuum_split(k, u_mode, moments)
+                assert sp.vacuum_total == 0.0
+                assert sp.vacuum == []
 
 
 class TestSingleModeCondition:
