@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 from .charfun import (
     CharFunction,
     CharGrid,
+    GaussianChannel,
     WignerGrid,
     char_of_state,
     fock_from_char,

@@ -8,9 +8,10 @@ Conventions, fixed once for the whole package:
     W(x, p) = (1 / 2 pi^2) int chi(beta) exp(beta* alpha - beta alpha*) d^2 beta,
               alpha = (x + i p) / sqrt(2),  normalized so int W dx dp = 1.
 
-States propagate through an output-mode decomposition exactly in this
-picture: the seeded part maps the argument of the input characteristic
-function and every orthogonal port contributes a Gaussian vacuum factor.
+Every chi the package builds is the input's exact chi through one Gaussian
+channel (Weedbrook et al., RMP 84, 621 (2012)), a ``GaussianChannel``
+chi(beta) = base(X beta) exp(-beta^T Y beta / 2) on real coordinates:
+propagation, rotations, squeezes and marginals all compose as ``ch.then(R)``.
 
 One policy, ``_auto_grid``, sizes every chi grid; overlaps, the Fock
 reconstruction and the Wigner transform work on the grid of the chi they get.
@@ -29,6 +30,8 @@ from .blas import one_blas_thread
 from .states import QuantumState
 
 __all__ = [
+    "GaussianChannel",
+    "real_linear_map",
     "CharGrid",
     "CharFunction",
     "WignerGrid",
@@ -52,6 +55,53 @@ BOUNDARY_TOL = 1e-6  # |chi| at the edges, low enough for the fit and Fock sums
 # Fock reconstruction cap: displacement matrix elements above this size are
 # not resolved by the default grid spacing.
 MAX_FOCK_DIM = 60
+FOCK_TRACE_TOL = 1e-6  # fock_from_char warns when it captures a trace below 1 - this
+
+
+def real_linear_map(p: complex, q: complex = 0.0) -> np.ndarray:
+    """The real 2 x 2 matrix of beta -> p beta + q beta* on (Re beta, Im beta)."""
+    a, b = p + q, 1j * (p - q)  # the images of beta = 1 and beta = i
+    return np.array([[a.real, b.real], [a.imag, b.imag]])
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianChannel:
+    """chi(beta_1 .. beta_m) = base(X beta) * exp(-1/2 beta^T Y beta), called
+    with m complex arrays of one shape.
+
+    ``base`` is the input's exact chi, ``X`` the real 2 x 2m map onto its
+    argument and ``Y`` the real positive semidefinite 2m x 2m noise form, on
+    (Re beta_1, Im beta_1, ...); ``GaussianChannel(base)`` is the identity.
+    Like every ``base`` in the package, it has chi(-beta) = conj(chi(beta))."""
+
+    base: Callable[[np.ndarray], np.ndarray]
+    X: np.ndarray = field(default_factory=lambda: np.eye(2))
+    Y: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
+
+    @staticmethod
+    def from_rows(channel: "GaussianChannel", P, Q) -> "GaussianChannel":
+        """The chi of m output modes a_i = sum_e P[i, e] a_e + Q[i, e] a_e^dag (P, Q
+        m x F) of an orthonormal input family, mode 0 in the state of ``channel``
+        and the rest in vacuum: chi(beta) = channel(mu_0) prod_(e>0)
+        exp(-|mu_e|^2 / 2), mu_e = sum_i (beta_i conj(P[i, e]) - beta_i* Q[i, e])."""
+        maps = [np.hstack([real_linear_map(np.conj(p), -q) for p, q in zip(pe, qe)])
+                for pe, qe in zip(np.transpose(P), np.transpose(Q))]
+        return channel.then(maps[0], sum(L.T @ L for L in maps[1:]))
+
+    def then(self, R: np.ndarray, noise=0.0) -> "GaussianChannel":
+        """The chi beta -> self(R beta) * exp(-1/2 beta^T noise beta):
+        X -> X R and Y -> R^T Y R + noise."""
+        return GaussianChannel(self.base, self.X @ R, R.T @ self.Y @ R + noise)
+
+    def __call__(self, *betas: np.ndarray) -> np.ndarray:
+        betas = [np.asarray(b, dtype=complex) for b in betas]
+        # per argument, the images of beta_i = 1 and i: p + q and i (p - q)
+        a, b = (self.X[0] + 1j * self.X[1]).reshape(-1, 2).T
+        ps, qs = 0.5 * (a - 1j * b), 0.5 * (a + 1j * b)
+        mu = sum(p * beta + q * np.conj(beta) for beta, p, q in zip(betas, ps, qs, strict=True))
+        x = [c for beta in betas for c in (beta.real, beta.imag)]
+        form = sum(y * x[i] * x[j] for (i, j), y in np.ndenumerate(self.Y) if y)
+        return self.base(mu) * np.exp(-0.5 * form) if self.Y.any() else self.base(mu)
 
 
 @dataclass(frozen=True)
@@ -137,15 +187,15 @@ class CharGrid:
 class CharFunction:
     """Sampled characteristic function plus its exact evaluator.
 
-    ``values[i, j] = chi(re_axis[i] + 1j * im_axis[j])``.  Every chi the
-    package builds is the input's chi mapped by a Gaussian channel, so the
-    evaluator (closed form or Fock sum, composed with the channel) is always
-    known and downstream transforms query chi off-grid through it.
+    ``values[i, j] = chi(re_axis[i] + 1j * im_axis[j])``.  The evaluator is
+    a single-mode ``GaussianChannel`` of the input's exact chi (closed form
+    or Fock sum), so downstream transforms query chi off-grid through it and
+    map it with ``evaluator.then``.
     """
 
     grid: CharGrid
     values: np.ndarray = field(repr=False)
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
+    evaluator: GaussianChannel = field(repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -167,7 +217,7 @@ class CharFunction:
 
     def __call__(self, beta: np.ndarray) -> np.ndarray:
         """Evaluate chi exactly at arbitrary points."""
-        return self.evaluator(np.asarray(beta, dtype=complex))
+        return self.evaluator(beta)
 
 
 @dataclass(frozen=True)
@@ -267,12 +317,10 @@ def _auto_grid(evaluator, what: str) -> CharFunction:
     return chi
 
 
-def state_evaluator(state: QuantumState) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact chi of a Fock-basis state: its closed form, else the Fock sum."""
-    if state.char_eval is not None:
-        return state.char_eval
-    rho = state.rho
-    return lambda b: char_from_rho(rho, b)
+def state_evaluator(state: QuantumState) -> GaussianChannel:
+    """Exact chi of a Fock-basis state, its closed form else the Fock sum, as
+    the identity channel."""
+    return GaussianChannel(state.char_eval or (lambda b: char_from_rho(state.rho, b)))
 
 
 def char_of_state(state: QuantumState) -> CharFunction:
@@ -289,23 +337,14 @@ def propagate_char(decomp, chi_u: CharFunction) -> CharFunction:
     and vacuum in the k and s ports,
 
         chi_out(beta) = chi_u(beta A* - beta* B)
-                        * exp(-|beta C* - beta* D|^2 / 2)
-                        * exp(-|beta E*|^2 / 2).
+                        * exp(-|beta C* - beta* D|^2 / 2 - |beta E*|^2 / 2).
 
-    The input chi is queried through its exact evaluator, and the output
-    is sampled on the grid where it has decayed below ``BOUNDARY_TOL``.
+    It is ``GaussianChannel.from_rows`` of the row (A, C, E | B, D, 0) on chi_u's
+    channel, sampled on the grid where it has decayed below ``BOUNDARY_TOL``.
     """
-    A, B, C, D, E = decomp.A, decomp.B, decomp.C, decomp.D, decomp.E
-
-    def evaluator(beta):
-        beta = np.asarray(beta, dtype=complex)
-        mu_u = beta * np.conj(A) - np.conj(beta) * B
-        mu_k = beta * np.conj(C) - np.conj(beta) * D
-        mu_s = beta * np.conj(E)
-        vac = np.exp(-0.5 * (np.abs(mu_k) ** 2 + np.abs(mu_s) ** 2))
-        return chi_u(mu_u) * vac
-
-    return _auto_grid(evaluator, "propagate_char")
+    A, B, C, D, E = decomp.row
+    channel = GaussianChannel.from_rows(chi_u.evaluator, [[A, C, E]], [[B, D, 0.0]])
+    return _auto_grid(channel, "propagate_char")
 
 
 def wigner_from_char(
@@ -353,6 +392,8 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     The reconstruction is Hermitized, tiny negative eigenvalues (quadrature
     round-off, above -1e-6) are clamped to zero, and the result is
     renormalized; larger negativity means the grid is too coarse and raises.
+    A captured trace below ``1 - FOCK_TRACE_TOL`` (a state reaching past
+    ``dim``) is renormalized too, with a warning naming dim and trace.
     The quadrature runs on chi's own grid, as ``_auto_grid`` sized it.
     """
     if not 1 <= dim <= MAX_FOCK_DIM:
@@ -397,7 +438,11 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
         )
     eigvals = np.clip(eigvals, 0.0, None)
     rho = (eigvecs * eigvals) @ eigvecs.conj().T
-    rho /= np.real(np.trace(rho))
+    trace = float(np.real(np.trace(rho)))
+    if trace < 1.0 - FOCK_TRACE_TOL:
+        warnings.warn(f"fock_from_char: dim {dim} captures trace {trace:.6g} of the state; "
+                      "the density matrix is renormalised", stacklevel=2)
+    rho /= trace
     return QuantumState(rho)
 
 
@@ -414,12 +459,7 @@ def rotate_char(chi: CharFunction, phi: float) -> CharFunction:
 
     A rotated ellipse needs its own rectangle, so the rotated chi is sized
     like every other chi."""
-    rot = np.exp(1j * phi)
-
-    def evaluator(b):
-        return chi(np.asarray(b, dtype=complex) * rot)
-
-    return _auto_grid(evaluator, "rotate_char")
+    return _auto_grid(chi.evaluator.then(real_linear_map(np.exp(1j * phi))), "rotate_char")
 
 
 @dataclass(frozen=True)
@@ -432,17 +472,11 @@ class JointCharFunction:
 
     grid: CharGrid
     values: np.ndarray = field(repr=False)
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(
-        repr=False, compare=False
-    )
+    evaluator: GaussianChannel = field(repr=False, compare=False)
 
     def marginal(self, which: int) -> CharFunction:
         """Single-mode chi of one output mode (the other argument at 0)."""
-
-        def evaluator(b):
-            zero = np.zeros_like(b)
-            return self.evaluator(b, zero) if which == 0 else self.evaluator(zero, b)
-
+        evaluator = self.evaluator.then(np.eye(4)[:, 2 * which : 2 * which + 2])
         return CharFunction(self.grid, self.grid.sample(evaluator), evaluator)
 
     def purity(self) -> float:
@@ -464,12 +498,8 @@ def joint_two_mode_char(
     """Joint state of two orthogonal output modes in the Weyl picture.
 
     Both output operators are pulled back onto one orthonormal input family
-    ``{u, e_1, ...}``; each family mode contributes a displacement argument
-    ``mu_e = sum_i (beta_i conj(P_ie) - beta_i* Q_ie)`` so that
-
-        chi(b1, b2) = chi_u(mu_u) * prod_(e>0) exp(-|mu_e|^2 / 2).
-
-    Setting one argument to zero recovers the single-mode propagation.
+    ``{u, e_1, ...}``; the joint chi is ``GaussianChannel.from_rows`` of those
+    rows on chi_u's channel, and its ``marginal`` is the single-mode chi.
     """
     from .decomposition import pullback_rows
     from .grids import inner_product
@@ -477,29 +507,7 @@ def joint_two_mode_char(
     if abs(inner_product(v1, v2)) > 1e-8:
         raise ValueError("output modes must be orthogonal")
     _family, P, Q = pullback_rows(kernels, [v1, v2], u)
-
-    def evaluator(b1, b2):
-        b1 = np.asarray(b1, dtype=complex)
-        b2 = np.asarray(b2, dtype=complex)
-        mu_u = (
-            b1 * np.conj(P[0, 0]) - np.conj(b1) * Q[0, 0]
-            + b2 * np.conj(P[1, 0]) - np.conj(b2) * Q[1, 0]
-        )
-        out = chi_u(mu_u)
-        for e in range(1, P.shape[1]):
-            mu = (
-                b1 * np.conj(P[0, e]) - np.conj(b1) * Q[0, e]
-                + b2 * np.conj(P[1, e]) - np.conj(b2) * Q[1, e]
-            )
-            out = out * np.exp(-0.5 * np.abs(mu) ** 2)
-        return out
-
+    evaluator = GaussianChannel.from_rows(chi_u.evaluator, P, Q)
     grid = CharGrid(extent, n_side)
-    mesh = grid.mesh()
-    b1 = mesh[:, :, None, None]
-    b2 = mesh[None, None, :, :]
-    values = evaluator(
-        np.broadcast_to(b1, (n_side,) * 4).reshape(-1),
-        np.broadcast_to(b2, (n_side,) * 4).reshape(-1),
-    ).reshape((n_side,) * 4)
-    return JointCharFunction(grid, values, evaluator)
+    b1, b2 = np.broadcast_arrays(grid.mesh()[:, :, None, None], grid.mesh()[None, None])
+    return JointCharFunction(grid, evaluator(b1, b2), evaluator)

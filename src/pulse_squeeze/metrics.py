@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfun import CharFunction, char_of_state, overlap, state_evaluator
+from .charfun import CharFunction, char_of_state, overlap, real_linear_map, state_evaluator
 from .states import QuantumState, destroy
 
 __all__ = [
@@ -136,14 +136,7 @@ def squeeze_target_evaluator(input_state: QuantumState, r: float):
     amplified axis is displayed as p in figure conventions (one global
     pi/2 phase-space rotation relates the frames).
     """
-    base = state_evaluator(input_state)
-    ch, sh = np.cosh(r), np.sinh(r)
-
-    def evaluator(b):
-        b = np.asarray(b, dtype=complex)
-        return base(b * ch - np.conj(b) * sh)
-
-    return evaluator
+    return state_evaluator(input_state).then(real_linear_map(np.cosh(r), -np.sinh(r)))
 
 
 def _default_r_grid() -> np.ndarray:

@@ -18,6 +18,7 @@ from .charfun import (
     fock_from_char,
     overlap,
     propagate_char,
+    real_linear_map,
     rotate_char,
     wigner_from_char,
 )
@@ -152,9 +153,7 @@ def align_amplified_axis(
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
     phis = (theta, theta + np.pi)
     first = rotate_char(chi, theta)
-    mirrored = CharFunction(
-        first.grid, np.conj(first.values), lambda b: first(-np.asarray(b, dtype=complex))
-    )
+    mirrored = CharFunction(first.grid, np.conj(first.values), first.evaluator.then(-np.eye(2)))
     rots = [first, mirrored]
     scores = [-np.inf, -np.inf]
     # One probe target at a time, scored against both candidates.
@@ -241,7 +240,5 @@ def wigner_for_display(chi: CharFunction):
     an index permutation with no re-evaluation."""
     g = chi.grid
     turned = CharGrid(g.im_extent, g.im_n_side, g.extent, g.n_side)
-    quarter = CharFunction(
-        turned, chi.values[::-1, :].T, lambda b: chi(1j * np.asarray(b, dtype=complex))
-    )
+    quarter = CharFunction(turned, chi.values[::-1, :].T, chi.evaluator.then(real_linear_map(1j)))
     return wigner_from_char(quarter)

@@ -71,3 +71,25 @@ def max_relative_difference(a, b):
     """Largest kernel difference of two pairs, relative to the largest entry of ``a``."""
     scale = max(np.abs(a.F).max(), np.abs(a.G).max())
     return max(np.abs(a.F - b.F).max(), np.abs(a.G - b.G).max()) / scale
+
+
+def reference_propagated_chi(decomp, base):
+    """The explicit single-mode propagation, the oracle for ``propagate_char``:
+    ``base(beta A* - beta* B) exp(-|beta C* - beta* D|^2 / 2 - |beta E*|^2 / 2)``."""
+    A, B, C, D, E = decomp.row
+
+    def chi(beta):
+        beta = np.asarray(beta, dtype=complex)
+        mu_k = beta * np.conj(C) - np.conj(beta) * D
+        mu_s = beta * np.conj(E)
+        vac = np.exp(-0.5 * (np.abs(mu_k) ** 2 + np.abs(mu_s) ** 2))
+        return base(beta * np.conj(A) - np.conj(beta) * B) * vac
+
+    return chi
+
+
+def reference_squeezed_chi(base, r):
+    """The explicit ideal squeeze, the oracle for ``squeeze_target_evaluator``:
+    ``base(beta cosh r - beta* sinh r)``."""
+    ch, sh = np.cosh(r), np.sinh(r)
+    return lambda beta: base(np.asarray(beta, dtype=complex) * ch - np.conj(beta) * sh)

@@ -1,7 +1,10 @@
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from conftest import random_mode, reference_propagated_chi, reference_squeezed_chi
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -12,6 +15,7 @@ from pulse_squeeze.charfun import (
     MAX_FOCK_DIM,
     CharFunction,
     CharGrid,
+    GaussianChannel,
     _auto_grid,
     char_from_rho,
     char_of_state,
@@ -19,15 +23,18 @@ from pulse_squeeze.charfun import (
     joint_two_mode_char,
     overlap,
     propagate_char,
+    real_linear_map,
     rotate_char,
     state_evaluator,
     wigner_from_char,
 )
 from pulse_squeeze.coherence import input_moments, seeded_vacuum_split
 from pulse_squeeze.decomposition import OutputDecomposition, decompose_output_mode
-from pulse_squeeze.grids import orthogonal_complement
+from pulse_squeeze.devices import OpaParams, build_opa
+from pulse_squeeze.grids import gaussian_mode, orthogonal_complement
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import (
+    QuantumState,
     coherent_state,
     destroy,
     even_cat_state,
@@ -333,6 +340,109 @@ class TestPropagateChar:
         assert chi_out.values[origin] == pytest.approx(1.0, abs=1e-12)
 
 
+def _bases():
+    """Exact input chi: a closed form and a Fock sum, each with its own oracle."""
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    cat = even_cat_state(2.0, 50)
+    return [(cat, cat.char_eval), (QuantumState(rho), lambda b: char_from_rho(rho, b))]
+
+
+def _random_betas(rng, n=200, reach=3.0):
+    return rng.uniform(-reach, reach, n) + 1j * rng.uniform(-reach, reach, n)
+
+
+def _apply(R, beta):
+    """R acting on beta as the real vector (Re beta, Im beta)."""
+    return (R[0, 0] * beta.real + R[0, 1] * beta.imag) + 1j * (
+        R[1, 0] * beta.real + R[1, 1] * beta.imag
+    )
+
+
+def _row_channel(state, d):
+    """The single-mode channel of the row (A, C, E | B, D, 0)."""
+    A, B, C, D, E = d.row
+    return GaussianChannel.from_rows(state_evaluator(state), [[A, C, E]], [[B, D, 0.0]])
+
+
+def _close(got, want, rtol):
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestGaussianChannel:
+    @pytest.fixture(scope="class")
+    def decomps(self, grid, u_mode, opo_kernels, freq_grid):
+        """Generic rows (all five coefficients nonzero): random output modes
+        of an OPO and an OPA."""
+        rng = np.random.default_rng(21)
+        opa = build_opa(OpaParams(0.4, 0.3, 2.0), freq_grid)
+        u_opa = gaussian_mode(freq_grid, 0.0, 1.0)
+        out = [decompose_output_mode(opo_kernels, u_mode, random_mode(grid, rng, 0.0, 2.0))
+               for _ in range(2)]
+        out += [decompose_output_mode(opa, u_opa, random_mode(freq_grid, rng, 0.0, 2.0))
+                for _ in range(2)]
+        for d in out:
+            assert min(abs(c) for c in d.row) > 1e-3
+        return out
+
+    def test_propagation_matches_explicit_formula(self, decomps):
+        rng = np.random.default_rng(4)
+        for state, base in _bases():
+            chi_u = char_of_state(state)
+            for d in decomps:
+                beta = _random_betas(rng)
+                got = propagate_char(d, chi_u).evaluator(beta)
+                assert _close(got, reference_propagated_chi(d, base)(beta), 1e-13)
+
+    def test_squeeze_target_matches_explicit_formula(self):
+        from pulse_squeeze.metrics import squeeze_target_evaluator
+
+        rng = np.random.default_rng(6)
+        for state, base in _bases():
+            for r in rng.uniform(0.0, 2.3, 4):
+                beta = _random_betas(rng)
+                got = squeeze_target_evaluator(state, r)(beta)
+                assert _close(got, reference_squeezed_chi(base, r)(beta), 1e-13)
+
+    def test_then_is_nested_evaluation(self, decomps):
+        rng = np.random.default_rng(8)
+        state, _ = _bases()[0]
+        ch = _row_channel(state, decomps[0])
+        R1, R2 = rng.normal(size=(2, 2, 2)) * 0.8
+        noise = rng.normal(size=(2, 2))
+        noise = noise @ noise.T
+        beta = _random_betas(rng)
+        nested = ch(_apply(R1, _apply(R2, beta)))
+        assert _close(ch.then(R1).then(R2)(beta), nested, 1e-12)
+        form = np.einsum("in,ij,jn->n", [beta.real, beta.imag], noise, [beta.real, beta.imag])
+        assert _close(ch.then(R1, noise)(beta), ch(_apply(R1, beta)) * np.exp(-0.5 * form),
+                      1e-12)
+
+    def test_four_quarter_turns_are_identity(self, decomps):
+        rng = np.random.default_rng(9)
+        state, _ = _bases()[1]
+        ch = _row_channel(state, decomps[2])
+        exact, rounded = ch, ch
+        for _ in range(4):
+            exact = exact.then(real_linear_map(1j))
+            rounded = rounded.then(real_linear_map(np.exp(0.5j * np.pi)))
+        assert np.array_equal(exact.X, ch.X) and np.array_equal(exact.Y, ch.Y)
+        assert np.abs(rounded.X - ch.X).max() < 1e-15 * np.abs(ch.X).max()
+        beta = _random_betas(rng)
+        assert _close(rounded(beta), ch(beta), 1e-14)
+
+    def test_noisy_channel_is_hermitian(self, decomps):
+        # CharGrid.sample fills half the grid from chi(-beta) = conj(chi(beta)).
+        rng = np.random.default_rng(10)
+        for state, _ in _bases():
+            for d in decomps:
+                ch = _row_channel(state, d)
+                assert ch.Y.any()
+                beta = _random_betas(rng)
+                assert _close(ch(-beta), np.conj(ch(beta)), 1e-14)
+
+
 def _wigner_parity_oracle(rho, points):
     """Displaced-parity Wigner values, via dense expm displacements.
 
@@ -457,6 +567,27 @@ class TestFockFromChar:
         expected = clamped / np.trace(clamped).real
         assert np.abs(fock_from_char(chi, dim).rho - expected).max() < 1e-12
 
+    def test_low_trace_warns_with_its_trace(self):
+        # |alpha|^2 = 9: dim 5 holds the Poisson weight of n = 0..4.
+        chi = char_of_state(coherent_state(3.0, 40))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = fock_from_char(chi, 5)
+        (message,) = [str(w.message) for w in caught]
+        found = re.fullmatch(r"fock_from_char: dim 5 captures trace (\S+) of the state; "
+                             r"the density matrix is renormalised", message)
+        assert found is not None, message
+        poisson = sum(math.exp(-9.0) * 9.0**n / math.factorial(n) for n in range(5))
+        assert float(found.group(1)) == pytest.approx(poisson, rel=1e-5)
+        assert np.trace(rec.rho).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_ample_dim_does_not_warn(self):
+        chi = char_of_state(coherent_state(1.0 + 0.5j, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = fock_from_char(chi, 40)
+        assert np.abs(rec.rho - coherent_state(1.0 + 0.5j, 40).rho).max() < 1e-6
+
     @pytest.mark.parametrize("dim", [0, MAX_FOCK_DIM + 1])
     def test_dim_cap(self, dim):
         with pytest.raises(ValueError, match=rf"outside the supported range 1\.\.{MAX_FOCK_DIM}"):
@@ -466,8 +597,6 @@ class TestFockFromChar:
 class TestJointTwoModeChar:
     def test_identity_product_state(self, grid, u_mode):
         rng = np.random.default_rng(3)
-        from conftest import random_mode
-
         w, _ = orthogonal_complement(random_mode(grid, rng), [u_mode])
         state = coherent_state(1.2, 40)
         chi_u = char_of_state(state)
