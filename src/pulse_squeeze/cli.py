@@ -306,7 +306,7 @@ def _verify_checks(corrupt: bool):
 
     fgrid = TemporalGrid(-8.0, 8.0, 256)
     opa = build_opa(OpaParams(0.4, 0.0, 2.0), fgrid)
-    checks.append(("opa symplectic", verify_symplectic(opa).max_residual, 1e-5))
+    checks.append(("opa symplectic", verify_symplectic(opa).max_residual, 1e-10))
 
     twpa = build_twpa(
         TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), 100, 0.01),
@@ -320,10 +320,10 @@ def _verify_checks(corrupt: bool):
         v, _n = normalize(ModeFunction(grid, raw * np.exp(-grid.points**2 / 50.0)))
         pb = pullback_output_mode(opo, v)
         worst = max(worst, abs(pb.zeta**2 - pb.xi**2 - 1.0))
-    checks.append(("pullback commutator", worst, 1e-6))
+    checks.append(("pullback commutator", worst, 1e-12))
 
     d = decompose_output_mode(opo, u, u)
-    checks.append(("decomposition commutator", abs(d.commutator() - 1.0), 1e-6))
+    checks.append(("decomposition commutator", abs(d.commutator() - 1.0), 1e-11))
 
     a, b, c = opo, sq, ident
     lhs = compose(a, compose(b, c))
@@ -336,13 +336,13 @@ def _verify_checks(corrupt: bool):
     from .kernels import apply_to_mode
     fu, _gu = apply_to_mode(passive, u)
     energy = abs(np.sum(np.abs(fu) ** 2) * grid.dt - 1.0)
-    checks.append(("passive energy conservation", energy, 1e-6))
+    checks.append(("passive energy conservation", energy, 1e-11))
 
     mom = input_moments(fock_state(1, 30))
     g1 = g1_total(opo if not corrupt else sq, u, mom)
     sp = seeded_vacuum_split(opo if not corrupt else sq, u, mom)
     trace_err = abs(g1.trace() - (sp.seeded_total + sp.vacuum_total)) / max(g1.trace(), 1e-12)
-    checks.append(("g1 trace consistency", trace_err, 1e-6))
+    checks.append(("g1 trace consistency", trace_err, 1e-12))
 
     # A state without rotational symmetry, so the angular phases of the
     # Fock reconstruction are exercised.

@@ -9,8 +9,15 @@ five-coefficient form
 
 with k and s orthonormal vacuum ports; commutator preservation forces
 |A|^2 - |B|^2 + |C|^2 - |D|^2 + |E|^2 = 1.  The same row can be realized
-as beam splitters and single-mode squeezers (a three-mode circuit), whose
-parameters :func:`bloch_messiah_params` recovers.
+as beam splitters and single-mode squeezers (a three-mode circuit, a
+Bloch-Messiah factorisation), whose parameters :func:`bloch_messiah_params`
+recovers in closed form.  With ``x = (A, C) / cos(theta3)`` and
+``y = (B, D) / cos(theta3)`` the circuit reads ``x = P V`` and
+``y = Q V*`` with V in U(2) and P, Q the squeezed beam-splitter row.  The
+first column u of V^dag must make ``x . u`` and ``conj(y) . u`` real,
+so ``u^dag N u = 0`` with ``N = (M - M^dag) / 2i`` and ``M = y x^T``:
+the exact solutions form one circle, and the fit takes its least-squeezed
+point.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ __all__ = [
     "bloch_messiah_params",
     "reconstruct_row",
 ]
+
+# Points of the solution circle that the least-squeezed rule compares.
+FAMILY_POINTS = 720
 
 
 @dataclass(frozen=True)
@@ -68,55 +78,34 @@ class OutputDecomposition:
         return np.array([self.A, self.B, self.C, self.D, self.E], dtype=complex)
 
 
+def _overlap(a: ModeFunction | None, b: ModeFunction | None) -> complex:
+    """``<a, b>``, or 0 when either mode is absent."""
+    return 0j if a is None or b is None else inner_product(a, b)
+
+
 def decompose_output_mode(
     k: BogoliubovKernels, u: ModeFunction, v: ModeFunction
 ) -> OutputDecomposition:
     """Express the output operator of ``v`` over ``u`` and vacuum ports.
 
-    ``h`` is the part of f orthogonal to u, ``k`` the part of g orthogonal
-    to u, and ``s`` the part of h orthogonal to both u and k; coefficients
-    follow from the chain of overlaps.  Degenerate complements (mode
-    contained in the span) zero the corresponding coefficients.
+    ``k`` is the part of g orthogonal to u, ``s`` the part of f orthogonal
+    to u and k (``h`` the part of f orthogonal to u alone).  Each
+    coefficient is one overlap: A = zeta <u,f>*, B = xi <u,g>,
+    C = zeta <k,f>*, D = xi ||g - <u,g> u||, E = zeta Re <s,f>; a mode
+    contained in the span is absent and contributes 0.
     """
     pb = pullback_output_mode(k, v)
-    zeta, xi = pb.zeta, pb.xi
     f, g = pb.f, pb.g
-
-    fu = np.conj(inner_product(u, f))  # <f, u>
-    A = zeta * fu
-    h, h_norm = orthogonal_complement(f, [u])
-
-    if g is None:
-        return OutputDecomposition(
-            A=A, B=0.0 + 0.0j, C=0.0 + 0.0j, D=0.0, E=zeta * h_norm, zeta=zeta, xi=xi,
-            f=f, g=None, h=h, k=None, s=h,
-        )
-
-    ug = inner_product(u, g)  # <u, g>
-    B = xi * ug
-    k_mode, k_norm = orthogonal_complement(g, [u])
-    D = xi * k_norm
-
-    if h is None:
-        # f parallel to u: no squeezed-vacuum beam-splitter ports from f.
-        return OutputDecomposition(
-            A=A, B=B, C=0.0 + 0.0j, D=D, E=0.0, zeta=zeta, xi=xi,
-            f=f, g=g, h=None, k=k_mode, s=None,
-        )
-    if k_mode is None:
-        # g parallel to u: the h direction is a pure vacuum port.
-        return OutputDecomposition(
-            A=A, B=B, C=0.0 + 0.0j, D=D, E=zeta * h_norm, zeta=zeta, xi=xi,
-            f=f, g=g, h=h, k=None, s=h,
-        )
-
-    hk = np.conj(inner_product(k_mode, h))  # <h, k>
-    C = zeta * h_norm * hk
-    s_mode, s_norm = orthogonal_complement(h, [u, k_mode])
-    E = zeta * h_norm * (s_norm if s_mode is not None else 0.0)
+    h, _ = orthogonal_complement(f, [u])
+    k_mode, k_norm = orthogonal_complement(g, [u]) if g is not None else (None, 0.0)
+    s, _ = orthogonal_complement(f, [m for m in (u, k_mode) if m is not None])
     return OutputDecomposition(
-        A=A, B=B, C=C, D=D, E=E, zeta=zeta, xi=xi,
-        f=f, g=g, h=h, k=k_mode, s=s_mode,
+        A=pb.zeta * np.conj(inner_product(u, f)),
+        B=pb.xi * _overlap(u, g),
+        C=pb.zeta * np.conj(_overlap(k_mode, f)),
+        D=pb.xi * k_norm,
+        E=pb.zeta * _overlap(s, f).real,
+        zeta=pb.zeta, xi=pb.xi, f=f, g=g, h=h, k=k_mode, s=s,
     )
 
 
@@ -184,178 +173,134 @@ def reconstruct_row(params: dict) -> np.ndarray:
     return np.array([A, B, C, D, E], dtype=complex)
 
 
-def _complete_row(row4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extend one Bogoliubov row (A, C | B, D) to a full two-mode pair.
+_KEYS = ("theta1", "phi1", "theta2", "phi2", "r1", "r2", "phi_k", "phi_u")
 
-    Among all symplectically consistent second rows, the one with minimal
-    squeeze weight |B2|^2 + |D2|^2 is chosen so that rank-deficient rows
-    (e.g. an ideal squeezer) keep r2 = 0.
+
+def _family(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Circuit parameters (ordered as ``_KEYS``) along the solution circle.
+
+    N = (M - M^dag) / 2i with M = y x^T is never definite, so with its
+    eigenpairs (l-, e-), (l+, e+) the circle u^dag N u = 0 is
+    u(t) = cos(a) e+ + e^{it} sin(a) e- with tan(a)^2 = l+ / (-l-), taken
+    at ``FAMILY_POINTS`` values of t.  One row per point, NaN where u gives
+    no circuit (tanh r1 or tanh r2 at or above 1: cos(theta2)^2 outside
+    [0, 1]).
     """
-    A, C, B, D = row4
-    constraints = np.array(
-        [
-            [np.conj(A), np.conj(C), -np.conj(B), -np.conj(D)],
-            [B, D, -A, -C],
-        ],
-        dtype=complex,
-    )
-    _, _, vh = np.linalg.svd(constraints)
-    null = vh[2:].conj().T  # 4 x 2 basis of valid second rows
-    sigma = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    qmat = np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex)
-    s_r = null.conj().T @ sigma @ null
-    q_r = null.conj().T @ qmat @ null
-    from scipy.linalg import eig as geig
-
-    vals, vecs = geig(q_r, s_r)
-    best = None
-    for i in range(len(vals)):
-        z = vecs[:, i]
-        norm = np.real(z.conj() @ s_r @ z)
-        if norm <= 1e-12:
-            continue
-        weight = np.real(z.conj() @ q_r @ z) / norm
-        if best is None or weight < best[0]:
-            best = (weight, z / np.sqrt(norm))
-    if best is None:
-        raise np.linalg.LinAlgError("no positive-norm completion found")
-    a2, c2, b2, d2 = null @ best[1]
-    amat = np.array([[A, C], [a2, c2]])
-    bmat = np.array([[B, D], [b2, d2]])
-    return amat, bmat
-
-
-def _initial_guess(row4: np.ndarray) -> list[np.ndarray]:
-    """Circuit-parameter starting points from a Bloch-Messiah style factoring."""
-    guesses = []
-    try:
-        amat, _bmat = _complete_row(row4)
-        vals, w2 = np.linalg.eigh(amat @ amat.conj().T)
-        order = np.argsort(vals)[::-1]
-        vals, w2 = vals[order], w2[:, order]
-        rs = np.arccosh(np.sqrt(np.clip(vals, 1.0, None)))
-        w1 = np.diag(1.0 / np.cosh(rs)) @ w2.conj().T @ amat
-        t2 = float(np.arccos(np.clip(abs(w2[0, 0]), 0.0, 1.0)))
-        p2 = float(np.angle(w2[0, 1]) - np.angle(w2[0, 0])) if abs(w2[0, 1]) > 1e-12 else 0.0
-        t1 = float(np.arccos(np.clip(abs(w1[0, 0]), 0.0, 1.0)))
-        p1 = float(np.angle(w1[0, 1]) - np.angle(w1[0, 0])) if abs(w1[0, 1]) > 1e-12 else 0.0
-        guesses.append(np.array([t1, p1, t2, p2, rs[0], rs[1], 0.0, 0.0]))
-        guesses.append(np.array([t1, p1, t2 + np.pi / 2, p2, rs[1], rs[0], 0.0, 0.0]))
-    except np.linalg.LinAlgError:
-        pass
-    mag = float(np.linalg.norm([abs(row4[0]), abs(row4[1])]))
-    r0 = float(np.arccosh(max(1.0, mag)))
-    guesses.append(np.array([0.0, 0.0, 0.0, 0.0, r0, 0.0, 0.0, 0.0]))
-    guesses.append(np.zeros(8))
-    return guesses
+    m = np.outer(y, x)
+    lam, vecs = np.linalg.eigh((m - m.conj().T) / 2j)
+    flat = np.abs(lam).max() <= 1e-14 * np.abs(m).max()
+    # Round-off below 1e-14 of N would otherwise tilt the circle by its root.
+    lam = np.where(np.abs(lam) < 1e-14 * np.abs(lam).max(), 0.0, lam)
+    if flat:
+        # N = 0 (y a real multiple of conj(x)): every u qualifies; take conj(x).
+        us = (x.conj() / np.linalg.norm(x))[None, :]
+    else:
+        a = np.arctan2(np.sqrt(max(lam[1], 0.0)), np.sqrt(max(-lam[0], 0.0)))
+        ts = 2.0 * np.pi * np.arange(FAMILY_POINTS) / FAMILY_POINTS
+        us = np.cos(a) * vecs[:, 1] + np.exp(1j * ts)[:, None] * np.sin(a) * vecs[:, 0]
+    p = us @ x
+    us = us * np.exp(-1j * np.angle(p))[:, None]
+    p0, q0 = np.abs(p), (us @ y.conj()).real  # x . u >= 0 and conj(y) . u
+    if not flat and lam.min() * lam.max() == 0.0:
+        # y = c conj(x) with complex c: the circle shrinks to the u with
+        # x . u = conj(y) . u = 0, so theta2 = pi/2 and r1 is free.
+        p0, q0 = np.zeros_like(p0), np.zeros_like(q0)
+    w = np.stack([-us[:, 1].conj(), us[:, 0].conj()], axis=1)  # unit, orthogonal to u
+    xw, yw = w @ x, w.conj() @ y
+    if flat:
+        xw, yw = np.zeros_like(xw), np.zeros_like(yw)  # theta2 = 0: r2 is free
+    # Phase u1 = e^{i gamma} w so that (y . conj(u1)) / (x . u1) = tanh(r2) >= 0.
+    gamma = 0.5 * (np.angle(yw) - np.angle(xw))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.arctanh(np.where(p0 > 0.0, q0 / p0, 0.0))
+        r2 = np.arctanh(np.where(np.abs(xw) > 0.0, np.abs(yw / xw), 0.0))
+    theta2 = np.arctan2(np.sqrt(np.maximum(np.abs(xw) ** 2 - np.abs(yw) ** 2, 0.0)),
+                        np.sqrt(np.maximum(p0**2 - q0**2, 0.0)))
+    # V = [conj(u); conj(u1)] read off as theta1, phi1, phi_k, phi_u.
+    phi_u = -np.angle(us[:, 0])
+    phi_k = -phi_u - gamma
+    out = np.stack([
+        np.arctan2(np.abs(us[:, 1]), np.abs(us[:, 0])), -np.angle(us[:, 1]) - phi_k,
+        theta2, np.angle(xw) + gamma, r1, r2, phi_k, phi_u,
+    ], axis=1)
+    out[~(np.isfinite(r1) & np.isfinite(r2))] = np.nan
+    return out
 
 
 def _wrap_angle(x: float) -> float:
     return float((x + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def bloch_messiah_params(decomp: OutputDecomposition, tol: float = 1e-10) -> dict:
+def bloch_messiah_params(decomp: OutputDecomposition) -> dict:
     """Beam-splitter/squeezer circuit parameters reproducing the row.
 
     Returns ``theta1, phi1, theta2, phi2, theta3, phi3, r1, r2`` plus the
     two convention phases ``phi_k`` (vacuum-port gauge, a no-op on the
     output state) and ``phi_u`` (input carrier phase) such that
-    :func:`reconstruct_row` matches ``(A, B, C, D, E)``; without those
-    phases, real squeeze parameters span too small a slice of the row
-    manifold to reach generic decompositions.  The dict also carries a
-    ``residual`` entry (max coefficient error) and a ``degenerate`` flag
-    for rank-deficient rows handled by convention (xi = 0 keeps r2 = 0, a
-    pure vacuum row pins theta3 = pi/2).
+    :func:`reconstruct_row` matches ``(A, B, C, D, E)``.
+
+    theta3 = arcsin|E|; with ``x = (A, C) / cos(theta3)`` and
+    ``y = (B, D) / cos(theta3)`` the circuit is ``x = P V``, ``y = Q V*``
+    with ``P = (c2 cosh r1, s2 e^{i phi2} cosh r2)``,
+    ``Q = (c2 sinh r1, s2 e^{i phi2} sinh r2)`` and V in U(2).  Writing
+    ``V^dag = [u | u1]``, the exact solutions are the points of the circle
+    ``u^dag N u = 0``, ``N = (y x^T - conj(x) y^dag) / 2i``, and each u
+    gives every parameter in closed form.  The rule: take the point of
+    least ``r1^2 + r2^2`` among ``FAMILY_POINTS`` points of the circle,
+    then polish it once with Levenberg-Marquardt.
+
+    The dict also carries a ``residual`` entry (max coefficient error) and
+    a ``degenerate`` flag for rank-deficient rows (xi = 0, or a pure
+    vacuum row, which pins theta3 = pi/2).  Raises ``ValueError`` when
+    |E| > 1: the last beam splitter cannot carry it.
     """
     # Imported here: no CLI command fits a circuit, so the CLI never loads it.
     from scipy.optimize import least_squares
 
     row = decomp.row
     E = row[4]
+    if abs(E) > 1.0 + 1e-12:
+        raise ValueError(
+            f"|E| = {abs(E):.6g} > 1: the circuit's last beam splitter cannot realise this row"
+        )
     degenerate = decomp.xi == 0.0 or abs(abs(E) - 1.0) < 1e-12
 
     if abs(E) >= 1.0 - 1e-12:
-        params = {
-            "theta1": 0.0, "phi1": 0.0, "theta2": 0.0, "phi2": 0.0,
-            "theta3": np.pi / 2, "phi3": float(np.angle(E)),
-            "r1": 0.0, "r2": 0.0, "phi_k": 0.0, "phi_u": 0.0,
-        }
+        params = dict.fromkeys(_KEYS, 0.0)
+        params.update(theta3=np.pi / 2, phi3=float(np.angle(E)))
         params["residual"] = float(np.abs(reconstruct_row(params) - row).max())
         params["degenerate"] = True
         return params
 
-    theta3 = float(np.arcsin(np.clip(abs(E), 0.0, 1.0)))
+    theta3 = float(np.arcsin(abs(E)))
     phi3 = float(np.angle(E)) if abs(E) > 1e-14 else 0.0
-    c3 = np.cos(theta3)
-    row4 = np.array([row[0], row[2], row[1], row[3]]) / c3  # (A', C', B', D')
-    target = row[:4] / c3
+    target = row[:4] / np.cos(theta3)
+    x, y = target[[0, 2]], target[[1, 3]]
+    family = _family(x, y)
+    weight = family[:, 4] ** 2 + family[:, 5] ** 2
+    if np.isnan(weight).all():
+        raise ValueError(f"no circuit reproduces the row (commutator {decomp.commutator():.6g})")
+    x0 = family[np.nanargmin(weight)]
 
-    # Pure single-mode rows (C = D = E = 0 with A, B in phase) factor by hand.
-    if (
-        abs(row[2]) < 1e-14
-        and abs(row[3]) < 1e-14
-        and abs(E) < 1e-14
-        and abs(row[1]) < 1e-14 * max(1.0, abs(row[0]))
-        and abs(abs(row[0]) - 1.0) < 1e-12
-    ):
-        params = {
-            "theta1": 0.0, "phi1": 0.0, "theta2": 0.0, "phi2": 0.0,
-            "theta3": 0.0, "phi3": 0.0, "r1": 0.0, "r2": 0.0,
-            "phi_k": 0.0, "phi_u": float(np.angle(row[0])),
-        }
-        params["residual"] = float(np.abs(reconstruct_row(params) - row).max())
-        params["degenerate"] = degenerate
-        return params
-
-    def residual(x):
-        params = {
-            "theta1": x[0], "phi1": x[1], "theta2": x[2], "phi2": x[3],
-            "theta3": 0.0, "phi3": 0.0, "r1": x[4], "r2": x[5],
-            "phi_k": x[6], "phi_u": x[7],
-        }
+    def residual(z):
+        params = dict(zip(_KEYS, z), theta3=0.0, phi3=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = reconstruct_row(params)[:4]
-            diff = got - target
-        out = np.concatenate([diff.real, diff.imag])
+            diff = reconstruct_row(params)[:4] - target
+        # The weak pull to x0 keeps the polish from sliding along the family
+        # (or along a free r1 or r2), where the row gives no gradient.
+        out = np.concatenate([diff.real, diff.imag, 1e-8 * (z - x0)])
         return np.nan_to_num(out, nan=1e6, posinf=1e6, neginf=-1e6)
 
-    scales = np.array([1.0, 2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 2.0])
-    best_x, best_cost = None, np.inf
-    solutions = []
-    rng = np.random.default_rng(7)
-    starts = _initial_guess(row4)
-    min_trials = len(starts) + 6
-    for trial in range(60):
-        x0 = starts[trial] if trial < len(starts) else rng.normal(size=8) * scales
-        sol = least_squares(
-            residual, x0, method="lm",
-            xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000,
-        )
-        cost = float(np.abs(sol.fun).max())
-        if cost < best_cost:
-            best_cost, best_x = cost, sol.x
-        if cost < tol:
-            solutions.append(sol.x)
-        if trial + 1 >= min_trials and solutions:
-            break
-    if solutions:
-        # Several discrete parameter sets reproduce the same row; prefer the
-        # least-squeezed circuit (it keeps Fock-space cross-checks honest).
-        best_x = min(solutions, key=lambda x: abs(x[4]) + abs(x[5]))
-        best_cost = float(np.abs(residual(best_x)).max())
-    if best_cost > 1e-8:
+    z = least_squares(
+        residual, x0, method="lm", xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=4000
+    ).x
+    params = {key: (float(v) if key in ("r1", "r2") else _wrap_angle(v)) for key, v in zip(_KEYS, z)}
+    params.update(theta3=theta3, phi3=phi3)
+    params["residual"] = float(np.abs(reconstruct_row(params) - row).max())
+    if params["residual"] > 1e-8:
         warnings.warn(
-            f"circuit factorization residual {best_cost:.2e} exceeds 1e-8",
+            f"circuit factorization residual {params['residual']:.2e} exceeds 1e-8",
             stacklevel=2,
         )
-    x = best_x
-    params = {
-        "theta1": _wrap_angle(x[0]), "phi1": _wrap_angle(x[1]),
-        "theta2": _wrap_angle(x[2]), "phi2": _wrap_angle(x[3]),
-        "theta3": theta3, "phi3": phi3,
-        "r1": float(x[4]), "r2": float(x[5]),
-        "phi_k": _wrap_angle(x[6]), "phi_u": _wrap_angle(x[7]),
-    }
-    params["residual"] = float(np.abs(reconstruct_row(params) - row).max())
     params["degenerate"] = degenerate
     return params

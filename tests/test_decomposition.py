@@ -4,13 +4,24 @@ import pytest
 from pulse_squeeze.charfun import char_of_state, fock_from_char, propagate_char
 from pulse_squeeze.coherence import input_moments, seeded_vacuum_split
 from pulse_squeeze.decomposition import (
+    OutputDecomposition,
+    _family,
+    _KEYS,
     bloch_messiah_params,
     decompose_output_mode,
+    pullback_rows,
     reconstruct_row,
 )
-from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
+from pulse_squeeze.devices import (
+    GaussianPump,
+    OpaParams,
+    OpoParams,
+    build_opa,
+    build_opo,
+    default_opo_grid,
+)
 from pulse_squeeze.fockspace import three_mode_output_state
-from pulse_squeeze.grids import inner_product
+from pulse_squeeze.grids import TemporalGrid, gaussian_mode, inner_product
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import QuantumState, coherent_state, destroy, fock_state
 
@@ -77,6 +88,32 @@ class TestDecomposeOutputMode:
         assert abs(inner_product(u_mode, d.s)) < 1e-9
         assert abs(inner_product(d.k, d.s)) < 1e-9
 
+    @pytest.mark.parametrize("device", ["identity", "squeezer", "dispersive", "opo", "opa"])
+    def test_matches_joint_pullback(self, device, grid, u_mode, opo_kernels, freq_grid):
+        # The five coefficients are the one-mode pullback row over {u, k, s}:
+        # A and B are its u entries, and C, D, E carry the rest of P and Q.
+        u = u_mode
+        if device == "identity":
+            k = identity_kernels(grid)
+        elif device == "squeezer":
+            k = ideal_squeezer_kernels(grid, u_mode, 0.9)
+        elif device == "dispersive":
+            k = build_opo(OpoParams(0.5, 1.0, GaussianPump(0.0, 0.0, 0.5)), grid)
+        elif device == "opo":
+            k = opo_kernels
+        else:
+            k = build_opa(OpaParams(0.4, 0.3, 2.0), freq_grid)
+            u = gaussian_mode(freq_grid, 0.0, 1.0)
+        v = random_mode(k.grid, np.random.default_rng(8), 0.0, 2.0)
+        d = decompose_output_mode(k, u, v)
+        _modes, P, Q = pullback_rows(k, [v], u)
+        p, q = P[0, 1:], Q[0, 1:]
+        assert abs(d.A - P[0, 0]) < 1e-12
+        assert abs(d.B - Q[0, 0]) < 1e-12
+        assert abs(abs(d.C) ** 2 + d.E**2 - np.sum(np.abs(p) ** 2)) < 1e-12
+        assert abs(d.D**2 - np.sum(np.abs(q) ** 2)) < 1e-12
+        assert abs(d.C * d.D - np.sum(p * q)) < 1e-12
+
 
 class TestBlochMessiahParams:
     def test_identity_all_zero(self, grid, u_mode):
@@ -110,6 +147,79 @@ class TestBlochMessiahParams:
         assert p["degenerate"]
         assert abs(p["r2"]) < 1e-9
         assert p["residual"] < 1e-8
+
+    def test_rejects_row_beyond_last_beam_splitter(self, freq_grid):
+        # The last beam splitter carries E = sin(theta3), so |E| > 1 has no circuit.
+        k = build_opa(OpaParams(0.4, 0.0, 2.0), freq_grid)
+        v = random_mode(freq_grid, np.random.default_rng(0))
+        d = decompose_output_mode(k, gaussian_mode(freq_grid, 0.0, 1.0), v)
+        assert d.E > 1.0
+        with pytest.raises(ValueError, match=r"\|E\| = 1\.09"):
+            bloch_messiah_params(d)
+
+    def test_device_rows_fit_to_round_off_at_least_squeezing(self):
+        # Seeded and vacuum-ladder modes plus random modes of two OPOs and two
+        # OPAs, squeezing up to r of about 3.  Each fit reproduces its row and
+        # squeezes no more than the least-squeezed point of its solution family.
+        grid = default_opo_grid(1.0, 256)
+        fgrid = TemporalGrid(-8.0, 8.0, 128)
+        devices = [
+            (build_opo(OpoParams(0.2, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid),
+             gaussian_mode(grid, 0.0, 1.0)),
+            (build_opo(OpoParams(-0.3, 1.0, GaussianPump(1.6, 0.0, 0.5)), grid),
+             gaussian_mode(grid, -0.5, 1.0)),
+            (build_opa(OpaParams(0.3, 0.2, 2.0), fgrid), gaussian_mode(fgrid, 0.0, 1.0)),
+            (build_opa(OpaParams(0.4, 0.0, 2.0), fgrid), gaussian_mode(fgrid, 0.0, 1.0)),
+        ]
+        rng = np.random.default_rng(9)
+        fits = []
+        for k, u in devices:
+            sp = seeded_vacuum_split(k, u, input_moments(fock_state(1, 10)))
+            vs = [mode for _, mode in sp.seeded[:2] + sp.vacuum[:2]]
+            vs += [random_mode(k.grid, rng, 0.0, 2.0) for _ in range(3)]
+            for v in vs:
+                d = decompose_output_mode(k, u, v)
+                if d.E <= 1.0:
+                    fits.append((d, bloch_messiah_params(d)))
+        assert len(fits) >= 20
+        assert max(max(abs(p["r1"]), abs(p["r2"])) for _, p in fits) > 2.5
+        for d, p in fits:
+            assert np.abs(reconstruct_row(p) - d.row).max() <= 1e-12
+            target = d.row[:4] / np.cos(p["theta3"])
+            family = _family(target[[0, 2]], target[[1, 3]])
+            least = np.nanmin(family[:, 4] ** 2 + family[:, 5] ** 2)
+            assert abs(p["r1"] ** 2 + p["r2"] ** 2 - least) <= 1e-3 * least
+
+    @pytest.mark.parametrize("theta2", [0.0, np.pi / 2])
+    def test_squeezer_outside_the_row_is_left_at_zero(self, theta2):
+        # theta2 = 0 hides the k squeezer from the row, theta2 = pi/2 the u
+        # squeezer: the fit sets the hidden one to 0 and keeps the other.
+        rng = np.random.default_rng(12)
+        hidden, kept = ("r2", "r1") if theta2 == 0.0 else ("r1", "r2")
+        for _ in range(5):
+            params, d = _random_circuit(rng, theta2=theta2)
+            p = bloch_messiah_params(d)
+            assert np.abs(reconstruct_row(p) - d.row).max() <= 1e-12
+            assert abs(p[hidden]) < 1e-9
+            assert abs(abs(p[kept]) - abs(params[kept])) < 1e-9
+
+    def test_no_circuit_squeezes_less_than_the_fit(self):
+        # Rows made by random circuits: the fit reproduces each one and its
+        # r1^2 + r2^2 never exceeds that of the circuit that made the row.
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            params, d = _random_circuit(rng)
+            p = bloch_messiah_params(d)
+            assert np.abs(reconstruct_row(p) - d.row).max() <= 1e-12
+            assert p["r1"] ** 2 + p["r2"] ** 2 <= (params["r1"] ** 2 + params["r2"] ** 2) * (1 + 1e-3)
+
+
+def _random_circuit(rng, **fixed):
+    """Random circuit parameters, with ``fixed`` overriding, and the row they make."""
+    params = dict(zip(_KEYS, rng.uniform(-np.pi, np.pi, 8)), theta3=rng.uniform(0.0, 1.2), phi3=0.0)
+    params.update(r1=rng.uniform(-1.5, 1.5), r2=rng.uniform(-1.5, 1.5), **fixed)
+    row = reconstruct_row(params)
+    return params, OutputDecomposition(*row[:4], row[4].real, 1.0, 1.0)
 
 
 class TestFockSpaceOracle:
