@@ -1,17 +1,16 @@
-"""Decomposition of an output-mode operator over the input mode and vacuum ports.
+"""The row of one output-mode operator over the input mode and vacuum ports.
 
-Pulling an output wave packet v back through a kernel pair gives
-``a_v_out = zeta a_f + xi a_g^dag``.  Splitting f and g into components
-parallel and orthogonal to the populated input mode u yields the
-five-coefficient form
+Each output wave packet v sees the input pulse u through one row,
 
     a_v_out = A a_u + B a_u^dag + C a_k + D a_k^dag + E a_s,
 
 with k and s orthonormal vacuum ports; commutator preservation forces
-|A|^2 - |B|^2 + |C|^2 - |D|^2 + |E|^2 = 1.  The same row can be realized
-as beam splitters and single-mode squeezers (a three-mode circuit, a
-Bloch-Messiah factorisation), whose parameters :func:`bloch_messiah_params`
-recovers in closed form.  With ``x = (A, C) / cos(theta3)`` and
+|A|^2 - |B|^2 + |C|^2 - |D|^2 + |E|^2 = 1.  :func:`decompose_output_mode`
+reads the row off the pullback ``a_v_out = zeta a_f + xi a_g^dag`` of v
+through a kernel pair.  The same row can be realized as beam splitters and
+single-mode squeezers (a three-mode circuit, a Bloch-Messiah
+factorisation), whose parameters :func:`bloch_messiah_params` recovers in
+closed form.  With ``x = (A, C) / cos(theta3)`` and
 ``y = (B, D) / cos(theta3)`` the circuit reads ``x = P V`` and
 ``y = Q V*`` with V in U(2) and P, Q the squeezed beam-splitter row.  The
 first column u of V^dag must make ``x . u`` and ``conj(y) . u`` real,
@@ -23,7 +22,7 @@ point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +37,17 @@ __all__ = [
     "reconstruct_row",
 ]
 
-# Points of the solution circle that the least-squeezed rule compares.
+# Points of the solution circle that the least-squeezed search starts from.
 FAMILY_POINTS = 720
 
 
 @dataclass(frozen=True)
 class OutputDecomposition:
-    """Coefficients and mode functions of one output-mode operator.
+    """The row ``(A, B, C, D, E)`` of one output-mode operator,
+    ``a_v_out = A a_u + B a_u^dag + C a_k + D a_k^dag + E a_s``.
 
-    The phase convention keeps zeta, xi, D and E real non-negative: mode
-    phases are carried by f, g, h, k, s.  Absent modes (coefficient zero)
-    are None.
+    u is the input mode, k and s are vacuum ports whose phases are chosen
+    so that D and E are real non-negative.
     """
 
     A: complex
@@ -56,13 +55,6 @@ class OutputDecomposition:
     C: complex
     D: float
     E: float
-    zeta: float
-    xi: float
-    f: ModeFunction | None = field(repr=False, default=None)
-    g: ModeFunction | None = field(repr=False, default=None)
-    h: ModeFunction | None = field(repr=False, default=None)
-    k: ModeFunction | None = field(repr=False, default=None)
-    s: ModeFunction | None = field(repr=False, default=None)
 
     def commutator(self) -> float:
         return float(
@@ -88,15 +80,15 @@ def decompose_output_mode(
 ) -> OutputDecomposition:
     """Express the output operator of ``v`` over ``u`` and vacuum ports.
 
-    ``k`` is the part of g orthogonal to u, ``s`` the part of f orthogonal
-    to u and k (``h`` the part of f orthogonal to u alone).  Each
-    coefficient is one overlap: A = zeta <u,f>*, B = xi <u,g>,
-    C = zeta <k,f>*, D = xi ||g - <u,g> u||, E = zeta Re <s,f>; a mode
-    contained in the span is absent and contributes 0.
+    With the pullback ``a_v_out = zeta a_f + xi a_g^dag``, the port ``k``
+    is the part of g orthogonal to u and ``s`` the part of f orthogonal to
+    u and k.  Each coefficient is one overlap: A = zeta <u,f>*,
+    B = xi <u,g>, C = zeta <k,f>*, D = xi ||g - <u,g> u||,
+    E = zeta Re <s,f>; a port contained in the span is absent and
+    contributes 0.
     """
     pb = pullback_output_mode(k, v)
     f, g = pb.f, pb.g
-    h, _ = orthogonal_complement(f, [u])
     k_mode, k_norm = orthogonal_complement(g, [u]) if g is not None else (None, 0.0)
     s, _ = orthogonal_complement(f, [m for m in (u, k_mode) if m is not None])
     return OutputDecomposition(
@@ -105,7 +97,6 @@ def decompose_output_mode(
         C=pb.zeta * np.conj(_overlap(k_mode, f)),
         D=pb.xi * k_norm,
         E=pb.zeta * _overlap(s, f).real,
-        zeta=pb.zeta, xi=pb.xi, f=f, g=g, h=h, k=k_mode, s=s,
     )
 
 
@@ -176,15 +167,15 @@ def reconstruct_row(params: dict) -> np.ndarray:
 _KEYS = ("theta1", "phi1", "theta2", "phi2", "r1", "r2", "phi_k", "phi_u")
 
 
-def _family(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Circuit parameters (ordered as ``_KEYS``) along the solution circle.
+def _family(x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Circuit parameters (ordered as ``_KEYS``) at the circle angles ``ts``.
 
     N = (M - M^dag) / 2i with M = y x^T is never definite, so with its
     eigenpairs (l-, e-), (l+, e+) the circle u^dag N u = 0 is
-    u(t) = cos(a) e+ + e^{it} sin(a) e- with tan(a)^2 = l+ / (-l-), taken
-    at ``FAMILY_POINTS`` values of t.  One row per point, NaN where u gives
-    no circuit (tanh r1 or tanh r2 at or above 1: cos(theta2)^2 outside
-    [0, 1]).
+    u(t) = cos(a) e+ + e^{it} sin(a) e- with tan(a)^2 = l+ / (-l-).  One
+    row per angle (a single row when N = 0, where every u qualifies), NaN
+    where u gives no circuit (tanh r1 or tanh r2 at or above 1:
+    cos(theta2)^2 outside [0, 1]).
     """
     m = np.outer(y, x)
     lam, vecs = np.linalg.eigh((m - m.conj().T) / 2j)
@@ -196,7 +187,6 @@ def _family(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         us = (x.conj() / np.linalg.norm(x))[None, :]
     else:
         a = np.arctan2(np.sqrt(max(lam[1], 0.0)), np.sqrt(max(-lam[0], 0.0)))
-        ts = 2.0 * np.pi * np.arange(FAMILY_POINTS) / FAMILY_POINTS
         us = np.cos(a) * vecs[:, 1] + np.exp(1j * ts)[:, None] * np.sin(a) * vecs[:, 0]
     p = us @ x
     us = us * np.exp(-1j * np.angle(p))[:, None]
@@ -227,6 +217,49 @@ def _family(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weight(x: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """r1^2 + r2^2 at the circle angles ``ts``, inf where there is no circuit."""
+    family = _family(x, y, ts)
+    return np.nan_to_num(family[:, 4] ** 2 + family[:, 5] ** 2, nan=np.inf)
+
+
+def _least_squeezed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The point of the solution circle with the least r1^2 + r2^2.
+
+    ``FAMILY_POINTS`` even angles find the arcs of the circle that give a
+    circuit.  Bisection adds each arc's ends, where r1 or r2 runs off to
+    infinity: a nearly degenerate row sweeps r1 or r2 through 0 next to an
+    end, within a sliver of the circle that no even angle may land in.
+    Golden-section search then refines every local minimum of these
+    samples, all of them at once.
+    """
+    step = 2.0 * np.pi / FAMILY_POINTS
+    ts = step * np.arange(-1, FAMILY_POINTS + 1)  # wraps once each way
+    family = _family(x, y, ts)
+    valid = np.isfinite(family[:, 4])
+    if len(family) == 1 or not valid.any():
+        return family[0]
+    edge = np.flatnonzero(valid[1:] != valid[:-1])
+    good = np.where(valid[edge], ts[edge], ts[edge + 1])
+    bad = np.where(valid[edge], ts[edge + 1], ts[edge])
+    for _ in range(45):
+        mid = 0.5 * (good + bad)
+        ok = np.isfinite(_weight(x, y, mid))
+        good, bad = np.where(ok, mid, good), np.where(ok, bad, mid)
+    ts = np.sort(np.concatenate([ts, good]))
+    w = _weight(x, y, ts)
+    j = np.flatnonzero((w[1:-1] < w[:-2]) & (w[1:-1] <= w[2:])) + 1
+    lo, hi = ts[j - 1], ts[j + 1]
+    golden = 0.5 * (np.sqrt(5.0) - 1.0)
+    for _ in range(45):
+        left, right = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        w = _weight(x, y, np.concatenate([left, right]))
+        lower = w[: len(j)] < w[len(j):]
+        lo, hi = np.where(lower, lo, left), np.where(lower, right, hi)
+    ts = np.concatenate([ts, 0.5 * (lo + hi)])
+    return _family(x, y, ts[[np.argmin(_weight(x, y, ts))]])[0]
+
+
 def _wrap_angle(x: float) -> float:
     return float((x + np.pi) % (2.0 * np.pi) - np.pi)
 
@@ -246,11 +279,11 @@ def bloch_messiah_params(decomp: OutputDecomposition) -> dict:
     ``V^dag = [u | u1]``, the exact solutions are the points of the circle
     ``u^dag N u = 0``, ``N = (y x^T - conj(x) y^dag) / 2i``, and each u
     gives every parameter in closed form.  The rule: take the point of
-    least ``r1^2 + r2^2`` among ``FAMILY_POINTS`` points of the circle,
+    the circle with the least ``r1^2 + r2^2`` (:func:`_least_squeezed`),
     then polish it once with Levenberg-Marquardt.
 
     The dict also carries a ``residual`` entry (max coefficient error) and
-    a ``degenerate`` flag for rank-deficient rows (xi = 0, or a pure
+    a ``degenerate`` flag for rank-deficient rows (B = D = 0, or a pure
     vacuum row, which pins theta3 = pi/2).  Raises ``ValueError`` when
     |E| > 1: the last beam splitter cannot carry it.
     """
@@ -263,7 +296,7 @@ def bloch_messiah_params(decomp: OutputDecomposition) -> dict:
         raise ValueError(
             f"|E| = {abs(E):.6g} > 1: the circuit's last beam splitter cannot realise this row"
         )
-    degenerate = decomp.xi == 0.0 or abs(abs(E) - 1.0) < 1e-12
+    degenerate = (decomp.B == 0.0 and decomp.D == 0.0) or abs(abs(E) - 1.0) < 1e-12
 
     if abs(E) >= 1.0 - 1e-12:
         params = dict.fromkeys(_KEYS, 0.0)
@@ -276,11 +309,9 @@ def bloch_messiah_params(decomp: OutputDecomposition) -> dict:
     phi3 = float(np.angle(E)) if abs(E) > 1e-14 else 0.0
     target = row[:4] / np.cos(theta3)
     x, y = target[[0, 2]], target[[1, 3]]
-    family = _family(x, y)
-    weight = family[:, 4] ** 2 + family[:, 5] ** 2
-    if np.isnan(weight).all():
+    x0 = _least_squeezed(x, y)
+    if np.isnan(x0).any():
         raise ValueError(f"no circuit reproduces the row (commutator {decomp.commutator():.6g})")
-    x0 = family[np.nanargmin(weight)]
 
     def residual(z):
         params = dict(zip(_KEYS, z), theta3=0.0, phi3=0.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .states import QuantumState, destroy
+from pulse_squeeze.states import QuantumState, destroy
 
 __all__ = ["three_mode_output_state"]
 

@@ -26,7 +26,6 @@ from pulse_squeeze.devices import (
     build_twpa,
     default_opo_grid,
 )
-from pulse_squeeze.fockspace import three_mode_output_state
 from pulse_squeeze.grids import (
     ModeFunction,
     TemporalGrid,
@@ -48,6 +47,8 @@ from pulse_squeeze.states import (
     even_cat_state,
     vacuum_state,
 )
+
+from fockspace import three_mode_output_state
 
 
 def _report(criterion: int, ok: bool, detail: str):

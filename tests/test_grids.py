@@ -33,6 +33,15 @@ def test_grid_rejects_degenerate():
         TemporalGrid(1.0, 1.0, 8)
 
 
+def test_equal_grids_hash_alike():
+    # The ends differ by less than the 1e-12 equality tolerance but round
+    # apart at 12 digits.
+    a, b = TemporalGrid(1.4e-12, 1.0, 8), TemporalGrid(0.5e-12, 1.0, 8)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 class TestInnerProduct:
     def test_normalized_self_overlap(self, grid):
         f = gaussian_mode(grid, 0.0, 1.3)

@@ -322,12 +322,10 @@ class TestPropagateChar:
         assert np.abs(chi_out.values - expected).max() < 1e-12
 
     def test_loss_like_decomposition(self):
-        # A = sqrt(eta), D = sqrt(1 - eta): a beam splitter onto vacuum
+        # A = sqrt(eta), C = sqrt(1 - eta): a beam splitter onto vacuum
         eta = 0.6
-        d = OutputDecomposition(
-            A=np.sqrt(eta), B=0.0, C=0.0, D=np.sqrt(1 - eta), E=0.0,
-            zeta=1.0, xi=np.sqrt(1 - eta),
-        )
+        d = OutputDecomposition(A=np.sqrt(eta), B=0.0, C=np.sqrt(1 - eta), D=0.0, E=0.0)
+        assert d.commutator() == pytest.approx(1.0, abs=1e-15)
         alpha = 1.4 + 0.3j
         chi_out = propagate_char(d, char_of_state(coherent_state(alpha, 50)))
         target = coherent_state(np.sqrt(eta) * alpha, 50)
