@@ -1,13 +1,17 @@
-"""Thread counts of the OpenBLAS libraries numpy and scipy load.
+"""Thread counts of the OpenBLAS libraries loaded into this process.
 
-numpy and scipy each ship their own OpenBLAS, so one process runs two
-thread pools.  How many threads a LAPACK call or a matrix product splits
-its work over changes its summation order, so a result that must not
-depend on the thread count is computed inside :func:`one_blas_thread`.
-Both pools are driven through OpenBLAS's own C interface (numpy's symbols
-carry the ILP64 suffix ``64_``).  Where no OpenBLAS is loaded, as on a
-build against another BLAS or on a system without ``/proc``, the helpers
-do nothing.
+numpy and scipy each ship their own OpenBLAS, so one process may run two
+thread pools: numpy's from start-up, scipy's from the first import of a
+scipy module that links it (only the dense vacuum-ladder solve and the
+circuit fit import one).  How many threads a LAPACK call or a matrix
+product splits its work over changes its summation order, so a result
+that must not depend on the thread count is computed inside
+:func:`one_blas_thread`.  The pools are probed on each call, from the
+libraries mapped at that moment, so an OpenBLAS loaded late is pinned as
+well.  Each pool is driven through OpenBLAS's own C interface
+(numpy's symbols carry the ILP64 suffix ``64_``).  Where no OpenBLAS is
+loaded, as on a build against another BLAS or on a system without
+``/proc``, the helpers do nothing.
 """
 
 from __future__ import annotations
@@ -17,20 +21,24 @@ import functools
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy  # noqa: F401  (loads numpy's OpenBLAS before the probe)
-import scipy.linalg  # noqa: F401  (loads scipy's)
+import numpy  # noqa: F401  (loads numpy's OpenBLAS before the first probe)
 
 __all__ = ["blas_threads", "one_blas_thread"]
 
 
-@functools.cache
 def _pools() -> tuple:
     """(library file, get_num_threads, set_num_threads) per loaded OpenBLAS."""
     try:
         with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+            paths = tuple(sorted({line.split()[-1] for line in maps if "openblas" in line}))
     except OSError:
         return ()
+    return _bind(paths)
+
+
+@functools.cache
+def _bind(paths: tuple[str, ...]) -> tuple:
+    """The thread-count functions of each OpenBLAS file in ``paths``."""
     pools = []
     for path in paths:
         lib = ctypes.CDLL(path)
@@ -52,10 +60,12 @@ def blas_threads() -> dict[str, int]:
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with every OpenBLAS pool at one thread; restore on exit.
+    """Run the block with every loaded OpenBLAS pool at one thread; restore
+    on exit.
 
-    The counts are process-wide, so BLAS calls that other threads make
-    during the block run on one thread too."""
+    The pools are read on entry: a library first loaded inside the block
+    keeps its own count.  The counts are process-wide, so BLAS calls that
+    other threads make during the block run on one thread too."""
     saved = [(get(), put) for _, get, put in _pools()]
     for _, put in saved:
         put(1)

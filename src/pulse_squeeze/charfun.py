@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .blas import one_blas_thread
-from .states import QuantumState
+from .states import QuantumState, log_factorial
 
 __all__ = [
     "GaussianChannel",
@@ -278,7 +277,7 @@ def char_from_rho(rho: np.ndarray, beta: np.ndarray) -> np.ndarray:
             continue
         bd = b**d
         bdm = (-b.conj()) ** d
-        coeff = float(np.exp(-0.5 * gammaln(d + 1.0)))
+        coeff = float(np.exp(-0.5 * log_factorial(d)))
         for a, lag in enumerate(_laguerre_seq(x, d, dim - d)):
             w = diag[a]
             if live[a]:
@@ -421,7 +420,7 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
         folded[0] = np.bincount(radius_of, weights=core.real, minlength=n_r)
         folded[1] = np.bincount(radius_of, weights=core.imag, minlength=n_r)
         folded *= pref
-        coeff = float(np.exp(-0.5 * gammaln(d + 1.0)))
+        coeff = float(np.exp(-0.5 * log_factorial(d)))
         for a, lag in enumerate(_laguerre_seq(x, d, dim - d)):
             re, im = folded @ lag
             rho[a + d, a] = scale * coeff * complex(re, im)

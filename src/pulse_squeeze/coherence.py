@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 
 from .blas import one_blas_thread
 from .grids import HermitianKernel, ModeFunction, _clamp_negative, _pin_phase
@@ -128,7 +126,8 @@ class ModeSpectrum:
         result; when its blocks would pass n / ``LADDER_SHARE`` columns,
         :func:`_dense_ladder` forms the matrix and solves it instead.  Both
         run on one BLAS thread: their bits then do not depend on the thread
-        count.
+        count.  Only the dense solve needs scipy, which is imported, with
+        its own OpenBLAS, just before that solve's block.
         """
         k = self.kernels
         dt = k.grid.dt
@@ -136,8 +135,14 @@ class ModeSpectrum:
         if self.vacuum_total <= cut:
             return []
         with one_blas_thread():
-            vals, vecs = (_block_ladder(k.G, dt, self.vacuum_total, cut)
-                          or _dense_ladder(k.G, dt, cut))
+            pairs = _block_ladder(k.G, dt, self.vacuum_total, cut)
+        if pairs is None:
+            # Load scipy's OpenBLAS first: the block pins only the pools
+            # loaded when it is entered.
+            import scipy.linalg.blas  # noqa: F401
+            with one_blas_thread():
+                pairs = _dense_ladder(k.G, dt, cut)
+        vals, vecs = pairs
         return [
             (float(lam), ModeFunction(k.grid, _pin_phase(vec) / np.sqrt(dt)))
             for lam, vec in zip(vals, vecs.T)
@@ -205,6 +210,8 @@ def _dense_ladder(g: np.ndarray, dt: float, cut: float):
     rank-k update (``herk``) fills its lower triangle, the one the solve
     reads, and a solve restricted to ``(cut, inf)`` misses nothing but
     round-off."""
+    import scipy.linalg.blas
+
     # herk with trans=2 forms a^H a; a = G^T is a view, not a copy.
     m = scipy.linalg.blas.zherk(dt**2, g.T, trans=2, lower=1)
     vals, vecs = scipy.linalg.eigh(m, subset_by_value=(cut, np.inf), overwrite_a=True)

@@ -7,12 +7,12 @@ interpolation and truncation error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .grids import integral
 
@@ -27,12 +27,20 @@ __all__ = [
     "squeezed_state",
     "parse_state",
     "state_library",
+    "log_factorial",
 ]
 
 DEFAULT_DIM = 60
 
 # Population allowed beyond the truncation when building library states.
 TAIL_TOL = 1e-6
+
+_LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def log_factorial(n):
+    """log n! of a non-negative integer, or of each entry of an integer array."""
+    return np.asarray(_LGAMMA(np.asarray(n) + 1.0), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ def fock_state(n: int, dim: int = DEFAULT_DIM) -> QuantumState:
 
 def _coherent_coeffs(alpha: complex, dim: int) -> np.ndarray:
     n = np.arange(dim)
-    log_mag = n * np.log(np.abs(alpha) + 1e-300) - 0.5 * gammaln(n + 1.0)
+    log_mag = n * np.log(np.abs(alpha) + 1e-300) - 0.5 * log_factorial(n)
     c = np.exp(log_mag - 0.5 * np.abs(alpha) ** 2) * np.exp(1j * n * np.angle(alpha))
     if np.abs(alpha) == 0:
         c = np.zeros(dim)
@@ -169,9 +177,9 @@ def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
     """
     n_half = np.arange((dim + 1) // 2)
     log_mag = (
-        0.5 * gammaln(2 * n_half + 1.0)
+        0.5 * log_factorial(2 * n_half)
         - n_half * np.log(2.0)
-        - gammaln(n_half + 1.0)
+        - log_factorial(n_half)
         + n_half * np.log(np.tanh(np.abs(r)) + 1e-300)
         - 0.5 * np.log(np.cosh(r))
     )

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from pulse_squeeze import blas
 from pulse_squeeze.blas import blas_threads, one_blas_thread
 
 
@@ -16,3 +22,26 @@ def test_restores_after_an_exception():
         with one_blas_thread():
             raise RuntimeError("inside the block")
     assert blas_threads() == before
+
+
+def test_library_loaded_after_first_use_is_pinned():
+    # scipy's OpenBLAS loads with the first scipy.linalg import, which a run
+    # may make after one_blas_thread has already probed numpy's.
+    script = (
+        "import sys\n"
+        "from pulse_squeeze.blas import blas_threads, one_blas_thread\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "with one_blas_thread():\n"
+        "    pass\n"
+        "import scipy.linalg\n"
+        "before = blas_threads()\n"
+        "assert len(before) == 2, before\n"
+        "with one_blas_thread():\n"
+        "    inside = blas_threads()\n"
+        "assert inside == dict.fromkeys(before, 1), inside\n"
+        "assert blas_threads() == before, blas_threads()\n"
+    )
+    src = str(Path(blas.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)

@@ -198,19 +198,33 @@ class TestCliCommands:
 
     def test_cli_never_imports_scipy_optimize(self, tmp_path):
         # Only the circuit fit of decomposition.bloch_messiah_params needs
-        # scipy.optimize, and no command runs it.
+        # scipy.optimize, and no command runs it.  scipy.linalg and
+        # scipy.special, with the array-API shim, numpy.f2py and scipy's
+        # OpenBLAS they pull in, load only for the dense vacuum-ladder
+        # solve: the shipped fig4 and fig3ab recipes never take it, while a
+        # config with n < 128 does (its block budget n / 4 is under
+        # LADDER_START), so the small config runs last.
         cfg = _base_config(fock_dim=8)
         cfg["grid"]["n_points"] = 64
         path = tmp_path / "cfg.yaml"
         path.write_text(dump_config(cfg))
+        recipes = [
+            ["state", "--recipe", "fig4", "--out", str(tmp_path / "fig4")],
+            ["sweep", "--recipe", "fig3ab", "--out", str(tmp_path / "fig3ab")],
+        ]
         runs = [
             ["state", "--config", str(path), "--out", str(tmp_path / "state")],
             ["modes", "--config", str(path), "--out", str(tmp_path / "modes")],
             ["verify"],
         ]
+        lazy = ["scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py"]
         script = (
             "import sys\n"
             "from pulse_squeeze import cli\n"
+            f"for argv in {recipes!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            f"loaded = [m for m in {lazy!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
             f"for argv in {runs!r}:\n"
             "    assert cli.main(argv) == 0, argv\n"
             "assert 'scipy.optimize' not in sys.modules\n"
@@ -218,6 +232,7 @@ class TestCliCommands:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PULSE_SQUEEZE_WORKERS"] = "1"
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300,
                        stdout=subprocess.DEVNULL)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from pulse_squeeze.coherence import InputMoments, seeded_vacuum_split, vacuum_kernel
 from pulse_squeeze.devices import (
@@ -12,6 +13,7 @@ from pulse_squeeze.devices import (
     build_opo,
     build_twpa,
     default_opo_grid,
+    _erf,
 )
 from pulse_squeeze.grids import (
     ModeFunction,
@@ -37,6 +39,15 @@ class TestGaussianPump:
         # per-slice integrals still sum to the full area
         pump = GaussianPump(area=1.0, center=0.1234, width=1e-3)
         assert pump.step_areas(grid).sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_step_areas_sum_to_area(self, grid):
+        for width in (0.05, 0.5, 1.0):
+            pump = GaussianPump(area=1.7, center=0.3, width=width)
+            assert pump.step_areas(grid).sum() == pytest.approx(1.7, rel=1e-14)
+
+    def test_erf_matches_scipy(self):
+        z = np.linspace(-40.0, 40.0, 200_001)
+        assert np.max(np.abs(_erf(z) - erf(z))) <= 5e-16
 
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):

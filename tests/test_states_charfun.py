@@ -39,10 +39,17 @@ from pulse_squeeze.states import (
     destroy,
     even_cat_state,
     fock_state,
+    log_factorial,
     squeezed_state,
     state_library,
     vacuum_state,
 )
+
+
+def test_log_factorial_matches_gammaln():
+    n = np.arange(121)
+    np.testing.assert_allclose(log_factorial(n), gammaln(n + 1.0), rtol=1e-15, atol=0)
+    assert log_factorial(7) == pytest.approx(math.log(5040.0), rel=1e-15)
 
 
 class TestStateLibrary:
