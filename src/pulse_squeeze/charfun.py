@@ -11,7 +11,7 @@ Conventions, fixed once for the whole package:
 Every chi the package builds is the input's exact chi through one Gaussian
 channel (Weedbrook et al., RMP 84, 621 (2012)), a ``GaussianChannel``
 chi(beta) = base(X beta) exp(-beta^T Y beta / 2) on real coordinates:
-propagation, rotations, squeezes and marginals all compose as ``ch.then(R)``.
+propagation, squeezes and marginals all compose as ``ch.then(R)``.
 
 One policy, ``_auto_grid``, sizes every chi grid; overlaps, the Fock
 reconstruction and the Wigner transform work on the grid of the chi they get.
@@ -38,11 +38,11 @@ __all__ = [
     "char_from_rho",
     "state_evaluator",
     "char_of_state",
+    "output_channel",
     "propagate_char",
     "wigner_from_char",
     "fock_from_char",
     "overlap",
-    "rotate_char",
     "joint_two_mode_char",
 ]
 
@@ -329,21 +329,23 @@ def char_of_state(state: QuantumState) -> CharFunction:
     return _auto_grid(state_evaluator(state), "char_of_state")
 
 
-def propagate_char(decomp, chi_u: CharFunction) -> CharFunction:
-    """Characteristic function of the output-mode state.
-
-    With the output operator ``A a_u + B a_u^dag + C a_k + D a_k^dag + E a_s``
-    and vacuum in the k and s ports,
+def output_channel(decomp, channel: GaussianChannel) -> GaussianChannel:
+    """The output-mode chi, unsampled.  With the output operator
+    ``A a_u + B a_u^dag + C a_k + D a_k^dag + E a_s`` and vacuum in k and s,
 
         chi_out(beta) = chi_u(beta A* - beta* B)
-                        * exp(-|beta C* - beta* D|^2 / 2 - |beta E*|^2 / 2).
+                        * exp(-|beta C* - beta* D|^2 / 2 - |beta E*|^2 / 2),
 
-    It is ``GaussianChannel.from_rows`` of the row (A, C, E | B, D, 0) on chi_u's
-    channel, sampled on the grid where it has decayed below ``BOUNDARY_TOL``.
-    """
+    ``GaussianChannel.from_rows`` of the row (A, C, E | B, D, 0) on ``channel``."""
     A, B, C, D, E = decomp.row
-    channel = GaussianChannel.from_rows(chi_u.evaluator, [[A, C, E]], [[B, D, 0.0]])
-    return _auto_grid(channel, "propagate_char")
+    return GaussianChannel.from_rows(channel, [[A, C, E]], [[B, D, 0.0]])
+
+
+def propagate_char(decomp, chi_u: CharFunction) -> CharFunction:
+    """``output_channel`` of chi_u, sampled on the grid where it has decayed
+    below ``BOUNDARY_TOL``.  A rotated output chi is the chi of a rephased
+    row, ``decomp.rephased(-phi)``, and is sized like every other chi."""
+    return _auto_grid(output_channel(decomp, chi_u.evaluator), "propagate_char")
 
 
 def wigner_from_char(
@@ -450,15 +452,6 @@ def overlap(chi: CharFunction, target_values: np.ndarray) -> float:
     Tr[rho rho_target] for states.  ``target_values`` is sampled on chi's grid."""
     weight = chi.grid.weight / np.pi
     return float(np.real(np.sum(np.conj(chi.values) * target_values)) * weight)
-
-
-def rotate_char(chi: CharFunction, phi: float) -> CharFunction:
-    """Phase-space rotation by ``phi``: the quadrature x_theta maps to
-    x_(theta+phi), implemented as chi(beta) -> chi(beta e^{i phi}).
-
-    A rotated ellipse needs its own rectangle, so the rotated chi is sized
-    like every other chi."""
-    return _auto_grid(chi.evaluator.then(real_linear_map(np.exp(1j * phi))), "rotate_char")
 
 
 @dataclass(frozen=True)

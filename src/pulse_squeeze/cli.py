@@ -154,6 +154,8 @@ def cmd_modes(cfg: dict, out: Path) -> RunManifest:
     axes = sweep_axes(cfg)
     if len(axes) > 1:
         raise ConfigError("modes supports at most one sweep axis")
+    if axes and axes[0][0].startswith("grid."):
+        raise ConfigError(f"sweep.axes[0]: modes writes one t column, cannot sweep {axes[0][0]}")
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
 
     points = [(None, cfg)]

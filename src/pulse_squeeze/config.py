@@ -251,7 +251,7 @@ def validate_config(cfg: dict) -> None:
 
     Parses the config and builds its input state.  For each value of each
     sweep axis, parses the top-level block the axis changes with the value
-    substituted, and checks it against the other blocks."""
+    substituted, checks it against the other blocks and builds the state it sets."""
     run = parse_config(cfg)
     try:
         _named("input.state", lambda build: build(), run.input.state)
@@ -262,7 +262,9 @@ def validate_config(cfg: dict) -> None:
         for value in values:
             try:
                 point = set_by_path(cfg, name, float(value))
-                _run(**{**vars(run), block: parse_config(point[block], block)})
+                point_run = _run(**{**vars(run), block: parse_config(point[block], block)})
+                if name.startswith("input.state."):
+                    _named("input.state", lambda build: build(), point_run.input.state)
             except KeyError:
                 raise ConfigError(
                     f"sweep.axes[{i}].name: {name!r} does not exist for this config"
@@ -272,11 +274,10 @@ def validate_config(cfg: dict) -> None:
 
 
 def _run_environment() -> dict:
-    """What a run's speed and parallel layout depend on: cores, the thread
-    count of each loaded OpenBLAS, the sweep worker setting, versions."""
+    """What a run's speed and parallel layout depend on, as known when it
+    starts: cores, the sweep worker setting, versions."""
     return {
         "cores": os.cpu_count(),
-        "blas_threads": blas_threads(),
         "PULSE_SQUEEZE_WORKERS": os.environ.get("PULSE_SQUEEZE_WORKERS"),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -287,7 +288,8 @@ def _run_environment() -> dict:
 @dataclass
 class RunManifest:
     """Record of one CLI run: config identity, emitted files, failures and
-    the environment it ran in."""
+    the environment it ran in.  ``write`` adds the thread count of each
+    OpenBLAS loaded by then, so a pool the run loaded late is listed too."""
 
     config_hash: str
     tool_version: str
@@ -309,6 +311,6 @@ class RunManifest:
             "created_utc": self.created_utc,
             "files": self.files,
             "failures": self.failures,
-            "environment": self.environment,
+            "environment": {**self.environment, "blas_threads": blas_threads()},
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -69,6 +69,12 @@ class OutputDecomposition:
     def row(self) -> np.ndarray:
         return np.array([self.A, self.B, self.C, self.D, self.E], dtype=complex)
 
+    def rephased(self, psi: float) -> "OutputDecomposition":
+        """The row of mode ``v e^{-i psi}``, its ports rephased to keep D, E real:
+        its chi is the output chi turned by ``-psi``, chi(beta e^{-i psi})."""
+        w = np.exp(1j * psi)
+        return OutputDecomposition(self.A * w, self.B * w, self.C * w * w, self.D, self.E)
+
 
 def _overlap(a: ModeFunction | None, b: ModeFunction | None) -> complex:
     """``<a, b>``, or 0 when either mode is absent."""

@@ -75,10 +75,10 @@ def fidelity(rho: QuantumState, target_pure: QuantumState) -> float:
 def quadrature_moments(state, angle: float) -> tuple[float, float]:
     """(<x_theta>, <x_theta^2>) for x_theta = (a e^{-i theta} + a^dag e^{i theta}) / sqrt2.
 
-    From a state: Fock-operator averages.  From a characteristic function:
-    five-point stencils on chi(i eps e^{i theta}), with the step refined so
-    the truncation error stays near 1e-5 even for strongly amplified
-    quadratures.
+    From a state: Fock-operator averages.  From a chi, sampled or an unsampled
+    ``GaussianChannel``: five-point stencils on chi(i eps e^{i theta}), with
+    the step refined so the truncation error stays near 1e-5 even for
+    strongly amplified quadratures.
     """
     if isinstance(state, QuantumState):
         a = destroy(state.dim)
@@ -87,11 +87,9 @@ def quadrature_moments(state, angle: float) -> tuple[float, float]:
         m2 = float(np.real(state.expect(x @ x)))
         return m1, m2
 
-    chi = _as_char(state)
-
     def probe(h):
         eps = np.array([-2 * h, -h, 0.0, h, 2 * h])
-        g = chi(1j * np.exp(1j * angle) * eps)
+        g = state(1j * np.exp(1j * angle) * eps)
         d1 = (-g[4] + 8 * g[3] - 8 * g[1] + g[0]) / (12 * h)
         d2 = (-g[4] + 16 * g[3] - 30 * g[2] + 16 * g[1] - g[0]) / (12 * h * h)
         mean = float(np.imag(d1) / np.sqrt(2.0))

@@ -16,10 +16,10 @@ from .charfun import (
     CharGrid,
     char_of_state,
     fock_from_char,
+    output_channel,
     overlap,
     propagate_char,
     real_linear_map,
-    rotate_char,
     wigner_from_char,
 )
 from .coherence import (
@@ -131,28 +131,27 @@ def select_output_mode(
 
 
 def align_amplified_axis(
-    chi: CharFunction, input_state: QuantumState
+    decomp: OutputDecomposition, chi_u: CharFunction, input_state: QuantumState
 ) -> tuple[CharFunction, float]:
-    """Rotate the state so its amplified quadrature matches the fit family.
+    """The output chi of ``decomp`` on ``chi_u``, turned by the returned angle
+    so its amplified quadrature matches the fit family, and sampled once.
 
-    The output-mode eigenvector carries an arbitrary global phase, which
-    shows up as a phase-space rotation of the propagated state.  The
-    principal axis of the covariance fixes the rotation up to pi; the
-    remaining two candidates are settled by a coarse fidelity probe.  The
-    theta + pi candidate is chi(-beta e^{i theta}) = conj(chi(beta e^{i theta})),
-    so it is the first candidate conjugated, and it wins only by more than
-    round-off: a parity-symmetric state such as the even cat scores both
-    alike.  Near-isotropic states (no measurable squeezing) are left
-    untouched: their principal axis is covariance noise.
+    The principal axis of the output channel's covariance fixes the turn up
+    to pi, and the chi turned by theta is that of ``decomp.rephased(-theta)``.
+    The theta + pi candidate is chi(-beta e^{i theta}) = conj(chi(beta e^{i theta})),
+    so it is the first candidate conjugated, and it wins a coarse fidelity
+    probe only by more than round-off: a parity-symmetric state such as the
+    even cat scores both alike.  Near-isotropic states (no measurable
+    squeezing) are left unturned: their principal axis is covariance noise.
     """
-    vx, vp, c = gaussian_covariance(chi)
+    vx, vp, c = gaussian_covariance(output_channel(decomp, chi_u.evaluator))
     half_spread = np.sqrt(0.25 * (vx - vp) ** 2 + c * c)
     mean = 0.5 * (vx + vp)
     if half_spread < 0.025 * mean:
-        return chi, 0.0
+        return propagate_char(decomp, chi_u), 0.0
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
     phis = (theta, theta + np.pi)
-    first = rotate_char(chi, theta)
+    first = propagate_char(decomp.rephased(-theta), chi_u)
     mirrored = CharFunction(first.grid, np.conj(first.values), first.evaluator.then(-np.eye(2)))
     rots = [first, mirrored]
     scores = [-np.inf, -np.inf]
@@ -202,16 +201,14 @@ def run_state_analysis(
     result.metrics["m1"] = vacuum[0][0] if vacuum else 0.0
     v = select_output_mode(result.spectrum, output_mode, kernels.grid)
     decomp = decompose_output_mode(kernels, u, v)
-    # Anchor the output mode's global phase to the input carrier: rotate v
-    # so the seeded coefficient A is real non-negative.  Eigenvector phases
-    # are otherwise arbitrary and would rotate the output state in phase
-    # space (a dispersive device must return the input state exactly).
+    # Anchor the output mode's global phase to the input carrier: rephase the
+    # row so the seeded coefficient A is real non-negative.  Eigenvector
+    # phases are otherwise arbitrary and would rotate the output state in
+    # phase space (a dispersive device must return the input state exactly).
     if abs(decomp.A) > 1e-12 and abs(np.angle(decomp.A)) > 1e-12:
-        v = ModeFunction(v.grid, v.amplitudes * np.exp(1j * np.angle(decomp.A)))
-        decomp = decompose_output_mode(kernels, u, v)
+        decomp = decomp.rephased(-np.angle(decomp.A))
     chi_u = char_of_state(state)
-    chi_out = propagate_char(decomp, chi_u)
-    chi_out, rotation = align_amplified_axis(chi_out, state)
+    chi_out, rotation = align_amplified_axis(decomp, chi_u, state)
     fit = optimize_squeeze_fidelity(chi_out, state)
     result.decomposition = decomp
     result.chi_out = chi_out

@@ -93,3 +93,13 @@ def reference_squeezed_chi(base, r):
     ``base(beta cosh r - beta* sinh r)``."""
     ch, sh = np.cosh(r), np.sinh(r)
     return lambda beta: base(np.asarray(beta, dtype=complex) * ch - np.conj(beta) * sh)
+
+
+def reference_rotated_chi(chi, phi):
+    """The rotate-then-sample path, the oracle for a rephased row: ``chi``'s
+    evaluator rotated by ``phi``, chi(beta) -> chi(beta e^{i phi}), and sampled
+    on a grid of its own."""
+    from pulse_squeeze.charfun import _auto_grid, real_linear_map
+
+    rotated = chi.evaluator.then(real_linear_map(np.exp(1j * phi)))
+    return _auto_grid(rotated, "reference_rotated_chi")

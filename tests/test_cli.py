@@ -121,6 +121,7 @@ class TestCliCommands:
         opa_no_gain = {"kind": "opa", "pump_spectral_width": 2.0}
         grid = _base_config()["grid"]
         inp = _base_config()["input"]
+        small_fock = {"kind": "fock", "n": 1, "dim": 10}
 
         # malformed settings are config errors, caught before any compute
         cases = [
@@ -180,6 +181,14 @@ class TestCliCommands:
             ("modes", "input.pulse.width", {"input": {**inp, "pulse": {"width": -1.0}}}),
             ("modes", "device.width", {"device": {"kind": "squeezer", "r": 0.8, "width": 0}}),
             ("modes", "sweep.axes[0]", axis("input.pulse.width", values=[1.0, 0.0])),
+            # a Fock index that parses, but that a dim-10 truncation cannot hold
+            ("modes", "sweep.axes[0]", {"input": {"state": small_fock},
+                                        **axis("input.state.n", values=[1, 12])}),
+            ("sweep", "sweep.axes[0]", {"input": {"state": small_fock}, "sweep": {"axes": [
+                {"name": "input.state.n", "values": [1, 12]},
+                {"name": "device.r", "values": [0.8]}]}}),
+            # modes.csv holds one t column for every point
+            ("modes", "sweep.axes[0]", axis("grid.n_points", values=[128, 256])),
         ]
         for command, key, override in cases:
             cfg = _base_config(**override)
@@ -195,6 +204,28 @@ class TestCliCommands:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and str(bad) in err, err
             assert err.count("\n") == 1, err
+
+    def test_manifest_lists_blas_pools_loaded_during_the_run(self, tmp_path):
+        # Forcing the dense ladder solve loads scipy's OpenBLAS mid-run.
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(_base_config()))
+        out = tmp_path / "run"
+        script = (
+            "import json, sys\n"
+            "from pulse_squeeze import blas, cli, coherence\n"
+            "coherence._block_ladder = lambda *args: None\n"
+            f"assert cli.main(['modes', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules  # the dense solve ran\n"
+            "pools = blas.blas_threads()\n"
+            f"manifest = json.loads(open({str(out / 'manifest.json')!r}).read())\n"
+            "listed = manifest['environment']['blas_threads']\n"
+            "assert listed == pools and pools, (listed, pools)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300,
+                       stdout=subprocess.DEVNULL)
 
     def test_cli_never_imports_scipy_optimize(self, tmp_path):
         # Only the circuit fit of decomposition.bloch_messiah_params needs

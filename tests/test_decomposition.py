@@ -21,11 +21,11 @@ from pulse_squeeze.devices import (
     build_opo,
     default_opo_grid,
 )
-from pulse_squeeze.grids import TemporalGrid, gaussian_mode
+from pulse_squeeze.grids import ModeFunction, TemporalGrid, gaussian_mode
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import QuantumState, coherent_state, destroy, fock_state
 
-from conftest import random_mode
+from conftest import random_mode, reference_rotated_chi
 from fockspace import three_mode_output_state
 
 
@@ -76,6 +76,24 @@ class TestDecomposeOutputMode:
         d = decompose_output_mode(opo_kernels, u_mode, v)
         assert isinstance(d.D, float) and d.D >= 0.0
         assert isinstance(d.E, float) and d.E >= 0.0
+
+    @pytest.mark.parametrize("psi", [0.3, -2.0, np.pi])
+    def test_rephased_row_is_the_rephased_mode(self, grid, u_mode, opo_kernels, psi):
+        # e^{i psi} a_v is the operator of the mode v e^{-i psi}, and its chi is
+        # the output chi turned by -psi
+        v = random_mode(grid, np.random.default_rng(3), 1.0, 2.0)
+        d = decompose_output_mode(opo_kernels, u_mode, v)
+        turned = ModeFunction(grid, v.amplitudes * np.exp(-1j * psi))
+        rephased = d.rephased(psi)
+        direct = decompose_output_mode(opo_kernels, u_mode, turned)
+        assert np.abs(rephased.row - direct.row).max() < 1e-12
+        assert isinstance(rephased.D, float) and isinstance(rephased.E, float)
+        assert rephased.commutator() == pytest.approx(d.commutator(), abs=1e-14)
+        chi_u = char_of_state(coherent_state(0.8 + 0.4j, 30))
+        oracle = reference_rotated_chi(propagate_char(d, chi_u), -psi)
+        chi = propagate_char(rephased, chi_u)
+        assert chi.grid == oracle.grid
+        assert np.abs(chi.values - oracle.values).max() < 1e-13
 
     @pytest.mark.parametrize("device", ["identity", "squeezer", "dispersive", "opo", "opa"])
     def test_matches_joint_pullback(self, device, grid, u_mode, opo_kernels, freq_grid):

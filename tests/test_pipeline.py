@@ -1,15 +1,58 @@
 import numpy as np
 import pytest
+from conftest import reference_rotated_chi
 
+from pulse_squeeze import charfun, pipeline
+from pulse_squeeze.charfun import char_of_state, propagate_char
+from pulse_squeeze.config import load_recipe, set_by_path
+from pulse_squeeze.decomposition import OutputDecomposition
 from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
 from pulse_squeeze.grids import gaussian_mode
+from pulse_squeeze.metrics import gaussian_covariance
 from pulse_squeeze.pipeline import (
     align_amplified_axis,
     device_from_config,
     grid_from_config,
+    input_mode_from_config,
+    input_state_from_config,
     run_state_analysis,
 )
 from pulse_squeeze.states import coherent_state, even_cat_state, fock_state
+
+
+# Calls counted in a state run; ``_auto_grid`` samples every chi grid.
+COUNTED = {"decompose_output_mode": pipeline, "propagate_char": pipeline, "_auto_grid": charfun}
+# One decomposition; two chi samplings: the input's and the output's.
+ONCE = {"decompose_output_mode": 1, "propagate_char": 1, "_auto_grid": 2}
+
+
+def _run_counted(kernels, u, state):
+    """``run_state_analysis`` with its calls of the ``COUNTED`` functions counted."""
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in COUNTED.items():
+            mp.setattr(module, name, counted(name, getattr(module, name)))
+        result = run_state_analysis(kernels, u, state)
+    return result, calls
+
+
+@pytest.fixture(scope="module")
+def detuned_fig4():
+    """fig4 at device.detuning 0.7, where the aligned output state is turned
+    by 0.617 rad, run once with its decompositions and propagations counted."""
+    cfg = set_by_path(load_recipe("fig4"), "device.detuning", 0.7)
+    grid = grid_from_config(cfg["grid"])
+    state = input_state_from_config(cfg["input"])
+    kernels = device_from_config(cfg["device"], grid)
+    result, calls = _run_counted(kernels, input_mode_from_config(cfg["input"], grid), state)
+    return result, calls, state
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +77,11 @@ class TestDispersiveTransport:
         assert np.imag(res.decomposition.A) == pytest.approx(0.0, abs=1e-10)
         assert np.real(res.decomposition.A) > 0
 
+    def test_isotropic_state_decomposed_and_sampled_once(self, grid, u_mode, dispersive):
+        res, calls = _run_counted(dispersive, u_mode, coherent_state(1.0, 40))
+        assert res.metrics["rotation"] == 0.0  # the near-isotropic branch
+        assert calls == ONCE
+
 
 class TestStateAnalysis:
     def test_squeezer_pipeline_metrics(self, grid, u_mode):
@@ -52,30 +100,47 @@ class TestStateAnalysis:
         assert np.real(np.trace(res.rho_out.rho)) == pytest.approx(1.0, abs=1e-8)
 
     def test_align_puts_large_variance_first(self, grid, u_mode):
-        from pulse_squeeze.charfun import char_of_state
-        from pulse_squeeze.metrics import gaussian_covariance
         from pulse_squeeze.states import squeezed_state, vacuum_state
 
+        identity_row = OutputDecomposition(1.0, 0.0, 0.0, 0.0, 0.0)
         chi = char_of_state(squeezed_state(0.7, 50))
-        aligned, _phi = align_amplified_axis(chi, vacuum_state(20))
+        aligned, _phi = align_amplified_axis(identity_row, chi, vacuum_state(20))
         vx, vp, _ = gaussian_covariance(aligned)
         assert vx > vp  # fit family amplifies x in package conventions
+
+
+class TestDetunedFig4:
+    def test_decomposed_and_sampled_once(self, detuned_fig4):
+        _result, calls, _state = detuned_fig4
+        assert calls == ONCE
+
+    def test_aligned_chi_matches_rotate_then_sample(self, detuned_fig4):
+        result, _calls, state = detuned_fig4
+        # the parent path: sample the output chi, take its principal axis,
+        # then rotate the sampled chi's evaluator and sample it again
+        sampled = propagate_char(result.decomposition, char_of_state(state))
+        vx, vp, c = gaussian_covariance(sampled)
+        theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
+        assert theta > 0.5  # a real rotation, unlike fig4's own
+        assert abs(result.metrics["rotation"] - theta) < 1e-12
+        oracle = reference_rotated_chi(sampled, theta)
+        assert result.chi_out.grid == oracle.grid
+        scale = np.abs(oracle.values).max()
+        assert np.abs(result.chi_out.values - oracle.values).max() < 1e-13 * scale
 
 
 class TestAlignAmplifiedAxis:
     @staticmethod
     def _through_squeezer(grid, u_mode, state, r):
-        from pulse_squeeze.charfun import char_of_state, propagate_char
+        """The squeezer's row and the input chi it acts on."""
         from pulse_squeeze.decomposition import decompose_output_mode
         from pulse_squeeze.kernels import ideal_squeezer_kernels
 
         d = decompose_output_mode(ideal_squeezer_kernels(grid, u_mode, r), u_mode, u_mode)
-        return propagate_char(d, char_of_state(state))
+        return d, char_of_state(state)
 
     @staticmethod
     def _principal_angle(chi):
-        from pulse_squeeze.metrics import gaussian_covariance
-
         vx, vp, c = gaussian_covariance(chi)
         return 0.5 * np.arctan2(2.0 * c, vx - vp)
 
@@ -84,18 +149,18 @@ class TestAlignAmplifiedAxis:
         # The even cat is parity symmetric: theta and theta + pi score alike
         # up to round-off, and the tie goes to theta.
         cat = even_cat_state(2.0, 50)
-        chi = self._through_squeezer(grid, u_mode, cat, r)
-        aligned, phi = align_amplified_axis(chi, cat)
-        assert phi == self._principal_angle(chi)
+        d, chi_u = self._through_squeezer(grid, u_mode, cat, r)
+        aligned, phi = align_amplified_axis(d, chi_u, cat)
+        assert phi == self._principal_angle(propagate_char(d, chi_u))
         assert abs(phi) < 1e-6
 
     def test_mirror_candidate_wins_when_better(self, grid, u_mode):
-        from pulse_squeeze.charfun import rotate_char
-
         state = coherent_state(1.0 + 0.3j, 40)
-        chi = self._through_squeezer(grid, u_mode, state, 0.9)
-        flipped = rotate_char(chi, np.pi)
-        aligned, phi = align_amplified_axis(flipped, state)
+        d, chi_u = self._through_squeezer(grid, u_mode, state, 0.9)
+        chi = propagate_char(d, chi_u)
+        flipped_row = d.rephased(-np.pi)  # the output state turned by pi
+        flipped = propagate_char(flipped_row, chi_u)
+        aligned, phi = align_amplified_axis(flipped_row, chi_u, state)
         assert phi == pytest.approx(self._principal_angle(flipped) + np.pi, abs=1e-12)
         assert abs(phi - np.pi) < 1e-6
         # aligning undoes the flip, up to the covariance estimate of theta
@@ -103,7 +168,7 @@ class TestAlignAmplifiedAxis:
         assert np.abs(aligned(beta) - chi(beta)).max() < 1e-4
         assert np.abs(flipped(beta) - chi(beta)).max() > 0.5
         # the unflipped state keeps theta
-        assert abs(align_amplified_axis(chi, state)[1]) < 1e-6
+        assert abs(align_amplified_axis(d, chi_u, state)[1]) < 1e-6
 
 
 class TestDeviceDispatch:

@@ -24,7 +24,6 @@ from pulse_squeeze.charfun import (
     overlap,
     propagate_char,
     real_linear_map,
-    rotate_char,
     state_evaluator,
     wigner_from_char,
 )
@@ -290,10 +289,12 @@ class TestRectangularGrid:
         # one target per r: 7 on the grid plus the refinement around the peak
         assert len(sampled) > 7 and all(g == chi.grid for g in sampled)
 
-    def test_quarter_turn_is_rotate_char(self, grid, u_mode, monkeypatch):
+    def test_quarter_turn_is_rephased_row(self, grid, u_mode, monkeypatch):
         from pulse_squeeze import pipeline
 
-        chi = self._squeezed_output(grid, u_mode, coherent_state(1.0 + 0.5j, 30), r=0.9)
+        d = decompose_output_mode(ideal_squeezer_kernels(grid, u_mode, 0.9), u_mode, u_mode)
+        chi_u = char_of_state(coherent_state(1.0 + 0.5j, 30))
+        chi = propagate_char(d, chi_u)
         assert chi.grid.n_side != chi.grid.im_n_side
         seen = []
         monkeypatch.setattr(
@@ -303,7 +304,8 @@ class TestRectangularGrid:
         (quarter,) = seen
         g = chi.grid
         assert quarter.grid == CharGrid(g.im_extent, g.im_n_side, g.extent, g.n_side)
-        rotated = rotate_char(chi, np.pi / 2.0)
+        rotated = propagate_char(d.rephased(-np.pi / 2.0), chi_u)
+        assert rotated.grid == quarter.grid
         assert np.abs(quarter.values - quarter.grid.sample(rotated.evaluator)).max() < 1e-14
         beta = quarter.grid.mesh()[::7, ::5]
         assert np.abs(quarter(beta) - rotated(beta)).max() < 1e-14
@@ -501,7 +503,8 @@ class TestWigner:
         chi = char_of_state(state)
         from pulse_squeeze.metrics import quadrature_variance
 
-        rot = rotate_char(chi, np.pi / 2.0)
+        quarter_turn = OutputDecomposition(1.0, 0.0, 0.0, 0.0, 0.0).rephased(-np.pi / 2.0)
+        rot = propagate_char(quarter_turn, chi)
         assert quadrature_variance(rot, 0.0) == pytest.approx(
             quadrature_variance(chi, np.pi / 2.0), abs=1e-5
         )
