@@ -207,6 +207,8 @@ def cmd_state(cfg: dict, out: Path) -> RunManifest:
     """Full state pipeline at a single parameter point."""
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
     run = parse_config(cfg)
+    if run.sweep:
+        raise ConfigError(f"sweep.axes[0]: state runs one point, cannot sweep {run.sweep[0][0]}")
     kern = device_from_config(cfg["device"], run.grid)
     u = input_mode_from_config(cfg["input"], run.grid)
     state = input_state_from_config(cfg["input"])
@@ -310,11 +312,14 @@ def _verify_checks(corrupt: bool):
     opa = build_opa(OpaParams(0.4, 0.0, 2.0), fgrid)
     checks.append(("opa symplectic", verify_symplectic(opa).max_residual, 1e-10))
 
-    twpa = build_twpa(
-        TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), 100, 0.01),
-        TemporalGrid(-10.0, 30.0, 256),
-    )
-    checks.append(("twpa symplectic", verify_symplectic(twpa).max_residual, 1e-10))
+    # A resonant stage has real kernels, so its chain takes the two n x n block
+    # powers; a detuned stage mixes x with p and takes the 2n x 2n power.
+    for name, detuning in (("twpa symplectic", 0.0), ("detuned twpa symplectic", 0.3)):
+        twpa = build_twpa(
+            TwpaParams(OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2)), 100, 0.01),
+            TemporalGrid(-10.0, 30.0, 256),
+        )
+        checks.append((name, verify_symplectic(twpa).max_residual, 1e-10))
 
     worst = 0.0
     for _ in range(5):

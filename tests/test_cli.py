@@ -189,6 +189,8 @@ class TestCliCommands:
                 {"name": "device.r", "values": [0.8]}]}}),
             # modes.csv holds one t column for every point
             ("modes", "sweep.axes[0]", axis("grid.n_points", values=[128, 256])),
+            # state runs one point: a sweep axis is an error, not ignored
+            ("state", "sweep.axes[0]", axis(values=[0.2, 1.5])),
         ]
         for command, key, override in cases:
             cfg = _base_config(**override)
@@ -506,12 +508,15 @@ class TestCliCommands:
         for name in ("heatmap_n1.csv", "heatmap_ratio.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
 
-    @pytest.mark.parametrize("case", ["modes", "modes-opa", "modes-twpa", "state"])
+    @pytest.mark.parametrize(
+        "case", ["modes", "modes-opa", "modes-twpa", "modes-twpa-detuned", "state"])
     def test_identical_across_blas_threads(self, tmp_path, case):
         # The n x n vacuum ladder (modes: occupations.csv, spectrum.json;
         # state: m1 in metrics.json), the OPA eigenbasis, the TWPA's real
-        # quadrature power (dgemm) and the Wigner products (wigner.csv) are
-        # the BLAS calls whose bits would follow the thread count.
+        # quadrature powers (dgemm: the two n x n block powers of a resonant
+        # chain, the 2n x 2n power of a detuned one) and the Wigner products
+        # (wigner.csv) are the BLAS calls whose bits would follow the thread
+        # count.
         modes_files = ("occupations.csv", "modes.csv", "spectrum.json")
         n_points = 512
         if case == "modes":
@@ -523,8 +528,10 @@ class TestCliCommands:
             cfg["sweep"]["axes"] = [
                 {"name": "device.pump_center_detuning", "values": [0.0, 1.0]}]
             files = modes_files
-        elif case == "modes-twpa":
+        elif case.startswith("modes-twpa"):
             cfg = load_recipe("fig3ef")
+            if case == "modes-twpa-detuned":
+                cfg["device"]["stage"]["detuning"] = 0.6
             cfg["sweep"]["axes"] = [{"name": "device.total_gain", "values": [1.0, 4.0]}]
             files = modes_files
             n_points = 256
@@ -569,6 +576,9 @@ class TestVerifyCommand:
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+        # both TWPA folds: the resonant block powers and the detuned full power
+        names = {line.split("  residual")[0].strip() for line in out.splitlines()}
+        assert {"twpa symplectic", "detuned twpa symplectic"} <= names
 
     def test_corrupt_injection_reports_specific_invariant(self, capsys):
         assert cli.main(["verify", "--corrupt-injection"]) == 2

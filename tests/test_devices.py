@@ -23,7 +23,13 @@ from pulse_squeeze.grids import (
     inner_product,
     normalize,
 )
-from pulse_squeeze.kernels import apply_to_mode, compose, verify_symplectic
+from pulse_squeeze.kernels import (
+    _from_quadrature,
+    _to_quadrature,
+    apply_to_mode,
+    compose,
+    verify_symplectic,
+)
 
 from conftest import max_relative_difference, random_mode, reference_compose
 
@@ -209,6 +215,48 @@ class TestBuildTwpa:
         for _ in range(n_stages - 1):
             expected = reference_compose(one, expected)
         assert max_relative_difference(expected, k) < 1e-10
+
+    @pytest.mark.parametrize("n_stages", [2, 7, 100, 1000])
+    def test_resonant_chain_matches_full_quadrature_power(self, n_stages):
+        # A resonant stage has real kernels, so the chain takes the two n x n
+        # block powers; the oracle raises the full 2n x 2n quadrature map.
+        grid = TemporalGrid(-10.0, 30.0, 128)
+        stage = OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2))
+        per_stage = 4.0 / n_stages
+        k = build_twpa(TwpaParams(stage, n_stages, per_stage), grid)
+        one = build_twpa(TwpaParams(stage, 1, per_stage), grid)
+        assert not one.F.imag.any() and not one.G.imag.any()
+        expected = _from_quadrature(np.linalg.matrix_power(_to_quadrature(one), n_stages), grid)
+        scale = np.abs(expected.F).max()
+        assert np.abs(k.F - expected.F).max() < 1e-13 * scale
+        assert np.abs(k.G - expected.G).max() < 1e-13 * scale
+
+    def test_resonant_stage_kernels_are_real(self):
+        # Every resonant recipe folds its chain by the block powers; a detuned
+        # stage mixes x with p and keeps the full quadrature power.
+        grid = TemporalGrid(-10.0, 30.0, 128)
+        pump = GaussianPump(0.05, 0.0, 0.2)
+        resonant = build_opo(OpoParams(0.0, 1.0, pump), grid)
+        assert not resonant.F.imag.any() and not resonant.G.imag.any()
+        detuned = build_opo(OpoParams(0.6, 1.0, pump), grid)
+        assert detuned.F.imag.any() and detuned.G.imag.any()
+
+    @pytest.mark.parametrize(
+        "detuning, shapes", [(0.0, [(128, 128)] * 2), (0.6, [(256, 256)])])
+    def test_fold_raises_blocks_only_for_real_kernels(self, monkeypatch, detuning, shapes):
+        # n = 128: two n x n block powers when resonant, one 2n x 2n power when detuned
+        grid = TemporalGrid(-10.0, 30.0, 128)
+        stage = OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2))
+        raised = []
+        power = np.linalg.matrix_power
+
+        def spy(m, n):
+            raised.append(m.shape)
+            return power(m, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", spy)
+        build_twpa(TwpaParams(stage, 10, 0.02), grid)
+        assert raised == shapes
 
     def test_long_chain_symplectic(self, chain_grid, stage):
         k = build_twpa(TwpaParams(stage, 100, 0.05), chain_grid)

@@ -16,6 +16,7 @@ from pulse_squeeze.devices import (
 from pulse_squeeze.kernels import (
     BogoliubovKernels,
     _from_quadrature,
+    _quadrature_power,
     _to_quadrature,
     apply_to_mode,
     compose,
@@ -122,6 +123,17 @@ class TestQuadrature:
         for k in _kernel_pair(name, grid, freq_grid, u_mode, opo_kernels):
             back = _from_quadrature(_to_quadrature(k), k.grid)
             assert max_relative_difference(k, back) < 1e-15
+
+    @pytest.mark.parametrize("f_phase, g_phase", [(1.0, 1.0), (1.0, 1j), (1j, 1.0)])
+    def test_power_matches_repeated_compose(self, freq_grid, f_phase, g_phase):
+        # Real F and G take the two block powers; an imaginary F or G mixes
+        # x with p and needs the full 2n x 2n power.
+        k = ideal_squeezer_kernels(freq_grid, gaussian_mode(freq_grid, 0.5, 1.0), 0.4)
+        k = BogoliubovKernels(freq_grid, k.F * f_phase, k.G * g_phase)
+        expected = k
+        for _ in range(4):
+            expected = reference_compose(k, expected)
+        assert max_relative_difference(expected, _quadrature_power(k, 5)) < 1e-13
 
 
 class TestCompose:
