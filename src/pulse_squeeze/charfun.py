@@ -10,8 +10,12 @@ Conventions, fixed once for the whole package:
 
 Every chi the package builds is the input's exact chi through one Gaussian
 channel (Weedbrook et al., RMP 84, 621 (2012)), a ``GaussianChannel``
-chi(beta) = base(X beta) exp(-beta^T Y beta / 2) on real coordinates:
-propagation, squeezes and marginals all compose as ``ch.then(R)``.
+chi(beta) = base(u, v) exp(-beta^T Y beta / 2) on real coordinates:
+(u, v) = X (Re beta_1, Im beta_1, ...) are formed with real multiply-adds,
+and ``base(u, v)`` is the input's exact chi at u + i v, a closed form
+written on u and v or the Fock sum.  Propagation, squeezes and marginals
+all compose as ``ch.then(R)``; ``CharGrid.sample`` hands the channel the
+grid's two real axes, so no complex mesh is built.
 
 One policy, ``_auto_grid``, sizes every chi grid; overlaps, the Fock
 reconstruction and the Wigner transform work on the grid of the chi they get.
@@ -65,15 +69,18 @@ def real_linear_map(p: complex, q: complex = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
-    """chi(beta_1 .. beta_m) = base(X beta) * exp(-1/2 beta^T Y beta), called
-    with m complex arrays of one shape.
+    """chi(beta_1 .. beta_m) = base(u, v) * exp(-1/2 beta^T Y beta), called
+    with m complex arrays of one shape, or through ``at`` with their 2m real
+    coordinates.
 
-    ``base`` is the input's exact chi, ``X`` the real 2 x 2m map onto its
-    argument and ``Y`` the real positive semidefinite 2m x 2m noise form, on
-    (Re beta_1, Im beta_1, ...); ``GaussianChannel(base)`` is the identity.
-    Like every ``base`` in the package, it has chi(-beta) = conj(chi(beta))."""
+    On the real coordinates (Re beta_1, Im beta_1, ...), ``X`` is the real
+    2 x 2m map onto (u, v) and ``Y`` the real positive semidefinite 2m x 2m
+    noise form.  ``base(u, v)`` is the input's exact chi at u + i v, on real
+    arrays that broadcast together; ``GaussianChannel(base)`` is the
+    identity.  Like every ``base`` in the package, it has chi(-beta) =
+    conj(chi(beta))."""
 
-    base: Callable[[np.ndarray], np.ndarray]
+    base: Callable[[np.ndarray, np.ndarray], np.ndarray]
     X: np.ndarray = field(default_factory=lambda: np.eye(2))
     Y: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
 
@@ -92,15 +99,21 @@ class GaussianChannel:
         X -> X R and Y -> R^T Y R + noise."""
         return GaussianChannel(self.base, self.X @ R, R.T @ self.Y @ R + noise)
 
+    def at(self, *coords: np.ndarray) -> np.ndarray:
+        """chi at the real coordinates (Re beta_1, Im beta_1, ...), real arrays
+        that broadcast together, such as a grid's axes ``re[:, None]`` and
+        ``im[None, :]``.  Zero entries of X are skipped, so a diagonal X (the
+        identity, an ideal squeeze) hands ``base`` the axes' own shapes."""
+        u, v = (sum(c * x for c, x in zip(row, coords, strict=True) if c) for row in self.X)
+        chi = self.base(u, v)
+        if not self.Y.any():
+            return chi
+        form = sum(y * coords[i] * coords[j] for (i, j), y in np.ndenumerate(self.Y) if y)
+        return chi * np.exp(-0.5 * form)
+
     def __call__(self, *betas: np.ndarray) -> np.ndarray:
         betas = [np.asarray(b, dtype=complex) for b in betas]
-        # per argument, the images of beta_i = 1 and i: p + q and i (p - q)
-        a, b = (self.X[0] + 1j * self.X[1]).reshape(-1, 2).T
-        ps, qs = 0.5 * (a - 1j * b), 0.5 * (a + 1j * b)
-        mu = sum(p * beta + q * np.conj(beta) for beta, p, q in zip(betas, ps, qs, strict=True))
-        x = [c for beta in betas for c in (beta.real, beta.imag)]
-        form = sum(y * x[i] * x[j] for (i, j), y in np.ndenumerate(self.Y) if y)
-        return self.base(mu) * np.exp(-0.5 * form) if self.Y.any() else self.base(mu)
+        return self.at(*(c for beta in betas for c in (beta.real, beta.imag)))
 
 
 @dataclass(frozen=True)
@@ -156,19 +169,22 @@ class CharGrid:
     def mesh(self) -> np.ndarray:
         return self.re_axis[:, None] + 1j * self.im_axis[None, :]
 
-    def sample(self, evaluator: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``evaluator`` on the mesh, for a chi with ``chi(-beta) = conj(chi(beta))``.
+    def sample(self, evaluator: GaussianChannel) -> np.ndarray:
+        """The single-mode channel ``evaluator`` on the mesh, for a chi with
+        ``chi(-beta) = conj(chi(beta))``.
 
         Every chi the package samples is ``Tr[rho D(beta)]`` of a density
         matrix, and ``D(beta)^dag = D(-beta)`` makes it Hermitian in this
         sense.  Rows ``0 .. half`` (Re beta <= 0, the beta = 0 row included)
-        are evaluated; every later row is the conjugate of its mirror image,
-        beta -> -beta taking row i to n - 1 - i and column j to m - 1 - j.
+        are evaluated, by ``evaluator.at`` on the contiguous real axes
+        ``re[:half + 1, None]`` and ``im[None, :]``; every later row is the
+        conjugate of its mirror image, beta -> -beta taking row i to
+        n - 1 - i and column j to m - 1 - j.
         """
         half = self.n_side // 2
         values = np.empty(self.shape, dtype=complex)
         re, im = self.re_axis, self.im_axis
-        values[: half + 1] = evaluator(re[: half + 1, None] + 1j * im[None, :])
+        values[: half + 1] = evaluator.at(re[: half + 1, None], im[None, :])
         values[half + 1 :] = np.conj(values[half - 1 :: -1, ::-1])
         return values
 
@@ -319,7 +335,7 @@ def _auto_grid(evaluator, what: str) -> CharFunction:
 def state_evaluator(state: QuantumState) -> GaussianChannel:
     """Exact chi of a Fock-basis state, its closed form else the Fock sum, as
     the identity channel."""
-    return GaussianChannel(state.char_eval or (lambda b: char_from_rho(state.rho, b)))
+    return GaussianChannel(state.char_eval or (lambda u, v: char_from_rho(state.rho, u + 1j * v)))
 
 
 def char_of_state(state: QuantumState) -> CharFunction:

@@ -53,14 +53,22 @@ __all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
-    return FLOAT_FORMAT.format(float(x))
+    return FLOAT_FORMAT % float(x)
 
 
 def _write_csv(path: Path, header_meta: dict, columns: list[str], rows) -> None:
+    """Floats as ``FLOAT_FORMAT``, anything else as ``str``: each row is one
+    %-format of its values, the format built once per sequence of value types."""
     lines = [f"# {k}: {v}" for k, v in header_meta.items()]
     lines.append(",".join(columns))
+    formats = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join(FLOAT_FORMAT if issubclass(t, (float, np.floating))
+                                      else "%s" for t in types)
+        lines.append(formats[types] % row)
     path.write_text("\n".join(lines) + "\n")
 
 

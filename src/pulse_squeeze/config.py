@@ -43,7 +43,7 @@ __all__ = [
 
 # 17 significant digits, scientific: round-trips float64 exactly, so CSV
 # output is byte-reproducible.
-FLOAT_FORMAT = "{:.16e}"
+FLOAT_FORMAT = "%.16e"
 
 
 class ConfigError(ValueError):

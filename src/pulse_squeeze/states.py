@@ -48,11 +48,13 @@ class QuantumState:
     """Density matrix in the number basis.
 
     ``char_eval``, when present, evaluates the Weyl characteristic function
-    chi(beta) = Tr[rho D(beta)] in closed form at arbitrary complex beta.
+    chi(beta) = Tr[rho D(beta)] in closed form at beta = u + i v, as
+    ``char_eval(u, v)`` on real arrays that broadcast together: the ``base``
+    protocol of ``charfun.GaussianChannel``.
     """
 
     rho: np.ndarray = field(repr=False)
-    char_eval: Callable[[np.ndarray], np.ndarray] | None = field(
+    char_eval: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -102,9 +104,9 @@ def fock_state(n: int, dim: int = DEFAULT_DIM) -> QuantumState:
     c[n] = 1.0
     eval_ = None
     if n == 1:
-        eval_ = lambda b: np.exp(-0.5 * np.abs(b) ** 2) * (1.0 - np.abs(b) ** 2)
+        eval_ = lambda u, v: np.exp(-0.5 * (u * u + v * v)) * (1.0 - (u * u + v * v))
     elif n == 0:
-        eval_ = lambda b: np.exp(-0.5 * np.abs(b) ** 2)
+        eval_ = lambda u, v: np.exp(-0.5 * (u * u + v * v))
     return _pure(c, char_eval=eval_)
 
 
@@ -134,11 +136,13 @@ def coherent_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
     c = _coherent_coeffs(alpha, dim)
     _check_tail(c, f"coherent alpha={alpha}")
     a = complex(alpha)
-    return _pure(
-        c,
-        char_eval=lambda b: np.exp(-0.5 * np.abs(b) ** 2)
-        * np.exp(b * np.conj(a) - np.conj(b) * a),
-    )
+
+    def char_eval(u, v):
+        # exp(-|beta|^2 / 2) e^{i theta}, theta = 2 Im(beta alpha*)
+        theta = 2.0 * (v * a.real - u * a.imag)
+        return np.exp(-0.5 * (u * u + v * v)) * (np.cos(theta) + 1j * np.sin(theta))
+
+    return _pure(c, char_eval=char_eval)
 
 
 def even_cat_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
@@ -148,23 +152,17 @@ def even_cat_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
     norm_sq = 2.0 * (1.0 + np.exp(-2.0 * np.abs(alpha) ** 2))
     c = (cp + cm) / np.sqrt(norm_sq)
     _check_tail(c, f"even cat alpha={alpha}")
-    a = complex(alpha)
+    ar, ai = 2.0 * complex(alpha).real, 2.0 * complex(alpha).imag
 
-    def char_eval(b):
-        # Each term's full exponent is assembled before exponentiating: the
-        # cross terms have large positive real parts that overflow on their
-        # own even though every displacement matrix element is bounded by 1.
-        b = np.asarray(b, dtype=complex)
-        half = -0.5 * np.abs(b) ** 2
-        drift = b * np.conj(a) - np.conj(b) * a
-        cross = b * np.conj(a) + np.conj(b) * a
-        off = 2.0 * np.abs(a) ** 2
-        return (
-            np.exp(half + drift)
-            + np.exp(half - drift)
-            + np.exp(half + cross - off)
-            + np.exp(half - cross - off)
-        ) / norm_sq
+    def char_eval(u, v):
+        # [2 e^{-|beta|^2/2} cos(2 Im beta alpha*) + e^{-|beta-2alpha|^2/2}
+        #  + e^{-|beta+2alpha|^2/2}] / N: real, and no exponent is positive.
+        # The two displaced terms are added first, so beta -> -beta, which
+        # swaps them, gives the same bits.
+        fringes = 2.0 * np.exp(-0.5 * (u * u + v * v)) * np.cos(v * ar - u * ai)
+        lobes = (np.exp(-0.5 * ((u - ar) ** 2 + (v - ai) ** 2))
+                 + np.exp(-0.5 * ((u + ar) ** 2 + (v + ai) ** 2)))
+        return (fringes + lobes) / norm_sq
 
     return _pure(c, char_eval=char_eval)
 
@@ -186,14 +184,9 @@ def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
     c = np.zeros(dim, complex)
     c[2 * n_half] = np.exp(log_mag) * (-np.sign(r)) ** n_half
     _check_tail(c, f"squeezed r={r}")
-    ch, sh = np.cosh(r), np.sinh(r)
-
-    def char_eval(b):
-        b = np.asarray(b, dtype=complex)
-        mu = b * ch + np.conj(b) * sh
-        return np.exp(-0.5 * np.abs(mu) ** 2)
-
-    return _pure(c, char_eval=char_eval)
+    # |beta cosh r + beta* sinh r|^2 = u^2 e^{2r} + v^2 e^{-2r}
+    grow, shrink = np.exp(2.0 * r), np.exp(-2.0 * r)
+    return _pure(c, char_eval=lambda u, v: np.exp(-0.5 * (u * u * grow + v * v * shrink)))
 
 
 # The parameters of each state kind, in the order its builder takes them

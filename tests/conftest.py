@@ -103,3 +103,49 @@ def reference_rotated_chi(chi, phi):
 
     rotated = chi.evaluator.then(real_linear_map(np.exp(1j * phi)))
     return _auto_grid(rotated, "reference_rotated_chi")
+
+
+# The library states' closed forms written on complex beta, as independent
+# copies of the real-coordinate ``char_eval`` of each state.
+
+
+def reference_fock_chi(n):
+    """Vacuum (n = 0) and single photon (n = 1): e^{-|b|^2/2} L_n(|b|^2)."""
+    if n == 0:
+        return lambda b: np.exp(-0.5 * np.abs(b) ** 2)
+    return lambda b: np.exp(-0.5 * np.abs(b) ** 2) * (1.0 - np.abs(b) ** 2)
+
+
+def reference_coherent_chi(alpha):
+    """Coherent state: e^{-|b|^2/2} e^{b alpha* - b* alpha}."""
+    a = complex(alpha)
+    return lambda b: np.exp(-0.5 * np.abs(b) ** 2) * np.exp(b * np.conj(a) - np.conj(b) * a)
+
+
+def reference_even_cat_chi(alpha):
+    """Even cat |alpha> + |-alpha>: four Gaussians, each exponent assembled
+    before exponentiating (the cross terms overflow on their own)."""
+    a = complex(alpha)
+    norm_sq = 2.0 * (1.0 + np.exp(-2.0 * np.abs(a) ** 2))
+
+    def chi(b):
+        b = np.asarray(b, dtype=complex)
+        half = -0.5 * np.abs(b) ** 2
+        drift = b * np.conj(a) - np.conj(b) * a
+        cross = b * np.conj(a) + np.conj(b) * a
+        off = 2.0 * np.abs(a) ** 2
+        return (np.exp(half + drift) + np.exp(half - drift)
+                + np.exp(half + cross - off) + np.exp(half - cross - off)) / norm_sq
+
+    return chi
+
+
+def reference_squeezed_vacuum_chi(r):
+    """Squeezed vacuum: e^{-|b cosh r + b* sinh r|^2 / 2}."""
+    ch, sh = np.cosh(r), np.sinh(r)
+
+    def chi(b):
+        b = np.asarray(b, dtype=complex)
+        return np.exp(-0.5 * np.abs(b * ch + np.conj(b) * sh) ** 2)
+
+    return chi

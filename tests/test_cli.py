@@ -35,6 +35,35 @@ def _base_config(**overrides):
     return cfg
 
 
+def test_write_csv_matches_per_element_formatter(tmp_path):
+    """``_write_csv`` formats each row at once; its bytes equal those of a
+    per-element ``"{:.16e}".format(float(v))`` / ``str(v)`` writer."""
+
+    def per_element(path, header_meta, columns, rows):
+        lines = [f"# {k}: {v}" for k, v in header_meta.items()]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join("{:.16e}".format(float(v))
+                                  if isinstance(v, (float, np.floating)) else str(v)
+                                  for v in row))
+        path.write_text("\n".join(lines) + "\n")
+
+    subnormal = np.nextafter(0.0, 1.0)
+    rows = [
+        ["device.r", -0.0, 0.0, 1e300, -1e300],
+        ["x", subnormal, -subnormal, 2.2250738585072014e-308 / 3, np.float64(0.1)],
+        ["y", np.float32(0.1), float("nan"), float("inf"), -np.inf],
+        [3, 7, np.int64(-2), 1.0, "a%sb"],
+        list(np.random.default_rng(0).normal(size=5) * 10.0 ** np.arange(-200, 300, 100)),
+        [],
+    ]
+    meta = {"config": "abc", "dim": 4}
+    columns = ["p", "c0", "c1", "c2", "c3"]
+    cli._write_csv(tmp_path / "new.csv", meta, columns, rows)
+    per_element(tmp_path / "old.csv", meta, columns, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestConfig:
     def test_round_trip_identity(self):
         cfg = load_recipe("fig2b")

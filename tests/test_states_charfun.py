@@ -4,7 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_mode, reference_propagated_chi, reference_squeezed_chi
+from conftest import (
+    random_mode,
+    reference_coherent_chi,
+    reference_even_cat_chi,
+    reference_fock_chi,
+    reference_propagated_chi,
+    reference_squeezed_chi,
+    reference_squeezed_vacuum_chi,
+)
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -130,8 +138,38 @@ class TestCharFunctions:
     def test_recurrence_matches_closed_forms(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=30).view(complex) * 2.5
-        for state in (coherent_state(1.5, 60), even_cat_state(2.0, 60), squeezed_state(0.6, 60)):
-            assert np.abs(char_from_rho(state.rho, pts) - state.char_eval(pts)).max() < 1e-8
+        for state in (vacuum_state(60), fock_state(1, 60), coherent_state(1.5, 60),
+                      even_cat_state(2.0, 60), squeezed_state(0.6, 60)):
+            assert state.char_eval is not None
+            got = state_evaluator(state)(pts)
+            assert np.abs(char_from_rho(state.rho, pts) - got).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "state, reference",
+        [
+            (vacuum_state(10), reference_fock_chi(0)),
+            (fock_state(1, 10), reference_fock_chi(1)),
+            (coherent_state(1.5, 60), reference_coherent_chi(1.5)),
+            (coherent_state(-2.0 + 1.3j, 60), reference_coherent_chi(-2.0 + 1.3j)),
+            (even_cat_state(2.5, 60), reference_even_cat_chi(2.5)),
+            (even_cat_state(1.2 - 2.1j, 60), reference_even_cat_chi(1.2 - 2.1j)),
+            (squeezed_state(0.6, 60), reference_squeezed_vacuum_chi(0.6)),
+            (squeezed_state(-0.9, 60), reference_squeezed_vacuum_chi(-0.9)),
+        ],
+        ids=["vacuum", "fock1", "coherent", "coherent-complex", "cat", "cat-complex",
+             "squeezed", "squeezed-negative"],
+    )
+    def test_closed_forms_match_complex_copies(self, state, reference):
+        # Out to |beta| = 60, where every exponent of the old complex forms
+        # is far past underflow, without an overflow or an invalid value.
+        rng = np.random.default_rng(2)
+        radius = np.concatenate([rng.uniform(0.0, 8.0, 400), rng.uniform(8.0, 60.0, 400),
+                                 np.full(40, 60.0)])
+        beta = radius * np.exp(2j * np.pi * rng.uniform(size=radius.size))
+        with np.errstate(over="raise", invalid="raise"):
+            got = state.char_eval(beta.real, beta.imag)
+            want = reference(beta)
+        assert _close(got, want, 1e-14)
 
     def test_normalization_and_hermiticity(self):
         chi = char_of_state(even_cat_state(2.0, 60))
@@ -161,11 +199,11 @@ class TestCharGridSample:
             "even cat": even_cat_state(2.0, 60),
             "squeezed": squeezed_state(0.6, 60),
         }
-        evaluators = [(name, s.char_eval) for name, s in library.items()]
+        evaluators = [(name, state_evaluator(s)) for name, s in library.items()]
         rng = np.random.default_rng(5)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
-        evaluators.append(("random mixed", lambda b: char_from_rho(rho, b)))
+        evaluators.append(("random mixed", state_evaluator(QuantumState(rho))))
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
         chi_out = propagate_char(d, char_of_state(fock_state(1, 20)))
         evaluators.append(("opo output", chi_out.evaluator))
@@ -189,15 +227,25 @@ class TestCharGridSample:
             assert np.abs(values - full).max() < 1e-14, name
             assert np.array_equal(values[half + 1 :], np.conj(values[half - 1 :: -1, ::-1])), name
 
+    @pytest.mark.filterwarnings("ignore:propagate_char")
+    @pytest.mark.parametrize("state", [fock_state(1, 20), even_cat_state(2.0, 60)],
+                             ids=["fock1", "cat"])
+    def test_noisy_channel_matches_call_bit_for_bit(self, state, u_mode, opo_kernels):
+        d = decompose_output_mode(opo_kernels, u_mode, u_mode)
+        channel = propagate_char(d, char_of_state(state)).evaluator
+        assert channel.Y.any()
+        for grid_ in (CharGrid.with_extent(6.0), CharGrid.with_extent(9.0, 4.0)):
+            assert np.array_equal(grid_.sample(channel), channel(grid_.mesh()))
+
     def test_evaluates_one_half(self):
         grid_ = CharGrid(3.0, 9)
         shapes = []
 
-        def evaluator(b):
-            shapes.append(b.shape)
-            return np.exp(-0.5 * np.abs(b) ** 2)
+        def base(u, v):
+            shapes.append(np.broadcast(u, v).shape)
+            return np.exp(-0.5 * (u * u + v * v))
 
-        grid_.sample(evaluator)
+        grid_.sample(GaussianChannel(base))
         assert shapes == [(5, 9)]
 
 
@@ -337,8 +385,8 @@ class TestPropagateChar:
         assert d.commutator() == pytest.approx(1.0, abs=1e-15)
         alpha = 1.4 + 0.3j
         chi_out = propagate_char(d, char_of_state(coherent_state(alpha, 50)))
-        target = coherent_state(np.sqrt(eta) * alpha, 50)
-        assert np.abs(chi_out.values - target.char_eval(chi_out.grid.mesh())).max() < 1e-10
+        expected = reference_coherent_chi(np.sqrt(eta) * alpha)(chi_out.grid.mesh())
+        assert np.abs(chi_out.values - expected).max() < 1e-10
 
     def test_origin_pinned(self, grid, u_mode, opo_kernels):
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
@@ -353,7 +401,8 @@ def _bases():
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
     cat = even_cat_state(2.0, 50)
-    return [(cat, cat.char_eval), (QuantumState(rho), lambda b: char_from_rho(rho, b))]
+    return [(cat, reference_even_cat_chi(2.0)),
+            (QuantumState(rho), lambda b: char_from_rho(rho, b))]
 
 
 def _random_betas(rng, n=200, reach=3.0):
@@ -611,7 +660,7 @@ class TestJointTwoModeChar:
         joint = joint_two_mode_char(identity_kernels(grid), u_mode, u_mode, w, chi_u)
         b = joint.grid.mesh()
         chi1 = joint.evaluator(b, np.zeros_like(b))
-        assert np.abs(chi1 - state.char_eval(b)).max() < 1e-10
+        assert np.abs(chi1 - reference_coherent_chi(1.2)(b)).max() < 1e-10
         chi2 = joint.evaluator(np.zeros_like(b), b)
         assert np.abs(chi2 - np.exp(-0.5 * np.abs(b) ** 2)).max() < 1e-10
 
