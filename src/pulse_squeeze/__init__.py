@@ -14,7 +14,6 @@ from .charfun import (
     WignerGrid,
     char_of_state,
     fock_from_char,
-    joint_two_mode_char,
     propagate_char,
     wigner_from_char,
 )
@@ -46,7 +45,6 @@ from .grids import (
     HermitianKernel,
     ModeFunction,
     TemporalGrid,
-    eigendecompose,
     gaussian_mode,
     inner_product,
     normalize,
@@ -57,9 +55,7 @@ from .kernels import (
     compose,
     ideal_squeezer_kernels,
     identity_kernels,
-    load_kernels,
     pullback_output_mode,
-    save_kernels,
     verify_symplectic,
 )
 from .metrics import (

@@ -38,7 +38,6 @@ __all__ = [
     "CharGrid",
     "CharFunction",
     "WignerGrid",
-    "JointCharFunction",
     "char_from_rho",
     "state_evaluator",
     "char_of_state",
@@ -47,7 +46,6 @@ __all__ = [
     "wigner_from_char",
     "fock_from_char",
     "overlap",
-    "joint_two_mode_char",
 ]
 
 BASE_EXTENT = 6.0
@@ -357,11 +355,12 @@ def output_channel(decomp, channel: GaussianChannel) -> GaussianChannel:
     return GaussianChannel.from_rows(channel, [[A, C, E]], [[B, D, 0.0]])
 
 
-def propagate_char(decomp, chi_u: CharFunction) -> CharFunction:
-    """``output_channel`` of chi_u, sampled on the grid where it has decayed
-    below ``BOUNDARY_TOL``.  A rotated output chi is the chi of a rephased
-    row, ``decomp.rephased(-phi)``, and is sized like every other chi."""
-    return _auto_grid(output_channel(decomp, chi_u.evaluator), "propagate_char")
+def propagate_char(decomp, state: QuantumState) -> CharFunction:
+    """``output_channel`` of the input state's exact chi, sampled on the grid
+    where it has decayed below ``BOUNDARY_TOL``.  A rotated output chi is the
+    chi of a rephased row, ``decomp.rephased(-phi)``, and is sized like every
+    other chi."""
+    return _auto_grid(output_channel(decomp, state_evaluator(state)), "propagate_char")
 
 
 def wigner_from_char(
@@ -468,54 +467,3 @@ def overlap(chi: CharFunction, target_values: np.ndarray) -> float:
     Tr[rho rho_target] for states.  ``target_values`` is sampled on chi's grid."""
     weight = chi.grid.weight / np.pi
     return float(np.real(np.sum(np.conj(chi.values) * target_values)) * weight)
-
-
-@dataclass(frozen=True)
-class JointCharFunction:
-    """Two-mode characteristic function chi(beta1, beta2) on a 4-D grid.
-
-    ``values[i, j, k, l] = chi(a[i] + 1j a[j], a[k] + 1j a[l])`` on the square
-    grid's axis ``a = grid.re_axis``.
-    """
-
-    grid: CharGrid
-    values: np.ndarray = field(repr=False)
-    evaluator: GaussianChannel = field(repr=False, compare=False)
-
-    def marginal(self, which: int) -> CharFunction:
-        """Single-mode chi of one output mode (the other argument at 0)."""
-        evaluator = self.evaluator.then(np.eye(4)[:, 2 * which : 2 * which + 2])
-        return CharFunction(self.grid, self.grid.sample(evaluator), evaluator)
-
-    def purity(self) -> float:
-        """Global two-mode purity (1/pi^2) int |chi|^2 d^4 beta."""
-        return float(
-            np.sum(np.abs(self.values) ** 2) * self.grid.weight**2 / np.pi**2
-        )
-
-
-def joint_two_mode_char(
-    kernels,
-    u,
-    v1,
-    v2,
-    chi_u: CharFunction,
-    extent: float = 5.0,
-    n_side: int = 33,
-) -> JointCharFunction:
-    """Joint state of two orthogonal output modes in the Weyl picture.
-
-    Both output operators are pulled back onto one orthonormal input family
-    ``{u, e_1, ...}``; the joint chi is ``GaussianChannel.from_rows`` of those
-    rows on chi_u's channel, and its ``marginal`` is the single-mode chi.
-    """
-    from .decomposition import pullback_rows
-    from .grids import inner_product
-
-    if abs(inner_product(v1, v2)) > 1e-8:
-        raise ValueError("output modes must be orthogonal")
-    _family, P, Q = pullback_rows(kernels, [v1, v2], u)
-    evaluator = GaussianChannel.from_rows(chi_u.evaluator, P, Q)
-    grid = CharGrid(extent, n_side)
-    b1, b2 = np.broadcast_arrays(grid.mesh()[:, :, None, None], grid.mesh()[None, None])
-    return JointCharFunction(grid, evaluator(b1, b2), evaluator)

@@ -296,7 +296,7 @@ def _verify_checks(corrupt: bool):
     from .kernels import compose, identity_kernels, ideal_squeezer_kernels, pullback_output_mode
     from .metrics import quadrature_variance
     from .states import coherent_state, fock_state, vacuum_state
-    from .charfun import char_of_state, fock_from_char
+    from .charfun import char_of_state, fock_from_char, propagate_char
 
     checks = []
     grid = default_opo_grid(1.0, 512)
@@ -366,8 +366,7 @@ def _verify_checks(corrupt: bool):
     checks.append(("char round trip (coherent)", float(np.abs(rec.rho - coh.rho).max()), 1e-6))
 
     dsq = decompose_output_mode(sq, u, u)
-    from .charfun import propagate_char
-    chi_out = propagate_char(dsq, char_of_state(vacuum_state(20)))
+    chi_out = propagate_char(dsq, vacuum_state(20))
     vx = quadrature_variance(chi_out, 0.0)
     vp = quadrature_variance(chi_out, np.pi / 2.0)
     var_err = max(abs(vx - np.exp(4.0) / 2.0), abs(vp - np.exp(-4.0) / 2.0))
@@ -418,7 +417,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
     try:
         if args.command == "modes":
             manifest = cmd_modes(cfg, args.out)

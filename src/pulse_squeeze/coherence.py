@@ -114,12 +114,12 @@ class ModeSpectrum:
 
     @cached_property
     def vacuum(self) -> list[tuple[float, ModeFunction]]:
-        """Ladder eigenpairs above the cut, as ``eigendecompose`` of
-        :func:`vacuum_kernel` would give them after filtering.
+        """Ladder eigenpairs above the cut: the descending, phase-pinned
+        eigenpairs of :func:`vacuum_kernel`, dt-normalized.
 
-        The matrix solved, ``vacuum_kernel(k).entries.T * dt`` as in
-        ``eigendecompose``, is the Gram matrix ``H H^dag`` of
-        ``H = dt conj(G)``, positive semidefinite by construction.  No
+        The matrix solved, ``vacuum_kernel(k).entries.T * dt``, is the Gram
+        matrix ``H H^dag`` of ``H = dt conj(G)``, positive semidefinite by
+        construction.  No
         eigenvalue exceeds its trace ``vacuum_total``, so a ladder whose
         total is within the cut is empty.  Otherwise :func:`_block_ladder`
         solves it from blocks of a few dozen columns and certifies the
@@ -221,7 +221,7 @@ def _dense_ladder(g: np.ndarray, dt: float, cut: float):
 def input_moments(state: QuantumState) -> InputMoments:
     """Moments n = Tr[rho a^dag a], m = Tr[rho a a] in the truncated basis."""
     a = destroy(state.dim)
-    top = float(np.real(state.rho[-1, -1] + state.rho[-2, -2]))
+    top = float(np.real(np.trace(state.rho[-2:, -2:])))
     if top > 1e-4:
         warnings.warn(
             f"top two Fock levels carry population {top:.2e}; "

@@ -32,7 +32,6 @@ from .kernels import BogoliubovKernels, pullback_output_mode
 __all__ = [
     "OutputDecomposition",
     "decompose_output_mode",
-    "pullback_rows",
     "bloch_messiah_params",
     "reconstruct_row",
 ]
@@ -104,34 +103,6 @@ def decompose_output_mode(
         D=pb.xi * k_norm,
         E=pb.zeta * _overlap(s, f).real,
     )
-
-
-def pullback_rows(
-    kernels: BogoliubovKernels, vs: list[ModeFunction], u: ModeFunction
-) -> tuple[list[ModeFunction], np.ndarray, np.ndarray]:
-    """Joint pullback of several output modes over one orthonormal input family.
-
-    Returns ``(family, P, Q)`` with ``family[0] = u`` and
-
-        a_{v_i, out} = sum_e P[i, e] a_{family[e]} + Q[i, e] a_{family[e]}^dag.
-    """
-    pbs = [pullback_output_mode(kernels, v) for v in vs]
-    family = [u]
-    for pb in pbs:
-        for mode in (pb.f, pb.g):
-            if mode is None:
-                continue
-            extra, _ = orthogonal_complement(mode, family)
-            if extra is not None:
-                family.append(extra)
-    P = np.zeros((len(vs), len(family)), dtype=complex)
-    Q = np.zeros((len(vs), len(family)), dtype=complex)
-    for i, pb in enumerate(pbs):
-        for e, mode in enumerate(family):
-            P[i, e] = pb.zeta * np.conj(inner_product(mode, pb.f))
-            if pb.g is not None:
-                Q[i, e] = pb.xi * inner_product(mode, pb.g)
-    return family, P, Q
 
 
 def reconstruct_row(params: dict) -> np.ndarray:

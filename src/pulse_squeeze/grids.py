@@ -22,7 +22,6 @@ __all__ = [
     "inner_product",
     "normalize",
     "orthogonal_complement",
-    "eigendecompose",
     "gaussian_mode",
     "load_mode_samples",
     "integral",
@@ -30,10 +29,6 @@ __all__ = [
 
 # Residual norms below this are treated as "contained in the span".
 SPAN_TOL = 1e-12
-
-# Negative eigenvalues of a nominally positive kernel larger (in magnitude)
-# than this fraction of the top eigenvalue indicate a real error.
-NEGATIVE_EIG_TOL = 1e-8
 
 
 class GridMismatchError(ValueError):
@@ -218,29 +213,6 @@ def _clamp_negative(vals: np.ndarray, tol: float) -> np.ndarray:
             f"(largest {top:.3e})"
         )
     return np.clip(vals, 0.0, None)
-
-
-def eigendecompose(kernel: HermitianKernel) -> list[tuple[float, ModeFunction]]:
-    """Mode decomposition ``K(x1, x2) = sum_i lam_i conj(v_i(x1)) v_i(x2)``.
-
-    Eigenvalues are sorted descending, round-off negatives clamped to zero
-    (``NEGATIVE_EIG_TOL``), and the modes are orthonormal under
-    :func:`inner_product`.
-    """
-    dt = kernel.grid.dt
-    # K(x1,x2) = sum lam conj(v(x1)) v(x2) means the matrix transpose is the
-    # standard `sum lam v v^dag` form; diagonalize with the dt measure folded
-    # in so eigenvectors come out as dt-normalized grid functions.
-    m = kernel.entries.T * dt
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    vals = _clamp_negative(vals[order], NEGATIVE_EIG_TOL)
-    vecs = vecs[:, order]
-    out = []
-    for i in range(len(vals)):
-        amp = _pin_phase(vecs[:, i]) / np.sqrt(dt)
-        out.append((float(vals[i]), ModeFunction(kernel.grid, amp)))
-    return out
 
 
 def gaussian_mode(grid: TemporalGrid, center: float, width: float) -> ModeFunction:

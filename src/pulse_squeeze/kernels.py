@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -35,8 +34,6 @@ __all__ = [
     "verify_symplectic",
     "pullback_output_mode",
     "apply_to_mode",
-    "save_kernels",
-    "load_kernels",
 ]
 
 # A pullback with xi below this is treated as purely dispersive (no g mode).
@@ -264,22 +261,3 @@ def pullback_output_mode(k: BogoliubovKernels, v: ModeFunction) -> PullbackResul
         return PullbackResult(zeta=zeta, f=f, xi=0.0, g=None)
     return PullbackResult(zeta=zeta, f=f, xi=xi, g=ModeFunction(k.grid, g_raw / xi))
 
-
-def save_kernels(path: str | Path, k: BogoliubovKernels) -> None:
-    """Write kernels plus their grid descriptor to a binary .npz container."""
-    np.savez_compressed(
-        Path(path),
-        t_start=k.grid.t_start,
-        t_end=k.grid.t_end,
-        n_points=k.grid.n_points,
-        F=k.F,
-        G=k.G,
-    )
-
-
-def load_kernels(path: str | Path) -> BogoliubovKernels:
-    with np.load(Path(path)) as data:
-        grid = TemporalGrid(
-            float(data["t_start"]), float(data["t_end"]), int(data["n_points"])
-        )
-        return BogoliubovKernels(grid, data["F"], data["G"])

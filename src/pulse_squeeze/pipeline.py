@@ -14,14 +14,16 @@ import numpy as np
 from .charfun import (
     CharFunction,
     CharGrid,
-    char_of_state,
     fock_from_char,
     output_channel,
     overlap,
     propagate_char,
     real_linear_map,
+    state_evaluator,
     wigner_from_char,
 )
+# Not called here: perfbench's LAYER_CALLS wraps it by name on this module.
+from .charfun import char_of_state  # noqa: F401
 from .coherence import (
     InputMoments,
     ModeSpectrum,
@@ -131,10 +133,11 @@ def select_output_mode(
 
 
 def align_amplified_axis(
-    decomp: OutputDecomposition, chi_u: CharFunction, input_state: QuantumState
+    decomp: OutputDecomposition, state: QuantumState
 ) -> tuple[CharFunction, float]:
-    """The output chi of ``decomp`` on ``chi_u``, turned by the returned angle
-    so its amplified quadrature matches the fit family, and sampled once.
+    """The output chi of ``decomp`` on the input ``state``, turned by the
+    returned angle so its amplified quadrature matches the fit family, and
+    sampled once.
 
     The principal axis of the output channel's covariance fixes the turn up
     to pi, and the chi turned by theta is that of ``decomp.rephased(-theta)``.
@@ -144,20 +147,20 @@ def align_amplified_axis(
     even cat scores both alike.  Near-isotropic states (no measurable
     squeezing) are left unturned: their principal axis is covariance noise.
     """
-    vx, vp, c = gaussian_covariance(output_channel(decomp, chi_u.evaluator))
+    vx, vp, c = gaussian_covariance(output_channel(decomp, state_evaluator(state)))
     half_spread = np.sqrt(0.25 * (vx - vp) ** 2 + c * c)
     mean = 0.5 * (vx + vp)
     if half_spread < 0.025 * mean:
-        return propagate_char(decomp, chi_u), 0.0
+        return propagate_char(decomp, state), 0.0
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
     phis = (theta, theta + np.pi)
-    first = propagate_char(decomp.rephased(-theta), chi_u)
+    first = propagate_char(decomp.rephased(-theta), state)
     mirrored = CharFunction(first.grid, np.conj(first.values), first.evaluator.then(-np.eye(2)))
     rots = [first, mirrored]
     scores = [-np.inf, -np.inf]
     # One probe target at a time, scored against both candidates.
     for r in ALIGN_PROBE_RS:
-        target = first.grid.sample(squeeze_target_evaluator(input_state, r))
+        target = first.grid.sample(squeeze_target_evaluator(state, r))
         scores = [max(score, overlap(rot, target)) for score, rot in zip(scores, rots)]
     best = 1 if scores[1] - scores[0] > ALIGN_TIE_RTOL * abs(scores[0]) else 0
     return rots[best], float(phis[best])
@@ -207,8 +210,7 @@ def run_state_analysis(
     # phase space (a dispersive device must return the input state exactly).
     if abs(decomp.A) > 1e-12 and abs(np.angle(decomp.A)) > 1e-12:
         decomp = decomp.rephased(-np.angle(decomp.A))
-    chi_u = char_of_state(state)
-    chi_out, rotation = align_amplified_axis(decomp, chi_u, state)
+    chi_out, rotation = align_amplified_axis(decomp, state)
     fit = optimize_squeeze_fidelity(chi_out, state)
     result.decomposition = decomp
     result.chi_out = chi_out

@@ -1,8 +1,20 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
+from pulse_squeeze.charfun import CharFunction, CharGrid, GaussianChannel, state_evaluator
 from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo, default_opo_grid
-from pulse_squeeze.grids import TemporalGrid, gaussian_mode
+from pulse_squeeze.grids import (
+    ModeFunction,
+    TemporalGrid,
+    _clamp_negative,
+    _pin_phase,
+    gaussian_mode,
+    inner_product,
+    orthogonal_complement,
+)
+from pulse_squeeze.kernels import pullback_output_mode
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +41,7 @@ def freq_grid():
 
 def random_mode(grid, rng, envelope_center=0.0, envelope_width=6.0):
     """Normalized random complex mode localized inside the grid."""
-    from pulse_squeeze.grids import ModeFunction, normalize
+    from pulse_squeeze.grids import normalize
 
     raw = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
     raw *= np.exp(-((grid.points - envelope_center) ** 2) / (2 * envelope_width**2))
@@ -65,6 +77,102 @@ def reference_symplectic(k):
         commutator_residual=float(np.linalg.norm(c1) / delta_norm),
         pairing_residual=float(np.linalg.norm(c2) / delta_norm),
     )
+
+
+# Negative eigenvalues of a nominally positive kernel larger (in magnitude)
+# than this fraction of the top eigenvalue indicate a real error.
+NEGATIVE_EIG_TOL = 1e-8
+
+
+def eigendecompose(kernel):
+    """Mode decomposition ``K(x1, x2) = sum_i lam_i conj(v_i(x1)) v_i(x2)`` of a
+    ``HermitianKernel`` by one dense ``eigh``, the oracle for the vacuum ladder
+    and the seeded split.
+
+    Eigenvalues are sorted descending, round-off negatives clamped to zero
+    (``NEGATIVE_EIG_TOL``), and the modes are orthonormal under
+    ``inner_product``.
+    """
+    dt = kernel.grid.dt
+    # K(x1,x2) = sum lam conj(v(x1)) v(x2) means the matrix transpose is the
+    # standard `sum lam v v^dag` form; diagonalize with the dt measure folded
+    # in so eigenvectors come out as dt-normalized grid functions.
+    m = kernel.entries.T * dt
+    vals, vecs = np.linalg.eigh(m)
+    order = np.argsort(vals)[::-1]
+    vals = _clamp_negative(vals[order], NEGATIVE_EIG_TOL)
+    vecs = vecs[:, order]
+    out = []
+    for i in range(len(vals)):
+        amp = _pin_phase(vecs[:, i]) / np.sqrt(dt)
+        out.append((float(vals[i]), ModeFunction(kernel.grid, amp)))
+    return out
+
+
+def pullback_rows(kernels, vs, u):
+    """Joint pullback of several output modes over one orthonormal input family.
+
+    Returns ``(family, P, Q)`` with ``family[0] = u`` and
+
+        a_{v_i, out} = sum_e P[i, e] a_{family[e]} + Q[i, e] a_{family[e]}^dag.
+    """
+    pbs = [pullback_output_mode(kernels, v) for v in vs]
+    family = [u]
+    for pb in pbs:
+        for mode in (pb.f, pb.g):
+            if mode is None:
+                continue
+            extra, _ = orthogonal_complement(mode, family)
+            if extra is not None:
+                family.append(extra)
+    P = np.zeros((len(vs), len(family)), dtype=complex)
+    Q = np.zeros((len(vs), len(family)), dtype=complex)
+    for i, pb in enumerate(pbs):
+        for e, mode in enumerate(family):
+            P[i, e] = pb.zeta * np.conj(inner_product(mode, pb.f))
+            if pb.g is not None:
+                Q[i, e] = pb.xi * inner_product(mode, pb.g)
+    return family, P, Q
+
+
+@dataclass(frozen=True)
+class JointCharFunction:
+    """Two-mode characteristic function chi(beta1, beta2) on a 4-D grid.
+
+    ``values[i, j, k, l] = chi(a[i] + 1j a[j], a[k] + 1j a[l])`` on the square
+    grid's axis ``a = grid.re_axis``.
+    """
+
+    grid: CharGrid
+    values: np.ndarray = field(repr=False)
+    evaluator: GaussianChannel = field(repr=False, compare=False)
+
+    def marginal(self, which):
+        """Single-mode chi of one output mode (the other argument at 0)."""
+        evaluator = self.evaluator.then(np.eye(4)[:, 2 * which : 2 * which + 2])
+        return CharFunction(self.grid, self.grid.sample(evaluator), evaluator)
+
+    def purity(self):
+        """Global two-mode purity (1/pi^2) int |chi|^2 d^4 beta."""
+        return float(np.sum(np.abs(self.values) ** 2) * self.grid.weight**2 / np.pi**2)
+
+
+def joint_two_mode_char(kernels, u, v1, v2, state, extent=5.0, n_side=33):
+    """Joint state of two orthogonal output modes in the Weyl picture, the
+    two-mode check on ``propagate_char``.
+
+    Both output operators are pulled back onto one orthonormal input family
+    ``{u, e_1, ...}``; the joint chi is ``GaussianChannel.from_rows`` of those
+    rows on the input state's channel, and its ``marginal`` is the
+    single-mode chi.
+    """
+    if abs(inner_product(v1, v2)) > 1e-8:
+        raise ValueError("output modes must be orthogonal")
+    _family, P, Q = pullback_rows(kernels, [v1, v2], u)
+    evaluator = GaussianChannel.from_rows(state_evaluator(state), P, Q)
+    grid = CharGrid(extent, n_side)
+    b1, b2 = np.broadcast_arrays(grid.mesh()[:, :, None, None], grid.mesh()[None, None])
+    return JointCharFunction(grid, evaluator(b1, b2), evaluator)
 
 
 def max_relative_difference(a, b):

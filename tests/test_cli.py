@@ -236,6 +236,31 @@ class TestCliCommands:
             assert err.startswith("config error: ") and str(bad) in err, err
             assert err.count("\n") == 1, err
 
+        # an --out that names an existing file: one line naming the option
+        axes = {"sweep": {"axes": [{"name": "device.r", "values": [0.8]},
+                                   {"name": "input.pulse.center", "values": [0.0]}]}}
+        for command, override in (("state", {}), ("modes", {}), ("sweep", axes)):
+            path.write_text(dump_config(_base_config(**override)))
+            assert cli.main([command, "--config", str(path), "--out", str(short_mode)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: --out {short_mode}"), err
+            assert err.count("\n") == 1, err
+
+    def test_one_level_input_state(self, tmp_path, monkeypatch):
+        # vacuum truncated to one level: its only level is the top one, so
+        # the moments run and warn about truncation
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        inp = {"state": {"kind": "vacuum", "dim": 1}, "pulse": {"center": 0.0, "width": 1.0}}
+        axes = {"sweep": {"axes": [{"name": "device.r", "values": [0.5, 0.8]},
+                                   {"name": "input.pulse.center", "values": [0.0]}]}}
+        path = tmp_path / "cfg.yaml"
+        for command, override in (("modes", {}), ("state", {}), ("sweep", axes)):
+            path.write_text(dump_config(_base_config(input=inp, **override)))
+            out = tmp_path / command
+            with pytest.warns(UserWarning, match="top two Fock levels"):
+                assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "sweep" / "manifest.json").read_text())["failures"] == []
+
     def test_manifest_lists_blas_pools_loaded_during_the_run(self, tmp_path):
         # Forcing the dense ladder solve loads scipy's OpenBLAS mid-run.
         path = tmp_path / "cfg.yaml"

@@ -11,7 +11,7 @@ from pulse_squeeze.coherence import (
     single_mode_condition,
     vacuum_kernel,
 )
-from pulse_squeeze.grids import ModeFunction, eigendecompose, inner_product
+from pulse_squeeze.grids import ModeFunction, inner_product
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import (
     QuantumState,
@@ -20,6 +20,8 @@ from pulse_squeeze.states import (
     fock_state,
     squeezed_state,
 )
+
+from conftest import eigendecompose
 
 
 class TestInputMoments:

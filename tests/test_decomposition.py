@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulse_squeeze.charfun import char_of_state, fock_from_char, propagate_char
+from pulse_squeeze.charfun import fock_from_char, propagate_char
 from pulse_squeeze.coherence import input_moments, seeded_vacuum_split
 from pulse_squeeze.decomposition import (
     FAMILY_POINTS,
@@ -10,7 +10,6 @@ from pulse_squeeze.decomposition import (
     _KEYS,
     bloch_messiah_params,
     decompose_output_mode,
-    pullback_rows,
     reconstruct_row,
 )
 from pulse_squeeze.devices import (
@@ -25,7 +24,7 @@ from pulse_squeeze.grids import ModeFunction, TemporalGrid, gaussian_mode
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import QuantumState, coherent_state, destroy, fock_state
 
-from conftest import random_mode, reference_rotated_chi
+from conftest import pullback_rows, random_mode, reference_rotated_chi
 from fockspace import three_mode_output_state
 
 
@@ -89,9 +88,9 @@ class TestDecomposeOutputMode:
         assert np.abs(rephased.row - direct.row).max() < 1e-12
         assert isinstance(rephased.D, float) and isinstance(rephased.E, float)
         assert rephased.commutator() == pytest.approx(d.commutator(), abs=1e-14)
-        chi_u = char_of_state(coherent_state(0.8 + 0.4j, 30))
-        oracle = reference_rotated_chi(propagate_char(d, chi_u), -psi)
-        chi = propagate_char(rephased, chi_u)
+        state = coherent_state(0.8 + 0.4j, 30)
+        oracle = reference_rotated_chi(propagate_char(d, state), -psi)
+        chi = propagate_char(rephased, state)
         assert chi.grid == oracle.grid
         assert np.abs(chi.values - oracle.values).max() < 1e-13
 
@@ -288,7 +287,7 @@ class TestFockSpaceOracle:
 
         for rho_u in (pure, mixed):
             oracle = three_mode_output_state(p, np.pad(rho_u, ((0, 12), (0, 12))), 20)
-            chi_out = propagate_char(d, char_of_state(QuantumState(rho_u)))
+            chi_out = propagate_char(d, QuantumState(rho_u))
             rec = fock_from_char(chi_out, dim)
             block = oracle.rho[:dim, :dim]
             block = block / np.real(np.trace(block))

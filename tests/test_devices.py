@@ -18,7 +18,6 @@ from pulse_squeeze.devices import (
 from pulse_squeeze.grids import (
     ModeFunction,
     TemporalGrid,
-    eigendecompose,
     gaussian_mode,
     inner_product,
     normalize,
@@ -31,7 +30,7 @@ from pulse_squeeze.kernels import (
     verify_symplectic,
 )
 
-from conftest import max_relative_difference, random_mode, reference_compose
+from conftest import eigendecompose, max_relative_difference, random_mode, reference_compose
 
 
 class TestGaussianPump:

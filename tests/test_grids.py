@@ -9,14 +9,13 @@ from pulse_squeeze.grids import (
     HermitianKernel,
     ModeFunction,
     TemporalGrid,
-    eigendecompose,
     gaussian_mode,
     inner_product,
     normalize,
     orthogonal_complement,
 )
 
-from conftest import random_mode
+from conftest import eigendecompose, random_mode
 
 
 def test_grid_basic_properties():

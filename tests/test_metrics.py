@@ -43,7 +43,7 @@ class TestPurity:
         from pulse_squeeze.charfun import fock_from_char
 
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
-        chi = propagate_char(d, char_of_state(fock_state(1, 20)))
+        chi = propagate_char(d, fock_state(1, 20))
         rec = fock_from_char(chi, 40)
         assert purity(chi) == pytest.approx(purity(rec), abs=1e-4)
 
@@ -53,7 +53,7 @@ class TestPurity:
         k = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.5)), grid)
         sp = seeded_vacuum_split(k, u_mode, InputMoments(0.0, 0.0))
         d = decompose_output_mode(k, u_mode, sp.vacuum[0][1])
-        chi = propagate_char(d, char_of_state(vacuum_state(20)))
+        chi = propagate_char(d, vacuum_state(20))
         vx, vp, cxp = gaussian_covariance(chi)
         gaussian = 1.0 / (2.0 * np.sqrt(vx * vp - cxp**2))
         assert purity(chi) == pytest.approx(gaussian, abs=1e-3)
@@ -98,7 +98,7 @@ class TestQuadratures:
 
     def test_heisenberg_product(self, grid, u_mode, opo_kernels):
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
-        chi = propagate_char(d, char_of_state(fock_state(1, 20)))
+        chi = propagate_char(d, fock_state(1, 20))
         vx = quadrature_variance(chi, 0.3)
         vp = quadrature_variance(chi, 0.3 + np.pi / 2)
         assert vx * vp >= 0.25 - 1e-4
@@ -119,7 +119,7 @@ class TestMeanPhotonNumber:
         r = 0.8
         k = ideal_squeezer_kernels(grid, u_mode, r)
         d = decompose_output_mode(k, u_mode, u_mode)
-        chi = propagate_char(d, char_of_state(fock_state(1, 20)))
+        chi = propagate_char(d, fock_state(1, 20))
         expected = np.cosh(r) ** 2 + 2 * np.sinh(r) ** 2
         assert mean_photon_number(chi) == pytest.approx(expected, abs=1e-4)
 

@@ -3,7 +3,7 @@ import pytest
 from conftest import reference_rotated_chi
 
 from pulse_squeeze import charfun, pipeline
-from pulse_squeeze.charfun import char_of_state, propagate_char
+from pulse_squeeze.charfun import propagate_char
 from pulse_squeeze.config import load_recipe, set_by_path
 from pulse_squeeze.decomposition import OutputDecomposition
 from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
@@ -22,8 +22,8 @@ from pulse_squeeze.states import coherent_state, even_cat_state, fock_state
 
 # Calls counted in a state run; ``_auto_grid`` samples every chi grid.
 COUNTED = {"decompose_output_mode": pipeline, "propagate_char": pipeline, "_auto_grid": charfun}
-# One decomposition; two chi samplings: the input's and the output's.
-ONCE = {"decompose_output_mode": 1, "propagate_char": 1, "_auto_grid": 2}
+# One decomposition; one chi sampling: the output's.
+ONCE = {"decompose_output_mode": 1, "propagate_char": 1, "_auto_grid": 1}
 
 
 def _run_counted(kernels, u, state):
@@ -100,11 +100,10 @@ class TestStateAnalysis:
         assert np.real(np.trace(res.rho_out.rho)) == pytest.approx(1.0, abs=1e-8)
 
     def test_align_puts_large_variance_first(self, grid, u_mode):
-        from pulse_squeeze.states import squeezed_state, vacuum_state
+        from pulse_squeeze.states import squeezed_state
 
         identity_row = OutputDecomposition(1.0, 0.0, 0.0, 0.0, 0.0)
-        chi = char_of_state(squeezed_state(0.7, 50))
-        aligned, _phi = align_amplified_axis(identity_row, chi, vacuum_state(20))
+        aligned, _phi = align_amplified_axis(identity_row, squeezed_state(0.7, 50))
         vx, vp, _ = gaussian_covariance(aligned)
         assert vx > vp  # fit family amplifies x in package conventions
 
@@ -118,7 +117,7 @@ class TestDetunedFig4:
         result, _calls, state = detuned_fig4
         # the parent path: sample the output chi, take its principal axis,
         # then rotate the sampled chi's evaluator and sample it again
-        sampled = propagate_char(result.decomposition, char_of_state(state))
+        sampled = propagate_char(result.decomposition, state)
         vx, vp, c = gaussian_covariance(sampled)
         theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
         assert theta > 0.5  # a real rotation, unlike fig4's own
@@ -131,13 +130,13 @@ class TestDetunedFig4:
 
 class TestAlignAmplifiedAxis:
     @staticmethod
-    def _through_squeezer(grid, u_mode, state, r):
-        """The squeezer's row and the input chi it acts on."""
+    def _through_squeezer(grid, u_mode, r):
+        """The squeezer's row."""
         from pulse_squeeze.decomposition import decompose_output_mode
         from pulse_squeeze.kernels import ideal_squeezer_kernels
 
         d = decompose_output_mode(ideal_squeezer_kernels(grid, u_mode, r), u_mode, u_mode)
-        return d, char_of_state(state)
+        return d
 
     @staticmethod
     def _principal_angle(chi):
@@ -149,18 +148,18 @@ class TestAlignAmplifiedAxis:
         # The even cat is parity symmetric: theta and theta + pi score alike
         # up to round-off, and the tie goes to theta.
         cat = even_cat_state(2.0, 50)
-        d, chi_u = self._through_squeezer(grid, u_mode, cat, r)
-        aligned, phi = align_amplified_axis(d, chi_u, cat)
-        assert phi == self._principal_angle(propagate_char(d, chi_u))
+        d = self._through_squeezer(grid, u_mode, r)
+        aligned, phi = align_amplified_axis(d, cat)
+        assert phi == self._principal_angle(propagate_char(d, cat))
         assert abs(phi) < 1e-6
 
     def test_mirror_candidate_wins_when_better(self, grid, u_mode):
         state = coherent_state(1.0 + 0.3j, 40)
-        d, chi_u = self._through_squeezer(grid, u_mode, state, 0.9)
-        chi = propagate_char(d, chi_u)
+        d = self._through_squeezer(grid, u_mode, 0.9)
+        chi = propagate_char(d, state)
         flipped_row = d.rephased(-np.pi)  # the output state turned by pi
-        flipped = propagate_char(flipped_row, chi_u)
-        aligned, phi = align_amplified_axis(flipped_row, chi_u, state)
+        flipped = propagate_char(flipped_row, state)
+        aligned, phi = align_amplified_axis(flipped_row, state)
         assert phi == pytest.approx(self._principal_angle(flipped) + np.pi, abs=1e-12)
         assert abs(phi - np.pi) < 1e-6
         # aligning undoes the flip, up to the covariance estimate of theta
@@ -168,7 +167,7 @@ class TestAlignAmplifiedAxis:
         assert np.abs(aligned(beta) - chi(beta)).max() < 1e-4
         assert np.abs(flipped(beta) - chi(beta)).max() > 0.5
         # the unflipped state keeps theta
-        assert abs(align_amplified_axis(d, chi_u, state)[1]) < 1e-6
+        assert abs(align_amplified_axis(d, state)[1]) < 1e-6
 
 
 class TestDeviceDispatch:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (
+    joint_two_mode_char,
     random_mode,
     reference_coherent_chi,
     reference_even_cat_chi,
@@ -28,7 +29,6 @@ from pulse_squeeze.charfun import (
     char_from_rho,
     char_of_state,
     fock_from_char,
-    joint_two_mode_char,
     overlap,
     propagate_char,
     real_linear_map,
@@ -181,10 +181,9 @@ class TestCharFunctions:
         # exp(-beta^2 e^{-2r} / 2) is still 0.02 at Re beta = 34 for r = 2.5
         k = ideal_squeezer_kernels(grid, u_mode, 2.5)
         d = decompose_output_mode(k, u_mode, u_mode)
-        chi_u = char_of_state(vacuum_state(20))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            chi = propagate_char(d, chi_u)
+            chi = propagate_char(d, vacuum_state(20))
         messages = [str(w.message) for w in caught]
         assert messages == ["propagate_char: chi not decayed even at extent 34"]
         assert chi.boundary_magnitude() > 1e-3
@@ -205,7 +204,7 @@ class TestCharGridSample:
         rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
         evaluators.append(("random mixed", state_evaluator(QuantumState(rho))))
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
-        chi_out = propagate_char(d, char_of_state(fock_state(1, 20)))
+        chi_out = propagate_char(d, fock_state(1, 20))
         evaluators.append(("opo output", chi_out.evaluator))
         return evaluators
 
@@ -232,7 +231,7 @@ class TestCharGridSample:
                              ids=["fock1", "cat"])
     def test_noisy_channel_matches_call_bit_for_bit(self, state, u_mode, opo_kernels):
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
-        channel = propagate_char(d, char_of_state(state)).evaluator
+        channel = propagate_char(d, state).evaluator
         assert channel.Y.any()
         for grid_ in (CharGrid.with_extent(6.0), CharGrid.with_extent(9.0, 4.0)):
             assert np.array_equal(grid_.sample(channel), channel(grid_.mesh()))
@@ -283,7 +282,7 @@ class TestRectangularGrid:
     def _squeezed_output(grid, u_mode, state, r=1.3):
         k = ideal_squeezer_kernels(grid, u_mode, r)
         d = decompose_output_mode(k, u_mode, u_mode)
-        return propagate_char(d, char_of_state(state))
+        return propagate_char(d, state)
 
     @staticmethod
     def _on_enclosing_square(chi):
@@ -341,8 +340,8 @@ class TestRectangularGrid:
         from pulse_squeeze import pipeline
 
         d = decompose_output_mode(ideal_squeezer_kernels(grid, u_mode, 0.9), u_mode, u_mode)
-        chi_u = char_of_state(coherent_state(1.0 + 0.5j, 30))
-        chi = propagate_char(d, chi_u)
+        state = coherent_state(1.0 + 0.5j, 30)
+        chi = propagate_char(d, state)
         assert chi.grid.n_side != chi.grid.im_n_side
         seen = []
         monkeypatch.setattr(
@@ -352,7 +351,7 @@ class TestRectangularGrid:
         (quarter,) = seen
         g = chi.grid
         assert quarter.grid == CharGrid(g.im_extent, g.im_n_side, g.extent, g.n_side)
-        rotated = propagate_char(d.rephased(-np.pi / 2.0), chi_u)
+        rotated = propagate_char(d.rephased(-np.pi / 2.0), state)
         assert rotated.grid == quarter.grid
         assert np.abs(quarter.values - quarter.grid.sample(rotated.evaluator)).max() < 1e-14
         beta = quarter.grid.mesh()[::7, ::5]
@@ -366,14 +365,14 @@ class TestPropagateChar:
         state = even_cat_state(1.5, 50)
         d = decompose_output_mode(identity_kernels(grid), u_mode, u_mode)
         chi_u = char_of_state(state)
-        out = propagate_char(d, chi_u).evaluator
+        out = propagate_char(d, state).evaluator
         assert np.abs(chi_u.grid.sample(out) - chi_u.values).max() < 1e-12
 
     def test_squeezer_on_vacuum(self, grid, u_mode):
         r = 0.7
         k = ideal_squeezer_kernels(grid, u_mode, r)
         d = decompose_output_mode(k, u_mode, u_mode)
-        chi_out = propagate_char(d, char_of_state(vacuum_state(20)))
+        chi_out = propagate_char(d, vacuum_state(20))
         beta = chi_out.grid.mesh()
         expected = np.exp(-0.5 * np.abs(beta * np.cosh(r) - np.conj(beta) * np.sinh(r)) ** 2)
         assert np.abs(chi_out.values - expected).max() < 1e-12
@@ -384,13 +383,13 @@ class TestPropagateChar:
         d = OutputDecomposition(A=np.sqrt(eta), B=0.0, C=np.sqrt(1 - eta), D=0.0, E=0.0)
         assert d.commutator() == pytest.approx(1.0, abs=1e-15)
         alpha = 1.4 + 0.3j
-        chi_out = propagate_char(d, char_of_state(coherent_state(alpha, 50)))
+        chi_out = propagate_char(d, coherent_state(alpha, 50))
         expected = reference_coherent_chi(np.sqrt(eta) * alpha)(chi_out.grid.mesh())
         assert np.abs(chi_out.values - expected).max() < 1e-10
 
     def test_origin_pinned(self, grid, u_mode, opo_kernels):
         d = decompose_output_mode(opo_kernels, u_mode, u_mode)
-        chi_out = propagate_char(d, char_of_state(fock_state(1, 20)))
+        chi_out = propagate_char(d, fock_state(1, 20))
         origin = (chi_out.grid.n_side // 2, chi_out.grid.im_n_side // 2)
         assert chi_out.values[origin] == pytest.approx(1.0, abs=1e-12)
 
@@ -445,10 +444,9 @@ class TestGaussianChannel:
     def test_propagation_matches_explicit_formula(self, decomps):
         rng = np.random.default_rng(4)
         for state, base in _bases():
-            chi_u = char_of_state(state)
             for d in decomps:
                 beta = _random_betas(rng)
-                got = propagate_char(d, chi_u).evaluator(beta)
+                got = propagate_char(d, state).evaluator(beta)
                 assert _close(got, reference_propagated_chi(d, base)(beta), 1e-13)
 
     def test_squeeze_target_matches_explicit_formula(self):
@@ -553,7 +551,7 @@ class TestWigner:
         from pulse_squeeze.metrics import quadrature_variance
 
         quarter_turn = OutputDecomposition(1.0, 0.0, 0.0, 0.0, 0.0).rephased(-np.pi / 2.0)
-        rot = propagate_char(quarter_turn, chi)
+        rot = propagate_char(quarter_turn, state)
         assert quadrature_variance(rot, 0.0) == pytest.approx(
             quadrature_variance(chi, np.pi / 2.0), abs=1e-5
         )
@@ -580,7 +578,7 @@ class TestFockFromChar:
         r = 0.5
         k = ideal_squeezer_kernels(grid, u_mode, r)
         d = decompose_output_mode(k, u_mode, u_mode)
-        chi_out = propagate_char(d, char_of_state(vacuum_state(20)))
+        chi_out = propagate_char(d, vacuum_state(20))
         rec = fock_from_char(chi_out, 30)
         pops = np.diag(rec.rho).real
         n = np.arange(15)
@@ -656,8 +654,7 @@ class TestJointTwoModeChar:
         rng = np.random.default_rng(3)
         w, _ = orthogonal_complement(random_mode(grid, rng), [u_mode])
         state = coherent_state(1.2, 40)
-        chi_u = char_of_state(state)
-        joint = joint_two_mode_char(identity_kernels(grid), u_mode, u_mode, w, chi_u)
+        joint = joint_two_mode_char(identity_kernels(grid), u_mode, u_mode, w, state)
         b = joint.grid.mesh()
         chi1 = joint.evaluator(b, np.zeros_like(b))
         assert np.abs(chi1 - reference_coherent_chi(1.2)(b)).max() < 1e-10
@@ -670,10 +667,9 @@ class TestJointTwoModeChar:
         mom = input_moments(state)
         sp = seeded_vacuum_split(opo_kernels, u_mode, mom)
         v1, v2 = sp.seeded[0][1], sp.seeded[1][1]
-        chi_u = char_of_state(state)
-        joint = joint_two_mode_char(opo_kernels, u_mode, v1, v2, chi_u)
+        joint = joint_two_mode_char(opo_kernels, u_mode, v1, v2, state)
         d = decompose_output_mode(opo_kernels, u_mode, v1)
-        single = propagate_char(d, chi_u)
+        single = propagate_char(d, state)
         marg = joint.marginal(0)
         assert np.abs(marg.values - joint.grid.sample(single.evaluator)).max() < 1e-8
         # off the joint grid, the marginal evaluates exactly like the
@@ -690,11 +686,10 @@ class TestJointTwoModeChar:
         state = fock_state(1, 20)
         sp = seeded_vacuum_split(opo_kernels, u_mode, input_moments(state))
         v1, v2 = sp.seeded[0][1], sp.seeded[1][1]
-        chi_u = char_of_state(state)
-        joint = joint_two_mode_char(opo_kernels, u_mode, v1, v2, chi_u, extent=6.0, n_side=49)
+        joint = joint_two_mode_char(opo_kernels, u_mode, v1, v2, state, extent=6.0, n_side=49)
         marg = joint.marginal(0)
         assert purity(marg) < joint.purity() - 0.05
 
     def test_requires_orthogonal_modes(self, grid, u_mode, opo_kernels):
         with pytest.raises(ValueError, match="orthogonal"):
-            joint_two_mode_char(opo_kernels, u_mode, u_mode, u_mode, char_of_state(vacuum_state(10)))
+            joint_two_mode_char(opo_kernels, u_mode, u_mode, u_mode, vacuum_state(10))
