@@ -4,20 +4,20 @@ numpy and scipy each ship their own OpenBLAS, so one process may run two
 thread pools: numpy's from start-up, scipy's from the first import of a
 scipy module that links it (only the dense vacuum-ladder solve and the
 circuit fit import one).  How many threads a LAPACK call or a matrix
-product splits its work over changes its summation order, so a result
-that must not depend on the thread count is computed inside
-:func:`one_blas_thread`.  The pools are probed on each call, from the
-libraries mapped at that moment, so an OpenBLAS loaded late is pinned as
-well.  Each pool is driven through OpenBLAS's own C interface
-(numpy's symbols carry the ILP64 suffix ``64_``).  Where no OpenBLAS is
+product splits its work over changes its summation order, so the commands
+that write data files run inside :func:`one_blas_thread`.  Each pool is
+driven through OpenBLAS's own C interface (numpy's symbols carry the ILP64
+suffix ``64_``); a pool loaded later, or in a pool worker the block starts,
+reads ``OPENBLAS_NUM_THREADS`` when it starts.  Where no OpenBLAS is
 loaded, as on a build against another BLAS or on a system without
-``/proc``, the helpers do nothing.
+``/proc``, the helpers leave the pools alone.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -60,13 +60,16 @@ def blas_threads() -> dict[str, int]:
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with every loaded OpenBLAS pool at one thread; restore
-    on exit.
+    """Run the block with every OpenBLAS pool at one thread; restore on exit.
 
-    The pools are read on entry: a library first loaded inside the block
-    keeps its own count.  The counts are process-wide, so BLAS calls that
-    other threads make during the block run on one thread too."""
+    The pools loaded on entry are set to one thread and
+    ``OPENBLAS_NUM_THREADS`` to 1, so a pool first loaded inside the block
+    (which keeps one thread after it) and every process it starts start on
+    one thread too.  The counts are process-wide, so BLAS calls that other
+    threads make during the block run on one thread too."""
     saved = [(get(), put) for _, get, put in _pools()]
+    variable = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     for _, put in saved:
         put(1)
     try:
@@ -74,3 +77,7 @@ def one_blas_thread():
     finally:
         for count, put in saved:
             put(count)
+        if variable is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = variable

@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .states import QuantumState, log_factorial
 
 __all__ = [
@@ -369,8 +368,8 @@ def wigner_from_char(
     """Fourier transform chi to the Wigner function on an (x, p) rectangle.
 
     The kernel exp(beta* alpha - beta alpha*) is separable in (Re beta,
-    Im beta), so the transform is two small matrix products, run on one
-    BLAS thread, and the output grid is free to differ from the beta grid.
+    Im beta), so the transform is two small matrix products, and the output
+    grid is free to differ from the beta grid.
     """
     if chi.boundary_magnitude() > 1e-3:
         warnings.warn(
@@ -384,10 +383,8 @@ def wigner_from_char(
     phase_p = np.exp(1j * np.sqrt(2.0) * np.outer(u, axis))
     phase_x = np.exp(-1j * np.sqrt(2.0) * np.outer(v, axis))
     # chi.values has indices [u, v]; contract v with phase_x then u with phase_p.
-    # One BLAS thread: the products' bits then do not depend on the thread count.
-    with one_blas_thread():
-        inner = chi.values @ phase_x  # (u, x)
-        w = (phase_p.T @ inner).T  # (x, p)
+    inner = chi.values @ phase_x  # (u, x)
+    w = (phase_p.T @ inner).T  # (x, p)
     values = np.real(w) * chi.grid.weight / (2.0 * np.pi**2)
     return WignerGrid(x_axis=axis, p_axis=axis, values=values)
 

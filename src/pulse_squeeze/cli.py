@@ -5,8 +5,9 @@
 
 Commands emit CSV/JSON artifacts only (plotting is external) plus a
 manifest listing every file with its checksum.  Identical configs produce
-byte-identical data files; the manifest carries wall-clock timestamps and
-is the one file excluded from that guarantee.
+byte-identical data files at any worker and BLAS thread count; the manifest
+carries wall-clock timestamps and is the one file excluded from that
+guarantee.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .config import (
     FLOAT_FORMAT,
     ConfigError,
@@ -50,6 +51,9 @@ from .pipeline import (
 )
 
 __all__ = ["main"]
+
+# Ladder occupations written per point in ``modes``' occupations.csv.
+LADDER_COLUMNS = 8
 
 
 def _fmt(x: float) -> str:
@@ -91,59 +95,17 @@ def _sweep_worker(args, kernels: BogoliubovKernels):
         return index, None, _error_text(exc)
 
 
-def _device_worker(points):
-    """One pool task: build the device the ``(index, cfg)`` points share
-    once, then run each point on its kernels.  A failed build is recorded
-    for every point of the group."""
-    cfg = points[0][1]
-    try:
-        kernels = device_from_config(cfg["device"], grid_from_config(cfg["grid"]))
-    except Exception as exc:  # recorded per point, run continues
-        return [(index, None, _error_text(exc)) for index, _ in points]
-    return [_sweep_worker(point, kernels) for point in points]
-
-
-def _env_int(*names: str) -> int | None:
-    """Integer value of the first of ``names`` set in the environment."""
-    for name in names:
-        value = os.environ.get(name)
-        if value:
-            try:
-                return int(value)
-            except ValueError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    return None
-
-
-def _workers() -> int:
-    """Sweep pool size: ``PULSE_SQUEEZE_WORKERS``, else as many workers as
-    fit on the cores next to each one's BLAS threads.
-
-    With no BLAS thread count set, BLAS already uses every core, so the
-    sweep runs in one process; extra workers would only oversubscribe.
-    """
-    workers = _env_int("PULSE_SQUEEZE_WORKERS")
-    if workers is not None:
-        return max(1, workers)
-    threads = _env_int("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    if threads is None:
-        return 1
-    return max(1, (os.cpu_count() or 1) // max(1, threads))
-
-
-def _modes_point(point_cfg: dict, grid: TemporalGrid, n_vac: int):
-    """One ``modes`` point: its occupations row (n1, n2, ratio and the top
-    ``n_vac`` ladder occupations), its spectrum record and its dominant mode.
-
-    Only these leave the function, so the point's n x n kernels are freed
-    before the next point builds its own."""
-    kern = device_from_config(point_cfg["device"], grid)
-    u = input_mode_from_config(point_cfg["input"], grid)
-    state = input_state_from_config(point_cfg["input"])
-    res = run_modes(kern, u, state)
+def _modes_point(args, kernels: BogoliubovKernels):
+    """One ``modes`` point on its device's kernels: its index, occupations
+    row (n1, n2, ratio and the top ``LADDER_COLUMNS`` ladder occupations),
+    spectrum record and dominant mode.  A failure raises."""
+    index, cfg = args
+    u = input_mode_from_config(cfg["input"], kernels.grid)
+    state = input_state_from_config(cfg["input"])
+    res = run_modes(kernels, u, state)
     sp = res.spectrum
-    vac = [lam for lam, _ in sp.vacuum[:n_vac]]
-    vac += [0.0] * (n_vac - len(vac))
+    vac = [lam for lam, _ in sp.vacuum[:LADDER_COLUMNS]]
+    vac += [0.0] * (LADDER_COLUMNS - len(vac))
     row = [res.metrics["n1"], res.metrics["n2"], res.metrics.get("ratio", float("nan"))] + vac
     holds, deviation = single_mode_condition(res.moments)
     record = {
@@ -154,7 +116,63 @@ def _modes_point(point_cfg: dict, grid: TemporalGrid, n_vac: int):
         "single_mode_condition": {"holds": holds, "deviation": deviation},
     }
     pool = sp.seeded if sp.seeded else sp.vacuum
-    return row, record, (pool[0][1].amplitudes if pool else None)
+    return index, row, record, (pool[0][1].amplitudes if pool else None)
+
+
+def _device_worker(points):
+    """One sweep pool task: build the device the ``(index, cfg)`` points
+    share once, then run each point on its kernels.  A failed build is
+    recorded for every point of the group."""
+    cfg = points[0][1]
+    try:
+        kernels = device_from_config(cfg["device"], grid_from_config(cfg["grid"]))
+    except Exception as exc:  # recorded per point, run continues
+        return [(index, None, _error_text(exc)) for index, _ in points]
+    return [_sweep_worker(point, kernels) for point in points]
+
+
+def _modes_device(points):
+    """One ``modes`` pool task: ``_device_worker`` without the recording; a
+    failed build or point raises."""
+    cfg = points[0][1]
+    kernels = device_from_config(cfg["device"], grid_from_config(cfg["grid"]))
+    return [_modes_point(point, kernels) for point in points]
+
+
+def _workers() -> int:
+    """Pool size: ``PULSE_SQUEEZE_WORKERS``, a positive integer, else the
+    CPU count."""
+    value = os.environ.get("PULSE_SQUEEZE_WORKERS")
+    if not value:
+        return os.cpu_count() or 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"PULSE_SQUEEZE_WORKERS must be a positive integer, got {value!r}")
+    return workers
+
+
+def _run_by_device(points: list, task, manifest: RunManifest) -> list:
+    """Results of the ``(index, cfg)`` points, in index order.
+
+    Points that share a device and grid share one build: one group per
+    distinct device, in order of first appearance, and one ``task`` call per
+    group, spread over at most ``_workers()`` processes, or run in-process
+    when that comes to one.  The pool size used goes to the manifest."""
+    groups: dict[str, list] = {}
+    for index, point in points:
+        key = config_hash({"device": point["device"], "grid": point["grid"]})
+        groups.setdefault(key, []).append((index, point))
+    workers = min(_workers(), len(groups))
+    manifest.environment["workers"] = workers
+    if workers == 1:
+        done = list(map(task, groups.values()))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(task, groups.values()))
+    return sorted((point for group in done for point in group), key=lambda r: r[0])
 
 
 def cmd_modes(cfg: dict, out: Path) -> RunManifest:
@@ -166,21 +184,23 @@ def cmd_modes(cfg: dict, out: Path) -> RunManifest:
         raise ConfigError(f"sweep.axes[0]: modes writes one t column, cannot sweep {axes[0][0]}")
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
 
-    points = [(None, cfg)]
+    points = [(0, cfg)]
+    axis_values = [None]
     if axes:
         name, values = axes[0]
-        points = [(float(v), set_by_path(cfg, name, float(v))) for v in values]
+        axis_values = [float(v) for v in values]
+        points = [(i, set_by_path(cfg, name, v)) for i, v in enumerate(axis_values)]
 
     occ_rows = []
     spectra = []
     mode_columns = {}
     grid = grid_from_config(cfg["grid"])
-    n_vac = 8
-    for i, (axis_value, point_cfg) in enumerate(points):
-        row, record, dominant = _modes_point(point_cfg, grid, n_vac)
+    last = len(points) - 1
+    for i, row, record, dominant in _run_by_device(points, _modes_device, manifest):
+        axis_value = axis_values[i]
         occ_rows.append([axis_value if axis_value is not None else 0.0] + row)
         spectra.append({"axis_value": axis_value, **record})
-        if (i == 0 or i == len(points) - 1) and dominant is not None:
+        if (i == 0 or i == last) and dominant is not None:
             mode_columns[f"dominant_{'first' if i == 0 else 'last'}"] = dominant
 
     axis_name = axes[0][0] if axes else "point"
@@ -193,7 +213,7 @@ def cmd_modes(cfg: dict, out: Path) -> RunManifest:
     _write_csv(
         out / "occupations.csv",
         meta,
-        [axis_name, "n1", "n2", "ratio"] + [f"m{i+1}" for i in range(n_vac)],
+        [axis_name, "n1", "n2", "ratio"] + [f"m{i+1}" for i in range(LADDER_COLUMNS)],
         occ_rows,
     )
     mode_cols = ["t"] + [f"{k}_{p}" for k in sorted(mode_columns) for p in ("re", "im")]
@@ -247,25 +267,11 @@ def cmd_sweep(cfg: dict, out: Path) -> RunManifest:
     manifest = RunManifest(config_hash=config_hash(cfg), tool_version=__version__)
     (name1, vals1), (name2, vals2) = axes
 
-    # Points that share a device and grid share one build: one group per
-    # distinct device, in order of first appearance.
-    groups: dict[str, list] = {}
-    for i, v1 in enumerate(vals1):
-        for j, v2 in enumerate(vals2):
-            point = set_by_path(set_by_path(cfg, name1, float(v1)), name2, float(v2))
-            key = config_hash({"device": point["device"], "grid": point["grid"]})
-            groups.setdefault(key, []).append(((i, j), point))
-
+    points = [((i, j), set_by_path(set_by_path(cfg, name1, float(v1)), name2, float(v2)))
+              for i, v1 in enumerate(vals1) for j, v2 in enumerate(vals2)]
     n1_map = np.full((len(vals1), len(vals2)), np.nan)
     ratio_map = np.full((len(vals1), len(vals2)), np.nan)
-    workers = _workers()
-    if workers == 1:
-        done = list(map(_device_worker, groups.values()))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_device_worker, groups.values()))
-    results = sorted((point for group in done for point in group), key=lambda r: r[0])
-    for (i, j), metrics, error in results:
+    for (i, j), metrics, error in _run_by_device(points, _device_worker, manifest):
         if error is not None:
             manifest.failures.append({"point": [int(i), int(j)], "error": error})
             continue
@@ -422,13 +428,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 1
+    # One BLAS thread per process: the data files' bits then do not depend
+    # on the thread count, and each pool worker keeps to its own core.
+    command = {"modes": cmd_modes, "state": cmd_state, "sweep": cmd_sweep}[args.command]
     try:
-        if args.command == "modes":
-            manifest = cmd_modes(cfg, args.out)
-        elif args.command == "state":
-            manifest = cmd_state(cfg, args.out)
-        else:
-            manifest = cmd_sweep(cfg, args.out)
+        with blas.one_blas_thread():
+            manifest = command(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -24,8 +24,7 @@ block's Ritz values bounds every eigenvalue the block did not keep; the
 block is accepted when that bound stays under the cut and each kept pair's
 residual is at round-off, and grown from its kept count otherwise.  A
 ladder so wide that its blocks would together pass n / 4 columns goes to
-the dense solve instead.  Both run on one BLAS thread, so the ladder's bits
-do not depend on the machine's thread count.
+the dense solve instead.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .grids import HermitianKernel, ModeFunction, _clamp_negative, _pin_phase
 from .kernels import BogoliubovKernels, apply_to_mode
 from .states import QuantumState, destroy
@@ -124,24 +122,16 @@ class ModeSpectrum:
         total is within the cut is empty.  Otherwise :func:`_block_ladder`
         solves it from blocks of a few dozen columns and certifies the
         result; when its blocks would pass n / ``LADDER_SHARE`` columns,
-        :func:`_dense_ladder` forms the matrix and solves it instead.  Both
-        run on one BLAS thread: their bits then do not depend on the thread
-        count.  Only the dense solve needs scipy, which is imported, with
-        its own OpenBLAS, just before that solve's block.
+        :func:`_dense_ladder` forms the matrix and solves it instead.
         """
         k = self.kernels
         dt = k.grid.dt
         cut = OCCUPATION_CUT * self.total
         if self.vacuum_total <= cut:
             return []
-        with one_blas_thread():
-            pairs = _block_ladder(k.G, dt, self.vacuum_total, cut)
+        pairs = _block_ladder(k.G, dt, self.vacuum_total, cut)
         if pairs is None:
-            # Load scipy's OpenBLAS first: the block pins only the pools
-            # loaded when it is entered.
-            import scipy.linalg.blas  # noqa: F401
-            with one_blas_thread():
-                pairs = _dense_ladder(k.G, dt, cut)
+            pairs = _dense_ladder(k.G, dt, cut)
         vals, vecs = pairs
         return [
             (float(lam), ModeFunction(k.grid, _pin_phase(vec) / np.sqrt(dt)))

@@ -274,11 +274,13 @@ def validate_config(cfg: dict) -> None:
 
 
 def _run_environment() -> dict:
-    """What a run's speed and parallel layout depend on, as known when it
-    starts: cores, the sweep worker setting, versions."""
+    """What a run's speed and parallel layout depend on: cores, the worker
+    setting, the pool size used (1 in-process; a command that starts a pool
+    sets it), versions."""
     return {
         "cores": os.cpu_count(),
         "PULSE_SQUEEZE_WORKERS": os.environ.get("PULSE_SQUEEZE_WORKERS"),
+        "workers": 1,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .grids import TemporalGrid
 from .kernels import BogoliubovKernels, _quadrature_power, verify_symplectic
 
@@ -250,9 +249,7 @@ def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     )
     J = params.gain * pump
 
-    # One BLAS thread: the eigenbasis's bits then do not depend on the thread count.
-    with one_blas_thread():
-        lam, O = np.linalg.eigh(J)
+    lam, O = np.linalg.eigh(J)
     sigma = 2.0 * np.abs(lam) * dw
     if sigma.max() > 300.0:
         raise ValueError(

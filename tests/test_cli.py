@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pulse_squeeze import cli
+from pulse_squeeze import blas, cli
 from pulse_squeeze.devices import GridTooShortError
 from pulse_squeeze.config import (
     ConfigError,
@@ -367,10 +367,11 @@ class TestCliCommands:
         out = tmp_path / "run"
         assert cli.main(["modes", "--config", str(path), "--out", str(out)]) == 0
         env = json.loads((out / "manifest.json").read_text())["environment"]
-        assert set(env) == {"cores", "blas_threads", "PULSE_SQUEEZE_WORKERS",
+        assert set(env) == {"cores", "blas_threads", "PULSE_SQUEEZE_WORKERS", "workers",
                             "python", "numpy", "scipy"}
         assert env["cores"] == os.cpu_count()
         assert env["PULSE_SQUEEZE_WORKERS"] == "3"
+        assert env["workers"] == 1  # one point: one group, run in-process
         assert env["numpy"] == np.__version__
         assert all(isinstance(n, int) and n >= 1 for n in env["blas_threads"].values())
 
@@ -438,6 +439,43 @@ class TestCliCommands:
                 assert [v == "nan" for v in row[1:]] == [True, False, True]
                 assert np.isfinite(float(row[2]))
 
+    def test_modes_builds_each_device_once_and_raises_first_failure(self, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        cfg = _base_config()
+        cfg["device"] = {"kind": "opo", "detuning": 0.0, "decay": 1.0,
+                         "pump": {"area": 1.0, "center": 0.0, "width": 0.3}}
+        builds = []
+        build = cli.device_from_config
+        monkeypatch.setattr(cli, "device_from_config",
+                            lambda *args: builds.append(args) or build(*args))
+        # an input axis: every point runs on one device
+        cfg["sweep"] = {"axes": [{"name": "input.pulse.center", "values": [-1.0, 0.0, 1.0]}]}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        assert cli.main(["modes", "--config", str(path), "--out", str(tmp_path / "one")]) == 0
+        assert len(builds) == 1
+        # devices 1 and 2 truncate the pump: in-process or pooled, the run
+        # exits 2 with the error of the first failed point
+        centers = [0.0, 29.5, 29.8]
+        with pytest.raises(GridTooShortError) as first:
+            build(set_by_path(cfg, "device.pump.center", centers[1])["device"],
+                  cli.grid_from_config(cfg["grid"]))
+        cfg["sweep"] = {"axes": [{"name": "device.pump.center", "values": centers}]}
+        path.write_text(dump_config(cfg))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")])))
+        for workers in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-m", "pulse_squeeze.cli", "modes", "--config", str(path),
+                 "--out", str(tmp_path / workers)],
+                env={**env, "PULSE_SQUEEZE_WORKERS": workers}, capture_output=True, text=True,
+                timeout=300)
+            assert run.returncode == 2, run.stderr
+            assert run.stderr.strip().splitlines()[-1] == (
+                f"numerical failure: GridTooShortError: {first.value}")
+
     def test_sweep_builds_each_device_once(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
         cfg = load_recipe("fig3ab")
@@ -504,32 +542,48 @@ class TestCliCommands:
         assert m0["files"] == m1["files"]
         assert m0["config_hash"] == m1["config_hash"]
 
-    def test_workers_default_leaves_cores_to_blas(self, monkeypatch, tmp_path):
+    def test_workers_default_is_cpu_count(self, monkeypatch, tmp_path):
+        # Every process runs on one BLAS thread, so the default pool takes
+        # one worker per core whatever the BLAS thread settings say.
         for name in ("PULSE_SQUEEZE_WORKERS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
-        # BLAS threads unpinned: they already use every core
-        assert cli._workers() == 1
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert cli._workers() == os.cpu_count()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.setenv("OMP_NUM_THREADS", "two")
         assert cli._workers() == os.cpu_count()
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "3")
         assert cli._workers() == 3
-        # a malformed count is a configuration error that names its variable
-        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "two")
-        with pytest.raises(ConfigError, match="PULSE_SQUEEZE_WORKERS"):
-            cli._workers()
-        cfg = _base_config(sweep={"axes": [
-            {"name": "device.r", "values": [0.8]},
-            {"name": "input.pulse.width", "values": [1.0]},
-        ]})
+        # a malformed or non-positive count is a configuration error that
+        # names its variable, in every command that runs a pool
+        r_axis = {"name": "device.r", "values": [0.5, 0.8]}
+        width_axis = {"name": "input.pulse.width", "values": [1.0]}
+        for command, axes in (("sweep", [r_axis, width_axis]), ("modes", [r_axis])):
+            path = tmp_path / f"{command}.yaml"
+            path.write_text(dump_config(_base_config(sweep={"axes": axes})))
+            for value in ("two", "0", "-1"):
+                monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", value)
+                with pytest.raises(ConfigError, match="PULSE_SQUEEZE_WORKERS"):
+                    cli._workers()
+                out = tmp_path / f"{command}{value}"
+                assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+
+    def test_in_process_run_leaves_threads_and_environment(self, tmp_path, monkeypatch):
+        # The commands run on one BLAS thread; the caller's pools and
+        # environment are as they were once main returns, whether the
+        # thread variable was unset or set.
         path = tmp_path / "cfg.yaml"
-        path.write_text(dump_config(cfg))
-        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 1
-        monkeypatch.delenv("PULSE_SQUEEZE_WORKERS")
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-            monkeypatch.setenv(name, "two")
-            with pytest.raises(ConfigError, match=name):
-                cli._workers()
+        path.write_text(dump_config(_base_config()))
+        for setting in (None, "2"):
+            if setting is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+            threads, environ = blas.blas_threads(), dict(os.environ)
+            for command in ("modes", "state"):
+                out = tmp_path / f"{command}-{setting}"
+                assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+                assert {k: n for k, n in blas.blas_threads().items() if k in threads} == threads
+                assert dict(os.environ) == environ
 
     @staticmethod
     def _run_layouts(tmp_path, command: str, cfg: dict, layouts: dict) -> None:
@@ -561,6 +615,24 @@ class TestCliCommands:
         })
         for name in ("heatmap_n1.csv", "heatmap_ratio.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+
+    def test_modes_identical_across_workers_and_blas_threads(self, tmp_path):
+        # fig2b's nine pump widths are nine devices: one in-process run, one
+        # spread over two workers, and one with the BLAS variable set.
+        cfg = load_recipe("fig2b")
+        cfg["grid"]["n_points"] = 256
+        self._run_layouts(tmp_path, "modes", cfg, {
+            "serial": {"PULSE_SQUEEZE_WORKERS": "1"},
+            "pool": {"PULSE_SQUEEZE_WORKERS": "2"},
+            "one": {"OPENBLAS_NUM_THREADS": "1"},
+        })
+        for name in ("occupations.csv", "modes.csv", "spectrum.json"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "pool" / name).read_bytes(), name
+            assert serial == (tmp_path / "one" / name).read_bytes(), name
+        workers = [json.loads((tmp_path / run / "manifest.json").read_text())["environment"]
+                   ["workers"] for run in ("serial", "pool")]
+        assert workers == [1, 2]
 
     @pytest.mark.parametrize(
         "case", ["modes", "modes-opa", "modes-twpa", "modes-twpa-detuned", "state"])
