@@ -320,7 +320,10 @@ def _verify_checks(corrupt: bool):
         F = opo.F.copy()
         F[0, 1] += 0.1
         opo = BogoliubovKernels(opo.grid, F, opo.G)
-    checks.append(("opo symplectic", verify_symplectic(opo).max_residual, 1e-5))
+    checks.append(("opo symplectic", verify_symplectic(opo).max_residual, 1e-9))
+    # At detuning 0 the OPO is built in real arithmetic, with float64 kernels.
+    resonant = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
+    checks.append(("resonant opo symplectic", verify_symplectic(resonant).max_residual, 1e-12))
 
     fgrid = TemporalGrid(-8.0, 8.0, 256)
     opa = build_opa(OpaParams(0.4, 0.0, 2.0), fgrid)

@@ -23,8 +23,14 @@ eigenvalues they approximate, so ``vacuum_total`` minus the sum of the
 block's Ritz values bounds every eigenvalue the block did not keep; the
 block is accepted when that bound stays under the cut and each kept pair's
 residual is at round-off, and grown from its kept count otherwise.  A
-ladder so wide that its blocks would together pass n / 4 columns goes to
-the dense solve instead.
+ladder so wide that its blocks would together pass the storage of n / 4
+complex columns goes to the dense solve instead, which forms the Gram
+matrix by one rank-k update and solves it by a subset ``eigh``.
+
+A real G (float64 kernels: a resonant OPO or TWPA) keeps the whole ladder
+real: the blocks are real with twice the columns in the same storage, and
+the dense solve forms a real symmetric Gram matrix by ``syrk``; a complex
+G takes complex blocks and ``herk``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ __all__ = [
 # Occupations below this fraction of the total are reported as unpopulated.
 OCCUPATION_CUT = 1e-8
 
-# The ladder's block solve: the seed of its Gaussian start, its first width,
+# The ladder's block solve: the seed of its Gaussian start, its first width
+# in complex columns (a real block has twice as many in the same storage),
 # and the share of n its blocks may use together before the dense solve is
 # the cheaper one.
 LADDER_SEED = 2011
@@ -121,7 +128,8 @@ class ModeSpectrum:
         eigenvalue exceeds its trace ``vacuum_total``, so a ladder whose
         total is within the cut is empty.  Otherwise :func:`_block_ladder`
         solves it from blocks of a few dozen columns and certifies the
-        result; when its blocks would pass n / ``LADDER_SHARE`` columns,
+        result; when its blocks would pass n / ``LADDER_SHARE`` columns
+        (complex, or twice as many real ones),
         :func:`_dense_ladder` forms the matrix and solves it instead.
         """
         k = self.kernels
@@ -141,26 +149,32 @@ class ModeSpectrum:
 
 def _block_ladder(g: np.ndarray, dt: float, total: float, cut: float):
     """Descending ladder pairs ``(vals, vecs)`` above ``cut`` from the first
-    certified block, or None when the blocks would together pass
-    n / ``LADDER_SHARE`` columns.  A failed block sizes the next from its
-    kept count k: ``max(width, 2 k) + 16`` columns, or three times as many
-    when all its pairs were kept, since k then only bounds the ladder from
-    below."""
-    budget = g.shape[0] // LADDER_SHARE
-    width = LADDER_START
-    while width <= budget:
-        budget -= width
-        vals, vecs, certified = _ritz_block(g, dt, total, cut, width)
+    certified block, or None when the blocks would together pass the
+    storage of n / ``LADDER_SHARE`` complex columns.  The first block holds
+    ``LADDER_START`` complex columns, or twice as many real ones when G is
+    real.  A failed block of c columns sizes the next from its kept count
+    k: ``max(c, 2 k) + 16`` columns, or three times as many when all its
+    pairs were kept, since k then only bounds the ladder from below."""
+    per = 1 if np.iscomplexobj(g) else 2
+    budget = per * (g.shape[0] // LADDER_SHARE)
+    cols = per * LADDER_START
+    while cols <= budget:
+        budget -= cols
+        vals, vecs, certified = _ritz_block(g, dt, total, cut, cols)
         if certified:
             return vals, vecs
         kept = len(vals)
-        width = 3 * width if kept == width else max(width, 2 * kept) + 16
+        cols = 3 * cols if kept == cols else max(cols, 2 * kept) + 16
     return None
 
 
-def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, width: int):
-    """Ritz pairs above ``cut`` of a ``width``-column block, and whether
+def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, cols: int):
+    """Ritz pairs above ``cut`` of a ``cols``-column block, and whether
     they are certified.
+
+    The block ``Omega`` is standard normal from ``LADDER_SEED``, drawn as
+    ``2 cols`` reals viewed as ``cols`` complex columns for a complex G and
+    as ``cols`` real columns for a real one.
 
     ``H x = dt conj(G conj(x))`` and ``H^dag x = dt G^T x`` act on the thin
     blocks only.  ``Q`` spans ``(H H^dag)^2 Omega``; with
@@ -180,15 +194,19 @@ def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, width: int):
     def h_adj(x):
         return dt * (g.T @ x)
 
-    omega = np.random.default_rng(LADDER_SEED).standard_normal((len(g), 2 * width))
-    q = np.linalg.qr(h(h_adj(omega.view(complex))))[0]
+    rng = np.random.default_rng(LADDER_SEED)
+    if np.iscomplexobj(g):
+        omega = rng.standard_normal((len(g), 2 * cols)).view(complex)
+    else:
+        omega = rng.standard_normal((len(g), cols))
+    q = np.linalg.qr(h(h_adj(omega)))[0]
     q = np.linalg.qr(h(h_adj(q)))[0]
     w, s, zh = np.linalg.svd(h_adj(q), full_matrices=False)
     theta = s**2
     kept = int(np.count_nonzero(theta > cut))
     vecs = q @ zh[:kept].conj().T
     residual = np.linalg.norm(h(w[:, :kept] * s[:kept]) - vecs * theta[:kept], axis=0)
-    bound = (theta[kept] if kept < width else 0.0) + (total - theta.sum())
+    bound = (theta[kept] if kept < cols else 0.0) + (total - theta.sum())
     edges = np.concatenate([[np.inf], theta[:kept], [bound]])
     gap = np.minimum(edges[:-2] - edges[1:-1], edges[1:-1] - edges[2:])
     tol = np.minimum(RITZ_RESIDUAL_TOL * theta[0], RITZ_ANGLE_TOL * gap)
@@ -197,13 +215,17 @@ def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, width: int):
 
 def _dense_ladder(g: np.ndarray, dt: float, cut: float):
     """Descending ladder pairs above ``cut`` from the formed Gram matrix: one
-    rank-k update (``herk``) fills its lower triangle, the one the solve
-    reads, and a solve restricted to ``(cut, inf)`` misses nothing but
-    round-off."""
+    rank-k update (``syrk`` for a real G, ``herk`` for a complex one) fills
+    its lower triangle, the one the solve reads, and a solve restricted to
+    ``(cut, inf)`` misses nothing but round-off."""
     import scipy.linalg.blas
 
-    # herk with trans=2 forms a^H a; a = G^T is a view, not a copy.
-    m = scipy.linalg.blas.zherk(dt**2, g.T, trans=2, lower=1)
+    # syrk with trans=1 forms a^T a, herk with trans=2 a^H a; a = G^T is a
+    # view, not a copy.
+    if np.iscomplexobj(g):
+        m = scipy.linalg.blas.zherk(dt**2, g.T, trans=2, lower=1)
+    else:
+        m = scipy.linalg.blas.dsyrk(dt**2, g.T, trans=1, lower=1)
     vals, vecs = scipy.linalg.eigh(m, subset_by_value=(cut, np.inf), overwrite_a=True)
     return vals[::-1], vecs[:, ::-1]
 

@@ -7,15 +7,17 @@ and a second half-step.  The initial-cavity port is closed by feeding the
 (vacuum) end-of-window cavity back into it, which keeps the grid-to-grid
 map symplectic to round-off instead of leaking one vacuum mode at the
 window edge.  The chain converges to the continuum input-output kernels
-at second order in dt.
+at second order in dt.  At zero detuning the generator is real, so a
+resonant OPO runs the same chain in real arithmetic and returns float64
+kernels; a detuned one returns complex128 kernels.
 
 A TWPA is a chain of identical OPO stages, folded as a power of the
 stage's real quadrature map (the map ``compose`` multiplies).  A resonant
 stage (detuning 0) has real kernels, so its map never mixes x with p: the
 chain raises the two n x n blocks separately, a quarter of the flops of
-the 2n x 2n power.  A detuned stage raises the full 2n x 2n map: about
-log2(n_stages) real squarings, half the flops of the complex kernel
-products.  Powers of a symplectic map are symplectic, so the folded chain
+the 2n x 2n power, and its kernels stay real.  A detuned stage raises the
+full 2n x 2n map: about log2(n_stages) real squarings, half the flops of
+the complex kernel products.  Powers of a symplectic map are symplectic, so the folded chain
 needs no re-projection.  Measured residuals of ``verify_symplectic``,
 resonant: 1.3e-13 at 100 stages on 1024 points, 4.8e-13 at 100 stages on
 256 points, 2.0e-12 at 1000 stages on 256 points and 1.4e-12 at 1000 on
@@ -148,7 +150,8 @@ def _gain_half_step(delta: float, xi_bar: float, tau: float) -> tuple[complex, f
     """Entries (E11, E12) of exp(tau * [[-i delta, xi], [xi, i delta]]).
 
     The generator squares to (xi^2 - delta^2) * identity, giving a closed
-    form; E22 = conj(E11) and E21 = E12.
+    form; E22 = conj(E11) and E21 = E12.  At delta = 0 the generator is
+    real, and so is the returned E11.
     """
     w = xi_bar * xi_bar - delta * delta
     lam = np.sqrt(complex(w))
@@ -161,11 +164,15 @@ def _gain_half_step(delta: float, xi_bar: float, tau: float) -> tuple[complex, f
         shf = np.sinh(z) / lam
     e11 = complex(ch - 1j * delta * shf)
     e12 = float(np.real(xi_bar * shf))
-    return e11, e12
+    return (e11 if delta else e11.real), e12
 
 
 def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Input-output kernels of a pulse-pumped OPO cavity.
+
+    At ``detuning == 0`` every coefficient of the chain is real: the slice
+    loop runs on float rows (``conj`` is the identity there) and the
+    kernels are float64.  Otherwise they are complex128.
 
     Raises
     ------
@@ -192,11 +199,12 @@ def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
 
     # Coefficient rows of the running cavity operator over the n field
     # slices plus the initial-cavity port (column n).
-    phi = np.zeros(n + 1, dtype=complex)
-    psi = np.zeros(n + 1, dtype=complex)
+    dtype = complex if params.detuning else float
+    phi = np.zeros(n + 1, dtype=dtype)
+    psi = np.zeros(n + 1, dtype=dtype)
     phi[n] = 1.0
-    out_f = np.zeros((n, n + 1), dtype=complex)
-    out_g = np.zeros((n, n + 1), dtype=complex)
+    out_f = np.zeros((n, n + 1), dtype=dtype)
+    out_g = np.zeros((n, n + 1), dtype=dtype)
 
     for k in range(n):
         e11, e12 = _gain_half_step(params.detuning, xi_bar[k], dt / 2.0)
@@ -277,11 +285,11 @@ def build_twpa(params: TwpaParams, grid: TemporalGrid) -> BogoliubovKernels:
 
     The stage's quadrature map (see ``kernels.compose``) is raised to the
     power ``n_stages`` by ``kernels._quadrature_power``: as two real n x n
-    block powers when the stage kernels are real (a resonant stage), else
-    as one real 2n x 2n power.  ``np.linalg.matrix_power`` takes
-    floor(log2(n_stages)) squarings, plus one product for each set bit of
-    ``n_stages`` above the lowest.  The stage kernels are released before
-    the power.  The symplectic residual grows only by round-off (resonant:
+    block powers when the stage kernels are real (a resonant stage, whose
+    chain kernels are float64 too), else as one real 2n x 2n power.
+    ``np.linalg.matrix_power`` takes floor(log2(n_stages)) squarings, plus
+    one product for each set bit of ``n_stages`` above the lowest.  The
+    stage kernels are released before the power.  The symplectic residual grows only by round-off (resonant:
     1.3e-13 at 100 stages, n = 1024, and 1.4e-12 at 1000 stages, n = 512;
     detuned: 8.0e-12 at 100 stages, n = 256), so nothing is re-projected.
     One stage returns the stage kernels unchanged.

@@ -46,7 +46,11 @@ class BogoliubovKernels:
 
     ``F`` and ``G`` hold the sampled kernels F(x, x') and G(x, x'); the
     operator action carries the quadrature weight dt, so the identity map
-    stores ``F = eye / dt``.
+    stores ``F = eye / dt``.  Both are float64 when both arrays passed in
+    are real, as the builders that know their kernels are real pass them
+    (:func:`identity_kernels`, a resonant OPO and a resonant TWPA), and
+    complex128 otherwise.  Consumers branch on that dtype, never on the
+    values: a real pair takes real arithmetic throughout.
     """
 
     grid: TemporalGrid
@@ -55,8 +59,9 @@ class BogoliubovKernels:
 
     def __post_init__(self):
         n = self.grid.n_points
-        F = np.ascontiguousarray(np.asarray(self.F, dtype=complex))
-        G = np.ascontiguousarray(np.asarray(self.G, dtype=complex))
+        dtype = complex if np.iscomplexobj(self.F) or np.iscomplexobj(self.G) else float
+        F = np.ascontiguousarray(np.asarray(self.F, dtype=dtype))
+        G = np.ascontiguousarray(np.asarray(self.G, dtype=dtype))
         if F.shape != (n, n) or G.shape != (n, n):
             raise ValueError("F and G must be n x n for an n-point grid")
         object.__setattr__(self, "F", F)
@@ -99,7 +104,7 @@ class PullbackResult:
 def identity_kernels(grid: TemporalGrid) -> BogoliubovKernels:
     """Zero-interaction element: F is the grid delta, G vanishes."""
     n = grid.n_points
-    return BogoliubovKernels(grid, np.eye(n, dtype=complex) / grid.dt, np.zeros((n, n), complex))
+    return BogoliubovKernels(grid, np.eye(n) / grid.dt, np.zeros((n, n)))
 
 
 def ideal_squeezer_kernels(
@@ -159,20 +164,21 @@ def _from_quadrature(m: np.ndarray, grid: TemporalGrid) -> BogoliubovKernels:
 def _quadrature_power(k: BogoliubovKernels, power: int) -> BogoliubovKernels:
     """Kernels of ``k`` applied ``power`` times, by ``np.linalg.matrix_power``.
 
-    When F and G are real, the quadrature map (:func:`_to_quadrature`) is
-    block-diagonal, ``X = (F + G) dt`` on x and ``P = (F - G) dt`` on p, so
-    the two n x n blocks are raised separately (a quarter of the flops of
-    the 2n x 2n power) and ``F = (X^N + P^N) / (2 dt)``, ``G = (X^N - P^N)
-    / (2 dt)``.  Otherwise the full 2n x 2n map is raised.  ``k`` is
-    released before the power.
+    When ``k`` is real (float64 kernels), the quadrature map
+    (:func:`_to_quadrature`) is block-diagonal, ``X = (F + G) dt`` on x and
+    ``P = (F - G) dt`` on p, so the two n x n blocks are raised separately
+    (a quarter of the flops of the 2n x 2n power) and the result is real
+    again: ``F = (X^N + P^N) / (2 dt)``, ``G = (X^N - P^N) / (2 dt)``.
+    Complex kernels raise the full 2n x 2n map.  ``k`` is released before
+    the power.
     """
     grid = k.grid
-    if k.F.imag.any() or k.G.imag.any():
+    if np.iscomplexobj(k.F):
         m = _to_quadrature(k)
         del k
         return _from_quadrature(np.linalg.matrix_power(m, power), grid)
-    x = (k.F.real + k.G.real) * grid.dt
-    p = (k.F.real - k.G.real) * grid.dt
+    x = (k.F + k.G) * grid.dt
+    p = (k.F - k.G) * grid.dt
     del k
     x = np.linalg.matrix_power(x, power)
     p = np.linalg.matrix_power(p, power)
@@ -224,6 +230,14 @@ def verify_symplectic(k: BogoliubovKernels) -> SymplecticReport:
     )
 
 
+def _times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``a @ z`` for a complex vector ``z``.  A real ``a`` multiplies the
+    ``(n, 2)`` real view of ``z``, so it is never cast to a complex copy."""
+    if np.iscomplexobj(a):
+        return a @ z
+    return (a @ np.ascontiguousarray(z).view(float).reshape(-1, 2)).view(complex).ravel()
+
+
 def apply_to_mode(k: BogoliubovKernels, u: ModeFunction) -> tuple[np.ndarray, np.ndarray]:
     """Forward images ``(F u, G u)`` (dt-weighted), unnormalized.
 
@@ -233,7 +247,7 @@ def apply_to_mode(k: BogoliubovKernels, u: ModeFunction) -> tuple[np.ndarray, np
     if u.grid != k.grid:
         raise GridMismatchError("mode does not live on the kernel grid")
     dt = k.grid.dt
-    return dt * (k.F @ u.amplitudes), dt * (k.G @ u.amplitudes)
+    return dt * _times(k.F, u.amplitudes), dt * _times(k.G, u.amplitudes)
 
 
 def pullback_output_mode(k: BogoliubovKernels, v: ModeFunction) -> PullbackResult:
@@ -246,8 +260,9 @@ def pullback_output_mode(k: BogoliubovKernels, v: ModeFunction) -> PullbackResul
     if v.grid != k.grid:
         raise GridMismatchError("mode does not live on the kernel grid")
     dt = k.grid.dt
-    f_raw = dt * (k.F.conj().T @ v.amplitudes)
-    g_raw = dt * (k.G.conj().T @ v.amplitudes.conj())
+    # conj() of a real kernel is the kernel itself, so a real pair is read in place.
+    f_raw = dt * _times(k.F.conj().T, v.amplitudes)
+    g_raw = dt * _times(k.G.conj().T, v.amplitudes.conj())
     f_mode = ModeFunction(k.grid, f_raw)
     zeta = f_mode.norm
     if zeta < DISPERSIVE_XI_TOL:

@@ -286,6 +286,79 @@ class TestVacuumLadder:
         assert blocks and not any(certified for _, _, certified in blocks)
         assert len(dense_calls) == 1
 
+    @staticmethod
+    def real_gram(lam, seed=3):
+        """A real G on n = 512 points whose ladder values are ``lam``:
+        ``H = dt G = U sqrt(lam) V^T`` with random orthogonal U and V."""
+        from pulse_squeeze.grids import TemporalGrid
+
+        grid = TemporalGrid(0.0, 1.0, 512)
+        rng = np.random.default_rng(seed)
+        u, v = (np.linalg.qr(rng.normal(size=(512, 512)))[0] for _ in range(2))
+        return (u * np.sqrt(lam)) @ v.T / grid.dt, grid.dt
+
+    @staticmethod
+    def pinned(vecs):
+        from pulse_squeeze.grids import _pin_phase
+
+        return np.column_stack([_pin_phase(v) for v in vecs.T])
+
+    @pytest.mark.parametrize("pairs, blocks", [(40, [(64, True)]), (70, [(64, False), (192, True)])])
+    def test_real_block_ladder_matches_dense(self, pairs, blocks, monkeypatch):
+        # A geometric ladder falling 4 decades over ``pairs`` values, then a
+        # decade to the first value not kept and halving after it; the cut
+        # lies in that decade.  (Down to 1e-8 of the top, the last modes'
+        # gaps would pin them to about 1e-8 in any solver.)
+        # A real G takes real blocks of 64 columns, the storage of
+        # LADDER_START complex ones.  40 pairs certify in the first block,
+        # whose bound counts the first value not kept although
+        # 40 >= LADDER_START; 70 pairs fill it and grow it to 192 columns.
+        import pulse_squeeze.coherence as coherence
+        from pulse_squeeze.coherence import _block_ladder, _dense_ladder
+
+        i = np.arange(512)
+        lam = 10.0 ** (-4.0 * np.minimum(i, pairs - 1) / pairs) * np.where(
+            i < pairs, 1.0, 0.1 * 0.5 ** (i - pairs))
+        g, dt = self.real_gram(lam)
+        cut = np.sqrt(lam[pairs - 1] * lam[pairs])
+        seen = []
+        ritz = coherence._ritz_block
+
+        def spying(*args):
+            seen.append((args[-1], ritz(*args)[2]))
+            return ritz(*args)
+
+        monkeypatch.setattr(coherence, "_ritz_block", spying)
+        vals, vecs = _block_ladder(g, dt, float(lam.sum()), cut)
+        assert seen == blocks
+        dense_vals, dense_vecs = _dense_ladder(g, dt, cut)
+        assert len(vals) == len(dense_vals) == pairs
+        assert np.abs(vals - dense_vals).max() <= 1e-12 * dense_vals[0]
+        assert np.abs(vals - lam[:pairs]).max() <= 1e-12 * lam[0]
+        assert np.abs(self.pinned(vecs) - self.pinned(dense_vecs)).max() <= 1e-10
+        # The dense solve picks syrk for a real G; herk on the same G as
+        # complex gives the same pairs.
+        complex_vals, complex_vecs = _dense_ladder(g.astype(complex), dt, cut)
+        assert dense_vecs.dtype == np.float64 and complex_vecs.dtype == np.complex128
+        assert np.abs(dense_vals - complex_vals).max() <= 1e-12 * dense_vals[0]
+        assert np.abs(self.pinned(dense_vecs) - self.pinned(complex_vecs)).max() <= 1e-10
+
+    def test_real_block_bound_counts_first_value_not_kept(self):
+        # 40 values above the cut, the 41st at 0.9 of it, and a flat tail
+        # worth half the cut spread below the block.  The tail alone passes
+        # the bound; with the first value not kept it fails.  A bound that
+        # skipped that value whenever the kept count reached the complex
+        # width (32) would certify this block.
+        from pulse_squeeze.coherence import _ritz_block
+
+        cut = 1e-5
+        lam = np.concatenate([10.0 ** (-2.0 * np.arange(40) / 39), [0.9 * cut],
+                              np.full(471, 0.5 * cut / 471)])
+        g, dt = self.real_gram(lam)
+        vals, _, certified = _ritz_block(g, dt, float(lam.sum()), cut, 64)
+        assert len(vals) == 40
+        assert not certified
+
     def test_empty_ladder(self, grid, u_mode, monkeypatch):
         # G = 0: the ladder's total is 0, and so is the cut on a vacuum input.
         # The ladder is empty without a block or the dense solve.

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from pulse_squeeze.coherence import InputMoments, seeded_vacuum_split, vacuum_kernel
+from pulse_squeeze.coherence import (
+    InputMoments,
+    input_moments,
+    seeded_vacuum_split,
+    vacuum_kernel,
+)
 from pulse_squeeze.devices import (
     GaussianPump,
     GridTooShortError,
@@ -23,12 +28,16 @@ from pulse_squeeze.grids import (
     normalize,
 )
 from pulse_squeeze.kernels import (
+    BogoliubovKernels,
     _from_quadrature,
     _to_quadrature,
     apply_to_mode,
     compose,
+    identity_kernels,
+    pullback_output_mode,
     verify_symplectic,
 )
+from pulse_squeeze.states import fock_state
 
 from conftest import eigendecompose, max_relative_difference, random_mode, reference_compose
 
@@ -232,13 +241,18 @@ class TestBuildTwpa:
 
     def test_resonant_stage_kernels_are_real(self):
         # Every resonant recipe folds its chain by the block powers; a detuned
-        # stage mixes x with p and keeps the full quadrature power.
+        # stage mixes x with p and keeps the full quadrature power.  The
+        # builder knows which: a resonant stage and its chain store float64.
         grid = TemporalGrid(-10.0, 30.0, 128)
         pump = GaussianPump(0.05, 0.0, 0.2)
         resonant = build_opo(OpoParams(0.0, 1.0, pump), grid)
-        assert not resonant.F.imag.any() and not resonant.G.imag.any()
+        assert resonant.F.dtype == resonant.G.dtype == np.float64
         detuned = build_opo(OpoParams(0.6, 1.0, pump), grid)
+        assert detuned.F.dtype == detuned.G.dtype == np.complex128
         assert detuned.F.imag.any() and detuned.G.imag.any()
+        for detuning, dtype in ((0.0, np.float64), (0.6, np.complex128)):
+            chain = build_twpa(TwpaParams(OpoParams(detuning, 1.0, pump), 10, 0.02), grid)
+            assert chain.F.dtype == chain.G.dtype == dtype
 
     @pytest.mark.parametrize(
         "detuning, shapes", [(0.0, [(128, 128)] * 2), (0.6, [(256, 256)])])
@@ -262,3 +276,94 @@ class TestBuildTwpa:
         assert verify_symplectic(k).max_residual < 1e-10
         k = build_twpa(TwpaParams(stage, 1000, 0.005), chain_grid)
         assert verify_symplectic(k).max_residual < 1e-10
+
+
+def _as_complex(k):
+    """The same kernels on the complex path."""
+    return BogoliubovKernels(k.grid, k.F.astype(complex), k.G.astype(complex))
+
+
+class TestRealPath:
+    """Real kernels against the complex path.
+
+    A resonant builder's oracle is the same device at detuning 1e-300: it
+    takes the complex path, and its imaginary parts underflow out of every
+    real part, so the OPO slice loop does the same arithmetic.  The
+    consumers (images, pullback, vacuum ladder) are checked on the same
+    kernels cast to complex, so they differ in their own arithmetic only.
+    """
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        grid = default_opo_grid(1.0, 512)
+
+        def twpa(detuning, n_stages):
+            stage = OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2))
+            return build_twpa(TwpaParams(stage, n_stages, 2.0 / n_stages), grid)
+
+        def opo(detuning):
+            return build_opo(OpoParams(detuning, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
+
+        ident = identity_kernels(grid)
+        return {
+            "opo": (opo(0.0), opo(1e-300)),
+            "twpa-2": (twpa(0.0, 2), twpa(1e-300, 2)),
+            "twpa-100": (twpa(0.0, 100), twpa(1e-300, 100)),
+            "identity": (ident, _as_complex(ident)),
+        }
+
+    @pytest.mark.parametrize(
+        "name, tol", [("opo", 1e-13), ("twpa-2", 1e-13), ("twpa-100", 1e-12), ("identity", 0.0)])
+    def test_builder_matches_complex_path(self, pairs, name, tol):
+        # The 100-stage oracle's chain is complex, so it raises the 2n x 2n
+        # quadrature map where the real chain raises two n x n blocks (as
+        # the complex stage's real parts were raised before kernels were
+        # real).  The summation orders differ: 5.1e-13 of the largest entry
+        # here, 3.5e-15 at n = 256.  The stages themselves agree to 1e-17.
+        real, oracle = pairs[name]
+        assert real.F.dtype == real.G.dtype == np.float64
+        assert oracle.F.dtype == oracle.G.dtype == np.complex128
+        scale = max(np.abs(oracle.F).max(), np.abs(oracle.G).max())
+        assert np.abs(real.F - oracle.F).max() <= tol * scale
+        assert np.abs(real.G - oracle.G).max() <= tol * scale
+        assert real.vacuum_total == pytest.approx(oracle.vacuum_total, rel=1e-11)
+
+    @pytest.mark.parametrize("name", ["opo", "twpa-2", "twpa-100", "identity"])
+    def test_images_pullback_and_ladder_match_complex_path(self, pairs, name):
+        real = pairs[name][0]
+        oracle = _as_complex(real)
+        grid = real.grid
+        u = random_mode(grid, np.random.default_rng(23))
+        for got, want in zip(apply_to_mode(real, u), apply_to_mode(oracle, u)):
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+        got, want = pullback_output_mode(real, u), pullback_output_mode(oracle, u)
+        assert got.zeta == pytest.approx(want.zeta, rel=1e-13)
+        assert got.xi == pytest.approx(want.xi, rel=1e-13)
+        assert abs(inner_product(got.f, want.f)) >= 1 - 1e-13
+        assert (got.g is None) == (want.g is None) == (name == "identity")
+        if got.g is not None:
+            assert abs(inner_product(got.g, want.g)) >= 1 - 1e-13
+
+        # The ladder: values, the kept part of the vacuum kernel (which a
+        # rotation inside a near-degenerate pair leaves alone; the 100-stage
+        # chain has a pair 1.2e-10 of the top value apart), and every mode
+        # whose neighbours are at least 1e-6 of the top value away.
+        moments = input_moments(fock_state(1, 30))
+        v_in = gaussian_mode(grid, 0.0, 1.0)
+        ladders = [seeded_vacuum_split(k, v_in, moments).vacuum for k in (real, oracle)]
+        assert len(ladders[0]) == len(ladders[1])
+        assert (len(ladders[0]) > 0) == (name != "identity")
+        if not ladders[0]:
+            return
+        vals = [np.array([lam for lam, _ in ladder]) for ladder in ladders]
+        top = vals[1][0]
+        assert np.abs(vals[0] - vals[1]).max() <= 1e-13 * top
+        kept = [(vecs * lam) @ vecs.conj().T
+                for lam, vecs in ((v, np.array([m.amplitudes for _, m in ladder]).T)
+                                  for v, ladder in zip(vals, ladders))]
+        assert np.abs(kept[0] - kept[1]).max() <= 1e-13 * np.abs(kept[1]).max()
+        edges = np.concatenate([[np.inf], vals[1], [0.0]])
+        gap = np.minimum(edges[:-2] - edges[1:-1], edges[1:-1] - edges[2:])
+        for (_, v), (_, w), g in zip(*ladders, gap):
+            if g >= 1e-6 * top:
+                assert abs(inner_product(v, w)) >= 1 - 1e-13

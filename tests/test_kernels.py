@@ -275,3 +275,34 @@ class TestPullback:
         bad = BogoliubovKernels(grid, np.zeros((n, n)), np.zeros((n, n)))
         with pytest.raises(DegenerateModeError):
             pullback_output_mode(bad, u_mode)
+
+
+class TestRealKernels:
+    def test_real_pair_stays_real(self, grid):
+        n = grid.n_points
+        real = BogoliubovKernels(grid, np.eye(n), np.zeros((n, n)))
+        assert real.F.dtype == real.G.dtype == np.float64
+        assert identity_kernels(grid).F.dtype == np.float64
+        # One complex array makes both complex.
+        mixed = BogoliubovKernels(grid, np.eye(n), np.zeros((n, n), complex))
+        assert mixed.F.dtype == mixed.G.dtype == np.complex128
+
+    @pytest.mark.parametrize("image", [apply_to_mode, pullback_output_mode])
+    def test_real_kernel_images_make_no_complex_copy(self, image):
+        # At n = 1024 a complex copy of one real kernel is 16.8 MB; the real
+        # kernel multiplies the mode's (n, 2) real view instead.
+        import tracemalloc
+
+        n = 1024
+        grid = TemporalGrid(-10.0, 30.0, n)
+        rng = np.random.default_rng(4)
+        k = BogoliubovKernels(grid, rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+        u = random_mode(grid, rng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            image(k, u)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
