@@ -51,6 +51,7 @@ BASE_EXTENT = 6.0
 BASE_SPACING = 12.0 / 128.0
 MAX_EXTENT = 34.0
 BOUNDARY_TOL = 1e-6  # |chi| at the edges, low enough for the fit and Fock sums
+NOT_DECAYED_TOL = 1e-3  # |chi| at the edges above which a stage warns of aliasing
 
 # Fock reconstruction cap: displacement matrix elements above this size are
 # not resolved by the default grid spacing.
@@ -309,8 +310,8 @@ def _auto_grid(evaluator, what: str) -> CharFunction:
 
     From ``BASE_EXTENT`` on both axes, each step grows by 1.5x only the axis
     whose own edges exceed ``BOUNDARY_TOL``, up to ``MAX_EXTENT``, so a chi
-    whose |chi| is isotropic keeps a square grid.  A chi still above 1e-3 at
-    the cap is kept and warned about; ``what`` names the stage."""
+    whose |chi| is isotropic keeps a square grid.  A chi above ``NOT_DECAYED_TOL``
+    at the cap is kept and warned about; ``what`` names the stage."""
     extents = [BASE_EXTENT, BASE_EXTENT]
     while True:
         g = CharGrid.with_extent(*extents)
@@ -322,7 +323,7 @@ def _auto_grid(evaluator, what: str) -> CharFunction:
         if not any(grow):
             break
         extents = [min(e * 1.5, MAX_EXTENT) if up else e for e, up in zip(extents, grow)]
-    if chi.boundary_magnitude() > 1e-3:
+    if chi.boundary_magnitude() > NOT_DECAYED_TOL:
         warnings.warn(
             f"{what}: chi not decayed even at extent {MAX_EXTENT:g}", stacklevel=3
         )
@@ -371,7 +372,7 @@ def wigner_from_char(
     Im beta), so the transform is two small matrix products, and the output
     grid is free to differ from the beta grid.
     """
-    if chi.boundary_magnitude() > 1e-3:
+    if chi.boundary_magnitude() > NOT_DECAYED_TOL:
         warnings.warn(
             "chi has not decayed at the grid boundary; Wigner transform may alias",
             stacklevel=2,
@@ -411,7 +412,7 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     """
     if not 1 <= dim <= MAX_FOCK_DIM:
         raise ValueError(f"dim {dim} is outside the supported range 1..{MAX_FOCK_DIM}")
-    if chi.boundary_magnitude() > 1e-3:
+    if chi.boundary_magnitude() > NOT_DECAYED_TOL:
         warnings.warn(
             "chi has not decayed at the grid boundary; reconstruction may alias",
             stacklevel=2,

@@ -246,16 +246,20 @@ def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
 
     The pair-creation kernel ``J(w, w') = gain * exp(-(w + w' - 2 d)^2 /
     (2 s_p^2))`` (flat phase matching, pump detuned by ``d`` from the seed
-    carrier) is exponentiated exactly through its normal modes: J is real
-    symmetric, so its eigenbasis gives the independent squeezers.
+    carrier) is real symmetric, so its real eigenvectors ``O`` are independent
+    squeezers of strength ``sigma = 2 |lam| dw`` (the normal-mode form;
+    Braunstein, PRA 71, 055801 (2005)): ``F dw = O cosh(sigma) O^T = cosh(2 dw
+    J)`` is real symmetric and ``G dw = i O sign(lam) sinh(sigma) O^T = i
+    sinh(2 dw J)`` imaginary symmetric, two real products stored as complex128.
+    ``verify_symplectic`` still checks that ``O`` came out orthogonal and that
+    cosh^2 - sinh^2 = 1 survived round-off, which a large exponent breaks.
     """
     w = grid.points
     dw = grid.dt
-    pump = np.exp(
+    J = params.gain * np.exp(
         -((w[:, None] + w[None, :] - 2.0 * params.pump_center_detuning) ** 2)
         / (2.0 * params.pump_spectral_width**2)
     )
-    J = params.gain * pump
 
     lam, O = np.linalg.eigh(J)
     sigma = 2.0 * np.abs(lam) * dw
@@ -264,12 +268,9 @@ def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
             f"gain too large for this grid: squeeze exponent {sigma.max():.3g} "
             "would overflow; reduce gain or refine the grid"
         )
-    # Takagi phases absorbing -2i * sign(lam): P = -2i dw J = U diag(sigma) U^T.
-    phase = np.exp(-1j * np.pi / 4.0 * np.sign(lam))
-    U = O * phase[None, :]
-    f_b = (U * np.cosh(sigma)[None, :]) @ U.conj().T
-    g_star_b = (U * np.sinh(sigma)[None, :]) @ U.T
-    kernels = BogoliubovKernels(grid, f_b / dw, g_star_b.conj() / dw)
+    F = (O * (np.cosh(sigma) / dw)) @ O.T
+    G = 1j * ((O * (np.sign(lam) * np.sinh(sigma) / dw)) @ O.T)
+    kernels = BogoliubovKernels(grid, F, G)
 
     report = verify_symplectic(kernels)
     if report.max_residual > 1e-5:

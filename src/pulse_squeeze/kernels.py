@@ -130,17 +130,18 @@ def _to_quadrature(k: BogoliubovKernels) -> np.ndarray:
     """Real 2n x 2n map of the quadratures ``(x, p)``, ``a = (x + i p) / sqrt(2)``.
 
     With ``H = G* dt`` and ``F dt`` split into real and imaginary parts,
-    ``M = [[Fr + Hr, Hi - Fi], [Fi + Hi, Fr - Hr]]``.
+    ``M = [[Fr + Hr, Hi - Fi], [Fi + Hi, Fr - Hr]]``.  A real pair leaves the
+    off-diagonal blocks zero; its ``imag`` would be two n x n arrays of zeros.
     """
     n = k.grid.n_points
     dt = k.grid.dt
-    fr, fi, gr, gi = k.F.real, k.F.imag, k.G.real, k.G.imag
-    m = np.empty((2 * n, 2 * n))
-    np.add(fr, gr, out=m[:n, :n])
-    np.add(fi, gi, out=m[:n, n:])
-    np.negative(m[:n, n:], out=m[:n, n:])
-    np.subtract(fi, gi, out=m[n:, :n])
-    np.subtract(fr, gr, out=m[n:, n:])
+    m = np.zeros((2 * n, 2 * n))
+    np.add(k.F.real, k.G.real, out=m[:n, :n])
+    np.subtract(k.F.real, k.G.real, out=m[n:, n:])
+    if np.iscomplexobj(k.F):
+        np.add(k.F.imag, k.G.imag, out=m[:n, n:])
+        np.negative(m[:n, n:], out=m[:n, n:])
+        np.subtract(k.F.imag, k.G.imag, out=m[n:, :n])
     m *= dt
     return m
 

@@ -7,18 +7,16 @@ propagation -> metrics (and optionally Fock/Wigner reconstruction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .charfun import (
     CharFunction,
-    CharGrid,
     fock_from_char,
     output_channel,
     overlap,
     propagate_char,
-    real_linear_map,
     state_evaluator,
     wigner_from_char,
 )
@@ -234,10 +232,7 @@ def run_state_analysis(
 def wigner_for_display(chi: CharFunction):
     """Wigner map in the figure frame (amplified quadrature along p).
 
-    The pi/2 rotation chi(beta) -> chi(i beta) maps chi's grid onto the grid
-    with its axes swapped, value [i, j] coming from [n - 1 - j, i], so it is
-    an index permutation with no re-evaluation."""
-    g = chi.grid
-    turned = CharGrid(g.im_extent, g.im_n_side, g.extent, g.n_side)
-    quarter = CharFunction(turned, chi.values[::-1, :].T, chi.evaluator.then(real_linear_map(1j)))
-    return wigner_from_char(quarter)
+    The quarter turn chi(beta) -> chi(i beta) sends W(x, p) to W(-p, x): on the
+    square symmetric window of ``wigner_from_char``, ``[i, j] <- [n-1-j, i]``."""
+    w = wigner_from_char(chi)
+    return replace(w, values=w.values[::-1, :].T)

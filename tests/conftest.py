@@ -79,6 +79,31 @@ def reference_symplectic(k):
     )
 
 
+def opa_pair_kernel(params, grid):
+    """The OPA's real symmetric pair-creation kernel J(w, w') on ``grid``."""
+    w = grid.points
+    return params.gain * np.exp(
+        -((w[:, None] + w[None, :] - 2.0 * params.pump_center_detuning) ** 2)
+        / (2.0 * params.pump_spectral_width**2)
+    )
+
+
+def reference_opa(params, grid):
+    """The Takagi construction, the oracle for ``devices.build_opa``: the
+    phases e^{-i pi/4 sign(lam)} absorb -2i sign(lam) into J's eigenvectors,
+    ``U = O e^{-i pi/4 sign(lam)}``, so that ``F dw = U cosh(sigma) U^dag`` and
+    ``G* dw = U sinh(sigma) U^T`` by two complex products."""
+    from pulse_squeeze.kernels import BogoliubovKernels
+
+    dw = grid.dt
+    lam, O = np.linalg.eigh(opa_pair_kernel(params, grid))
+    sigma = 2.0 * np.abs(lam) * dw
+    U = O * np.exp(-1j * np.pi / 4.0 * np.sign(lam))[None, :]
+    f_b = (U * np.cosh(sigma)[None, :]) @ U.conj().T
+    g_star_b = (U * np.sinh(sigma)[None, :]) @ U.T
+    return BogoliubovKernels(grid, f_b / dw, g_star_b.conj() / dw)
+
+
 # Negative eigenvalues of a nominally positive kernel larger (in magnitude)
 # than this fraction of the top eigenvalue indicate a real error.
 NEGATIVE_EIG_TOL = 1e-8

@@ -39,7 +39,14 @@ from pulse_squeeze.kernels import (
 )
 from pulse_squeeze.states import fock_state
 
-from conftest import eigendecompose, max_relative_difference, random_mode, reference_compose
+from conftest import (
+    eigendecompose,
+    max_relative_difference,
+    opa_pair_kernel,
+    random_mode,
+    reference_compose,
+    reference_opa,
+)
 
 
 class TestGaussianPump:
@@ -173,6 +180,35 @@ class TestBuildOpa:
     def test_excessive_gain_rejected(self, freq_grid):
         with pytest.raises(ValueError, match="gain too large"):
             build_opa(OpaParams(1e4, 0.0, 2.0), freq_grid)
+
+    # Broad resonant, detuned and narrow pumps.
+    PUMPS = [OpaParams(0.3, 0.0, 2.0), OpaParams(0.6, 1.0, 0.5), OpaParams(0.4, 0.7, 0.05)]
+
+    @pytest.mark.parametrize("params", PUMPS)
+    def test_matrix_functions_of_pump_kernel(self, params):
+        """F dw = cosh(2 dw J) and G dw = i sinh(2 dw J), by matrix exponentials
+        that never diagonalize J."""
+        from scipy.linalg import expm
+
+        grid = TemporalGrid(-8.0, 8.0, 128)
+        dw = grid.dt
+        J = opa_pair_kernel(params, grid)
+        grow, shrink = expm(2.0 * dw * J), expm(-2.0 * dw * J)
+        expected = BogoliubovKernels(grid, (grow + shrink) / (2.0 * dw),
+                                     1j * (grow - shrink) / (2.0 * dw))
+        assert max_relative_difference(expected, build_opa(params, grid)) < 1e-12
+
+    @pytest.mark.parametrize("params", PUMPS)
+    def test_real_f_and_imaginary_g(self, params, freq_grid):
+        k = build_opa(params, freq_grid)
+        assert k.F.dtype == complex and k.G.dtype == complex
+        assert not k.F.imag.any()
+        assert not k.G.real.any()
+
+    @pytest.mark.parametrize("params", PUMPS)
+    def test_matches_takagi_construction(self, params, freq_grid):
+        k = build_opa(params, freq_grid)
+        assert max_relative_difference(reference_opa(params, freq_grid), k) < 1e-13
 
 
 @pytest.fixture(scope="module")

@@ -306,3 +306,24 @@ class TestRealKernels:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_real_quadrature_map_reads_no_imaginary_part(self):
+        # A real pair's off-diagonal blocks are zero; reading F.imag and G.imag
+        # would allocate two n x n arrays of zeros (2.1 MB each at n = 512)
+        # on top of the 8.4 MB map.
+        import tracemalloc
+
+        n = 512
+        grid = TemporalGrid(-10.0, 30.0, n)
+        rng = np.random.default_rng(5)
+        k = BogoliubovKernels(grid, rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = _to_quadrature(k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * m.nbytes
+        complex_pair = BogoliubovKernels(grid, k.F.astype(complex), k.G.astype(complex))
+        assert np.array_equal(m, _to_quadrature(complex_pair))
