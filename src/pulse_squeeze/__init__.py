@@ -72,6 +72,5 @@ from .states import (
     even_cat_state,
     fock_state,
     squeezed_state,
-    state_library,
     vacuum_state,
 )

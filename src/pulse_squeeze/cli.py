@@ -292,7 +292,7 @@ def cmd_sweep(cfg: dict, out: Path) -> RunManifest:
     return manifest
 
 
-def _verify_checks(corrupt: bool):
+def _verify_checks():
     """Invariant suite: (name, residual, tolerance) triples."""
     from .coherence import g1_total, input_moments, seeded_vacuum_split
     from .decomposition import decompose_output_mode
@@ -316,10 +316,6 @@ def _verify_checks(corrupt: bool):
     checks.append(("ideal squeezer symplectic", verify_symplectic(sq).max_residual, 1e-10))
 
     opo = build_opo(OpoParams(0.3, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
-    if corrupt:
-        F = opo.F.copy()
-        F[0, 1] += 0.1
-        opo = BogoliubovKernels(opo.grid, F, opo.G)
     checks.append(("opo symplectic", verify_symplectic(opo).max_residual, 1e-9))
     # At detuning 0 the OPO is built in real arithmetic, with float64 kernels.
     resonant = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
@@ -363,8 +359,8 @@ def _verify_checks(corrupt: bool):
     checks.append(("passive energy conservation", energy, 1e-11))
 
     mom = input_moments(fock_state(1, 30))
-    g1 = g1_total(opo if not corrupt else sq, u, mom)
-    sp = seeded_vacuum_split(opo if not corrupt else sq, u, mom)
+    g1 = g1_total(opo, u, mom)
+    sp = seeded_vacuum_split(opo, u, mom)
     trace_err = abs(g1.trace() - (sp.seeded_total + sp.vacuum_total)) / max(g1.trace(), 1e-12)
     checks.append(("g1 trace consistency", trace_err, 1e-12))
 
@@ -383,8 +379,8 @@ def _verify_checks(corrupt: bool):
     return checks
 
 
-def cmd_verify(corrupt: bool = False) -> int:
-    checks = _verify_checks(corrupt)
+def cmd_verify() -> int:
+    checks = _verify_checks()
     width = max(len(name) for name, _, _ in checks)
     failed = 0
     for name, residual, tol in checks:
@@ -405,16 +401,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, help="YAML experiment config")
     parser.add_argument("--recipe", type=str, help="bundled recipe name (e.g. fig2a)")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument(
-        "--corrupt-injection", action="store_true",
-        help="verify only: corrupt a kernel to demonstrate failure reporting",
-    )
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        return cmd_verify(corrupt=args.corrupt_injection)
+        return cmd_verify()
 
     try:
+        if args.config is not None and args.recipe is not None:
+            raise ConfigError("--config and --recipe: give one of the two, not both")
         if args.config is not None:
             cfg = load_config(args.config)
         elif args.recipe is not None:

@@ -1,7 +1,9 @@
 """Experiment configuration: YAML schema, validation, sweeps, manifests.
 
 One table per config block declares its keys; the same parsers validate a
-config and feed the pipeline's builders."""
+config and feed the pipeline's builders.  The device and the input state each
+have one table of kinds: a block's ``kind`` picks its row, which parses the other
+keys to the kind's builder (a device's takes the grid, a state's no argument)."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import platform
 import re
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,9 +26,12 @@ import yaml
 
 from .blas import blas_threads
 from .charfun import MAX_FOCK_DIM
-from .devices import GaussianPump, OpaParams, OpoParams, TwpaParams
-from .grids import TemporalGrid, integral, load_mode_samples
-from .states import parse_state
+from .devices import (GaussianPump, OpaParams, OpoParams, TwpaParams, build_opa, build_opo,
+                      build_twpa)
+from .grids import TemporalGrid, gaussian_mode, integral, load_mode_samples
+from .kernels import ideal_squeezer_kernels, identity_kernels
+from .states import (DEFAULT_DIM, coherent_state, even_cat_state, fock_state, squeezed_state,
+                     vacuum_state)
 
 __all__ = [
     "ConfigError",
@@ -194,37 +200,60 @@ def _run(grid, output_mode, fock_dim, **blocks) -> SimpleNamespace:
     return SimpleNamespace(grid=grid, output_mode=output_mode, fock_dim=fock_dim, **blocks)
 
 
+def _kind(table: dict, noun: str) -> Callable:
+    """A block's parser: its ``kind`` picks the ``table`` row that parses the other keys."""
+    def parse(raw):
+        if not isinstance(raw, dict):
+            raise ValueError(f"need a mapping, got {raw!r}")
+        kind = raw.get("kind")
+        if kind not in table:
+            raise ValueError("kind: " + ("missing" if kind is None else f"unknown {noun} {kind!r}"))
+        return table[kind]({key: v for key, v in raw.items() if key != "kind"})
+    return parse
+
+
+def _binds(build: Callable, params: Callable) -> Callable:
+    """A device row's ``make``: ``build`` with ``params(**values)`` bound; it takes the grid."""
+    return lambda **values: partial(build, params(**values))
+
+
+def _squeezer(r, center, width) -> Callable:
+    return lambda grid: ideal_squeezer_kernels(grid, gaussian_mode(grid, center, width), r)
+
+
 _OPO = Block({"detuning": Key(float, 0.0), "decay": Key(float, 1.0), "pump": Key(Block(
     {"area": Key(float), "center": Key(float, 0.0), "width": Key(float)}, GaussianPump))},
     OpoParams)
 _DEVICES = {
-    "identity": Block({}),
-    "squeezer": Block({"r": Key(float), "center": Key(float, 0.0), "width": Key(_positive, 1.0)}),
-    "opo": _OPO,
+    "identity": Block({}, lambda: identity_kernels),
+    "squeezer": Block({"r": Key(float), "center": Key(float, 0.0), "width": Key(_positive, 1.0)},
+                      _squeezer),
+    "opo": Block(_OPO.keys, _binds(build_opo, OpoParams)),
     "opa": Block({"gain": Key(float), "pump_center_detuning": Key(float, 0.0),
-                  "pump_spectral_width": Key(float)}, OpaParams),
+                  "pump_spectral_width": Key(float)}, _binds(build_opa, OpaParams)),
     "twpa": Block({"n_stages": Key(integral), "stage": Key(_OPO),
-                   "total_gain": Key(float, None), "per_stage_gain": Key(float, None)}, _twpa),
+                   "total_gain": Key(float, None), "per_stage_gain": Key(float, None)},
+                  _binds(build_twpa, _twpa)),
 }
-
-
-def _device(raw) -> tuple[str, object]:
-    """A device block: its ``kind`` picks the Block of its other keys."""
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind not in _DEVICES:
-        raise ValueError("kind: " + ("missing" if kind is None else f"unknown device {kind!r}"))
-    return kind, _DEVICES[kind]({key: v for key, v in raw.items() if key != "kind"})
-
+# A state row's ``make`` binds the converted values to the builder by keyword.
+_DIM = Key(integral, DEFAULT_DIM)
+_STATES = {
+    "vacuum": Block({"dim": _DIM}, partial(partial, vacuum_state)),
+    "fock": Block({"n": Key(integral), "dim": _DIM}, partial(partial, fock_state)),
+    "coherent": Block({"alpha": Key(complex), "dim": _DIM}, partial(partial, coherent_state)),
+    "even_cat": Block({"alpha": Key(complex), "dim": _DIM}, partial(partial, even_cat_state)),
+    "squeezed": Block({"r": Key(float), "dim": _DIM}, partial(partial, squeezed_state)),
+}
 
 _AXIS = Block({"name": Key(str), "values": Key(list, None), "start": Key(float, None),
                "stop": Key(float, None), "points": Key(integral, None), "log": Key(bool, False)},
               _axis)
 CONFIG = Block({
     "name": Key(str, None),
-    "device": Key(_device),
+    "device": Key(_kind(_DEVICES, "device")),
     "grid": Key(Block({"t_start": Key(float), "t_end": Key(float), "n_points": Key(integral)},
                       TemporalGrid)),
-    "input": Key(Block({"state": Key(parse_state), "pulse": Key(
+    "input": Key(Block({"state": Key(_kind(_STATES, "state")), "pulse": Key(
         Block({"center": Key(float, 0.0), "width": Key(_positive, 1.0)}), {})})),
     "output_mode": Key(str, "auto_v1"),
     "fock_dim": Key(integral, 40),
@@ -234,8 +263,8 @@ CONFIG = Block({
 
 def parse_config(cfg: dict, block: str | None = None):
     """``cfg`` parsed; with ``block``, ``cfg`` is that top-level block of a
-    config (``device`` parses to ``(kind, parameters)``).  A ConfigError
-    names the first bad key."""
+    config (``device`` parses to its builder, which takes the grid).  A
+    ConfigError names the first bad key."""
     try:
         return CONFIG(cfg) if block is None else _named(block, CONFIG.keys[block].convert, cfg)
     except ValueError as exc:

@@ -208,11 +208,12 @@ def verify_symplectic(k: BogoliubovKernels) -> SymplecticReport:
 
     Both conditions are blocks of ``M Omega M^T - Omega``, ``Omega = [[0, I],
     [-I, 0]]``, for the quadrature map ``M`` (:func:`_to_quadrature`).  One
-    real product ``X = M[:, :n] M[:, n:]^T`` gives ``D = M Omega M^T = X - X^T``.
-    With ``A = F dt`` and ``B = G* dt``,
+    real product ``X = M[:, :n] M[:, n:]^T`` gives ``M Omega M^T = X - X^T``,
+    read from the blocks of ``X`` (``M`` released).  With ``A = F dt``,
+    ``B = G* dt`` and ``asym(a) = (a - a^T)/2``,
 
-        A A^dag - B B^dag - I = (D12 - D21)/2 + i (D11 + D22)/2 - I,
-        A B^T - B A^T = -(D12 + D21)/2 + i (D11 - D22)/2.
+        A A^dag - B B^dag - I = (X12 - X21 + X12^T - X21^T)/2 - I + i asym(X11 + X22),
+        A B^T - B A^T = -asym(X12 + X21) + i asym(X11 - X22).
 
     Each residual is the Frobenius norm of its left side over sqrt(n), the
     norm of the grid delta.
@@ -220,11 +221,15 @@ def verify_symplectic(k: BogoliubovKernels) -> SymplecticReport:
     n = k.grid.n_points
     m = _to_quadrature(k)
     x = m[:, :n] @ m[:, n:].T
-    d = x - x.T
-    d11, d12, d21, d22 = d[:n, :n], d[:n, n:], d[n:, :n], d[n:, n:]
+    del m
+    x11, x12, x21, x22 = x[:n, :n], x[:n, n:], x[n:, :n], x[n:, n:]
     norm = np.linalg.norm
-    c1 = np.hypot(norm(0.5 * (d12 - d21) - np.eye(n)), norm(0.5 * (d11 + d22)))
-    c2 = np.hypot(norm(0.5 * (d12 + d21)), norm(0.5 * (d11 - d22)))
+    asym_norm = lambda a: norm(a - a.T) / 2
+    sym = x12 - x21
+    sym += sym.T  # numpy copies the overlapping transpose first
+    sym[np.diag_indices(n)] -= 2.0
+    c1 = np.hypot(norm(sym) / 2, asym_norm(x11 + x22))
+    c2 = np.hypot(asym_norm(x12 + x21), asym_norm(x11 - x22))
     return SymplecticReport(
         commutator_residual=float(c1 / np.sqrt(n)),
         pairing_residual=float(c2 / np.sqrt(n)),

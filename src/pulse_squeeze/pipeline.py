@@ -31,9 +31,8 @@ from .coherence import (
 )
 from .config import CONFIG, parse_config
 from .decomposition import OutputDecomposition, decompose_output_mode
-from .devices import build_opa, build_opo, build_twpa
 from .grids import ModeFunction, TemporalGrid, gaussian_mode, load_mode_samples, normalize
-from .kernels import BogoliubovKernels, ideal_squeezer_kernels, identity_kernels
+from .kernels import BogoliubovKernels
 from .metrics import (
     SqueezeFitResult,
     gaussian_covariance,
@@ -81,18 +80,13 @@ def grid_from_config(cfg: dict) -> TemporalGrid:
 
 
 def device_from_config(cfg: dict, grid: TemporalGrid) -> BogoliubovKernels:
-    """Build kernels for the configured device.
+    """Kernels of the configured device on ``grid``: the device table in
+    ``config`` parses ``cfg`` to its kind's builder.
 
     ``identity`` and ``squeezer`` are reference elements used for checks;
     the physical devices are ``opo``, ``opa`` and ``twpa``.
     """
-    kind, params = parse_config(cfg, "device")
-    if kind == "identity":
-        return identity_kernels(grid)
-    if kind == "squeezer":
-        mode = gaussian_mode(grid, params.center, params.width)
-        return ideal_squeezer_kernels(grid, mode, params.r)
-    return {"opo": build_opo, "opa": build_opa, "twpa": build_twpa}[kind](params, grid)
+    return parse_config(cfg, "device")(grid)
 
 
 def input_mode_from_config(cfg: dict, grid: TemporalGrid) -> ModeFunction:

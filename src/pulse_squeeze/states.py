@@ -2,19 +2,17 @@
 
 The library states carry closed-form characteristic-function evaluators
 where one exists; downstream phase-space code uses those to avoid both
-interpolation and truncation error.
+interpolation and truncation error.  A config's ``input.state`` names one
+of them by ``kind`` (the state table in ``config``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
-
-from .grids import integral
 
 __all__ = [
     "QuantumState",
@@ -25,8 +23,6 @@ __all__ = [
     "coherent_state",
     "even_cat_state",
     "squeezed_state",
-    "parse_state",
-    "state_library",
     "log_factorial",
 ]
 
@@ -188,44 +184,3 @@ def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
     grow, shrink = np.exp(2.0 * r), np.exp(-2.0 * r)
     return _pure(c, char_eval=lambda u, v: np.exp(-0.5 * (u * u * grow + v * v * shrink)))
 
-
-# The parameters of each state kind, in the order its builder takes them
-# before ``dim``, with their conversions.
-_KINDS = {
-    "vacuum": (vacuum_state, {}),
-    "fock": (fock_state, {"n": integral}),
-    "coherent": (coherent_state, {"alpha": complex}),
-    "even_cat": (even_cat_state, {"alpha": complex}),
-    "squeezed": (squeezed_state, {"r": float}),
-}
-
-
-def parse_state(spec: dict | str, dim: int = DEFAULT_DIM) -> partial:
-    """Check a config-style specifier, ``{"kind": "fock", "n": 1}`` with an
-    optional ``dim`` or a bare kind name; return its builder with the
-    converted parameters bound.  A rejected key is named as ``key: problem``."""
-    if not isinstance(spec, dict):
-        spec = {"kind": spec}
-    kind = spec.get("kind")
-    if kind not in _KINDS:
-        raise ValueError(f"kind: unknown state kind {kind!r}")
-    build, params = _KINDS[kind]
-    params = {**params, "dim": integral}
-    for key in spec:
-        if key != "kind" and key not in params:
-            raise ValueError(f"{key}: not a parameter of a {kind} state")
-    values = {"dim": dim, **spec}
-    args = []
-    for key, convert in params.items():
-        if key not in values:
-            raise ValueError(f"{key}: missing")
-        try:
-            args.append(convert(values[key]))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    return partial(build, *args)
-
-
-def state_library(spec: dict | str, dim: int = DEFAULT_DIM) -> QuantumState:
-    """Build a library state from a config-style specifier (see parse_state)."""
-    return parse_state(spec, dim)()

@@ -19,6 +19,7 @@ from pulse_squeeze.config import (
     sweep_axes,
     validate_config,
 )
+from pulse_squeeze.kernels import BogoliubovKernels
 
 
 def _base_config(**overrides):
@@ -75,12 +76,13 @@ class TestConfig:
             validate_config(load_recipe(name))
 
     def test_readme_lists_every_config_key(self):
-        from pulse_squeeze import config, states
+        from pulse_squeeze import config
 
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme[readme.index("### Config keys"):]
-        keys = {"kind", "dim"} | {key for _, params in states._KINDS.values() for key in params}
-        blocks = [config.CONFIG, config._AXIS, *config._DEVICES.values()]
+        keys = {"kind"}
+        blocks = [config.CONFIG, config._AXIS, *config._DEVICES.values(),
+                  *config._STATES.values()]
         while blocks:
             for key, (convert, _default) in blocks.pop().keys.items():
                 keys.add(key)
@@ -204,6 +206,15 @@ class TestCliCommands:
             ("state", "input.state.n",
              {"input": {**inp, "state": {"kind": "fock", "n": 1.5, "dim": 20}}}),
             ("state", "input.state", {"input": {**inp, "state": {"kind": "vacuum", "dim": 0}}}),
+            # a null value counts as missing, in the state block as in any other
+            ("state", "input.state.n: missing",
+             {"input": {**inp, "state": {"kind": "fock", "n": None}}}),
+            ("state", "input.state.alpha: missing",
+             {"input": {**inp, "state": {"kind": "coherent", "alpha": None}}}),
+            ("state", "input.state.kind: missing", {"input": {**inp, "state": {"alpha": 1.0}}}),
+            ("state", "input.state.n: unknown key",
+             {"input": {**inp, "state": {"kind": "vacuum", "n": 1}}}),
+            ("state", "input.state: need a mapping", {"input": {**inp, "state": "vacuum"}}),
             ("modes", "sweep.axes[0]", {"device": {**opo, "pump": pump},
                                         **axis("device.pump.width", values=[0.0, 0.3])}),
             ("modes", "input.pulse.width", {"input": {**inp, "pulse": {"width": 0}}}),
@@ -235,6 +246,13 @@ class TestCliCommands:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and str(bad) in err, err
             assert err.count("\n") == 1, err
+
+        # --config with --recipe: one line naming both options
+        path.write_text(dump_config(_base_config()))
+        assert cli.main(["modes", "--config", str(path), "--recipe", "fig4",
+                         "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and "--recipe" in err and err.count("\n") == 1, err
 
         # an --out that names an existing file: one line naming the option
         axes = {"sweep": {"axes": [{"name": "device.r", "values": [0.8]},
@@ -706,9 +724,20 @@ class TestVerifyCommand:
         names = {line.split("  residual")[0].strip() for line in out.splitlines()}
         assert {"twpa symplectic", "detuned twpa symplectic"} <= names
 
-    def test_corrupt_injection_reports_specific_invariant(self, capsys):
-        assert cli.main(["verify", "--corrupt-injection"]) == 2
+    def test_corrupt_injection_reports_specific_invariant(self, capsys, monkeypatch):
+        from pulse_squeeze import devices
+
+        build = devices.build_opo
+
+        def corrupt_opo(params, grid):
+            k = build(params, grid)
+            F = k.F.copy()
+            F[0, 1] += 0.1
+            return BogoliubovKernels(k.grid, F, k.G)
+
+        monkeypatch.setattr(devices, "build_opo", corrupt_opo)
+        assert cli.main(["verify"]) == 2
         out = capsys.readouterr().out
-        assert "opo symplectic" in out
-        assert "FAIL" in out
+        failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+        assert any(line.startswith("opo symplectic") for line in failed), out
         assert "residual" in out

@@ -241,6 +241,24 @@ class TestVerifySymplectic:
         assert residual > 1e-4
         assert residual > 1e3 * clean
 
+    def test_peak_memory_near_quadrature_map(self):
+        # The map M and the product X are each 2n x 2n (33.6 MB at n = 1024);
+        # M is released once X is formed, and the residuals are read from
+        # X's blocks without forming X - X^T.
+        import tracemalloc
+
+        n = 1024
+        k = identity_kernels(TemporalGrid(-10.0, 30.0, n))
+        map_bytes = (2 * n) ** 2 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_symplectic(k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * map_bytes
+
     def test_dispersive_kernels_unitary(self, grid):
         from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
 

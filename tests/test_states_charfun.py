@@ -36,11 +36,13 @@ from pulse_squeeze.charfun import (
     wigner_from_char,
 )
 from pulse_squeeze.coherence import input_moments, seeded_vacuum_split
+from pulse_squeeze.config import parse_config
 from pulse_squeeze.decomposition import OutputDecomposition, decompose_output_mode
 from pulse_squeeze.devices import OpaParams, build_opa
 from pulse_squeeze.grids import gaussian_mode, orthogonal_complement
 from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import (
+    DEFAULT_DIM,
     QuantumState,
     coherent_state,
     destroy,
@@ -48,7 +50,6 @@ from pulse_squeeze.states import (
     fock_state,
     log_factorial,
     squeezed_state,
-    state_library,
     vacuum_state,
 )
 
@@ -107,10 +108,16 @@ class TestStateLibrary:
             fock_state(25, 20)
 
     def test_library_dispatch(self):
-        assert state_library({"kind": "fock", "n": 1, "dim": 12}).dim == 12
-        assert state_library("vacuum").rho[0, 0] == 1.0
+        def build(state):
+            return parse_config({"state": state}, "input").state()
+
+        assert build({"kind": "fock", "n": 1, "dim": 12}).dim == 12
+        vacuum = build({"kind": "vacuum"})
+        assert vacuum.rho[0, 0] == 1.0 and vacuum.dim == DEFAULT_DIM
+        # a null value counts as missing, so a null dim takes the default
+        assert build({"kind": "coherent", "alpha": 1.0, "dim": None}).dim == DEFAULT_DIM
         with pytest.raises(ValueError, match="unknown state"):
-            state_library({"kind": "gkp"})
+            build({"kind": "gkp"})
 
 
 class TestCharFunctions:
