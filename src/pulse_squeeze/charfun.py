@@ -14,8 +14,9 @@ chi(beta) = base(u, v) exp(-beta^T Y beta / 2) on real coordinates:
 (u, v) = X (Re beta_1, Im beta_1, ...) are formed with real multiply-adds,
 and ``base(u, v)`` is the input's exact chi at u + i v, a closed form
 written on u and v or the Fock sum.  Propagation, squeezes and marginals
-all compose as ``ch.then(R)``; ``CharGrid.sample`` hands the channel the
-grid's two real axes, so no complex mesh is built.
+all compose as ``ch.then(R)``; ``CharGrid.sample_half`` hands the channel
+the grid's two real axes on the half plane Re beta <= 0, so no complex mesh
+is built.
 
 One policy, ``_auto_grid``, sizes every chi grid; overlaps, the Fock
 reconstruction and the Wigner transform work on the grid of the chi they get.
@@ -57,6 +58,7 @@ NOT_DECAYED_TOL = 1e-3  # |chi| at the edges above which a stage warns of aliasi
 # not resolved by the default grid spacing.
 MAX_FOCK_DIM = 60
 FOCK_TRACE_TOL = 1e-6  # fock_from_char warns when it captures a trace below 1 - this
+FOCK_CUT_TOL = 1e-25  # most that fock_from_char's radius cut drops from any entry of rho
 
 
 def real_linear_map(p: complex, q: complex = 0.0) -> np.ndarray:
@@ -167,22 +169,26 @@ class CharGrid:
     def mesh(self) -> np.ndarray:
         return self.re_axis[:, None] + 1j * self.im_axis[None, :]
 
-    def sample(self, evaluator: GaussianChannel) -> np.ndarray:
-        """The single-mode channel ``evaluator`` on the mesh, for a chi with
-        ``chi(-beta) = conj(chi(beta))``.
+    def sample_half(self, evaluator: GaussianChannel) -> np.ndarray:
+        """The single-mode channel ``evaluator`` on rows ``0 .. half`` of the
+        mesh (Re beta <= 0, the beta = 0 row included), by ``evaluator.at`` on
+        the contiguous real axes ``re[:half + 1, None]`` and ``im[None, :]``.
 
         Every chi the package samples is ``Tr[rho D(beta)]`` of a density
-        matrix, and ``D(beta)^dag = D(-beta)`` makes it Hermitian in this
-        sense.  Rows ``0 .. half`` (Re beta <= 0, the beta = 0 row included)
-        are evaluated, by ``evaluator.at`` on the contiguous real axes
-        ``re[:half + 1, None]`` and ``im[None, :]``; every later row is the
-        conjugate of its mirror image, beta -> -beta taking row i to
-        n - 1 - i and column j to m - 1 - j.
-        """
+        matrix, and ``D(beta)^dag = D(-beta)`` makes it Hermitian,
+        chi(-beta) = conj(chi(beta)), so these rows determine the rest: the
+        overlaps and the Fock reconstruction read them alone."""
+        half = self.n_side // 2
+        return evaluator.at(self.re_axis[: half + 1, None], self.im_axis[None, :])
+
+    def sample(self, evaluator: GaussianChannel) -> np.ndarray:
+        """The single-mode channel ``evaluator`` on the whole mesh: rows
+        ``0 .. half`` by ``sample_half``, and every later row the conjugate
+        of its mirror image, beta -> -beta taking row i to n - 1 - i and
+        column j to m - 1 - j."""
         half = self.n_side // 2
         values = np.empty(self.shape, dtype=complex)
-        re, im = self.re_axis, self.im_axis
-        values[: half + 1] = evaluator.at(re[: half + 1, None], im[None, :])
+        values[: half + 1] = self.sample_half(evaluator)
         values[half + 1 :] = np.conj(values[half - 1 :: -1, ::-1])
         return values
 
@@ -264,8 +270,14 @@ def _laguerre_seq(x: np.ndarray, d: int, count: int):
     curr = (1.0 + d) - x
     yield curr
     prev2, prev = prev, curr
+    # a L_a = (2a - 1 + d - x) L_{a-1} - (a - 1 + d) L_{a-2}, evaluated in
+    # that order but in place: the same bits with two fewer temporaries a step
+    tail = np.empty_like(x)
     for a in range(2, count):
-        curr = ((2.0 * a - 1.0 + d - x) * prev - (a - 1.0 + d) * prev2) / a
+        curr = np.subtract(2.0 * a - 1.0 + d, x)
+        curr *= prev
+        curr -= np.multiply(a - 1.0 + d, prev2, out=tail)
+        curr /= a
         yield curr
         prev2, prev = prev, curr
 
@@ -390,25 +402,74 @@ def wigner_from_char(
     return WignerGrid(x_axis=axis, p_axis=axis, values=values)
 
 
+def _log_displacement_bound(dim: int) -> Callable[[float], float]:
+    """x -> log of e^{-x/2} L_{dim-1}(-x), which bounds every |<m|D(beta)|n>|
+    with m, n < dim at x = |beta|^2 >= dim - 1, and falls for x >= 2 (dim - 1).
+
+    Normal ordering, D(beta) = e^{-x/2} e^{beta a^dag} e^{-beta* a}, gives
+    |<m|D(beta)|n>| <= e^{-x/2} sqrt(m! n!) sum_k x^{(m+n)/2 - k} / (k! (m-k)! (n-k)!).
+    Raising m by one multiplies term k by sqrt(x (m+1)) / (m+1-k) >= 1 once
+    x >= m + 1, so every (m, n) is bounded by (dim-1, dim-1), whose sum is
+    e^{-x/2} sum_j C(dim-1, j) x^j / j!; each term e^{-x/2} x^j falls for x > 2j.
+    """
+    j = np.arange(dim)
+    log_coeffs = log_factorial(dim - 1) - log_factorial(dim - 1 - j) - 2.0 * log_factorial(j)
+
+    def log_bound(x: float) -> float:
+        terms = log_coeffs + j * np.log(x)
+        top = terms.max()
+        return float(-0.5 * x + top + np.log(np.exp(terms - top).sum()))
+
+    return log_bound
+
+
+def _fock_cut(dim: int, grid: CharGrid) -> float:
+    """The smallest x_cut >= 2 (dim - 1), to bisection precision, at which
+    (spacing^2 / pi) * (grid points) * bound(x_cut) <= ``FOCK_CUT_TOL``, with
+    ``_log_displacement_bound``'s bound: as |chi| <= 1 and the bound falls
+    past x_cut, the grid points with |beta|^2 > x_cut add less than
+    ``FOCK_CUT_TOL`` to any entry of rho."""
+    log_bound = _log_displacement_bound(dim)
+    log_tol = np.log(FOCK_CUT_TOL * np.pi / (grid.weight * grid.n_side * grid.im_n_side))
+    lo = hi = 2.0 * (dim - 1)
+    while hi == 0.0 or log_bound(hi) > log_tol:
+        lo, hi = hi, 2.0 * hi + 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_bound(mid) > log_tol else (lo, mid)
+    return hi
+
+
 def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     """Invert the Weyl transform: rho = (1/pi) int chi(beta) D(-beta) d^2 beta.
 
-    The quadrature is summed once per distinct grid radius.  The matrix
-    element <a+d|D(-beta)|a> is (-beta)^d e^{-|beta|^2/2} L_a^{(d)}(|beta|^2)
-    up to a constant (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), and
-    both axes share one spacing, so every grid point has |beta|^2 =
-    spacing^2 (i^2 + j^2) for integer steps i, j.  So for each d,
-    chi (-beta)^d is folded onto the distinct radii (two ``bincount`` passes
-    over the grid), and the Laguerre recurrence runs on the radii alone:
-    17,918 instead of 93,783 points on the 727 x 129 grid of the fig4
-    state, for O(dim N_beta + dim^2 N_radii) work in all.
+    The quadrature runs on chi's own grid, as ``_auto_grid`` sized it, and
+    skips only arithmetic that cannot reach rho:
+
+    - Half plane.  chi(-beta) = conj(chi(beta)), so a mirror pair beta, -beta
+      adds (-beta)^d [chi + (-1)^d conj(chi)] to the d-th diagonal: 2 Re chi
+      (-beta)^d for even d, 2i Im chi (-beta)^d for odd d.  Only the rows
+      Re beta <= 0 are folded; the Re beta = 0 row holds both members of its
+      pairs and takes weight 1/2.
+    - Radius cut.  Points with |beta|^2 > x_cut are dropped, where
+      ``_fock_cut`` picks x_cut from a rigorous bound on the displacement
+      matrix elements (``_log_displacement_bound``) so that everything dropped
+      adds less than ``FOCK_CUT_TOL`` = 1e-25 to any entry of rho.  No result
+      depends on the cut: fig4's chi (727 x 129 points, dim 60, x_cut 504)
+      gives the same rho as the uncut full-plane sum to round-off.
+
+    The matrix element <a+d|D(-beta)|a> is (-beta)^d e^{-|beta|^2/2}
+    L_a^{(d)}(|beta|^2) up to a constant (Cahill & Glauber, Phys. Rev. 177,
+    1857 (1969)), and both axes share one spacing, so every grid point has
+    |beta|^2 = spacing^2 (i^2 + j^2) for integer steps i, j.  So for each d
+    the kept points are folded onto their distinct radii (two ``bincount``
+    passes), and the Laguerre recurrence runs on the radii alone.
 
     The reconstruction is Hermitized, tiny negative eigenvalues (quadrature
     round-off, above -1e-6) are clamped to zero, and the result is
     renormalized; larger negativity means the grid is too coarse and raises.
     A captured trace below ``1 - FOCK_TRACE_TOL`` (a state reaching past
     ``dim``) is renormalized too, with a warning naming dim and trace.
-    The quadrature runs on chi's own grid, as ``_auto_grid`` sized it.
     """
     if not 1 <= dim <= MAX_FOCK_DIM:
         raise ValueError(f"dim {dim} is outside the supported range 1..{MAX_FOCK_DIM}")
@@ -417,30 +478,7 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
             "chi has not decayed at the grid boundary; reconstruction may alias",
             stacklevel=2,
         )
-    grid = chi.grid
-    re_steps = np.arange(grid.n_side) - grid.n_side // 2
-    im_steps = np.arange(grid.im_n_side) - grid.im_n_side // 2
-    keys, radius_of = np.unique(
-        (re_steps[:, None] ** 2 + im_steps[None, :] ** 2).ravel(), return_inverse=True
-    )
-    n_r = len(keys)
-    x = grid.weight * keys
-    pref = np.exp(-0.5 * x)
-    minus_b = -grid.mesh().ravel()
-    core = chi.values.ravel().copy()  # chi (-beta)^d, from d = 0 up
-    scale = grid.weight / np.pi
-    rho = np.zeros((dim, dim), dtype=complex)
-    for d in range(dim):
-        folded = np.empty((2, n_r))
-        folded[0] = np.bincount(radius_of, weights=core.real, minlength=n_r)
-        folded[1] = np.bincount(radius_of, weights=core.imag, minlength=n_r)
-        folded *= pref
-        coeff = float(np.exp(-0.5 * log_factorial(d)))
-        for a, lag in enumerate(_laguerre_seq(x, d, dim - d)):
-            re, im = folded @ lag
-            rho[a + d, a] = scale * coeff * complex(re, im)
-            coeff *= np.sqrt((a + 1.0) / (a + 1.0 + d))
-        core *= minus_b
+    rho = _fock_fold(chi, dim)
     rho = rho + np.tril(rho, -1).conj().T
     rho = 0.5 * (rho + rho.conj().T)
 
@@ -460,8 +498,64 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     return QuantumState(rho)
 
 
-def overlap(chi: CharFunction, target_values: np.ndarray) -> float:
+def _fock_fold(chi: CharFunction, dim: int) -> np.ndarray:
+    """The lower triangle rho[a + d, a] of ``fock_from_char``'s quadrature,
+    before Hermitizing and clamping."""
+    grid = chi.grid
+    half = grid.n_side // 2
+    re_steps = np.arange(-half, 1)  # rows 0 .. half: Re beta <= 0
+    im_steps = np.arange(grid.im_n_side) - grid.im_n_side // 2
+    steps_sq = re_steps[:, None] ** 2 + im_steps[None, :] ** 2
+    kept = steps_sq <= _fock_cut(dim, grid) / grid.weight
+    keys, radius_of = np.unique(steps_sq[kept], return_inverse=True)
+    n_r = len(keys)
+    x = grid.weight * keys
+    pref = np.exp(-0.5 * x)
+    pair = 2.0 * chi.values[: half + 1]
+    pair[half] *= 0.5
+    pair = pair[kept]
+    parts = (pair.real.copy(), pair.imag.copy())  # 2 Re chi, 2 Im chi
+    minus_b = -(grid.re_axis[: half + 1, None] + 1j * grid.im_axis[None, :])[kept]
+    power = np.ones_like(minus_b)  # (-beta)^d, from d = 0 up
+    scale = grid.weight / np.pi
+    rho = np.zeros((dim, dim), dtype=complex)
+    folded = np.empty((2, n_r))
+    for d in range(dim):
+        # even d: 2 Re chi (-beta)^d; odd d: 2i Im chi (-beta)^d, folded as
+        # Im chi (-beta)^d and turned by i below
+        part = parts[d % 2]
+        folded[0] = np.bincount(radius_of, weights=part * power.real, minlength=n_r)
+        folded[1] = np.bincount(radius_of, weights=part * power.imag, minlength=n_r)
+        folded *= pref
+        turn = 1.0 if d % 2 == 0 else 1j
+        coeff = float(np.exp(-0.5 * log_factorial(d)))
+        for a, lag in enumerate(_laguerre_seq(x, d, dim - d)):
+            re, im = folded @ lag
+            rho[a + d, a] = scale * coeff * turn * complex(re, im)
+            coeff *= np.sqrt((a + 1.0) / (a + 1.0 + d))
+        power *= minus_b
+    return rho
+
+
+def overlap(chi: CharFunction, target: GaussianChannel | CharFunction) -> float:
     """Re (1/pi) int conj(chi(beta)) chi_target(beta) d^2 beta, which is
-    Tr[rho rho_target] for states.  ``target_values`` is sampled on chi's grid."""
-    weight = chi.grid.weight / np.pi
-    return float(np.real(np.sum(np.conj(chi.values) * target_values)) * weight)
+    Tr[rho rho_target] for states.  ``target`` is a channel, sampled here on
+    rows ``0 .. half`` of chi's grid by ``CharGrid.sample_half``, or a chi on
+    chi's own grid (``overlap(chi, chi)`` is the purity).
+
+    Both chi are Hermitian, so a mirror pair beta, -beta adds the same
+    Re(conj chi chi_target) twice: the sum is
+    (h^2/pi) [2 sum_(rows < half) + sum_(row half)] over the half plane.
+    A real target (the even cat's squeeze-fit family) skips Im chi."""
+    half = chi.grid.n_side // 2
+    if isinstance(target, CharFunction):
+        if target.grid != chi.grid:
+            raise ValueError("overlap needs both chi on one grid")
+        target_half = target.values[: half + 1]
+    else:
+        target_half = chi.grid.sample_half(target)
+    c = chi.values[: half + 1]
+    rows = np.sum(c.real * target_half.real, axis=1)
+    if np.iscomplexobj(target_half):
+        rows += np.sum(c.imag * target_half.imag, axis=1)
+    return float((2.0 * np.sum(rows[:half]) + rows[half]) * chi.grid.weight / np.pi)

@@ -404,7 +404,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        return cmd_verify()
+        try:
+            return cmd_verify()
+        except Exception as exc:
+            print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
 
     try:
         if args.config is not None and args.recipe is not None:

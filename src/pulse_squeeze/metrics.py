@@ -58,7 +58,7 @@ def purity(state) -> float:
     if isinstance(state, QuantumState):
         return float(np.real(np.trace(state.rho @ state.rho)))
     chi = _as_char(state)
-    return overlap(chi, chi.values)
+    return overlap(chi, chi)
 
 
 def fidelity(rho: QuantumState, target_pure: QuantumState) -> float:
@@ -151,7 +151,7 @@ def optimize_squeeze_fidelity(
     log-spaced in [1, 10]), refines once around the peak, and reports the
     maximum.  Fidelities are overlap quadratures in the characteristic
     picture, so non-Gaussian inputs need no Fock truncation; each target is
-    sampled on the grid of ``rho_v1``'s chi.
+    sampled on the half plane of ``rho_v1``'s chi grid.
     """
     chi_v = _as_char(rho_v1)
 
@@ -160,7 +160,7 @@ def optimize_squeeze_fidelity(
     r_grid = np.asarray(sorted(set(float(r) for r in r_grid)))
 
     def fid(r):
-        val = overlap(chi_v, chi_v.grid.sample(squeeze_target_evaluator(input_state, r)))
+        val = overlap(chi_v, squeeze_target_evaluator(input_state, r))
         return float(np.clip(val, 0.0, 1.0))
 
     curve = [(float(r), fid(r)) for r in r_grid]

@@ -152,7 +152,7 @@ def align_amplified_axis(
     scores = [-np.inf, -np.inf]
     # One probe target at a time, scored against both candidates.
     for r in ALIGN_PROBE_RS:
-        target = first.grid.sample(squeeze_target_evaluator(state, r))
+        target = squeeze_target_evaluator(state, r)
         scores = [max(score, overlap(rot, target)) for score, rot in zip(scores, rots)]
     best = 1 if scores[1] - scores[0] > ALIGN_TIE_RTOL * abs(scores[0]) else 0
     return rots[best], float(phis[best])

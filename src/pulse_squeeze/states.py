@@ -150,15 +150,22 @@ def even_cat_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
     _check_tail(c, f"even cat alpha={alpha}")
     ar, ai = 2.0 * complex(alpha).real, 2.0 * complex(alpha).imag
 
+    def gauss(w, center=0.0):
+        return np.exp(-0.5 * (w - center) ** 2)
+
     def char_eval(u, v):
         # [2 e^{-|beta|^2/2} cos(2 Im beta alpha*) + e^{-|beta-2alpha|^2/2}
-        #  + e^{-|beta+2alpha|^2/2}] / N: real, and no exponent is positive.
-        # The two displaced terms are added first, so beta -> -beta, which
-        # swaps them, gives the same bits.
-        fringes = 2.0 * np.exp(-0.5 * (u * u + v * v)) * np.cos(v * ar - u * ai)
-        lobes = (np.exp(-0.5 * ((u - ar) ** 2 + (v - ai) ** 2))
-                 + np.exp(-0.5 * ((u + ar) ** 2 + (v + ai) ** 2)))
-        return (fringes + lobes) / norm_sq
+        #  + e^{-|beta+2alpha|^2/2}] / N: real, and every term a product of
+        # one factor per axis, with the fringe cosine split by the angle-sum
+        # identity, cos(v ar - u ai) = cos(v ar) cos(u ai) + sin(v ar) sin(u ai).
+        # No exponent is positive.  The two displaced terms are added first,
+        # so beta -> -beta, which swaps them, gives the same bits.
+        gu, gv = 2.0 * gauss(u) / norm_sq, gauss(v)
+        fringes = (gu * np.cos(u * ai)) * (gv * np.cos(v * ar)) + (
+            (gu * np.sin(u * ai)) * (gv * np.sin(v * ar)))
+        lobes = (gauss(u, ar) / norm_sq) * gauss(v, ai) + (
+            (gauss(u, -ar) / norm_sq) * gauss(v, -ai))
+        return fringes + lobes
 
     return _pure(c, char_eval=char_eval)
 

@@ -7,6 +7,10 @@ modes) unitary contracted into its own modes, so no gate is ever embedded in
 the dim^3-dimensional space.  A mixed input goes through as one ket per
 eigenvector.  This is the independent cross-check for the
 characteristic-function propagation path.
+
+``full_plane_fock_fold`` is the oracle of ``charfun.fock_from_char``'s
+quadrature: the same sum over every grid point, with no half plane and no
+radius cut.
 """
 
 from __future__ import annotations
@@ -14,9 +18,46 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from pulse_squeeze.states import QuantumState, destroy
+from pulse_squeeze.states import QuantumState, destroy, log_factorial
 
-__all__ = ["three_mode_output_state"]
+__all__ = ["three_mode_output_state", "full_plane_fock_fold"]
+
+
+def full_plane_fock_fold(chi, dim: int) -> np.ndarray:
+    """rho[a + d, a] = (h^2/pi) sum_beta chi(beta) <a+d|D(-beta)|a> over every
+    point of chi's grid, before Hermitizing and clamping (upper triangle 0).
+
+    For each d, chi (-beta)^d is folded onto the distinct grid radii and the
+    associated Laguerre recurrence, written out here apart from the
+    package's, runs on the radii."""
+    grid = chi.grid
+    re_steps = np.arange(grid.n_side) - grid.n_side // 2
+    im_steps = np.arange(grid.im_n_side) - grid.im_n_side // 2
+    keys, radius_of = np.unique(
+        (re_steps[:, None] ** 2 + im_steps[None, :] ** 2).ravel(), return_inverse=True
+    )
+    n_r = len(keys)
+    x = grid.weight * keys
+    pref = np.exp(-0.5 * x)
+    minus_b = -grid.mesh().ravel()
+    core = chi.values.ravel().copy()  # chi (-beta)^d, from d = 0 up
+    scale = grid.weight / np.pi
+    rho = np.zeros((dim, dim), dtype=complex)
+    for d in range(dim):
+        folded = np.empty((2, n_r))
+        folded[0] = np.bincount(radius_of, weights=core.real, minlength=n_r)
+        folded[1] = np.bincount(radius_of, weights=core.imag, minlength=n_r)
+        folded *= pref
+        coeff = float(np.exp(-0.5 * log_factorial(d)))
+        lag_prev, lag = np.zeros_like(x), np.ones_like(x)  # L_{a-1}^(d), L_a^(d)
+        for a in range(dim - d):
+            re, im = folded @ lag
+            rho[a + d, a] = scale * coeff * complex(re, im)
+            coeff *= np.sqrt((a + 1.0) / (a + 1.0 + d))
+            # (a + 1) L_{a+1} = (2a + 1 + d - x) L_a - (a + d) L_{a-1}
+            lag_prev, lag = lag, ((2.0 * a + 1.0 + d - x) * lag - (a + d) * lag_prev) / (a + 1.0)
+        core *= minus_b
+    return rho
 
 
 def _two_mode_bs(dim: int, theta: float, phi: float) -> np.ndarray:

@@ -741,3 +741,16 @@ class TestVerifyCommand:
         failed = [line for line in out.splitlines() if line.endswith("FAIL")]
         assert any(line.startswith("opo symplectic") for line in failed), out
         assert "residual" in out
+
+    def test_numerical_failure_exits_2_with_one_line(self, capsys, monkeypatch):
+        from pulse_squeeze import devices
+
+        def failing_opo(params, grid):
+            raise FloatingPointError("overflow encountered in exp")
+
+        monkeypatch.setattr(devices, "build_opo", failing_opo)
+        assert cli.main(["verify"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "numerical failure: FloatingPointError: overflow encountered in exp"]
+        assert "Traceback" not in err

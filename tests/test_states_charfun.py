@@ -14,6 +14,7 @@ from conftest import (
     reference_squeezed_chi,
     reference_squeezed_vacuum_chi,
 )
+from fockspace import full_plane_fock_fold
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -21,14 +22,20 @@ from pulse_squeeze.charfun import (
     BASE_EXTENT,
     BASE_SPACING,
     BOUNDARY_TOL,
+    FOCK_CUT_TOL,
+    MAX_EXTENT,
     MAX_FOCK_DIM,
     CharFunction,
     CharGrid,
     GaussianChannel,
     _auto_grid,
+    _fock_cut,
+    _fock_fold,
+    _log_displacement_bound,
     char_from_rho,
     char_of_state,
     fock_from_char,
+    output_channel,
     overlap,
     propagate_char,
     real_linear_map,
@@ -36,7 +43,7 @@ from pulse_squeeze.charfun import (
     wigner_from_char,
 )
 from pulse_squeeze.coherence import input_moments, seeded_vacuum_split
-from pulse_squeeze.config import parse_config
+from pulse_squeeze.config import load_recipe, parse_config
 from pulse_squeeze.decomposition import OutputDecomposition, decompose_output_mode
 from pulse_squeeze.devices import OpaParams, build_opa
 from pulse_squeeze.grids import gaussian_mode, orthogonal_complement
@@ -167,16 +174,34 @@ class TestCharFunctions:
              "squeezed", "squeezed-negative"],
     )
     def test_closed_forms_match_complex_copies(self, state, reference):
-        # Out to |beta| = 60, where every exponent of the old complex forms
-        # is far past underflow, without an overflow or an invalid value.
+        # Scattered points out to |beta| = 60, where every exponent of the
+        # old complex forms is far past underflow; the broadcast axes that
+        # squeeze targets hand the closed form on the half plane of fig4's
+        # output grid; and that grid's full-shaped (u, v) through a rotated
+        # output channel.  None raises an overflow or an invalid value.
+        from pulse_squeeze.metrics import squeeze_target_evaluator
+
         rng = np.random.default_rng(2)
         radius = np.concatenate([rng.uniform(0.0, 8.0, 400), rng.uniform(8.0, 60.0, 400),
                                  np.full(40, 60.0)])
         beta = radius * np.exp(2j * np.pi * rng.uniform(size=radius.size))
-        with np.errstate(over="raise", invalid="raise"):
-            got = state.char_eval(beta.real, beta.imag)
-            want = reference(beta)
-        assert _close(got, want, 1e-14)
+        point_sets = [(beta.real, beta.imag)]
+        grid = CharGrid(34.03125, 727, 6.0, 129)  # fig4's output chi grid
+        re, im = grid.re_axis[:, None], grid.im_axis[None, :]
+        for r in (0.0, 1.3, 2.3):
+            X = squeeze_target_evaluator(state, r).X
+            assert X[0, 1] == 0.0 and X[1, 0] == 0.0
+            point_sets.append((X[0, 0] * re[: grid.n_side // 2 + 1], X[1, 1] * im))
+        row = OutputDecomposition(1.3 + 0.2j, 0.6 - 0.3j, 0.4j, 0.5, 0.2).rephased(0.7)
+        X = output_channel(row, state_evaluator(state)).X
+        assert np.all(X != 0.0)
+        point_sets.append((X[0, 0] * re + X[0, 1] * im, X[1, 0] * re + X[1, 1] * im))
+        for u, v in point_sets:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = state.char_eval(u, v)
+                want = reference(u + 1j * v)
+            assert got.shape == want.shape
+            assert _close(got, want, 1e-14)
 
     def test_normalization_and_hermiticity(self):
         chi = char_of_state(even_cat_state(2.0, 60))
@@ -311,9 +336,7 @@ class TestRectangularGrid:
         assert np.abs(rho_rect - rho_square).max() < 1e-14
 
         target = squeeze_target_evaluator(state, 1.2)
-        assert overlap(rect, rect.grid.sample(target)) == pytest.approx(
-            overlap(square, square.grid.sample(target)), abs=1e-14
-        )
+        assert overlap(rect, target) == pytest.approx(overlap(square, target), abs=1e-14)
 
         r_grid = np.linspace(1.0, 1.6, 7)
         fit_rect = optimize_squeeze_fidelity(rect, state, r_grid=r_grid)
@@ -332,11 +355,13 @@ class TestRectangularGrid:
         state = fock_state(1, 20)
         chi = self._squeezed_output(grid, u_mode, state)
         grown, sampled = [], []
-        with_extent, sample = CharGrid.with_extent, CharGrid.sample
+        with_extent, sample_half = CharGrid.with_extent, CharGrid.sample_half
         monkeypatch.setattr(
             CharGrid, "with_extent", staticmethod(lambda *a: grown.append(a) or with_extent(*a))
         )
-        monkeypatch.setattr(CharGrid, "sample", lambda g, ev: sampled.append(g) or sample(g, ev))
+        # the fit samples each target on the half plane of chi's grid
+        monkeypatch.setattr(
+            CharGrid, "sample_half", lambda g, ev: sampled.append(g) or sample_half(g, ev))
         fock_from_char(chi, 20)
         optimize_squeeze_fidelity(chi, state, r_grid=np.linspace(1.0, 1.6, 7))
         assert grown == []
@@ -642,6 +667,111 @@ class TestFockFromChar:
     def test_dim_cap(self, dim):
         with pytest.raises(ValueError, match=rf"outside the supported range 1\.\.{MAX_FOCK_DIM}"):
             fock_from_char(char_of_state(vacuum_state(10)), dim)
+
+
+@pytest.fixture(scope="module")
+def fig4_chi():
+    """fig4's aligned output chi, on the 727 x 129 grid the state run samples."""
+    from pulse_squeeze import pipeline
+
+    cfg = load_recipe("fig4")
+    run = parse_config(cfg)
+    kernels = pipeline.device_from_config(cfg["device"], run.grid)
+    u = pipeline.input_mode_from_config(cfg["input"], run.grid)
+    state = pipeline.input_state_from_config(cfg["input"])
+    return pipeline.run_state_analysis(kernels, u, state).chi_out
+
+
+def _largest_radius_sq(grid):
+    return grid.extent**2 + grid.im_extent**2
+
+
+class TestFockFold:
+    """``fock_from_char``'s half-plane, radius-cut fold against the uncut
+    full-plane sum, ``fockspace.full_plane_fock_fold``, before the clamp."""
+
+    def test_fig4_output_where_the_cut_bites(self, fig4_chi):
+        assert fig4_chi.grid.shape == (727, 129)
+        assert _fock_cut(60, fig4_chi.grid) < _largest_radius_sq(fig4_chi.grid)
+        raw = _fock_fold(fig4_chi, 60)
+        assert np.abs(raw - full_plane_fock_fold(fig4_chi, 60)).max() <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2, 20, 40])
+    def test_rectangular_squeezed_fock_one(self, grid, u_mode, dim):
+        chi = TestRectangularGrid._squeezed_output(grid, u_mode, fock_state(1, 20))
+        assert chi.grid.extent >= 20.0 and chi.grid.n_side > chi.grid.im_n_side
+        assert _fock_cut(dim, chi.grid) < _largest_radius_sq(chi.grid)
+        raw = _fock_fold(chi, dim)
+        assert np.abs(raw - full_plane_fock_fold(chi, dim)).max() <= 1e-15
+
+    def test_coherent_state_grid(self):
+        state = coherent_state(1.0 + 0.5j, 20)
+        g, ev = CharGrid(5.6, 65), state_evaluator(state)
+        chi = CharFunction(g, g.sample(ev), ev)
+        raw = _fock_fold(chi, 20)
+        assert np.abs(raw - full_plane_fock_fold(chi, 20)).max() <= 1e-15
+
+    @pytest.mark.parametrize("dim", range(1, MAX_FOCK_DIM + 1))
+    def test_bound_below_tolerance_and_falling_past_the_cut(self, dim):
+        grid = CharGrid.with_extent(MAX_EXTENT)
+        x_cut = _fock_cut(dim, grid)
+        assert x_cut >= 2.0 * (dim - 1)
+        points = grid.n_side * grid.im_n_side
+        per_point = FOCK_CUT_TOL * np.pi / (grid.weight * points)
+        past = x_cut + np.linspace(0.0, 4.0 * x_cut + 100.0, 400)
+        bounds = np.array([_log_displacement_bound(dim)(x) for x in past])
+        assert bounds[0] <= np.log(per_point)
+        assert np.all(np.diff(bounds) < 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 30, 60])
+    def test_bound_holds_for_every_matrix_element(self, dim):
+        # |<m|D(beta)|n>| = sqrt(n!/m!) x^{(m-n)/2} e^{-x/2} |L_n^{(m-n)}(x)|, m >= n
+        m, n = np.tril_indices(dim)
+        log_bound = _log_displacement_bound(dim)
+        for x in np.linspace(max(dim - 1.0, 0.5), _fock_cut(dim, CharGrid(34.0, 727)), 25):
+            log_element = (0.5 * (gammaln(n + 1.0) - gammaln(m + 1.0))
+                           + 0.5 * (m - n) * np.log(x) - 0.5 * x
+                           + np.log(np.abs(eval_genlaguerre(n, m - n, x)) + 1e-300))
+            assert log_element.max() <= log_bound(x) + 1e-12
+
+
+class TestHalfPlaneOverlap:
+    """``overlap`` and ``purity`` read rows 0 .. half; the full-plane sums
+    over every grid point are their oracle."""
+
+    @staticmethod
+    def _full_plane(chi, target_full):
+        return float(np.real(np.sum(np.conj(chi.values) * target_full))
+                     * chi.grid.weight / np.pi)
+
+    def _cases(self, grid, u_mode):
+        from pulse_squeeze.metrics import squeeze_target_evaluator
+
+        coherent = coherent_state(1.0 + 0.5j, 30)
+        square = char_of_state(coherent)
+        fock1 = fock_state(1, 20)
+        rect = TestRectangularGrid._squeezed_output(grid, u_mode, fock1)
+        assert square.grid.n_side == square.grid.im_n_side
+        assert rect.grid.n_side > rect.grid.im_n_side
+        return [(square, squeeze_target_evaluator(coherent, 0.4)),
+                (rect, squeeze_target_evaluator(fock1, 1.2))]
+
+    def test_overlap_matches_full_plane_sum(self, grid, u_mode):
+        cases = self._cases(grid, u_mode)
+        for chi, target in cases:
+            half = overlap(chi, target)
+            full = self._full_plane(chi, chi.grid.sample(target))
+            assert abs(half - full) <= 1e-15 * abs(full)
+        (square, _), (rect, _) = cases
+        with pytest.raises(ValueError, match="one grid"):
+            overlap(square, rect)
+
+    def test_purity_matches_full_plane_sum(self, grid, u_mode):
+        from pulse_squeeze.metrics import purity
+
+        for chi, _ in self._cases(grid, u_mode):
+            full = self._full_plane(chi, chi.values)
+            assert abs(purity(chi) - full) <= 1e-15 * abs(full)
 
 
 class TestJointTwoModeChar:
