@@ -1,15 +1,16 @@
 """Kernel builders for the three amplifier archetypes: OPO, OPA, TWPA.
 
-The cavity device (OPO) is integrated as a chain of exactly symplectic
-steps: a half-step of the internal detuning/gain dynamics, an exact
-decay/exchange rotation between the cavity and the current field slice,
-and a second half-step.  The initial-cavity port is closed by feeding the
-(vacuum) end-of-window cavity back into it, which keeps the grid-to-grid
-map symplectic to round-off instead of leaking one vacuum mode at the
-window edge.  The chain converges to the continuum input-output kernels
-at second order in dt.  At zero detuning the generator is real, so a
-resonant OPO runs the same chain in real arithmetic and returns float64
-kernels; a detuned one returns complex128 kernels.
+The cavity device (OPO) is a chain of exactly symplectic steps per field
+slice: a half-step of the internal detuning/gain dynamics, an exact
+decay/exchange rotation between the cavity and the slice, and a second
+half-step.  The initial-cavity port is closed by feeding the (vacuum)
+end-of-window cavity back into it, which keeps the grid-to-grid map
+symplectic to round-off instead of leaking one vacuum mode at the window
+edge.  The chain converges to the continuum input-output kernels at second
+order in dt.  A detuned OPO runs the chain slice by slice and returns
+complex128 kernels.  At zero detuning the gain half-steps commute and the
+cavity's x and p quadratures evolve apart, so the chain sums in closed form
+to float64 kernels, with no loop over slices.
 
 A TWPA is a chain of identical OPO stages, folded as a power of the
 stage's real quadrature map (the map ``compose`` multiplies).  A resonant
@@ -17,11 +18,12 @@ stage (detuning 0) has real kernels, so its map never mixes x with p: the
 chain raises the two n x n blocks separately, a quarter of the flops of
 the 2n x 2n power, and its kernels stay real.  A detuned stage raises the
 full 2n x 2n map: about log2(n_stages) real squarings, half the flops of
-the complex kernel products.  Powers of a symplectic map are symplectic, so the folded chain
-needs no re-projection.  Measured residuals of ``verify_symplectic``,
-resonant: 1.3e-13 at 100 stages on 1024 points, 4.8e-13 at 100 stages on
-256 points, 2.0e-12 at 1000 stages on 256 points and 1.4e-12 at 1000 on
-512; detuned (0.3): 8.0e-12 at 100 stages on 256 points.
+the complex kernel products.  Powers of a symplectic map are symplectic,
+so the folded chain needs no re-projection.  Measured residuals of
+``verify_symplectic`` (stage pump width 0.2, window [-10, 30]), resonant:
+2.3e-13 at 100 stages of area 0.01 on 1024 points and 3.1e-13 on 256
+points, 3.4e-12 at 1000 stages of area 0.001 on 256 points and 2.5e-12 on
+512; detuned (0.3): 6.9e-14 at 100 stages of area 0.01 on 256 points.
 """
 
 from __future__ import annotations
@@ -150,8 +152,7 @@ def _gain_half_step(delta: float, xi_bar: float, tau: float) -> tuple[complex, f
     """Entries (E11, E12) of exp(tau * [[-i delta, xi], [xi, i delta]]).
 
     The generator squares to (xi^2 - delta^2) * identity, giving a closed
-    form; E22 = conj(E11) and E21 = E12.  At delta = 0 the generator is
-    real, and so is the returned E11.
+    form; E22 = conj(E11) and E21 = E12.
     """
     w = xi_bar * xi_bar - delta * delta
     lam = np.sqrt(complex(w))
@@ -162,17 +163,28 @@ def _gain_half_step(delta: float, xi_bar: float, tau: float) -> tuple[complex, f
     else:
         ch = np.cosh(z)
         shf = np.sinh(z) / lam
-    e11 = complex(ch - 1j * delta * shf)
-    e12 = float(np.real(xi_bar * shf))
-    return (e11 if delta else e11.real), e12
+    return complex(ch - 1j * delta * shf), float(np.real(xi_bar * shf))
+
+
+def _check_ring_down(loop_norm: float, anomalous: float, gamma: float) -> None:
+    """Raise when the cavity has not rung down at the window end: the loop
+    gain of the initial-cavity port or the final anomalous content is above
+    ``RING_DOWN_TOL``."""
+    if loop_norm > RING_DOWN_TOL or anomalous > RING_DOWN_TOL:
+        worst = max(loop_norm, anomalous)
+        extend = 2.0 * np.log(worst / RING_DOWN_TOL) / gamma + 5.0 / gamma
+        raise GridTooShortError(
+            f"cavity ring-down truncated (residual {worst:.2e} > {RING_DOWN_TOL:g}); "
+            f"extend t_end by about {extend:.3g}"
+        )
 
 
 def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Input-output kernels of a pulse-pumped OPO cavity.
 
-    At ``detuning == 0`` every coefficient of the chain is real: the slice
-    loop runs on float rows (``conj`` is the identity there) and the
-    kernels are float64.  Otherwise they are complex128.
+    At ``detuning == 0`` the kernels are float64 and come in closed form
+    (:func:`_resonant_opo`); otherwise the slice chain builds them as
+    complex128 (:func:`_detuned_opo`).
 
     Raises
     ------
@@ -181,10 +193,6 @@ def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
         rung down at the window end (residual above ``RING_DOWN_TOL``); the
         message suggests how far to extend the grid.
     """
-    gamma = params.decay
-    n = grid.n_points
-    dt = grid.dt
-
     areas = params.pump.step_areas(grid)
     missing = abs(float(areas.sum()) - params.pump.area)
     if missing > 1e-6 * max(abs(params.pump.area), 1e-12):
@@ -192,19 +200,29 @@ def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
             f"grid covers only {areas.sum():.6g} of the pump area "
             f"{params.pump.area:.6g}; widen the window around t = {params.pump.center:g}"
         )
-    xi_bar = areas / dt
+    log_eta = -params.decay * grid.dt / 2.0
+    if params.detuning:
+        return _detuned_opo(params, grid, areas, log_eta)
+    return _resonant_opo(params, grid, areas, log_eta)
 
-    eta = float(np.exp(-gamma * dt / 2.0))
-    s = float(np.sqrt(1.0 - eta * eta))
+
+def _detuned_opo(params: OpoParams, grid: TemporalGrid, areas: np.ndarray,
+                 log_eta: float) -> BogoliubovKernels:
+    """The slice chain: per slice, a gain half-step, the exact cavity <->
+    slice exchange and a second half-step, on complex coefficient rows."""
+    n = grid.n_points
+    dt = grid.dt
+    xi_bar = areas / dt
+    eta = math.exp(log_eta)
+    s = math.sqrt(1.0 - eta * eta)
 
     # Coefficient rows of the running cavity operator over the n field
     # slices plus the initial-cavity port (column n).
-    dtype = complex if params.detuning else float
-    phi = np.zeros(n + 1, dtype=dtype)
-    psi = np.zeros(n + 1, dtype=dtype)
+    phi = np.zeros(n + 1, dtype=complex)
+    psi = np.zeros(n + 1, dtype=complex)
     phi[n] = 1.0
-    out_f = np.zeros((n, n + 1), dtype=dtype)
-    out_g = np.zeros((n, n + 1), dtype=dtype)
+    out_f = np.zeros((n, n + 1), dtype=complex)
+    out_g = np.zeros((n, n + 1), dtype=complex)
 
     for k in range(n):
         e11, e12 = _gain_half_step(params.detuning, xi_bar[k], dt / 2.0)
@@ -219,26 +237,102 @@ def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
         psi = eta * psi
         phi, psi = e11 * phi + e12 * psi.conj(), e11 * psi + e12 * phi.conj()
 
-    anomalous = float(np.linalg.norm(psi[:n]))
     loop = np.array([[phi[n], psi[n]], [np.conj(psi[n]), np.conj(phi[n])]])
-    loop_norm = float(np.linalg.norm(loop, 2))
-    if loop_norm > RING_DOWN_TOL or anomalous > RING_DOWN_TOL:
-        worst = max(loop_norm, anomalous)
-        extend = 2.0 * np.log(worst / RING_DOWN_TOL) / gamma + 5.0 / gamma
-        raise GridTooShortError(
-            f"cavity ring-down truncated (residual {worst:.2e} > {RING_DOWN_TOL:g}); "
-            f"extend t_end by about {extend:.3g}"
-        )
+    _check_ring_down(float(np.linalg.norm(loop, 2)), float(np.linalg.norm(psi[:n])),
+                     params.decay)
 
-    # Close the initial-cavity port with the (vacuum) final cavity field so
-    # the n x n map stays symplectic.  The loop gain is the ring-down
-    # residual, far below RING_DOWN_TOL.
-    rhs = np.vstack([phi[:n], psi[:n]])
-    c0 = np.linalg.solve(np.eye(2) - loop, rhs)
-    f_b = out_f[:, :n] + np.outer(out_f[:, n], c0[0]) + np.outer(out_g[:, n], c0[1].conj())
-    g_star_b = out_g[:, :n] + np.outer(out_f[:, n], c0[1]) + np.outer(out_g[:, n], c0[0].conj())
+    # Close the initial-cavity port c0 = sum_j alpha_j a_j + beta_j a_j^dag
+    # with the (vacuum) final cavity field, c0 = phi_n c0 + psi_n c0^dag +
+    # (the final rows), so the n x n map stays symplectic.  Its a_j rows
+    # couple alpha with conj(beta): (I - loop) [alpha; conj beta] = [phi;
+    # conj psi].  The loop gain is the ring-down residual, far below
+    # RING_DOWN_TOL.
+    alpha, beta_c = np.linalg.solve(np.eye(2) - loop, np.vstack([phi[:n], psi[:n].conj()]))
+    f_b = out_f[:, :n] + np.outer(out_f[:, n], alpha) + np.outer(out_g[:, n], beta_c)
+    g_star_b = (out_g[:, :n] + np.outer(out_f[:, n], beta_c.conj())
+                + np.outer(out_g[:, n], alpha.conj()))
 
     return BogoliubovKernels(grid, f_b / dt, g_star_b.conj() / dt)
+
+
+# Row tiles of ``_resonant_opo``: at most _TILE_ROWS rows, and few enough
+# that the cavity decay across a tile, |log eta| per row, adds at most
+# _TILE_DECAY to the exponent of a tile-local factor.
+_TILE_DECAY = 16.0
+_TILE_ROWS = 64
+
+
+def _resonant_opo(params: OpoParams, grid: TemporalGrid, areas: np.ndarray,
+                  log_eta: float) -> BogoliubovKernels:
+    """The slice chain at zero detuning, summed in closed form.
+
+    Each gain half-step is then ``exp(a_k/2 sigma_x)`` (``a_k`` the pump
+    area of slice k): the half-steps commute, and ``x = phi + psi`` and ``p
+    = phi - psi`` evolve apart, scaled by ``e^(+a_k/2)`` and ``e^(-a_k/2)``.
+    With ``C_k`` the pump area up to the middle of slice k, ``A`` the total
+    area and ``eta = exp(log_eta)``, the x map ``X = (F + G) dt`` is
+
+        X[k, j] = eta delta_kj - s^2 eta^(k-j-1) e^(C_k - C_j) / (1 - L)     (k > j)
+        X[k, j] = eta delta_kj - s^2 eta^(n+k-j-1) e^(A + C_k - C_j) / (1 - L)   (k <= j)
+
+    with loop gain ``L = eta^n e^A``: the lower triangle is the chain's
+    emission, and the division by ``1 - L`` (and the upper triangle) the
+    closure of the initial-cavity port.  ``P = (F - G) dt`` is the same
+    with ``-C`` and ``-A``.  Past ``eta delta_kj``, every entry is the
+    product of a row and a column factor, so F and G are written row tile
+    by row tile as rank-2 products; each tile takes its exponents relative
+    to its first row, so no factor overflows on a long window.
+    """
+    n = grid.n_points
+    eta = math.exp(log_eta)
+    mid = np.cumsum(areas) - 0.5 * areas  # C_k
+    total = float(areas.sum())  # A
+
+    # The final cavity rows are x_j = -s eta^(n-1-j) e^(A - C_j) and p_j the
+    # same with -(A - C_j); the anomalous part is (x - p) / 2.  The 2 x 2
+    # loop has singular values eta^n e^(+-A).
+    s = math.sqrt(1.0 - eta * eta)
+    tail = np.exp((n - 1 - np.arange(n)) * log_eta)
+    _check_ring_down(math.exp(n * log_eta + abs(total)),
+                     s * float(np.linalg.norm(tail * np.sinh(total - mid))), params.decay)
+
+    # Rows: x, p.  kappa folds in -s^2 / (1 - L) and the 1 / (2 dt) of
+    # F = (X + P) / (2 dt), G = (X - P) / (2 dt).
+    sign = np.array([[1.0], [-1.0]])
+    loop = np.exp(n * log_eta + sign * total)
+    kappa = -(1.0 - eta * eta) * (0.5 / grid.dt) / (1.0 - loop)
+    index = np.arange(n)
+    tile = int(min(_TILE_ROWS, max(1.0, _TILE_DECAY / -log_eta)))
+    upper = ~np.tri(tile, k=-1, dtype=bool)
+    F = np.empty((n, n))
+    G = np.empty((n, n))
+    for k0 in range(0, n, tile):
+        k1 = min(k0 + tile, n)
+        # Row factors eta^(k-k0) e^(+-(C_k - C_k0)); column factors kappa
+        # eta^(k0-1-j) e^(-+(C_j - C_k0)) below the diagonal and, for the
+        # closure on and above it, the same times eta^n e^(+-A).  Powers of
+        # eta are integer multiples of log_eta: a difference of two long
+        # products would lose digits on a long window.
+        d = sign * (mid - mid[k0])  # +-(C_j - C_k0)
+        rows = np.exp(index[: k1 - k0] * log_eta + d[:, k0:k1])
+        power = k0 - 1 - index
+        cols = np.empty((2, n))
+        cols[:, :k1] = kappa * np.exp(power[:k1] * log_eta - d[:, :k1])
+        above = kappa * np.exp((power[k0:] + n) * log_eta + sign * total - d[:, k0:])
+        cols[:, k1:] = above[:, k1 - k0:]
+        above = above[:, : k1 - k0]  # the tile's diagonal block, k <= j
+        keep = upper[: k1 - k0, : k1 - k0]
+        # F = x + p and G = x - p as rank-2 products.  G takes the row
+        # factors (x - p, p) and the column factors (x, x - p), so it is
+        # exactly 0 without a pump.
+        (x, p), (cx, cp), (ax, ap) = rows, cols, above
+        for out, r, c, a in ((F, rows, cols, above),
+                             (G, [x - p, p], [cx, cx - cp], [ax, ax - ap])):
+            r = np.transpose(r)
+            np.matmul(r, c, out=out[k0:k1])
+            np.copyto(out[k0:k1, k0:k1], r @ a, where=keep)
+    F.flat[:: n + 1] += eta / grid.dt
+    return BogoliubovKernels(grid, F, G)
 
 
 def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
@@ -290,9 +384,10 @@ def build_twpa(params: TwpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     chain kernels are float64 too), else as one real 2n x 2n power.
     ``np.linalg.matrix_power`` takes floor(log2(n_stages)) squarings, plus
     one product for each set bit of ``n_stages`` above the lowest.  The
-    stage kernels are released before the power.  The symplectic residual grows only by round-off (resonant:
-    1.3e-13 at 100 stages, n = 1024, and 1.4e-12 at 1000 stages, n = 512;
-    detuned: 8.0e-12 at 100 stages, n = 256), so nothing is re-projected.
+    stage kernels are released before the power.  The symplectic residual
+    grows only by round-off (resonant: 2.3e-13 at 100 stages, n = 1024, and
+    2.5e-12 at 1000 stages, n = 512; detuned: 6.9e-14 at 100 stages, n =
+    256), so nothing is re-projected.
     One stage returns the stage kernels unchanged.
     """
     stage_params = dataclasses.replace(

@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from pulse_squeeze import devices
 from pulse_squeeze.coherence import (
     InputMoments,
     input_moments,
@@ -111,7 +115,15 @@ class TestBuildOpo:
                 decay=1.0,
                 pump=GaussianPump(rng.uniform(0.2, 2.0), 0.0, rng.uniform(0.05, 1.5)),
             )
-            assert verify_symplectic(build_opo(params, grid)).max_residual < 1e-5
+            assert verify_symplectic(build_opo(params, grid)).max_residual < 1e-12
+
+    @pytest.mark.parametrize("t_end", [20.0, 30.0])
+    def test_detuned_port_closure_symplectic(self, t_end):
+        # The closure couples alpha with conj(beta); solving it for (alpha,
+        # beta) left residuals of 1.3e-7 (t_end 20) and 8.6e-10 (t_end 30).
+        grid = TemporalGrid(-10.0, t_end, 256)
+        k = build_opo(OpoParams(0.3, 1.0, GaussianPump(3.0, 0.0, 0.3)), grid)
+        assert verify_symplectic(k).max_residual < 1e-12
 
     def test_pump_outside_grid_rejected(self, grid):
         with pytest.raises(GridTooShortError, match="pump"):
@@ -145,6 +157,76 @@ class TestBuildOpo:
         g_expected = k_fwd.G[::-1, ::-1].T
         assert np.abs(k_rev.F - f_expected).max() < 1e-3 * np.abs(k_rev.F).max()
         assert np.abs(k_rev.G - g_expected).max() < 1e-3 * np.abs(k_rev.G).max()
+
+
+def _chain_twin(params):
+    """The same device at detuning 1e-300: it takes the complex slice chain,
+    whose imaginary parts underflow out of every real part."""
+    return dataclasses.replace(params, detuning=1e-300)
+
+
+class TestResonantClosedForm:
+    """The resonant OPO in closed form against the slice chain."""
+
+    @pytest.mark.parametrize("window, n, area, width", [
+        ((-10.0, 30.0), 64, 0.08, 0.01),
+        ((-10.0, 30.0), 256, 8.0, 0.3),
+        ((-10.0, 30.0), 1024, 1.5, 0.1),
+        ((-12.0, 30.0), 512, 1.5, 0.02),
+        ((-12.0, 30.0), 512, 8.0, 2.0),
+        ((-30.0, 50.0), 1024, 1.0, 0.01),
+        ((-30.0, 50.0), 512, 0.08, 4.0),
+        ((-30.0, 50.0), 256, 8.0, 4.0),
+        ((-10.0, 2000.0), 1024, 1.5, 0.3),
+        ((-10.0, 2000.0), 256, 0.08, 2.0),
+    ])
+    def test_matches_slice_chain(self, window, n, area, width):
+        # fig4, fig3ab and fig2a windows, and a window whose eta^n underflows
+        grid = TemporalGrid(*window, n)
+        params = OpoParams(0.0, 1.0, GaussianPump(area, 0.0, width))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            k = build_opo(params, grid)
+        chain = build_opo(_chain_twin(params), grid)
+        assert k.F.dtype == k.G.dtype == np.float64
+        scale = max(np.abs(chain.F).max(), np.abs(chain.G).max())
+        assert np.abs(k.F - chain.F).max() <= 1e-13 * scale
+        assert np.abs(k.G - chain.G).max() <= 1e-13 * scale
+        assert k.vacuum_total == pytest.approx(chain.vacuum_total, rel=1e-12)
+
+    @pytest.mark.parametrize("window, pump, match", [
+        ((-10.0, 30.0), (1.0, -9.8, 2.0), "pump"),
+        ((-10.0, 30.0), (1.0, 28.0, 0.1), "extend"),
+        ((-10.0, 30.0), (8.0, 10.0, 1.0), "extend"),
+        ((-10.0, 20.0), (8.0, 10.0, 1.0), "extend"),
+    ])
+    def test_grid_too_short_messages_match_chain(self, window, pump, match):
+        grid = TemporalGrid(*window, 256)
+        params = OpoParams(0.0, 1.0, GaussianPump(*pump))
+        with pytest.raises(GridTooShortError, match=match) as closed:
+            build_opo(params, grid)
+        with pytest.raises(GridTooShortError) as chain:
+            build_opo(_chain_twin(params), grid)
+        assert str(closed.value) == str(chain.value)
+
+    def test_takes_no_slice_step(self, monkeypatch):
+        def step(*_args):
+            raise AssertionError("slice step taken")
+
+        monkeypatch.setattr(devices, "_gain_half_step", step)
+        build_opo(OpoParams(0.0, 1.0, GaussianPump(1.5, 0.0, 0.1)), default_opo_grid(1.0, 128))
+        with pytest.raises(AssertionError, match="slice step"):
+            build_opo(OpoParams(0.3, 1.0, GaussianPump(1.5, 0.0, 0.1)), default_opo_grid(1.0, 128))
+
+    def test_peak_memory(self):
+        # The slice chain peaks at 3.0x the kernels it returns.
+        grid = default_opo_grid(1.0, 1024)
+        tracemalloc.start()
+        try:
+            k = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.5, 0.0, 0.1)), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (k.F.nbytes + k.G.nbytes)
 
 
 class TestBuildOpa:
@@ -323,10 +405,11 @@ class TestRealPath:
     """Real kernels against the complex path.
 
     A resonant builder's oracle is the same device at detuning 1e-300: it
-    takes the complex path, and its imaginary parts underflow out of every
-    real part, so the OPO slice loop does the same arithmetic.  The
-    consumers (images, pullback, vacuum ladder) are checked on the same
-    kernels cast to complex, so they differ in their own arithmetic only.
+    takes the complex path (the OPO's slice chain, where the resonant OPO
+    is built in closed form), and its imaginary parts underflow out of
+    every real part.  The consumers (images, pullback, vacuum ladder) are
+    checked on the same kernels cast to complex, so they differ in their
+    own arithmetic only.
     """
 
     @pytest.fixture(scope="class")
