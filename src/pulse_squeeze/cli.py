@@ -28,8 +28,8 @@ from .config import (
     FLOAT_FORMAT,
     ConfigError,
     RunManifest,
-    config_hash,
     dump_config,
+    dump_hash,
     load_config,
     load_recipe,
     parse_config,
@@ -176,14 +176,13 @@ def _run_by_device(points: list, task, manifest: RunManifest) -> list:
     return sorted((point for group in done for point in group), key=lambda r: r[0])
 
 
-def cmd_modes(cfg: dict, out: Path) -> RunManifest:
+def cmd_modes(cfg: dict, out: Path, digest: str) -> RunManifest:
     """Occupation spectra, optionally along one sweep axis."""
     axes = sweep_axes(cfg)
     if len(axes) > 1:
         raise ConfigError("modes supports at most one sweep axis")
     if axes and axes[0][0].startswith("grid."):
         raise ConfigError(f"sweep.axes[0]: modes writes one t column, cannot sweep {axes[0][0]}")
-    digest = config_hash(cfg)
     manifest = RunManifest(config_hash=digest, tool_version=__version__)
 
     points = [(0, cfg)]
@@ -233,9 +232,8 @@ def cmd_modes(cfg: dict, out: Path) -> RunManifest:
     return manifest
 
 
-def cmd_state(cfg: dict, out: Path) -> RunManifest:
+def cmd_state(cfg: dict, out: Path, digest: str) -> RunManifest:
     """Full state pipeline at a single parameter point."""
-    digest = config_hash(cfg)
     manifest = RunManifest(config_hash=digest, tool_version=__version__)
     run = parse_config(cfg)
     if run.sweep:
@@ -262,12 +260,11 @@ def cmd_state(cfg: dict, out: Path) -> RunManifest:
     return manifest
 
 
-def cmd_sweep(cfg: dict, out: Path) -> RunManifest:
+def cmd_sweep(cfg: dict, out: Path, digest: str) -> RunManifest:
     """Two-axis occupation sweep producing n1 / ratio heatmaps."""
     axes = sweep_axes(cfg)
     if len(axes) != 2:
         raise ConfigError("sweep requires exactly two axes")
-    digest = config_hash(cfg)
     manifest = RunManifest(config_hash=digest, tool_version=__version__)
     (name1, vals1), (name2, vals2) = axes
 
@@ -329,8 +326,8 @@ def _verify_checks():
     opa = build_opa(OpaParams(0.4, 0.0, 2.0), fgrid)
     checks.append(("opa symplectic", verify_symplectic(opa).max_residual, 1e-10))
 
-    # A resonant stage has real kernels, so its chain takes the two n x n block
-    # powers; a detuned stage mixes x with p and takes the 2n x 2n power.
+    # A resonant chain raises its stage's f-circulant symbol; a detuned stage
+    # mixes x with p, so its chain takes the 2n x 2n quadrature power.
     for name, detuning in (("twpa symplectic", 0.0), ("detuned twpa symplectic", 0.3)):
         twpa = build_twpa(
             TwpaParams(OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2)), 100, 0.01),
@@ -435,17 +432,19 @@ def main(argv=None) -> int:
         return 1
     # One BLAS thread per process: the data files' bits then do not depend
     # on the thread count, and each pool worker keeps to its own core.
+    # One dump gives the config's hash and the text of config_used.yaml.
     command = {"modes": cmd_modes, "state": cmd_state, "sweep": cmd_sweep}[args.command]
     try:
         with blas.one_blas_thread():
-            manifest = command(cfg, args.out)
+            text = dump_config(cfg)
+            manifest = command(cfg, args.out, dump_hash(text))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    (args.out / "config_used.yaml").write_text(dump_config(cfg))
+    (args.out / "config_used.yaml").write_text(text)
     manifest.add_file(args.out / "config_used.yaml")
     manifest.write(args.out / "manifest.json")
     print(f"wrote {len(manifest.files)} files to {args.out}")

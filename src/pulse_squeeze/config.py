@@ -39,6 +39,7 @@ __all__ = [
     "load_recipe",
     "dump_config",
     "config_hash",
+    "dump_hash",
     "validate_config",
     "parse_config",
     "sweep_axes",
@@ -90,7 +91,12 @@ def dump_config(cfg: dict) -> str:
 
 
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(dump_config(cfg).encode()).hexdigest()
+    return dump_hash(dump_config(cfg))
+
+
+def dump_hash(text: str) -> str:
+    """``config_hash`` of the config whose :func:`dump_config` is ``text``."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def set_by_path(cfg: dict, dotted: str, value) -> dict:

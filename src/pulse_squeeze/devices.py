@@ -12,18 +12,25 @@ complex128 kernels.  At zero detuning the gain half-steps commute and the
 cavity's x and p quadratures evolve apart, so the chain sums in closed form
 to float64 kernels, with no loop over slices.
 
-A TWPA is a chain of identical OPO stages, folded as a power of the
-stage's real quadrature map (the map ``compose`` multiplies).  A resonant
-stage (detuning 0) has real kernels, so its map never mixes x with p: the
-chain raises the two n x n blocks separately, a quarter of the flops of
-the 2n x 2n power, and its kernels stay real.  A detuned stage raises the
-full 2n x 2n map: about log2(n_stages) real squarings, half the flops of
-the complex kernel products.  Powers of a symplectic map are symplectic,
-so the folded chain needs no re-projection.  Measured residuals of
+A TWPA is a chain of identical OPO stages.  A resonant stage (detuning 0)
+never mixes x with p, and each of its quadrature maps is ``E T E^-1``: a
+diagonal scale by the pump area ``C_k`` up to slice k around an
+f-circulant Toeplitz ``T`` that all stages share.  The chain raises the
+length-n symbol of ``T`` as a polynomial modulo ``z^n - f`` (about
+log2(n_stages) convolutions) and fills F and G once; its kernels stay
+real.  Against a long-double power of the float64 stage (n = 128, stage
+area 4 / n_stages) it is off by 8.8e-16, 1.3e-15, 7.6e-15 and 7.6e-14 of
+the largest F entry at 2, 7, 100 and 1000 stages; raising the two n x n
+maps was off by 6.2e-15, 1.0e-14, 1.7e-13 and 2.9e-12.  A detuned stage
+raises its full real 2n x 2n quadrature map (the map ``compose``
+multiplies): about log2(n_stages) real squarings, half the flops of the
+complex kernel products.  Powers of a symplectic map are symplectic, so
+neither fold needs a re-projection.  Measured residuals of
 ``verify_symplectic`` (stage pump width 0.2, window [-10, 30]), resonant:
-2.3e-13 at 100 stages of area 0.01 on 1024 points and 3.1e-13 on 256
-points, 3.4e-12 at 1000 stages of area 0.001 on 256 points and 2.5e-12 on
-512; detuned (0.3): 6.9e-14 at 100 stages of area 0.01 on 256 points.
+2.2e-14 at 100 stages of area 0.01 on 1024 points and 4.7e-14 on 256
+points, 4.1e-13 at 1000 stages of area 0.001 on 256 points and 3.1e-13 on
+512 (the n x n matrix powers read 2.3e-13, 3.1e-13, 3.4e-12 and 2.5e-12);
+detuned (0.3): 6.9e-14 at 100 stages of area 0.01 on 256 points.
 """
 
 from __future__ import annotations
@@ -179,6 +186,39 @@ def _check_ring_down(loop_norm: float, anomalous: float, gamma: float) -> None:
         )
 
 
+def _covered_areas(pump: GaussianPump, grid: TemporalGrid) -> np.ndarray:
+    """The pump area of each slice; raises when the window misses part of it."""
+    areas = pump.step_areas(grid)
+    missing = abs(float(areas.sum()) - pump.area)
+    if missing > 1e-6 * max(abs(pump.area), 1e-12):
+        raise GridTooShortError(
+            f"grid covers only {areas.sum():.6g} of the pump area "
+            f"{pump.area:.6g}; widen the window around t = {pump.center:g}"
+        )
+    return areas
+
+
+def _resonant_pump(params: OpoParams, grid: TemporalGrid) -> tuple[np.ndarray, float, float]:
+    """``C_k``, the pump area up to the middle of slice k, the total area
+    ``A`` and ``log eta`` of a resonant cavity, after both grid checks.
+
+    The final cavity rows are ``x_j = -s eta^(n-1-j) e^(A - C_j)`` and ``p_j``
+    the same with ``-(A - C_j)``; the anomalous part is ``(x - p) / 2``.  The
+    2 x 2 loop has singular values ``eta^n e^(+-A)``.
+    """
+    areas = _covered_areas(params.pump, grid)
+    n = grid.n_points
+    log_eta = -params.decay * grid.dt / 2.0
+    mid = np.cumsum(areas) - 0.5 * areas
+    total = float(areas.sum())
+    eta = math.exp(log_eta)
+    s = math.sqrt(1.0 - eta * eta)
+    tail = np.exp((n - 1 - np.arange(n)) * log_eta)
+    _check_ring_down(math.exp(n * log_eta + abs(total)),
+                     s * float(np.linalg.norm(tail * np.sinh(total - mid))), params.decay)
+    return mid, total, log_eta
+
+
 def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Input-output kernels of a pulse-pumped OPO cavity.
 
@@ -193,45 +233,43 @@ def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
         rung down at the window end (residual above ``RING_DOWN_TOL``); the
         message suggests how far to extend the grid.
     """
-    areas = params.pump.step_areas(grid)
-    missing = abs(float(areas.sum()) - params.pump.area)
-    if missing > 1e-6 * max(abs(params.pump.area), 1e-12):
-        raise GridTooShortError(
-            f"grid covers only {areas.sum():.6g} of the pump area "
-            f"{params.pump.area:.6g}; widen the window around t = {params.pump.center:g}"
-        )
-    log_eta = -params.decay * grid.dt / 2.0
     if params.detuning:
-        return _detuned_opo(params, grid, areas, log_eta)
-    return _resonant_opo(params, grid, areas, log_eta)
+        return _detuned_opo(params, grid, _covered_areas(params.pump, grid))
+    return _resonant_opo(grid, *_resonant_pump(params, grid))
 
 
-def _detuned_opo(params: OpoParams, grid: TemporalGrid, areas: np.ndarray,
-                 log_eta: float) -> BogoliubovKernels:
+def _detuned_opo(params: OpoParams, grid: TemporalGrid,
+                 areas: np.ndarray) -> BogoliubovKernels:
     """The slice chain: per slice, a gain half-step, the exact cavity <->
     slice exchange and a second half-step, on complex coefficient rows."""
     n = grid.n_points
     dt = grid.dt
     xi_bar = areas / dt
-    eta = math.exp(log_eta)
+    eta = math.exp(-params.decay * dt / 2.0)
     s = math.sqrt(1.0 - eta * eta)
 
     # Coefficient rows of the running cavity operator over the n field
-    # slices plus the initial-cavity port (column n).
+    # slices plus the initial-cavity port (column n).  The emitted rows keep
+    # the port column apart, so the closure below adds into the output rows
+    # in place.
     phi = np.zeros(n + 1, dtype=complex)
     psi = np.zeros(n + 1, dtype=complex)
     phi[n] = 1.0
-    out_f = np.zeros((n, n + 1), dtype=complex)
-    out_g = np.zeros((n, n + 1), dtype=complex)
+    out_f = np.empty((n, n), dtype=complex)
+    out_g = np.empty((n, n), dtype=complex)
+    port_f = np.empty(n, dtype=complex)
+    port_g = np.empty(n, dtype=complex)
 
     for k in range(n):
         e11, e12 = _gain_half_step(params.detuning, xi_bar[k], dt / 2.0)
         phi, psi = e11 * phi + e12 * psi.conj(), e11 * psi + e12 * phi.conj()
         # Exact cavity <-> slice exchange; the emitted slice leaves before
         # the second half-step.
-        out_f[k] = s * phi
+        out_f[k] = s * phi[:n]
         out_f[k, k] += eta
-        out_g[k] = s * psi
+        port_f[k] = s * phi[n]
+        out_g[k] = s * psi[:n]
+        port_g[k] = s * psi[n]
         phi = eta * phi
         phi[k] -= s
         psi = eta * psi
@@ -248,11 +286,14 @@ def _detuned_opo(params: OpoParams, grid: TemporalGrid, areas: np.ndarray,
     # conj psi].  The loop gain is the ring-down residual, far below
     # RING_DOWN_TOL.
     alpha, beta_c = np.linalg.solve(np.eye(2) - loop, np.vstack([phi[:n], psi[:n].conj()]))
-    f_b = out_f[:, :n] + np.outer(out_f[:, n], alpha) + np.outer(out_g[:, n], beta_c)
-    g_star_b = (out_g[:, :n] + np.outer(out_f[:, n], beta_c.conj())
-                + np.outer(out_g[:, n], alpha.conj()))
-
-    return BogoliubovKernels(grid, f_b / dt, g_star_b.conj() / dt)
+    out_f += port_f[:, None] * alpha
+    out_f += port_g[:, None] * beta_c
+    out_g += port_f[:, None] * beta_c.conj()
+    out_g += port_g[:, None] * alpha.conj()
+    out_f /= dt
+    np.conjugate(out_g, out=out_g)
+    out_g /= dt
+    return BogoliubovKernels(grid, out_f, out_g)
 
 
 # Row tiles of ``_resonant_opo``: at most _TILE_ROWS rows, and few enough
@@ -262,15 +303,16 @@ _TILE_DECAY = 16.0
 _TILE_ROWS = 64
 
 
-def _resonant_opo(params: OpoParams, grid: TemporalGrid, areas: np.ndarray,
+def _resonant_opo(grid: TemporalGrid, mid: np.ndarray, total: float,
                   log_eta: float) -> BogoliubovKernels:
     """The slice chain at zero detuning, summed in closed form.
 
     Each gain half-step is then ``exp(a_k/2 sigma_x)`` (``a_k`` the pump
     area of slice k): the half-steps commute, and ``x = phi + psi`` and ``p
     = phi - psi`` evolve apart, scaled by ``e^(+a_k/2)`` and ``e^(-a_k/2)``.
-    With ``C_k`` the pump area up to the middle of slice k, ``A`` the total
-    area and ``eta = exp(log_eta)``, the x map ``X = (F + G) dt`` is
+    With ``C_k`` (``mid``) the pump area up to the middle of slice k, ``A``
+    (``total``) the total area and ``eta = exp(log_eta)``, the x map ``X =
+    (F + G) dt`` is
 
         X[k, j] = eta delta_kj - s^2 eta^(k-j-1) e^(C_k - C_j) / (1 - L)     (k > j)
         X[k, j] = eta delta_kj - s^2 eta^(n+k-j-1) e^(A + C_k - C_j) / (1 - L)   (k <= j)
@@ -285,16 +327,6 @@ def _resonant_opo(params: OpoParams, grid: TemporalGrid, areas: np.ndarray,
     """
     n = grid.n_points
     eta = math.exp(log_eta)
-    mid = np.cumsum(areas) - 0.5 * areas  # C_k
-    total = float(areas.sum())  # A
-
-    # The final cavity rows are x_j = -s eta^(n-1-j) e^(A - C_j) and p_j the
-    # same with -(A - C_j); the anomalous part is (x - p) / 2.  The 2 x 2
-    # loop has singular values eta^n e^(+-A).
-    s = math.sqrt(1.0 - eta * eta)
-    tail = np.exp((n - 1 - np.arange(n)) * log_eta)
-    _check_ring_down(math.exp(n * log_eta + abs(total)),
-                     s * float(np.linalg.norm(tail * np.sinh(total - mid))), params.decay)
 
     # Rows: x, p.  kappa folds in -s^2 / (1 - L) and the 1 / (2 dt) of
     # F = (X + P) / (2 dt), G = (X - P) / (2 dt).
@@ -378,16 +410,18 @@ def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
 def build_twpa(params: TwpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Fold ``n_stages`` identical OPO stages into one kernel pair.
 
-    The stage's quadrature map (see ``kernels.compose``) is raised to the
-    power ``n_stages`` by ``kernels._quadrature_power``: as two real n x n
-    block powers when the stage kernels are real (a resonant stage, whose
-    chain kernels are float64 too), else as one real 2n x 2n power.
-    ``np.linalg.matrix_power`` takes floor(log2(n_stages)) squarings, plus
-    one product for each set bit of ``n_stages`` above the lowest.  The
-    stage kernels are released before the power.  The symplectic residual
-    grows only by round-off (resonant: 2.3e-13 at 100 stages, n = 1024, and
-    2.5e-12 at 1000 stages, n = 512; detuned: 6.9e-14 at 100 stages, n =
-    256), so nothing is re-projected.
+    A resonant stage's quadrature maps are ``E T E^-1`` with ``E =
+    diag(e^(+-C_k))`` and ``T`` f-circulant (:func:`_resonant_chain`), so the
+    chain raises two length-n coefficient vectors to the power ``n_stages``
+    and fills F and G once; it builds no stage kernels and multiplies no
+    matrices.  A detuned stage mixes x with p: its real 2n x 2n quadrature
+    map is raised by ``kernels._quadrature_power``.  Both run the stage's
+    grid checks.  Against a long-double power of the float64 stage (n =
+    128, stage area 4 / n_stages), the resonant fold is off by 8.8e-16,
+    1.3e-15, 7.6e-15 and 7.6e-14 of the largest F entry at 2, 7, 100 and
+    1000 stages, where raising the matrices was off by 6.2e-15 to 2.9e-12.
+    The symplectic residual grows only by round-off (detuned: 6.9e-14 at
+    100 stages, n = 256), so nothing is re-projected.
     One stage returns the stage kernels unchanged.
     """
     stage_params = dataclasses.replace(
@@ -396,4 +430,81 @@ def build_twpa(params: TwpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     )
     if params.n_stages == 1:
         return build_opo(stage_params, grid)
-    return _quadrature_power(build_opo(stage_params, grid), params.n_stages)
+    if stage_params.detuning:
+        return _quadrature_power(build_opo(stage_params, grid), params.n_stages)
+    return _resonant_chain(grid, *_resonant_pump(stage_params, grid), params.n_stages)
+
+
+def _circulant_power(c: np.ndarray, f: float, power: int) -> np.ndarray:
+    """Coefficients of ``c(z)^power`` modulo ``z^n - f``, ``n = len(c)``.
+
+    The f-circulant matrices ``sum_d c_d Z^d`` (``Z`` the down-shift whose
+    wrapped corner entry is ``f``, so ``Z^n = f I``) multiply as these
+    polynomials.  One product is a convolution whose top ``n - 1``
+    coefficients wrap onto the bottom ones times ``f``; the power takes
+    floor(log2(power)) squarings, plus one product for each set bit above
+    the lowest.
+    """
+    n = len(c)
+
+    def times(a, b):
+        full = np.convolve(a, b)
+        out = full[:n]
+        out[:-1] += f * full[n:]
+        return out
+
+    result = None
+    while True:
+        if power & 1:
+            result = c if result is None else times(result, c)
+        power >>= 1
+        if not power:
+            return result
+        c = times(c, c)
+
+
+def _resonant_chain(grid: TemporalGrid, mid: np.ndarray, total: float, log_eta: float,
+                    n_stages: int) -> BogoliubovKernels:
+    """``n_stages`` resonant stages (:func:`_resonant_opo`) in closed form.
+
+    The stage's x map is ``X = E T E^-1`` with ``E = diag(e^(C_k))`` and
+    ``T[k, j] = c_(k-j)`` for ``k >= j``, ``f c_(n+k-j)`` for ``k < j``:
+    f-circulant with ``f = e^A``, ``c_0 = eta - s^2 eta^(n-1) e^A / (1 -
+    L)`` and ``c_d = -s^2 eta^(d-1) / (1 - L)`` for ``d >= 1``.  The p map
+    takes ``-C`` and ``-A``.  All stages share ``E``, so ``X^N = E T^N
+    E^-1``, and ``T^N`` is f-circulant again, with coefficients from
+    :func:`_circulant_power`.  Its n x n entries are a strided Toeplitz view
+    of the wrapped coefficients; scaled by ``e^(+-(C_k - C_j))`` they give
+    ``X^N`` and ``P^N``, and ``F = (X^N + P^N) / (2 dt)``, ``G = (X^N -
+    P^N) / (2 dt)``.  Each scale is a product of a row and a column factor
+    centred on ``A / 2``, so no factor passes ``e^(A/2)``.  Without a pump
+    both maps are the same bits, so G is exactly 0.
+    """
+    n = grid.n_points
+    eta = math.exp(log_eta)
+    index = np.arange(n)
+    shifted = mid - 0.5 * total
+
+    def chain_map(sign):
+        """``X^N`` (sign 1) or ``P^N`` (sign -1)."""
+        f = math.exp(sign * total)
+        kappa = -(1.0 - eta * eta) / (1.0 - math.exp(n * log_eta + sign * total))
+        c = kappa * np.exp((index - 1) * log_eta)
+        c[0] = eta + kappa * math.exp((n - 1) * log_eta + sign * total)
+        c = _circulant_power(c, f, n_stages)
+        # Entry (k, j) reads wrapped[n - 1 - k + j]: c_(k-j) from the reversed
+        # coefficients, f c_(n+k-j) after them.
+        wrapped = np.concatenate([c[::-1], f * c[:0:-1]])
+        toeplitz = np.lib.stride_tricks.sliding_window_view(wrapped, n)[::-1]
+        m = np.exp(sign * shifted)[:, None] * toeplitz
+        m *= np.exp(-sign * shifted)
+        return m
+
+    x, p = chain_map(1.0), chain_map(-1.0)
+    g = x - p
+    x += p
+    del p
+    scale = 0.5 / grid.dt
+    x *= scale
+    g *= scale
+    return BogoliubovKernels(grid, x, g)

@@ -656,11 +656,10 @@ class TestCliCommands:
         "case", ["modes", "modes-opa", "modes-twpa", "modes-twpa-detuned", "state"])
     def test_identical_across_blas_threads(self, tmp_path, case):
         # The n x n vacuum ladder (modes: occupations.csv, spectrum.json;
-        # state: m1 in metrics.json), the OPA eigenbasis, the TWPA's real
-        # quadrature powers (dgemm: the two n x n block powers of a resonant
-        # chain, the 2n x 2n power of a detuned one) and the Wigner products
-        # (wigner.csv) are the BLAS calls whose bits would follow the thread
-        # count.
+        # state: m1 in metrics.json), the OPA eigenbasis, a detuned TWPA's
+        # 2n x 2n quadrature power (dgemm; a resonant chain multiplies no
+        # matrices) and the Wigner products (wigner.csv) are the BLAS calls
+        # whose bits would follow the thread count.
         modes_files = ("occupations.csv", "modes.csv", "spectrum.json")
         n_points = 512
         if case == "modes":
@@ -720,7 +719,7 @@ class TestVerifyCommand:
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        # both TWPA folds: the resonant block powers and the detuned full power
+        # both TWPA folds: the resonant symbol power and the detuned full power
         names = {line.split("  residual")[0].strip() for line in out.splitlines()}
         assert {"twpa symplectic", "detuned twpa symplectic"} <= names
 

@@ -33,8 +33,6 @@ from pulse_squeeze.grids import (
 )
 from pulse_squeeze.kernels import (
     BogoliubovKernels,
-    _from_quadrature,
-    _to_quadrature,
     apply_to_mode,
     compose,
     identity_kernels,
@@ -124,6 +122,20 @@ class TestBuildOpo:
         grid = TemporalGrid(-10.0, t_end, 256)
         k = build_opo(OpoParams(0.3, 1.0, GaussianPump(3.0, 0.0, 0.3)), grid)
         assert verify_symplectic(k).max_residual < 1e-12
+
+    def test_detuned_peak_memory(self):
+        # The closure adds into the emitted rows in place and keeps the port
+        # column apart: 1.54x the returned kernels at n = 512, where rows that
+        # carried the port column and a closure into new arrays peaked at 3.0x.
+        grid = default_opo_grid(1.0, 512)
+        tracemalloc.start()
+        try:
+            k = build_opo(OpoParams(0.3, 1.0, GaussianPump(1.5, 0.0, 0.1)), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.F.dtype == k.G.dtype == np.complex128
+        assert peak < 2.0 * (k.F.nbytes + k.G.nbytes)
 
     def test_pump_outside_grid_rejected(self, grid):
         with pytest.raises(GridTooShortError, match="pump"):
@@ -343,24 +355,41 @@ class TestBuildTwpa:
         assert max_relative_difference(expected, k) < 1e-10
 
     @pytest.mark.parametrize("n_stages", [2, 7, 100, 1000])
-    def test_resonant_chain_matches_full_quadrature_power(self, n_stages):
-        # A resonant stage has real kernels, so the chain takes the two n x n
-        # block powers; the oracle raises the full 2n x 2n quadrature map.
+    def test_resonant_chain_matches_long_double_power(self, n_stages):
+        # The oracle raises the float64 stage's x and p maps, (F +- G) dt, by
+        # repeated squaring in long double.  Raising them in float64 misses
+        # this bound at every n_stages (6.2e-15 of the largest F entry at 2
+        # stages, 1.7e-13 at 100, 2.9e-12 at 1000); the symbol fold reads
+        # 8.8e-16, 1.3e-15, 7.6e-15 and 7.6e-14 at 2, 7, 100 and 1000.
+        assert np.finfo(np.longdouble).eps < 1e-18
         grid = TemporalGrid(-10.0, 30.0, 128)
         stage = OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2))
         per_stage = 4.0 / n_stages
         k = build_twpa(TwpaParams(stage, n_stages, per_stage), grid)
         one = build_twpa(TwpaParams(stage, 1, per_stage), grid)
-        assert not one.F.imag.any() and not one.G.imag.any()
-        expected = _from_quadrature(np.linalg.matrix_power(_to_quadrature(one), n_stages), grid)
-        scale = np.abs(expected.F).max()
-        assert np.abs(k.F - expected.F).max() < 1e-13 * scale
-        assert np.abs(k.G - expected.G).max() < 1e-13 * scale
+        dt = np.longdouble(grid.dt)
+        f, g = one.F.astype(np.longdouble), one.G.astype(np.longdouble)
+
+        def power(m, n):
+            result = None
+            while n:
+                if n & 1:
+                    result = m if result is None else result @ m
+                n >>= 1
+                if n:
+                    m = m @ m
+            return result
+
+        x, p = power((f + g) * dt, n_stages), power((f - g) * dt, n_stages)
+        expected_f, expected_g = (x + p) / (2 * dt), (x - p) / (2 * dt)
+        bound = 1e-15 * n_stages * np.abs(expected_f).max()
+        assert np.abs(k.F - expected_f).max() < bound
+        assert np.abs(k.G - expected_g).max() < bound
 
     def test_resonant_stage_kernels_are_real(self):
-        # Every resonant recipe folds its chain by the block powers; a detuned
-        # stage mixes x with p and keeps the full quadrature power.  The
-        # builder knows which: a resonant stage and its chain store float64.
+        # Every resonant recipe folds its chain from the stage's symbol; a
+        # detuned stage mixes x with p and keeps the full quadrature power.
+        # The builder knows which: a resonant stage and its chain store float64.
         grid = TemporalGrid(-10.0, 30.0, 128)
         pump = GaussianPump(0.05, 0.0, 0.2)
         resonant = build_opo(OpoParams(0.0, 1.0, pump), grid)
@@ -372,10 +401,10 @@ class TestBuildTwpa:
             chain = build_twpa(TwpaParams(OpoParams(detuning, 1.0, pump), 10, 0.02), grid)
             assert chain.F.dtype == chain.G.dtype == dtype
 
-    @pytest.mark.parametrize(
-        "detuning, shapes", [(0.0, [(128, 128)] * 2), (0.6, [(256, 256)])])
+    @pytest.mark.parametrize("detuning, shapes", [(0.0, []), (0.6, [(256, 256)])])
     def test_fold_raises_blocks_only_for_real_kernels(self, monkeypatch, detuning, shapes):
-        # n = 128: two n x n block powers when resonant, one 2n x 2n power when detuned
+        # n = 128: a resonant chain raises its stage's symbol and no matrix;
+        # a detuned chain raises its one 2n x 2n quadrature map.
         grid = TemporalGrid(-10.0, 30.0, 128)
         stage = OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2))
         raised = []
@@ -435,10 +464,11 @@ class TestRealPath:
         "name, tol", [("opo", 1e-13), ("twpa-2", 1e-13), ("twpa-100", 1e-12), ("identity", 0.0)])
     def test_builder_matches_complex_path(self, pairs, name, tol):
         # The 100-stage oracle's chain is complex, so it raises the 2n x 2n
-        # quadrature map where the real chain raises two n x n blocks (as
-        # the complex stage's real parts were raised before kernels were
-        # real).  The summation orders differ: 5.1e-13 of the largest entry
-        # here, 3.5e-15 at n = 256.  The stages themselves agree to 1e-17.
+        # quadrature map where the real chain raises its stage's f-circulant
+        # symbol.  Against a long-double power of the stage's maps, the
+        # 100-stage oracle is off by 7.8e-13 of the largest F entry here (in
+        # G), the real chain by 2.5e-15; the two differ by 7.8e-13.  The
+        # stages themselves agree to 1e-17.
         real, oracle = pairs[name]
         assert real.F.dtype == real.G.dtype == np.float64
         assert oracle.F.dtype == oracle.G.dtype == np.complex128

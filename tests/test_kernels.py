@@ -125,8 +125,8 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("f_phase, g_phase", [(1.0, 1.0), (1.0, 1j), (1j, 1.0)])
     def test_power_matches_repeated_compose(self, freq_grid, f_phase, g_phase):
-        # Real F and G take the two block powers; an imaginary F or G mixes
-        # x with p and needs the full 2n x 2n power.
+        # The squeezer's kernels are complex128, so every phase takes the
+        # full 2n x 2n power; an imaginary F or G mixes x with p.
         k = ideal_squeezer_kernels(freq_grid, gaussian_mode(freq_grid, 0.5, 1.0), 0.4)
         k = BogoliubovKernels(freq_grid, k.F * f_phase, k.G * g_phase)
         expected = k
