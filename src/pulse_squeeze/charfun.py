@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .states import QuantumState, log_factorial
+from .states import QuantumState, SeparableChi, log_factorial
 
 __all__ = [
     "GaussianChannel",
@@ -46,6 +46,7 @@ __all__ = [
     "wigner_from_char",
     "fock_from_char",
     "overlap",
+    "overlaps",
 ]
 
 BASE_EXTENT = 6.0
@@ -169,17 +170,22 @@ class CharGrid:
     def mesh(self) -> np.ndarray:
         return self.re_axis[:, None] + 1j * self.im_axis[None, :]
 
+    def half_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The axes of rows ``0 .. half`` of the mesh (Re beta <= 0, the
+        beta = 0 row included): ``re[:half + 1]`` and the whole ``im``."""
+        return self.re_axis[: self.n_side // 2 + 1], self.im_axis
+
     def sample_half(self, evaluator: GaussianChannel) -> np.ndarray:
         """The single-mode channel ``evaluator`` on rows ``0 .. half`` of the
-        mesh (Re beta <= 0, the beta = 0 row included), by ``evaluator.at`` on
-        the contiguous real axes ``re[:half + 1, None]`` and ``im[None, :]``.
+        mesh, by ``evaluator.at`` on the contiguous real axes of
+        ``half_axes``, ``re[:half + 1, None]`` and ``im[None, :]``.
 
         Every chi the package samples is ``Tr[rho D(beta)]`` of a density
         matrix, and ``D(beta)^dag = D(-beta)`` makes it Hermitian,
         chi(-beta) = conj(chi(beta)), so these rows determine the rest: the
         overlaps and the Fock reconstruction read them alone."""
-        half = self.n_side // 2
-        return evaluator.at(self.re_axis[: half + 1, None], self.im_axis[None, :])
+        re, im = self.half_axes()
+        return evaluator.at(re[:, None], im[None, :])
 
     def sample(self, evaluator: GaussianChannel) -> np.ndarray:
         """The single-mode channel ``evaluator`` on the whole mesh: rows
@@ -546,7 +552,7 @@ def overlap(chi: CharFunction, target: GaussianChannel | CharFunction) -> float:
     Both chi are Hermitian, so a mirror pair beta, -beta adds the same
     Re(conj chi chi_target) twice: the sum is
     (h^2/pi) [2 sum_(rows < half) + sum_(row half)] over the half plane.
-    A real target (the even cat's squeeze-fit family) skips Im chi."""
+    A real target skips Im chi.  ``overlaps`` takes a batch of channels."""
     half = chi.grid.n_side // 2
     if isinstance(target, CharFunction):
         if target.grid != chi.grid:
@@ -559,3 +565,33 @@ def overlap(chi: CharFunction, target: GaussianChannel | CharFunction) -> float:
     if np.iscomplexobj(target_half):
         rows += np.sum(c.imag * target_half.imag, axis=1)
     return float((2.0 * np.sum(rows[:half]) + rows[half]) * chi.grid.weight / np.pi)
+
+
+def overlaps(chi: CharFunction, targets: Sequence[GaussianChannel]) -> np.ndarray:
+    """``overlap`` of chi with each channel of ``targets``.
+
+    When the targets share a ``SeparableChi`` base, each through a diagonal
+    X and no noise (the squeeze-fit targets and alignment probes of every
+    closed-form input), target k on the half grid is sum_t a_tk (x) b_tk
+    with a_tk = f_t(X_k[0, 0] re[:half + 1]) and b_tk = g_t(X_k[1, 1] im).
+    The half-plane sum is then sum_t rowsum(a_t . ((W C) @ b_t)), W the row
+    weights (2, ..., 2, 1) and C = Re chi for real factors or conj chi for
+    complex ones: one matrix product for the batch, and no target is
+    sampled on the mesh.  Any other batch (a Fock-sum input) samples each
+    target by ``overlap``."""
+    base = targets[0].base if targets else None
+    if not isinstance(base, SeparableChi) or any(
+            t.base is not base or t.X[0, 1] or t.X[1, 0] or t.Y.any() for t in targets):
+        return np.array([overlap(chi, t) for t in targets])
+    re, im = chi.grid.half_axes()
+    scales = np.array([t.X[0, 0] for t in targets]), np.array([t.X[1, 1] for t in targets])
+    factors = base.factors(scales[0][:, None] * re, scales[1][:, None] * im)
+    k = len(targets)
+    a = np.stack([np.broadcast_to(f, (k, len(re))) for f, _ in factors])  # (t, k, rows)
+    b = np.concatenate([np.broadcast_to(g, (k, len(im))) for _, g in factors])  # (t k, cols)
+    c = chi.values[: len(re)]
+    c = np.conj(c) if np.iscomplexobj(a) or np.iscomplexobj(b) else c.real
+    weights = np.full((len(re), 1), 2.0)
+    weights[-1] = 1.0
+    contracted = ((weights * c) @ b.T).T.reshape(a.shape)  # (t, k, rows)
+    return np.einsum("tkr,tkr->k", a, contracted).real * (chi.grid.weight / np.pi)

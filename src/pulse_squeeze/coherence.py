@@ -15,17 +15,25 @@ device alone, and its mode ladder is solved only when read, and only for
 the few eigenpairs above ``OCCUPATION_CUT`` of the total.
 
 The ladder is the eigenproblem of the Gram matrix ``H H^dag``, with
-``H = dt conj(G)``.  A seeded Gaussian block of a few dozen columns, two
+``H = dt conj(G)``.  A Gaussian start block of a few dozen columns, two
 applications of ``H H^dag`` and a Rayleigh-Ritz step (the range finder of
 Halko, Martinsson & Tropp, SIAM Rev. 53, 217 (2011)) give its top pairs in
-O(n^2 k) without forming the n x n matrix.  Ritz values never exceed the
-eigenvalues they approximate, so ``vacuum_total`` minus the sum of the
-block's Ritz values bounds every eigenvalue the block did not keep; the
-block is accepted when that bound stays under the cut and each kept pair's
-residual is at round-off, and grown from its kept count otherwise.  A
-ladder so wide that its blocks would together pass the storage of n / 4
-complex columns goes to the dense solve instead, which forms the Gram
-matrix by one rank-k update and solves it by a subset ``eigh``.
+O(n^2 k) without forming the n x n matrix.  The start block is drawn from a
+fixed counter stream (splitmix64 and Box-Muller, in numpy arithmetic, so a
+ladder solve does not import ``numpy.random``); the certificate, not the
+start, vouches for the result.  Ritz values never exceed the eigenvalues they
+approximate, so ``vacuum_total`` minus the sum of the block's Ritz values
+bounds every eigenvalue the block did not keep; the block is accepted when
+that bound stays under the cut and each kept pair's residual is at
+round-off, and grown from its kept count otherwise.  A ladder so wide that
+its blocks would together pass the storage of n / 4 complex columns goes
+to the dense solve instead, which forms the Gram matrix by one rank-k
+update and solves it by a subset ``eigh``.
+
+A reader of only the first few pairs (a ``state`` run reads one, or two to
+pick a vacuum-seeded output mode) takes ``ModeSpectrum.head``: one narrow
+block whose certificate covers those pairs alone, their residuals and the
+bound on every other eigenvalue lying below the last of them.
 
 A real G (float64 kernels: a resonant OPO or TWPA) keeps the whole ladder
 real: the blocks are real with twice the columns in the same storage, and
@@ -66,6 +74,10 @@ OCCUPATION_CUT = 1e-8
 LADDER_SEED = 2011
 LADDER_START = 32
 LADDER_SHARE = 4
+# Columns per pair of a ladder head's block, complex for a complex G and
+# real for a real one: the head's accuracy rests on the block's rank, not
+# on its storage.
+LADDER_HEAD = 16
 # A kept Ritz pair is accepted when its residual is at round-off against the
 # top value, and small against its gap to the other values: residual over
 # gap bounds the angle to the true eigenvector (Davis-Kahan).
@@ -105,13 +117,16 @@ class ModeSpectrum:
     the total.  The ladder is solved the first time it is read, and only its
     eigenpairs above the cut are computed (``(lam, mode)`` pairs,
     descending), typically a dozen of n: by the certified block solve, or
-    by the dense one when the ladder is too wide for it.
+    by the dense one when the ladder is too wide for it.  ``head(k)``
+    gives its first k pairs, from a block of their own while the full
+    ladder is unsolved.
     """
 
     seeded: list[tuple[float, ModeFunction]]
     seeded_total: float
     vacuum_total: float
     kernels: BogoliubovKernels = field(repr=False)
+    _heads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total(self) -> float:
@@ -140,9 +155,30 @@ class ModeSpectrum:
         pairs = _block_ladder(k.G, dt, self.vacuum_total, cut)
         if pairs is None:
             pairs = _dense_ladder(k.G, dt, cut)
-        vals, vecs = pairs
+        return self._modes(*pairs)
+
+    def head(self, count: int) -> list[tuple[float, ModeFunction]]:
+        """``vacuum[:count]``, without the rest of the ladder when it is not
+        solved yet: one ``_ritz_block`` of ``LADDER_HEAD`` columns per pair,
+        certified for its first ``count`` pairs alone.  A block past the
+        ladder's block budget, or one that fails its certificate, falls back
+        to the full ladder."""
+        k = self.kernels
+        cut = OCCUPATION_CUT * self.total
+        cols = LADDER_HEAD * count
+        per = 1 if np.iscomplexobj(k.G) else 2
+        if ("vacuum" in self.__dict__ or self.vacuum_total <= cut
+                or cols > per * (k.grid.n_points // LADDER_SHARE)):
+            return self.vacuum[:count]
+        if count not in self._heads:
+            vals, vecs, certified = _ritz_block(k.G, k.grid.dt, self.vacuum_total, cut, cols, count)
+            self._heads[count] = self._modes(vals, vecs) if certified else self.vacuum[:count]
+        return self._heads[count]
+
+    def _modes(self, vals, vecs) -> list[tuple[float, ModeFunction]]:
+        grid = self.kernels.grid
         return [
-            (float(lam), ModeFunction(k.grid, _pin_phase(vec) / np.sqrt(dt)))
+            (float(lam), ModeFunction(grid, _pin_phase(vec) / np.sqrt(grid.dt)))
             for lam, vec in zip(vals, vecs.T)
         ]
 
@@ -168,13 +204,29 @@ def _block_ladder(g: np.ndarray, dt: float, total: float, cut: float):
     return None
 
 
-def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, cols: int):
-    """Ritz pairs above ``cut`` of a ``cols``-column block, and whether
-    they are certified.
+def _gaussian_block(rows: int, cols: int) -> np.ndarray:
+    """A standard normal ``(rows, cols)`` block from ``LADDER_SEED``: the
+    splitmix64 outputs of a counter, paired into uniforms by Box-Muller.
+    The integers wrap in array arithmetic only, which raises no overflow."""
+    size = rows * cols
+    z = np.arange(1, size + size % 2 + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(LADDER_SEED)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u1, u2 = (z >> np.uint64(11)).astype(float).reshape(2, -1) * 2.0**-53  # in [0, 1)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u1)), 2.0 * np.pi * u2
+    normal = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return normal[:size].reshape(rows, cols)
 
-    The block ``Omega`` is standard normal from ``LADDER_SEED``, drawn as
-    ``2 cols`` reals viewed as ``cols`` complex columns for a complex G and
-    as ``cols`` real columns for a real one.
+
+def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, cols: int, count=None):
+    """Ritz pairs above ``cut`` of a ``cols``-column block, at most
+    ``count`` of them, and whether they are certified.
+
+    The block ``Omega`` is ``_gaussian_block``, drawn as ``2 cols`` reals
+    viewed as ``cols`` complex columns for a complex G and as ``cols`` real
+    columns for a real one.
 
     ``H x = dt conj(G conj(x))`` and ``H^dag x = dt G^T x`` act on the thin
     blocks only.  ``Q`` spans ``(H H^dag)^2 Omega``; with
@@ -185,7 +237,9 @@ def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, cols: int):
     ``total - sum(theta)``; certified means that bound is under the cut and
     every kept residual passes ``RITZ_RESIDUAL_TOL`` and ``RITZ_ANGLE_TOL``,
     the latter against the gap to the neighbouring kept values (below the
-    last one, to the bound).
+    last one, to the bound).  When ``count`` pairs are kept from a longer
+    ladder, the bound need only lie below the last of them: the kept pairs
+    are then the top ``count`` of the ladder.
     """
 
     def h(x):
@@ -194,23 +248,23 @@ def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, cols: int):
     def h_adj(x):
         return dt * (g.T @ x)
 
-    rng = np.random.default_rng(LADDER_SEED)
     if np.iscomplexobj(g):
-        omega = rng.standard_normal((len(g), 2 * cols)).view(complex)
+        omega = _gaussian_block(len(g), 2 * cols).view(complex)
     else:
-        omega = rng.standard_normal((len(g), cols))
+        omega = _gaussian_block(len(g), cols)
     q = np.linalg.qr(h(h_adj(omega)))[0]
     q = np.linalg.qr(h(h_adj(q)))[0]
     w, s, zh = np.linalg.svd(h_adj(q), full_matrices=False)
     theta = s**2
-    kept = int(np.count_nonzero(theta > cut))
+    kept = min(int(np.count_nonzero(theta > cut)), count or cols)
     vecs = q @ zh[:kept].conj().T
     residual = np.linalg.norm(h(w[:, :kept] * s[:kept]) - vecs * theta[:kept], axis=0)
     bound = (theta[kept] if kept < cols else 0.0) + (total - theta.sum())
     edges = np.concatenate([[np.inf], theta[:kept], [bound]])
     gap = np.minimum(edges[:-2] - edges[1:-1], edges[1:-1] - edges[2:])
     tol = np.minimum(RITZ_RESIDUAL_TOL * theta[0], RITZ_ANGLE_TOL * gap)
-    return theta[:kept], vecs, bool(bound < cut and np.all(residual <= tol))
+    limit = theta[kept - 1] if kept == count else cut
+    return theta[:kept], vecs, bool(bound < limit and np.all(residual <= tol))
 
 
 def _dense_ladder(g: np.ndarray, dt: float, cut: float):
@@ -283,7 +337,14 @@ def seeded_vacuum_split(
     q, r = np.linalg.qr(np.column_stack([fu, gu.conj()]))
     mt = np.array([[moments.n, moments.m], [np.conj(moments.m), moments.n]])
     vals, vecs = np.linalg.eigh(dt * (r @ mt @ r.conj().T))
-    vals = _clamp_negative(vals[::-1], SEEDED_NEG_TOL)
+    try:
+        vals = _clamp_negative(vals[::-1], SEEDED_NEG_TOL)
+    except ValueError:
+        if abs(moments.m) <= moments.n:
+            raise
+        raise ValueError(
+            f"the input's |m| = {abs(moments.m):.6g} exceeds n = {moments.n:.6g}, so the "
+            f"seeded part of g1 is indefinite (negative eigenvalue {vals[0]:.3e})") from None
     seeded_total = float(vals.sum())
     vacuum_total = k.vacuum_total
     cut = OCCUPATION_CUT * (seeded_total + vacuum_total)

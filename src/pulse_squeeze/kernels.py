@@ -71,8 +71,10 @@ class BogoliubovKernels:
     def vacuum_total(self) -> float:
         """Photons the device emits with no input, ``dt^2 ||G||_F^2``: the
         trace of the squeezed-vacuum part of g1.  It depends on the device
-        alone, so it is computed once per kernel pair."""
-        return self.grid.dt**2 * float(np.sum(np.abs(self.G) ** 2))
+        alone, so it is computed once per kernel pair, by one ``vdot`` that
+        makes no n x n temporary."""
+        g = self.G.ravel()
+        return self.grid.dt**2 * float(np.vdot(g, g).real)
 
 
 @dataclass(frozen=True)

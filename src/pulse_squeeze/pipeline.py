@@ -15,7 +15,7 @@ from .charfun import (
     CharFunction,
     fock_from_char,
     output_channel,
-    overlap,
+    overlaps,
     propagate_char,
     state_evaluator,
     wigner_from_char,
@@ -104,24 +104,23 @@ def select_output_mode(
     """Resolve auto_v1 / auto_v2 / file:PATH against the computed spectrum.
 
     Seeded modes take precedence; a vacuum-seeded run falls back to the
-    squeezed-vacuum ladder.  ``file:PATH`` loads an explicit mode (CSV
-    columns t, re, im) and normalizes it on the grid.
+    squeezed-vacuum ladder, of which it reads the head of one or two pairs.
+    ``file:PATH`` loads an explicit mode (CSV columns t, re, im) and
+    normalizes it on the grid.
     """
     if selector.startswith("file:"):
         if grid is None:
             raise ValueError("an explicit mode file needs the grid")
         mode, _ = normalize(ModeFunction(grid, load_mode_samples(selector[5:])))
         return mode
-    pool = spectrum.seeded if spectrum.seeded else spectrum.vacuum
-    if selector == "auto_v1":
-        if not pool:
-            raise ValueError("output field carries no occupation to select a mode from")
-        return pool[0][1]
-    if selector == "auto_v2":
-        if len(pool) < 2:
-            raise ValueError("no second occupied mode available")
-        return pool[1][1]
-    raise ValueError(f"unknown output mode selector {selector!r}")
+    if selector not in ("auto_v1", "auto_v2"):
+        raise ValueError(f"unknown output mode selector {selector!r}")
+    index = int(selector == "auto_v2")
+    pool = spectrum.seeded or spectrum.head(index + 1)
+    if len(pool) <= index:
+        raise ValueError("no second occupied mode available" if index else
+                         "output field carries no occupation to select a mode from")
+    return pool[index][1]
 
 
 def align_amplified_axis(
@@ -149,11 +148,8 @@ def align_amplified_axis(
     first = propagate_char(decomp.rephased(-theta), state)
     mirrored = CharFunction(first.grid, np.conj(first.values), first.evaluator.then(-np.eye(2)))
     rots = [first, mirrored]
-    scores = [-np.inf, -np.inf]
-    # One probe target at a time, scored against both candidates.
-    for r in ALIGN_PROBE_RS:
-        target = squeeze_target_evaluator(state, r)
-        scores = [max(score, overlap(rot, target)) for score, rot in zip(scores, rots)]
+    probes = [squeeze_target_evaluator(state, r) for r in ALIGN_PROBE_RS]
+    scores = [overlaps(rot, probes).max() for rot in rots]
     best = 1 if scores[1] - scores[0] > ALIGN_TIE_RTOL * abs(scores[0]) else 0
     return rots[best], float(phis[best])
 
@@ -189,12 +185,15 @@ def run_state_analysis(
     the characteristic picture.
     """
     result = run_modes(kernels, u, state)
-    # Solve the vacuum ladder now, before the chi stages allocate their
-    # grids: a ladder wide enough for the dense solve then keeps its n x n
-    # workspace out of their peak memory.
-    vacuum = result.spectrum.vacuum
-    result.metrics["m1"] = vacuum[0][0] if vacuum else 0.0
-    v = select_output_mode(result.spectrum, output_mode, kernels.grid)
+    # Solve the head of the vacuum ladder that the run reads now, before the
+    # chi stages allocate their grids: m1, and for a vacuum-seeded run the
+    # one or two pairs auto_v1 or auto_v2 picks from.  A head that falls
+    # back to the full ladder then keeps its workspace out of their peak
+    # memory.
+    spectrum = result.spectrum
+    head = spectrum.head(2 if output_mode == "auto_v2" and not spectrum.seeded else 1)
+    result.metrics["m1"] = head[0][0] if head else 0.0
+    v = select_output_mode(spectrum, output_mode, kernels.grid)
     decomp = decompose_output_mode(kernels, u, v)
     # Anchor the output mode's global phase to the input carrier: rephase the
     # row so the seeded coefficient A is real non-negative.  Eigenvector

@@ -2,8 +2,10 @@
 
 The library states carry closed-form characteristic-function evaluators
 where one exists; downstream phase-space code uses those to avoid both
-interpolation and truncation error.  A config's ``input.state`` names one
-of them by ``kind`` (the state table in ``config``).
+interpolation and truncation error.  Each closed form is a
+``SeparableChi``, a short sum of products of one factor per axis.  A
+config's ``input.state`` names one of them by ``kind`` (the state table in
+``config``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "QuantumState",
+    "SeparableChi",
     "DEFAULT_DIM",
     "destroy",
     "vacuum_state",
@@ -39,6 +42,26 @@ def log_factorial(n):
     return np.asarray(_LGAMMA(np.asarray(n) + 1.0), dtype=float)[()]
 
 
+def _gauss(w, center=0.0):
+    return np.exp(-0.5 * (w - center) ** 2)
+
+
+@dataclass(frozen=True)
+class SeparableChi:
+    """chi(u, v) = sum_t f_t(u) g_t(v).  ``factors(u, v)`` returns the pairs
+    ``(f_t(u), g_t(v))`` on real arrays; calling the chi sums their products
+    pairwise, ``(t0 + t1) + (t2 + t3)`` for four terms.  Evaluated on the
+    axes of a grid, the factors cost one pass per axis."""
+
+    factors: Callable[[np.ndarray, np.ndarray], list[tuple[np.ndarray, np.ndarray]]]
+
+    def __call__(self, u, v):
+        terms = [f * g for f, g in self.factors(u, v)]
+        while len(terms) > 1:
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+        return terms[0]
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Density matrix in the number basis.
@@ -46,7 +69,8 @@ class QuantumState:
     ``char_eval``, when present, evaluates the Weyl characteristic function
     chi(beta) = Tr[rho D(beta)] in closed form at beta = u + i v, as
     ``char_eval(u, v)`` on real arrays that broadcast together: the ``base``
-    protocol of ``charfun.GaussianChannel``.
+    protocol of ``charfun.GaussianChannel``.  Every library state's is a
+    ``SeparableChi``.
     """
 
     rho: np.ndarray = field(repr=False)
@@ -98,12 +122,19 @@ def fock_state(n: int, dim: int = DEFAULT_DIM) -> QuantumState:
         raise ValueError(f"Fock index {n} outside truncation {dim}")
     c = np.zeros(dim, complex)
     c[n] = 1.0
-    eval_ = None
-    if n == 1:
-        eval_ = lambda u, v: np.exp(-0.5 * (u * u + v * v)) * (1.0 - (u * u + v * v))
-    elif n == 0:
-        eval_ = lambda u, v: np.exp(-0.5 * (u * u + v * v))
-    return _pure(c, char_eval=eval_)
+    # e^{-|beta|^2 / 2} L_n(|beta|^2) for n = 0 and 1, on beta = u + i v
+    factors = {0: _vacuum_factors, 1: _single_photon_factors}.get(n)
+    return _pure(c, char_eval=factors and SeparableChi(factors))
+
+
+def _vacuum_factors(u, v):
+    return [(_gauss(u), _gauss(v))]
+
+
+def _single_photon_factors(u, v):
+    # (1 - u^2 - v^2) e^{-u^2/2} e^{-v^2/2}, as two terms
+    gu, gv = _gauss(u), _gauss(v)
+    return [(gu * (1.0 - u * u), gv), (gu, -(v * v) * gv)]
 
 
 def _coherent_coeffs(alpha: complex, dim: int) -> np.ndarray:
@@ -133,12 +164,11 @@ def coherent_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
     _check_tail(c, f"coherent alpha={alpha}")
     a = complex(alpha)
 
-    def char_eval(u, v):
-        # exp(-|beta|^2 / 2) e^{i theta}, theta = 2 Im(beta alpha*)
-        theta = 2.0 * (v * a.real - u * a.imag)
-        return np.exp(-0.5 * (u * u + v * v)) * (np.cos(theta) + 1j * np.sin(theta))
+    def factors(u, v):
+        # exp(-|beta|^2 / 2) e^{i theta}, theta = 2 Im(beta alpha*) = 2 (v Re alpha - u Im alpha)
+        return [(_gauss(u) * np.exp(-2j * a.imag * u), _gauss(v) * np.exp(2j * a.real * v))]
 
-    return _pure(c, char_eval=char_eval)
+    return _pure(c, char_eval=SeparableChi(factors))
 
 
 def even_cat_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
@@ -150,24 +180,21 @@ def even_cat_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
     _check_tail(c, f"even cat alpha={alpha}")
     ar, ai = 2.0 * complex(alpha).real, 2.0 * complex(alpha).imag
 
-    def gauss(w, center=0.0):
-        return np.exp(-0.5 * (w - center) ** 2)
-
-    def char_eval(u, v):
+    def factors(u, v):
         # [2 e^{-|beta|^2/2} cos(2 Im beta alpha*) + e^{-|beta-2alpha|^2/2}
-        #  + e^{-|beta+2alpha|^2/2}] / N: real, and every term a product of
-        # one factor per axis, with the fringe cosine split by the angle-sum
-        # identity, cos(v ar - u ai) = cos(v ar) cos(u ai) + sin(v ar) sin(u ai).
-        # No exponent is positive.  The two displaced terms are added first,
-        # so beta -> -beta, which swaps them, gives the same bits.
-        gu, gv = 2.0 * gauss(u) / norm_sq, gauss(v)
-        fringes = (gu * np.cos(u * ai)) * (gv * np.cos(v * ar)) + (
-            (gu * np.sin(u * ai)) * (gv * np.sin(v * ar)))
-        lobes = (gauss(u, ar) / norm_sq) * gauss(v, ai) + (
-            (gauss(u, -ar) / norm_sq) * gauss(v, -ai))
-        return fringes + lobes
+        #  + e^{-|beta+2alpha|^2/2}] / N: four real terms, with the fringe
+        # cosine split by the angle-sum identity,
+        # cos(v ar - u ai) = cos(v ar) cos(u ai) + sin(v ar) sin(u ai).
+        # No exponent is positive.  The two displaced terms come last, so they
+        # are added as a pair, and beta -> -beta, which swaps them, gives the
+        # same bits.
+        gu, gv = 2.0 * _gauss(u) / norm_sq, _gauss(v)
+        return [(gu * np.cos(u * ai), gv * np.cos(v * ar)),
+                (gu * np.sin(u * ai), gv * np.sin(v * ar)),
+                (_gauss(u, ar) / norm_sq, _gauss(v, ai)),
+                (_gauss(u, -ar) / norm_sq, _gauss(v, -ai))]
 
-    return _pure(c, char_eval=char_eval)
+    return _pure(c, char_eval=SeparableChi(factors))
 
 
 def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
@@ -189,5 +216,6 @@ def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
     _check_tail(c, f"squeezed r={r}")
     # |beta cosh r + beta* sinh r|^2 = u^2 e^{2r} + v^2 e^{-2r}
     grow, shrink = np.exp(2.0 * r), np.exp(-2.0 * r)
-    return _pure(c, char_eval=lambda u, v: np.exp(-0.5 * (u * u * grow + v * v * shrink)))
+    return _pure(c, char_eval=SeparableChi(
+        lambda u, v: [(np.exp(-0.5 * u * u * grow), np.exp(-0.5 * v * v * shrink))]))
 

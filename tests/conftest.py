@@ -200,6 +200,31 @@ def joint_two_mode_char(kernels, u, v1, v2, state, extent=5.0, n_side=33):
     return JointCharFunction(grid, evaluator(b1, b2), evaluator)
 
 
+def long_double_chain(stage, n_stages):
+    """F and G of ``n_stages`` copies of a real, resonant ``stage``: its x and
+    p maps, ``(F +- G) dt``, raised by repeated squaring in long double.  Each
+    product is an einsum against the transposed right factor: it keeps the
+    long-double sum and runs faster than ``@`` on long-double arrays."""
+    dt = np.longdouble(stage.grid.dt)
+    f, g = stage.F.astype(np.longdouble), stage.G.astype(np.longdouble)
+
+    def times(a, b):
+        return np.einsum("ij,kj->ik", a, np.ascontiguousarray(b.T))
+
+    def power(m, n):
+        result = None
+        while n:
+            if n & 1:
+                result = m if result is None else times(result, m)
+            n >>= 1
+            if n:
+                m = times(m, m)
+        return result
+
+    x, p = power((f + g) * dt, n_stages), power((f - g) * dt, n_stages)
+    return (x + p) / (2 * dt), (x - p) / (2 * dt)
+
+
 def max_relative_difference(a, b):
     """Largest kernel difference of two pairs, relative to the largest entry of ``a``."""
     scale = max(np.abs(a.F).max(), np.abs(a.G).max())

@@ -341,6 +341,43 @@ class TestCliCommands:
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300,
                        stdout=subprocess.DEVNULL)
 
+    def test_ladder_runs_never_import_numpy_random(self, tmp_path):
+        # The ladder's start block is drawn in numpy arithmetic, so neither a
+        # state run (its ladder head) nor a modes run (its full ladders)
+        # imports numpy.random.
+        runs = [
+            ["state", "--recipe", "fig4", "--out", str(tmp_path / "fig4")],
+            ["modes", "--recipe", "fig2b", "--out", str(tmp_path / "fig2b")],
+        ]
+        script = (
+            "import sys\n"
+            "from pulse_squeeze import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    assert 'numpy.random' not in sys.modules, argv\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PULSE_SQUEEZE_WORKERS"] = "1"
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    def test_squeezed_input_through_pumped_fig4_names_its_moments(self, tmp_path, capsys):
+        # A squeezed vacuum has |m| > n, which makes the seeded part of g1
+        # indefinite: one line that names both moments, and exit 2.
+        cfg = set_by_path(load_recipe("fig4"), "input.state",
+                          {"kind": "squeezed", "r": 0.5, "dim": 60})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        assert cli.main(["state", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        n, m = np.sinh(0.5) ** 2, np.sinh(0.5) * np.cosh(0.5)
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"numerical failure: ValueError: the input's |m| = {m:.6g} exceeds n = {n:.6g}, "
+            "so the seeded part of g1 is indefinite (negative eigenvalue -")
+
     def test_modes_identity_device(self, tmp_path):
         cfg = _base_config()
         cfg["device"] = {"kind": "identity"}

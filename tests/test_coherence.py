@@ -378,6 +378,92 @@ class TestVacuumLadder:
                 assert sp.vacuum == []
 
 
+class TestLadderHead:
+    """``ModeSpectrum.head`` against the full ladder's first pairs."""
+
+    @pytest.fixture(scope="class")
+    def devices(self, grid, freq_grid):
+        from pulse_squeeze.devices import (
+            GaussianPump, OpaParams, OpoParams, TwpaParams, build_opa, build_opo, build_twpa)
+        from pulse_squeeze.grids import TemporalGrid
+
+        # Short pumps, so a head's narrow block spans the top pairs.
+        return {
+            "opo-detuned": build_opo(OpoParams(0.2, 1.0, GaussianPump(1.5, 0.0, 0.1)), grid),
+            "opo-resonant": build_opo(OpoParams(0.0, 1.0, GaussianPump(1.5, 0.0, 0.1)), grid),
+            "opa": build_opa(OpaParams(0.2, 0.0, 4.0), freq_grid),
+            "twpa": build_twpa(TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.02)),
+                                          10, 0.1), TemporalGrid(-10.0, 30.0, 256)),
+        }
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("name", ["opo-detuned", "opo-resonant", "opa", "twpa"])
+    def test_head_matches_full_ladder(self, devices, name, count, monkeypatch):
+        from pulse_squeeze.coherence import ModeSpectrum
+
+        k = devices[name]
+        sp = ModeSpectrum([], 0.0, k.vacuum_total, kernels=k)
+        full_solves = (TestVacuumLadder.spy(monkeypatch, "_block_ladder")
+                       + TestVacuumLadder.spy(monkeypatch, "_dense_ladder"))
+        head = sp.head(count)
+        assert full_solves == [] and "vacuum" not in sp.__dict__
+        assert sp.head(count) is head
+        monkeypatch.undo()
+        ladder = ModeSpectrum([], 0.0, k.vacuum_total, kernels=k).vacuum
+        assert len(head) == count < len(ladder)
+        dt = k.grid.dt
+        for (lam, mode), (lam_full, mode_full) in zip(head, ladder):
+            assert abs(lam - lam_full) <= 1e-14 * lam_full
+            # Both are phase-pinned, but an odd mode's largest entries tie
+            # in magnitude, so the pin may pick either sign.
+            overlap = inner_product(mode_full, mode)
+            turned = mode_full.amplitudes * (overlap / abs(overlap))
+            assert np.abs(mode.amplitudes - turned).max() * np.sqrt(dt) <= 1e-10
+        # Once the full ladder is solved, the head is read from it.
+        sp.vacuum
+        assert sp.head(count)[0][1] is sp.vacuum[0][1]
+
+    def test_near_degenerate_head_pair_falls_back(self, monkeypatch):
+        # The top two values 1e-12 apart: the head block spans them with
+        # round-off residuals, but its gap to the bound on the rest cannot
+        # pin the top vector, so the full ladder (here the dense solve, as the
+        # pair defeats its blocks too) gives the head.
+        from pulse_squeeze.coherence import ModeSpectrum
+        from pulse_squeeze.grids import TemporalGrid
+        from pulse_squeeze.kernels import BogoliubovKernels
+
+        n = 256
+        grid = TemporalGrid(0.0, 1.0, n)
+        rng = np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+                for _ in range(2))
+        lam = np.array([1.0, 1.0 - 1e-12, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+        g = np.conj(u[:, :8] * np.sqrt(lam)) @ v[:, :8].T / grid.dt
+        k = BogoliubovKernels(grid, np.eye(n) / grid.dt, g)
+        blocks = TestVacuumLadder.spy(monkeypatch, "_ritz_block")
+        dense_calls = TestVacuumLadder.spy(monkeypatch, "_dense_ladder")
+        sp = ModeSpectrum([], 0.0, k.vacuum_total, kernels=k)
+        head = sp.head(1)
+        assert [certified for _, _, certified in blocks] and not blocks[0][2]
+        assert len(dense_calls) == 1
+        assert head == sp.vacuum[:1]
+        assert abs(head[0][0] - 1.0) < 1e-13
+
+    def test_start_block_is_standard_normal_without_numpy_random(self):
+        # splitmix64 and Box-Muller in array arithmetic: no integer or
+        # floating-point error is raised, and the draws are reproducible.
+        from pulse_squeeze.coherence import _gaussian_block
+
+        with np.errstate(all="raise"):
+            block = _gaussian_block(1024, 63)
+        assert block.shape == (1024, 63)
+        assert np.array_equal(block, _gaussian_block(1024, 63))
+        size = block.size
+        assert abs(block.mean()) < 5.0 / np.sqrt(size)
+        assert abs(block.var() - 1.0) < 5.0 * np.sqrt(2.0 / size)
+        assert abs(np.mean(np.abs(block) < 1.0) - 0.6826895) < 5.0 * 0.47 / np.sqrt(size)
+
+
 class TestSingleModeCondition:
     def test_coherent_holds(self):
         holds, dev = single_mode_condition(input_moments(coherent_state(1.7, 40)))

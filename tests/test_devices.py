@@ -43,6 +43,7 @@ from pulse_squeeze.states import fock_state
 
 from conftest import (
     eigendecompose,
+    long_double_chain,
     max_relative_difference,
     opa_pair_kernel,
     random_mode,
@@ -367,21 +368,7 @@ class TestBuildTwpa:
         per_stage = 4.0 / n_stages
         k = build_twpa(TwpaParams(stage, n_stages, per_stage), grid)
         one = build_twpa(TwpaParams(stage, 1, per_stage), grid)
-        dt = np.longdouble(grid.dt)
-        f, g = one.F.astype(np.longdouble), one.G.astype(np.longdouble)
-
-        def power(m, n):
-            result = None
-            while n:
-                if n & 1:
-                    result = m if result is None else result @ m
-                n >>= 1
-                if n:
-                    m = m @ m
-            return result
-
-        x, p = power((f + g) * dt, n_stages), power((f - g) * dt, n_stages)
-        expected_f, expected_g = (x + p) / (2 * dt), (x - p) / (2 * dt)
+        expected_f, expected_g = long_double_chain(one, n_stages)
         bound = 1e-15 * n_stages * np.abs(expected_f).max()
         assert np.abs(k.F - expected_f).max() < bound
         assert np.abs(k.G - expected_g).max() < bound
@@ -436,18 +423,20 @@ class TestRealPath:
     A resonant builder's oracle is the same device at detuning 1e-300: it
     takes the complex path (the OPO's slice chain, where the resonant OPO
     is built in closed form), and its imaginary parts underflow out of
-    every real part.  The consumers (images, pullback, vacuum ladder) are
-    checked on the same kernels cast to complex, so they differ in their
-    own arithmetic only.
+    every real part.  The 100-stage chain's oracle is instead the long-double
+    power of its real stage's maps: the complex path would raise the 2n x 2n
+    quadrature map in float64, whose own error is most of the bound.  The
+    consumers (images, pullback, vacuum ladder) are checked on the same
+    kernels cast to complex, so they differ in their own arithmetic only.
     """
 
     @pytest.fixture(scope="class")
     def pairs(self):
         grid = default_opo_grid(1.0, 512)
 
-        def twpa(detuning, n_stages):
+        def twpa(detuning, n_stages, area=2.0):
             stage = OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2))
-            return build_twpa(TwpaParams(stage, n_stages, 2.0 / n_stages), grid)
+            return build_twpa(TwpaParams(stage, n_stages, area / n_stages), grid)
 
         def opo(detuning):
             return build_opo(OpoParams(detuning, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
@@ -456,26 +445,28 @@ class TestRealPath:
         return {
             "opo": (opo(0.0), opo(1e-300)),
             "twpa-2": (twpa(0.0, 2), twpa(1e-300, 2)),
-            "twpa-100": (twpa(0.0, 100), twpa(1e-300, 100)),
+            "twpa-100": (twpa(0.0, 100), long_double_chain(twpa(0.0, 1, 2.0 / 100), 100)),
             "identity": (ident, _as_complex(ident)),
         }
 
     @pytest.mark.parametrize(
         "name, tol", [("opo", 1e-13), ("twpa-2", 1e-13), ("twpa-100", 1e-12), ("identity", 0.0)])
     def test_builder_matches_complex_path(self, pairs, name, tol):
-        # The 100-stage oracle's chain is complex, so it raises the 2n x 2n
-        # quadrature map where the real chain raises its stage's f-circulant
-        # symbol.  Against a long-double power of the stage's maps, the
-        # 100-stage oracle is off by 7.8e-13 of the largest F entry here (in
-        # G), the real chain by 2.5e-15; the two differ by 7.8e-13.  The
-        # stages themselves agree to 1e-17.
+        # The 100-stage oracle is the long-double power of its stage's maps,
+        # which the real chain matches to 2.5e-15 of the largest F entry.  The
+        # complex path's 2n x 2n float64 power is itself 7.8e-13 off that
+        # power (in G), so a different BLAS summation order could push it
+        # past the bound with no fault in the chain.
         real, oracle = pairs[name]
         assert real.F.dtype == real.G.dtype == np.float64
-        assert oracle.F.dtype == oracle.G.dtype == np.complex128
-        scale = max(np.abs(oracle.F).max(), np.abs(oracle.G).max())
-        assert np.abs(real.F - oracle.F).max() <= tol * scale
-        assert np.abs(real.G - oracle.G).max() <= tol * scale
-        assert real.vacuum_total == pytest.approx(oracle.vacuum_total, rel=1e-11)
+        want_f, want_g = oracle if name == "twpa-100" else (oracle.F, oracle.G)
+        assert want_f.dtype == want_g.dtype == (
+            np.longdouble if name == "twpa-100" else np.complex128)
+        scale = max(np.abs(want_f).max(), np.abs(want_g).max())
+        assert np.abs(real.F - want_f).max() <= tol * scale
+        assert np.abs(real.G - want_g).max() <= tol * scale
+        want_total = float(real.grid.dt**2 * np.sum(np.abs(want_g) ** 2))
+        assert real.vacuum_total == pytest.approx(want_total, rel=1e-11)
 
     @pytest.mark.parametrize("name", ["opo", "twpa-2", "twpa-100", "identity"])
     def test_images_pullback_and_ladder_match_complex_path(self, pairs, name):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulse_squeeze.charfun import char_of_state, propagate_char
+from pulse_squeeze.charfun import char_of_state, overlap, propagate_char
 from pulse_squeeze.coherence import InputMoments, seeded_vacuum_split
 from pulse_squeeze.decomposition import decompose_output_mode
 from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
@@ -175,6 +175,24 @@ class TestOptimizeSqueezeFidelity:
         lhs = squeeze_target_evaluator(input_state, r)(pts)
         rhs = char_from_rho(rho.rho, pts)
         assert np.abs(lhs - rhs).max() < 1e-8
+
+    @pytest.mark.parametrize("state", [even_cat_state(2.0, 50), coherent_state(1.0 - 0.5j, 40)],
+                             ids=["cat", "coherent-complex"])
+    def test_contracted_fit_matches_sampled_fit(self, grid, u_mode, state, monkeypatch):
+        # The 40 grid values and 15 refinements, one contraction a round,
+        # against the same fit with each target sampled by ``overlap``.
+        from pulse_squeeze import metrics
+
+        k = ideal_squeezer_kernels(grid, u_mode, 1.3)
+        chi = propagate_char(decompose_output_mode(k, u_mode, u_mode), state)
+        fit = optimize_squeeze_fidelity(chi, state)
+        monkeypatch.setattr(metrics, "overlaps",
+                            lambda c, targets: np.array([overlap(c, t) for t in targets]))
+        sampled = optimize_squeeze_fidelity(chi, state)
+        assert len(fit.fidelity_curve) == len(sampled.fidelity_curve) == 55
+        for (r, f), (r_sampled, f_sampled) in zip(fit.fidelity_curve, sampled.fidelity_curve):
+            assert r == r_sampled and abs(f - f_sampled) <= 1e-14 * f_sampled
+        assert fit.best_r == sampled.best_r
 
     def test_p_gain_reporting(self):
         fit = optimize_squeeze_fidelity(vacuum_state(10), vacuum_state(10),

@@ -108,6 +108,53 @@ class TestStateAnalysis:
         assert vx > vp  # fit family amplifies x in package conventions
 
 
+class TestLadderHeadInStateRuns:
+    @staticmethod
+    def _fig4(state=None):
+        cfg = load_recipe("fig4")
+        if state is not None:
+            cfg = set_by_path(cfg, "input.state", state)
+        grid = grid_from_config(cfg["grid"])
+        return (device_from_config(cfg["device"], grid), input_mode_from_config(cfg["input"], grid),
+                input_state_from_config(cfg["input"]))
+
+    @staticmethod
+    def _no_full_ladder(monkeypatch):
+        from pulse_squeeze import coherence
+
+        def never(*args):
+            raise AssertionError("a state run reads only the head of the ladder")
+
+        monkeypatch.setattr(coherence, "_block_ladder", never)
+        monkeypatch.setattr(coherence, "_dense_ladder", never)
+
+    def test_seeded_run_solves_only_the_head(self, monkeypatch):
+        # fig4's cat feeds the output mode; the ladder gives m1 alone.
+        from pulse_squeeze.coherence import ModeSpectrum
+
+        kernels, u, state = self._fig4()
+        self._no_full_ladder(monkeypatch)
+        result = run_state_analysis(kernels, u, state)
+        monkeypatch.undo()
+        assert result.spectrum.seeded and "vacuum" not in result.spectrum.__dict__
+        full = ModeSpectrum([], 0.0, kernels.vacuum_total, kernels=kernels).vacuum
+        assert result.metrics["m1"] == pytest.approx(full[0][0], rel=1e-14)
+
+    @pytest.mark.parametrize("selector, index", [("auto_v1", 0), ("auto_v2", 1)])
+    def test_vacuum_seeded_mode_from_head(self, selector, index, monkeypatch):
+        from pulse_squeeze.coherence import InputMoments, ModeSpectrum, seeded_vacuum_split
+        from pulse_squeeze.grids import inner_product
+
+        kernels, u, _ = self._fig4({"kind": "vacuum", "dim": 60})
+        spectrum = seeded_vacuum_split(kernels, u, InputMoments(0.0, 0.0))
+        self._no_full_ladder(monkeypatch)
+        mode = pipeline.select_output_mode(spectrum, selector)
+        monkeypatch.undo()
+        assert list(spectrum._heads) == [index + 1]
+        full = ModeSpectrum([], 0.0, kernels.vacuum_total, kernels=kernels).vacuum
+        assert abs(inner_product(full[index][1], mode)) >= 1 - 1e-13
+
+
 class TestDetunedFig4:
     def test_decomposed_and_sampled_once(self, detuned_fig4):
         _result, calls, _state = detuned_fig4

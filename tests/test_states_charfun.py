@@ -37,6 +37,7 @@ from pulse_squeeze.charfun import (
     fock_from_char,
     output_channel,
     overlap,
+    overlaps,
     propagate_char,
     real_linear_map,
     state_evaluator,
@@ -51,6 +52,7 @@ from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import (
     DEFAULT_DIM,
     QuantumState,
+    SeparableChi,
     coherent_state,
     destroy,
     even_cat_state,
@@ -354,19 +356,19 @@ class TestRectangularGrid:
 
         state = fock_state(1, 20)
         chi = self._squeezed_output(grid, u_mode, state)
-        grown, sampled = [], []
-        with_extent, sample_half = CharGrid.with_extent, CharGrid.sample_half
+        grown, read = [], []
+        with_extent, half_axes = CharGrid.with_extent, CharGrid.half_axes
         monkeypatch.setattr(
             CharGrid, "with_extent", staticmethod(lambda *a: grown.append(a) or with_extent(*a))
         )
-        # the fit samples each target on the half plane of chi's grid
-        monkeypatch.setattr(
-            CharGrid, "sample_half", lambda g, ev: sampled.append(g) or sample_half(g, ev))
+        # the fit evaluates its targets on the half-plane axes of chi's grid
+        monkeypatch.setattr(CharGrid, "half_axes", lambda g: read.append(g) or half_axes(g))
         fock_from_char(chi, 20)
         optimize_squeeze_fidelity(chi, state, r_grid=np.linspace(1.0, 1.6, 7))
         assert grown == []
-        # one target per r: 7 on the grid plus the refinement around the peak
-        assert len(sampled) > 7 and all(g == chi.grid for g in sampled)
+        # the closed-form targets are contracted per axis, one batch per
+        # round: the 7 grid points, then the refinement around the peak
+        assert len(read) == 2 and all(g == chi.grid for g in read)
 
     def test_quarter_turn_is_rephased_row(self, grid, u_mode):
         from pulse_squeeze import pipeline
@@ -772,6 +774,66 @@ class TestHalfPlaneOverlap:
         for chi, _ in self._cases(grid, u_mode):
             full = self._full_plane(chi, chi.values)
             assert abs(purity(chi) - full) <= 1e-15 * abs(full)
+
+
+class TestPerAxisOverlaps:
+    """``overlaps`` contracts the squeeze-fit targets of a closed-form input
+    from per-axis factors; the sampled ``overlap`` of each target is its
+    oracle."""
+
+    STATES = {
+        "vacuum": vacuum_state(20),
+        "fock1": fock_state(1, 20),
+        "coherent": coherent_state(1.5, 40),
+        "coherent-complex": coherent_state(1.0 - 0.7j, 40),
+        "cat": even_cat_state(2.5, 60),
+        "cat-complex": even_cat_state(1.2 - 2.1j, 60),
+        "squeezed": squeezed_state(0.6, 60),
+    }
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_matches_sampled_overlap(self, name, grid, u_mode, monkeypatch):
+        from pulse_squeeze.metrics import _default_r_grid, squeeze_target_evaluator
+
+        state = self.STATES[name]
+        assert isinstance(state.char_eval, SeparableChi)
+        targets = [squeeze_target_evaluator(state, r) for r in _default_r_grid()]
+        own = char_of_state(state)
+        extent = max(own.grid.extent, own.grid.im_extent)
+        square = CharGrid.with_extent(extent)
+        rect = TestRectangularGrid._squeezed_output(grid, u_mode, state)
+        assert rect.grid.n_side > rect.grid.im_n_side
+        for chi in (own, CharFunction(square, square.sample(own.evaluator), own.evaluator), rect):
+            want = np.array([overlap(chi, target) for target in targets])
+            sampled = []
+            monkeypatch.setattr(CharGrid, "sample_half", lambda g, ev: sampled.append(ev))
+            got = overlaps(chi, targets)
+            monkeypatch.undo()
+            assert sampled == []
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_fock_sum_input_samples_each_target(self, grid, u_mode):
+        from pulse_squeeze.metrics import squeeze_target_evaluator
+
+        state = fock_state(2, 20)
+        assert state.char_eval is None
+        chi = TestRectangularGrid._squeezed_output(grid, u_mode, state)
+        targets = [squeeze_target_evaluator(state, r) for r in (0.5, 1.3)]
+        got = overlaps(chi, targets)
+        assert got.tolist() == [overlap(chi, target) for target in targets]
+
+    def test_chi_is_the_sum_of_its_factor_products(self):
+        # The closed form is the factors' one definition: calling it sums
+        # their products pairwise, (t0 + t1) + (t2 + t3) for the cat.
+        rng = np.random.default_rng(8)
+        u, v = rng.normal(size=(2, 50)) * 3.0
+        for state in self.STATES.values():
+            terms = [f * g for f, g in state.char_eval.factors(u, v)]
+            assert len(terms) in (1, 2, 4)
+            want = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+            if len(terms) == 4:
+                want = want + (terms[2] + terms[3])
+            assert np.array_equal(state.char_eval(u, v), want)
 
 
 class TestJointTwoModeChar:
