@@ -18,8 +18,11 @@ all compose as ``ch.then(R)``; ``CharGrid.sample_half`` hands the channel
 the grid's two real axes on the half plane Re beta <= 0, so no complex mesh
 is built.
 
-One policy, ``_auto_grid``, sizes every chi grid; overlaps, the Fock
-reconstruction and the Wigner transform work on the grid of the chi they get.
+One policy, ``_auto_grid``, sizes every chi grid, growing it from edge
+probes and sampling it once; overlaps and the Wigner transform work on the
+grid of the chi they get.  The Fock reconstruction is exact for an input
+whose chi is a sum of Gaussians (its ``GaussianTerm``), and folds chi on its
+grid for any other input.
 """
 
 from __future__ import annotations
@@ -187,6 +190,17 @@ class CharGrid:
         re, im = self.half_axes()
         return evaluator.at(re[:, None], im[None, :])
 
+    def edge_magnitudes(self, evaluator: GaussianChannel) -> tuple[float, float]:
+        """``CharFunction.edge_magnitudes`` of ``sample(evaluator)``, from
+        the edge points of rows ``0 .. half`` alone: the Re beta = -extent
+        row, and the Im beta = +-im_extent ends of every row.  The other
+        rows are the conjugate mirror images of these, with the same |chi|,
+        and each point takes the same arithmetic as in ``sample``."""
+        re, im = self.half_axes()
+        row = evaluator.at(re[:1, None], im[None, :])
+        ends = evaluator.at(re[:, None], im[None, [0, -1]])
+        return float(np.abs(row).max()), float(np.abs(ends).max())
+
     def sample(self, evaluator: GaussianChannel) -> np.ndarray:
         """The single-mode channel ``evaluator`` on the whole mesh: rows
         ``0 .. half`` by ``sample_half``, and every later row the conjugate
@@ -328,19 +342,21 @@ def _auto_grid(evaluator, what: str) -> CharFunction:
 
     From ``BASE_EXTENT`` on both axes, each step grows by 1.5x only the axis
     whose own edges exceed ``BOUNDARY_TOL``, up to ``MAX_EXTENT``, so a chi
-    whose |chi| is isotropic keeps a square grid.  A chi above ``NOT_DECAYED_TOL``
-    at the cap is kept and warned about; ``what`` names the stage."""
+    whose |chi| is isotropic keeps a square grid.  Each step reads only the
+    candidate grid's edges (``CharGrid.edge_magnitudes``), and the chosen
+    grid is sampled once.  A chi above ``NOT_DECAYED_TOL`` at the cap is
+    kept and warned about; ``what`` names the stage."""
     extents = [BASE_EXTENT, BASE_EXTENT]
     while True:
         g = CharGrid.with_extent(*extents)
-        chi = CharFunction(g, g.sample(evaluator), evaluator)
         grow = [
             edge > BOUNDARY_TOL and extent < MAX_EXTENT
-            for edge, extent in zip(chi.edge_magnitudes(), extents)
+            for edge, extent in zip(g.edge_magnitudes(evaluator), extents)
         ]
         if not any(grow):
             break
         extents = [min(e * 1.5, MAX_EXTENT) if up else e for e, up in zip(extents, grow)]
+    chi = CharFunction(g, g.sample(evaluator), evaluator)
     if chi.boundary_magnitude() > NOT_DECAYED_TOL:
         warnings.warn(
             f"{what}: chi not decayed even at extent {MAX_EXTENT:g}", stacklevel=3
@@ -449,8 +465,37 @@ def _fock_cut(dim: int, grid: CharGrid) -> float:
 def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     """Invert the Weyl transform: rho = (1/pi) int chi(beta) D(-beta) d^2 beta.
 
-    The quadrature runs on chi's own grid, as ``_auto_grid`` sized it, and
-    skips only arithmetic that cannot reach rho:
+    The input's kind alone picks the path.  When ``chi.evaluator.base``
+    carries ``GaussianTerm`` (vacuum, coherent, squeezed vacuum, even cat),
+    rho is exact and reads no grid (``_gaussian_sum_fock``); any other input
+    (Fock n >= 1, a mixed rho) is folded on chi's grid (``_fock_fold``),
+    which warns when chi has not decayed at the grid's edges.
+
+    Closed form.  With the unnormalised coherent states sum_n z^n/sqrt(n!) |n>,
+
+        sum_mn rho_mn s^m t^n / sqrt(m! n!)
+            = e^{st} (1/pi) int chi(beta) e^{-s beta + t beta* - |beta|^2/2} d^2 beta.
+
+    On w = (Re beta, Im beta), a term c exp(-a u^2/2 + p u - a2 v^2/2 + q v)
+    of the base through the channel's X and Y is c exp(-w^T M w / 2 + h^T w)
+    with M = X^T diag(a, a2) X + Y and h = X^T (p, q), and -s beta + t beta*
+    is (Gamma z)^T w with z = (s, t) and Gamma = [[-1, 1], [-i, -i]].  The
+    Gaussian integral, with K = M + I, makes the generating function
+    C exp(z^T Q z / 2 + y^T z) with
+
+        Q = Gamma^T K^-1 Gamma + [[0, 1], [1, 0]],   y = Gamma^T K^-1 h,
+        C = 2 c e^{h^T K^-1 h / 2} / sqrt(det K),
+
+    C formed from logs.  Matching powers of s and t (Miatto & Quesada,
+    Quantum 4, 366 (2020)) gives rho_mn = b_mn from b_00 = C, row 0 by
+    b_{0,n+1} = (y_1 b_{0,n} + Q_11 sqrt(n) b_{0,n-1}) / sqrt(n+1), and
+
+        b_{m+1,n} = (y_0 b_mn + Q_00 sqrt(m) b_{m-1,n} + Q_01 sqrt(n) b_{m,n-1}) / sqrt(m+1),
+
+    one recurrence per term, vectorised over n and over the terms, summed.
+
+    Fold.  The quadrature runs on chi's own grid, as ``_auto_grid`` sized
+    it, and skips only arithmetic that cannot reach rho:
 
     - Half plane.  chi(-beta) = conj(chi(beta)), so a mirror pair beta, -beta
       adds (-beta)^d [chi + (-1)^d conj(chi)] to the d-th diagonal: 2 Re chi
@@ -469,22 +514,28 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     1857 (1969)), and both axes share one spacing, so every grid point has
     |beta|^2 = spacing^2 (i^2 + j^2) for integer steps i, j.  So for each d
     the kept points are folded onto their distinct radii (two ``bincount``
-    passes), and the Laguerre recurrence runs on the radii alone.
+    passes), and the Laguerre recurrence runs on the radii alone.  The fold
+    checks only that chi has decayed at the edges, not that the spacing
+    resolves its oscillation.
 
-    The reconstruction is Hermitized, tiny negative eigenvalues (quadrature
-    round-off, above -1e-6) are clamped to zero, and the result is
-    renormalized; larger negativity means the grid is too coarse and raises.
-    A captured trace below ``1 - FOCK_TRACE_TOL`` (a state reaching past
-    ``dim``) is renormalized too, with a warning naming dim and trace.
+    Either path gives the lower triangle.  The reconstruction is Hermitized,
+    tiny negative eigenvalues (round-off, above -1e-6) are clamped to zero,
+    and the result is renormalized; larger negativity means the grid is too
+    coarse and raises.  A captured trace below ``1 - FOCK_TRACE_TOL`` (a
+    state reaching past ``dim``) is renormalized too, with a warning naming
+    dim and trace.
     """
     if not 1 <= dim <= MAX_FOCK_DIM:
         raise ValueError(f"dim {dim} is outside the supported range 1..{MAX_FOCK_DIM}")
-    if chi.boundary_magnitude() > NOT_DECAYED_TOL:
-        warnings.warn(
-            "chi has not decayed at the grid boundary; reconstruction may alias",
-            stacklevel=2,
-        )
-    rho = _fock_fold(chi, dim)
+    if getattr(chi.evaluator.base, "terms", ()):
+        rho = _gaussian_sum_fock(chi.evaluator, dim)
+    else:
+        if chi.boundary_magnitude() > NOT_DECAYED_TOL:
+            warnings.warn(
+                "chi has not decayed at the grid boundary; reconstruction may alias",
+                stacklevel=2,
+            )
+        rho = _fock_fold(chi, dim)
     rho = rho + np.tril(rho, -1).conj().T
     rho = 0.5 * (rho + rho.conj().T)
 
@@ -502,6 +553,44 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
                       "the density matrix is renormalised", stacklevel=2)
     rho /= trace
     return QuantumState(rho)
+
+
+# -s beta + t beta* = (Gamma z)^T (Re beta, Im beta) with z = (s, t), and
+# st = z^T SWAP z / 2: the generating function of ``fock_from_char``.
+_GAMMA = np.array([[-1.0, 1.0], [-1j, -1j]])
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _gaussian_sum_fock(channel: GaussianChannel, dim: int) -> np.ndarray:
+    """The lower triangle of rho for a single-mode chi ``channel`` whose base
+    is a sum of ``GaussianTerm``, by ``fock_from_char``'s closed form."""
+    log_c, a, p, a2, q = np.array(channel.base.terms, dtype=complex).T
+    X = channel.X
+    K = np.einsum("ji,tj,jk->tik", X, np.stack([a.real, a2.real], axis=1), X)
+    K += channel.Y + np.eye(2)
+    h = np.stack([p, q], axis=1) @ X  # X^T (p, q), one row per term
+    K_inv = np.linalg.inv(K)
+    k_h = np.einsum("tij,tj->ti", K_inv, h)
+    Q = _GAMMA.T @ K_inv @ _GAMMA + _SWAP
+    y = k_h @ _GAMMA
+    log_C = np.log(2.0) + log_c + 0.5 * np.sum(h * k_h, axis=1) - 0.5 * np.log(np.linalg.det(K))
+    roots = np.sqrt(np.arange(dim))
+    b = np.zeros((dim, len(log_c), dim), dtype=complex)  # b[m, term, n]
+    row = b[0]
+    row[:, 0] = np.exp(log_C)
+    for n in range(1, dim):
+        step = y[:, 1] * row[:, n - 1]
+        if n > 1:
+            step += Q[:, 1, 1] * roots[n - 1] * row[:, n - 2]
+        row[:, n] = step / roots[n]
+    y0, q00, q01 = y[:, :1], Q[:, :1, 0], Q[:, :1, 1]
+    for m in range(dim - 1):
+        step = y0 * b[m]
+        if m:
+            step += (roots[m] * q00) * b[m - 1]
+        step[:, 1:] += q01 * roots[1:] * b[m, :, :-1]
+        b[m + 1] = step / roots[m + 1]
+    return np.tril(b.sum(axis=1))
 
 
 def _fock_fold(chi: CharFunction, dim: int) -> np.ndarray:

@@ -3,8 +3,11 @@
 The library states carry closed-form characteristic-function evaluators
 where one exists; downstream phase-space code uses those to avoid both
 interpolation and truncation error.  Each closed form is a
-``SeparableChi``, a short sum of products of one factor per axis.  A
-config's ``input.state`` names one of them by ``kind`` (the state table in
+``SeparableChi``, a short sum of products of one factor per axis.  The
+vacuum, coherent, squeezed vacuum and even cat chi are also sums of
+Gaussians, and carry them as ``GaussianTerm`` parameters, from which the
+Fock reconstruction of an output state is exact.  A config's
+``input.state`` names one of them by ``kind`` (the state table in
 ``config``).
 """
 
@@ -12,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "QuantumState",
+    "GaussianTerm",
     "SeparableChi",
     "DEFAULT_DIM",
     "destroy",
@@ -46,14 +50,31 @@ def _gauss(w, center=0.0):
     return np.exp(-0.5 * (w - center) ** 2)
 
 
+class GaussianTerm(NamedTuple):
+    """One term exp(log_c) exp(-a u^2 / 2 + p u) exp(-a2 v^2 / 2 + q v) of a
+    Gaussian-sum chi, with real a, a2 > 0 and complex log_c, p, q."""
+
+    log_c: complex
+    a: float
+    p: complex
+    a2: float
+    q: complex
+
+
 @dataclass(frozen=True)
 class SeparableChi:
     """chi(u, v) = sum_t f_t(u) g_t(v).  ``factors(u, v)`` returns the pairs
     ``(f_t(u), g_t(v))`` on real arrays; calling the chi sums their products
     pairwise, ``(t0 + t1) + (t2 + t3)`` for four terms.  Evaluated on the
-    axes of a grid, the factors cost one pass per axis."""
+    axes of a grid, the factors cost one pass per axis.
+
+    ``terms``, when not empty, is the same chi as a sum of ``GaussianTerm``
+    (Bourassa et al., PRX Quantum 2, 040315 (2021)): a Gaussian channel
+    keeps each term Gaussian, so ``charfun.fock_from_char`` reads an output
+    state's density matrix from them in closed form."""
 
     factors: Callable[[np.ndarray, np.ndarray], list[tuple[np.ndarray, np.ndarray]]]
+    terms: tuple[GaussianTerm, ...] = ()
 
     def __call__(self, u, v):
         terms = [f * g for f, g in self.factors(u, v)]
@@ -122,9 +143,11 @@ def fock_state(n: int, dim: int = DEFAULT_DIM) -> QuantumState:
         raise ValueError(f"Fock index {n} outside truncation {dim}")
     c = np.zeros(dim, complex)
     c[n] = 1.0
-    # e^{-|beta|^2 / 2} L_n(|beta|^2) for n = 0 and 1, on beta = u + i v
-    factors = {0: _vacuum_factors, 1: _single_photon_factors}.get(n)
-    return _pure(c, char_eval=factors and SeparableChi(factors))
+    # e^{-|beta|^2 / 2} L_n(|beta|^2) for n = 0 and 1, on beta = u + i v;
+    # the vacuum's is one Gaussian
+    char_eval = {0: SeparableChi(_vacuum_factors, (GaussianTerm(0.0, 1.0, 0.0, 1.0, 0.0),)),
+                 1: SeparableChi(_single_photon_factors)}.get(n)
+    return _pure(c, char_eval=char_eval)
 
 
 def _vacuum_factors(u, v):
@@ -168,7 +191,8 @@ def coherent_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
         # exp(-|beta|^2 / 2) e^{i theta}, theta = 2 Im(beta alpha*) = 2 (v Re alpha - u Im alpha)
         return [(_gauss(u) * np.exp(-2j * a.imag * u), _gauss(v) * np.exp(2j * a.real * v))]
 
-    return _pure(c, char_eval=SeparableChi(factors))
+    return _pure(c, char_eval=SeparableChi(
+        factors, (GaussianTerm(0.0, 1.0, -2j * a.imag, 1.0, 2j * a.real),)))
 
 
 def even_cat_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
@@ -194,7 +218,16 @@ def even_cat_state(alpha: complex, dim: int = DEFAULT_DIM) -> QuantumState:
                 (_gauss(u, ar) / norm_sq, _gauss(v, ai)),
                 (_gauss(u, -ar) / norm_sq, _gauss(v, -ai))]
 
-    return _pure(c, char_eval=SeparableChi(factors))
+    # The same four terms as Gaussians: the fringe as a conjugate pair
+    # e^{-|beta|^2/2 +- i (v ar - u ai)}, the lobes as e^{-|beta|^2/2 +- (u ar + v ai)}
+    # of weight e^{-2 |alpha|^2}.
+    log_n = np.log(norm_sq)
+    log_lobe = -0.5 * (ar * ar + ai * ai) - log_n
+    terms = (GaussianTerm(-log_n, 1.0, -1j * ai, 1.0, 1j * ar),
+             GaussianTerm(-log_n, 1.0, 1j * ai, 1.0, -1j * ar),
+             GaussianTerm(log_lobe, 1.0, ar, 1.0, ai),
+             GaussianTerm(log_lobe, 1.0, -ar, 1.0, -ai))
+    return _pure(c, char_eval=SeparableChi(factors, terms))
 
 
 def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
@@ -217,5 +250,6 @@ def squeezed_state(r: float, dim: int = DEFAULT_DIM) -> QuantumState:
     # |beta cosh r + beta* sinh r|^2 = u^2 e^{2r} + v^2 e^{-2r}
     grow, shrink = np.exp(2.0 * r), np.exp(-2.0 * r)
     return _pure(c, char_eval=SeparableChi(
-        lambda u, v: [(np.exp(-0.5 * u * u * grow), np.exp(-0.5 * v * v * shrink))]))
+        lambda u, v: [(np.exp(-0.5 * u * u * grow), np.exp(-0.5 * v * v * shrink))],
+        (GaussianTerm(0.0, grow, 0.0, shrink, 0.0),)))
 

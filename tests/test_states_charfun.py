@@ -14,7 +14,7 @@ from conftest import (
     reference_squeezed_chi,
     reference_squeezed_vacuum_chi,
 )
-from fockspace import full_plane_fock_fold
+from fockspace import full_plane_fock_fold, three_mode_output_state
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -31,6 +31,7 @@ from pulse_squeeze.charfun import (
     _auto_grid,
     _fock_cut,
     _fock_fold,
+    _gaussian_sum_fock,
     _log_displacement_bound,
     char_from_rho,
     char_of_state,
@@ -616,10 +617,12 @@ class TestFockFromChar:
         # point, with the displacement matrix elements from scipy's Laguerre
         # polynomials.  The state has no rotational symmetry, so the angular
         # phases count; the grid is off the with_extent sequence, and chi has
-        # decayed below 1e-6 at its boundary.
+        # decayed below 1e-6 at its boundary.  The chi is the Fock sum of the
+        # state's rho, an input with no Gaussian terms, so fock_from_char
+        # folds it on the grid.
         dim = 20
         state = coherent_state(1.0 + 0.5j, dim)
-        g, ev = CharGrid(5.6, 65), state_evaluator(state)
+        g, ev = CharGrid(5.6, 65), state_evaluator(QuantumState(state.rho))
         chi = CharFunction(g, g.sample(ev), ev)
         assert chi.boundary_magnitude() < 1e-6
         alpha = -chi.grid.mesh().ravel()
@@ -671,17 +674,56 @@ class TestFockFromChar:
             fock_from_char(char_of_state(vacuum_state(10)), dim)
 
 
-@pytest.fixture(scope="module")
-def fig4_chi():
-    """fig4's aligned output chi, on the 727 x 129 grid the state run samples."""
-    from pulse_squeeze import pipeline
+# fig4 as shipped and with the input and device changes its CI steps run:
+# config path -> value.
+FIG4_VARIANTS = {
+    "cat": {},
+    "detuned": {"device.detuning": 0.7},
+    "coherent": {"input.state": {"kind": "coherent", "alpha": 2.5, "dim": 60}},
+    "squeezed": {"input.state": {"kind": "squeezed", "r": 0.5, "dim": 60},
+                 "device.pump.area": 0.0},
+    "vacuum-v1": {"input.state": {"kind": "vacuum", "dim": 60}},
+    "vacuum-v2": {"input.state": {"kind": "vacuum", "dim": 60}, "output_mode": "auto_v2"},
+    "fock1": {"input.state": {"kind": "fock", "n": 1, "dim": 60}},
+    "cat-complex": {"input.state": {"kind": "even_cat", "alpha": "2+1j", "dim": 60}},
+    "coherent-4.5": {"input.state": {"kind": "coherent", "alpha": 4.5, "dim": 60}},
+}
 
-    cfg = load_recipe("fig4")
-    run = parse_config(cfg)
-    kernels = pipeline.device_from_config(cfg["device"], run.grid)
-    u = pipeline.input_mode_from_config(cfg["input"], run.grid)
-    state = pipeline.input_state_from_config(cfg["input"])
-    return pipeline.run_state_analysis(kernels, u, state).chi_out
+
+@pytest.fixture(scope="module")
+def fig4_runs():
+    """Each ``FIG4_VARIANTS`` state run (no Fock reconstruction): its aligned
+    output chi and the evaluator of its one ``_auto_grid`` call."""
+    from pulse_squeeze import charfun, pipeline
+    from pulse_squeeze.config import set_by_path
+
+    auto_grid, sized = charfun._auto_grid, []
+    charfun._auto_grid = lambda ev, what: sized.append(ev) or auto_grid(ev, what)
+    runs = {}
+    try:
+        for name, changes in FIG4_VARIANTS.items():
+            cfg = load_recipe("fig4")
+            for path, value in changes.items():
+                cfg = set_by_path(cfg, path, value)
+            run = parse_config(cfg)
+            kernels = pipeline.device_from_config(cfg["device"], run.grid)
+            u = pipeline.input_mode_from_config(cfg["input"], run.grid)
+            state = pipeline.input_state_from_config(cfg["input"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                chi = pipeline.run_state_analysis(kernels, u, state, run.output_mode).chi_out
+            (evaluator,) = sized
+            sized.clear()
+            runs[name] = chi, evaluator
+    finally:
+        charfun._auto_grid = auto_grid
+    return runs
+
+
+@pytest.fixture(scope="module")
+def fig4_chi(fig4_runs):
+    """fig4's aligned output chi, on the 727 x 129 grid the state run samples."""
+    return fig4_runs["cat"][0]
 
 
 def _largest_radius_sq(grid):
@@ -880,3 +922,196 @@ class TestJointTwoModeChar:
     def test_requires_orthogonal_modes(self, grid, u_mode, opo_kernels):
         with pytest.raises(ValueError, match="orthogonal"):
             joint_two_mode_char(opo_kernels, u_mode, u_mode, u_mode, vacuum_state(10))
+
+
+def _full_sample_grid(evaluator):
+    """The grid ``_auto_grid`` chose when it sampled every candidate grid in
+    full and read its edges off the samples."""
+    extents = [BASE_EXTENT, BASE_EXTENT]
+    while True:
+        g = CharGrid.with_extent(*extents)
+        chi = CharFunction(g, g.sample(evaluator), evaluator)
+        grow = [edge > BOUNDARY_TOL and extent < MAX_EXTENT
+                for edge, extent in zip(chi.edge_magnitudes(), extents)]
+        if not any(grow):
+            return g
+        extents = [min(e * 1.5, MAX_EXTENT) if up else e for e, up in zip(extents, grow)]
+
+
+class TestEdgeProbes:
+    """``_auto_grid`` decides each growth step from the candidate grid's
+    edges; sampling every candidate in full is its oracle."""
+
+    LIBRARY = {
+        "vacuum": vacuum_state(20),
+        "fock1": fock_state(1, 20),
+        "fock2": fock_state(2, 20),
+        "coherent": coherent_state(2.0, 40),
+        "coherent-complex": coherent_state(1.0 - 0.7j, 40),
+        "coherent-4.5": coherent_state(4.5, 60),
+        "cat": even_cat_state(2.5, 60),
+        "cat-complex": even_cat_state(2.0 + 1.0j, 60),
+        "squeezed": squeezed_state(0.8, 60),
+        "squeezed-minus": squeezed_state(-0.5, 60),
+    }
+
+    @pytest.mark.parametrize("name", list(LIBRARY))
+    def test_library_state(self, name):
+        evaluator = state_evaluator(self.LIBRARY[name])
+        chi = char_of_state(self.LIBRARY[name])
+        assert chi.grid == _full_sample_grid(evaluator)
+        assert np.array_equal(chi.values, chi.grid.sample(evaluator))
+
+    @pytest.mark.parametrize("name", list(FIG4_VARIANTS))
+    def test_fig4_output(self, name, fig4_runs):
+        chi, evaluator = fig4_runs[name]
+        assert chi.grid == _full_sample_grid(evaluator)
+
+    def test_probes_read_the_sampled_edges(self, fig4_chi):
+        assert fig4_chi.grid.edge_magnitudes(fig4_chi.evaluator) == fig4_chi.edge_magnitudes()
+
+    def test_samples_the_chosen_grid_once(self, monkeypatch):
+        sampled = []
+        sample = CharGrid.sample
+        monkeypatch.setattr(CharGrid, "sample", lambda g, ev: sampled.append(g) or sample(g, ev))
+        chi = char_of_state(squeezed_state(0.8, 60))
+        assert chi.grid.im_extent > 2.0 * chi.grid.extent
+        assert sampled == [chi.grid]
+
+
+def _refined(grid, extent_scale=1.0):
+    """``grid`` at half its spacing, its extents scaled by ``extent_scale``."""
+    h = 0.5 * grid.spacing
+    re_half, im_half = (round(e * extent_scale / h) for e in (grid.extent, grid.im_extent))
+    return CharGrid(re_half * h, 2 * re_half + 1, im_half * h, 2 * im_half + 1)
+
+
+def _clamped(raw):
+    """``fock_from_char``'s Hermitize and clamp of a lower triangle, before
+    the renormalisation."""
+    rho = raw + np.tril(raw, -1).conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    return (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
+
+
+def _reconstructed(chi, dim):
+    """``fock_from_char(chi, dim)`` under ``np.errstate(all="raise")``, its
+    trace warning kept quiet."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "fock_from_char: dim")
+        return fock_from_char(chi, dim).rho
+
+
+class TestGaussianSumFock:
+    """``fock_from_char`` of an input whose chi is a sum of Gaussians is
+    exact: a fold of the same output chi at half the spacing, on a grid
+    grown 1.5x past where chi has decayed, and the Fock-circuit oracle are
+    its oracles."""
+
+    STATES = {
+        "vacuum": vacuum_state(60),
+        "coherent": coherent_state(2.0, 60),
+        "coherent-complex": coherent_state(2.0 + 1.0j, 60),
+        "squeezed-0.5": squeezed_state(0.5, 60),
+        "squeezed-minus-0.5": squeezed_state(-0.5, 60),
+        "squeezed-0.8": squeezed_state(0.8, 60),
+        "squeezed-minus-0.8": squeezed_state(-0.8, 60),
+        "cat": even_cat_state(2.5, 60),
+        "cat-complex": even_cat_state(2.0 + 1.0j, 60),
+    }
+    CHANNELS = ("identity", "squeezer", "fig4", "fig4-mirror")
+
+    @staticmethod
+    def _channel(state, name, fig4_chi):
+        evaluator = state_evaluator(state)
+        if name == "identity":
+            return evaluator
+        if name == "squeezer":
+            return output_channel(OutputDecomposition(np.cosh(0.9), np.sinh(0.9), 0.0, 0.0, 0.0),
+                                  evaluator)
+        fig4 = GaussianChannel(evaluator.base, fig4_chi.evaluator.X, fig4_chi.evaluator.Y)
+        return fig4 if name == "fig4" else fig4.then(-np.eye(2))
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_matches_refined_fold(self, name, channel, fig4_chi):
+        dim = 20
+        evaluator = self._channel(self.STATES[name], channel, fig4_chi)
+        chi = _auto_grid(evaluator, "test")
+        fine = _refined(chi.grid, 1.5)
+        folded = full_plane_fock_fold(CharFunction(fine, fine.sample(evaluator), evaluator), dim)
+        with np.errstate(all="raise"):
+            raw = _gaussian_sum_fock(evaluator, dim)
+        assert np.abs(raw - folded).max() <= 1e-13
+        want = _clamped(folded)
+        rho = _reconstructed(chi, dim)
+        assert np.abs(rho * np.trace(want).real - want).max() <= 1e-13
+
+    def test_matches_circuit_oracle(self):
+        # Inputs and circuits weak enough that the oracle's dim-20 truncation
+        # stays below 2e-10 on the 8 x 8 block compared.
+        from pulse_squeeze.decomposition import reconstruct_row
+
+        dim, block = 20, 8
+        quiet = dict.fromkeys(("theta1", "phi1", "theta2", "phi2", "theta3", "phi3", "r2"), 0.0)
+        circuits = {
+            "identity": dict(quiet, r1=0.0),
+            "squeezer": dict(quiet, r1=0.2),
+            "generic": {"theta1": 0.7, "phi1": 0.4, "theta2": 0.5, "phi2": -1.1, "theta3": 0.3,
+                        "phi3": 2.0, "r1": 0.2, "r2": -0.1, "phi_k": 0.6, "phi_u": -0.8},
+        }
+        states = [vacuum_state(dim), coherent_state(0.6, dim), coherent_state(0.5 - 0.3j, dim),
+                  squeezed_state(0.2, dim), squeezed_state(-0.2, dim),
+                  even_cat_state(0.8, dim), even_cat_state(0.7 + 0.4j, dim)]
+        for circuit, params in circuits.items():
+            row = OutputDecomposition(*reconstruct_row(params))
+            for state in states:
+                oracle = three_mode_output_state(params, state.rho, dim).rho[:block, :block]
+                evaluator = output_channel(row, state_evaluator(state))
+                with np.errstate(all="raise"):
+                    raw = _gaussian_sum_fock(evaluator, dim)
+                got = (raw + np.tril(raw, -1).conj().T)[:block, :block]
+                tol = 1e-14 if circuit == "identity" else 2e-10
+                assert np.abs(got - oracle).max() <= tol, circuit
+
+    def test_displaced_output_does_not_alias(self, fig4_runs):
+        # A coherent alpha = 4.5 input leaves fig4's output chi oscillating
+        # near the grid's Nyquist rate: the fold on the grid _auto_grid sizes
+        # (decayed below 1e-6 at its edges) was 8.5e-7 off in rho and
+        # captured trace 1.31e-5 at dim 60, against the exact 6.71e-6.
+        chi, _ = fig4_runs["coherent-4.5"]
+        assert chi.boundary_magnitude() < BOUNDARY_TOL
+        fine = _refined(chi.grid)
+        want = _clamped(full_plane_fock_fold(
+            CharFunction(fine, fine.sample(chi.evaluator), chi.evaluator), 60))
+        assert np.trace(want).real == pytest.approx(6.70625e-6, rel=1e-6)
+        rho = _reconstructed(chi, 60)
+        assert np.abs(rho * np.trace(want).real - want).max() <= 1e-13
+
+    def test_terms_give_the_factors(self):
+        rng = np.random.default_rng(11)
+        u, v = rng.normal(size=(2, 200)) * 3.0
+        for name, state in self.STATES.items():
+            terms = state.char_eval.terms
+            assert len(terms) == (4 if name.startswith("cat") else 1)
+            got = sum(np.exp(t.log_c - 0.5 * t.a * u * u + t.p * u - 0.5 * t.a2 * v * v + t.q * v)
+                      for t in terms)
+            assert _close(got, state.char_eval(u, v), 1e-14), name
+
+    def test_fold_runs_only_without_terms(self, grid, u_mode, monkeypatch):
+        from pulse_squeeze import charfun
+
+        folded, fold = [], charfun._fock_fold
+        monkeypatch.setattr(charfun, "_fock_fold",
+                            lambda chi, dim: folded.append(dim) or fold(chi, dim))
+        for state in self.STATES.values():
+            _reconstructed(char_of_state(state), 10)
+        assert folded == []
+        mixed = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        mixed[0, 1] = mixed[1, 0] = 0.1
+        for state in (fock_state(1, 20), fock_state(2, 20), QuantumState(mixed)):
+            assert not getattr(state_evaluator(state).base, "terms", ())
+            chi = TestRectangularGrid._squeezed_output(grid, u_mode, state, r=0.4)
+            _reconstructed(chi, 10)
+        assert folded == [10, 10, 10]
