@@ -318,7 +318,8 @@ def _verify_checks():
 
     opo = build_opo(OpoParams(0.3, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
     checks.append(("opo symplectic", verify_symplectic(opo).max_residual, 1e-12))
-    # At detuning 0 the OPO is built in closed form, with float64 kernels.
+    # At detuning 0 the OPO is a one-stage resonant chain: float64 kernels
+    # held as Toeplitz symbols, filled here for the check.
     resonant = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
     checks.append(("resonant opo symplectic", verify_symplectic(resonant).max_residual, 1e-12))
 
@@ -328,12 +329,30 @@ def _verify_checks():
 
     # A resonant chain raises its stage's f-circulant symbol; a detuned stage
     # mixes x with p, so its chain takes the 2n x 2n quadrature power.
+    twpa_grid = TemporalGrid(-10.0, 30.0, 256)
+    chains = {}
     for name, detuning in (("twpa symplectic", 0.0), ("detuned twpa symplectic", 0.3)):
-        twpa = build_twpa(
+        chains[detuning] = build_twpa(
             TwpaParams(OpoParams(detuning, 1.0, GaussianPump(1.0, 0.0, 0.2)), 100, 0.01),
-            TemporalGrid(-10.0, 30.0, 256),
-        )
-        checks.append((name, verify_symplectic(twpa).max_residual, 1e-10))
+            twpa_grid)
+        checks.append((name, verify_symplectic(chains[detuning]).max_residual, 1e-10))
+
+    # A resonant cavity's FFT products against its filled kernels: F, G, F^T
+    # and G^T on a complex vector and a 16-column block, each relative to the
+    # largest entry of the product.
+    worst = 0.0
+    draws = np.random.default_rng(12)
+    for k in (build_opo(OpoParams(0.0, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid), chains[0.0]):
+        n = k.grid.n_points
+        vector = draws.normal(size=n) + 1j * draws.normal(size=n)
+        for y in (vector, draws.normal(size=(n, 16))):
+            for name in ("F", "G"):
+                for transpose in (False, True):
+                    dense = getattr(k, name)
+                    want = (dense.T if transpose else dense) @ y
+                    got = k.times(name, y, transpose)
+                    worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    checks.append(("resonant operator", worst, 1e-13))
 
     worst = 0.0
     for _ in range(5):
@@ -365,11 +384,17 @@ def _verify_checks():
     trace_err = abs(g1.trace() - (sp.seeded_total + sp.vacuum_total)) / max(g1.trace(), 1e-12)
     checks.append(("g1 trace consistency", trace_err, 1e-12))
 
-    # A state without rotational symmetry, so the angular phases of the
-    # Fock reconstruction are exercised.
+    # The coherent state's density matrix from its Gaussian terms, by the
+    # closed-form Hermite recurrence; a state without rotational symmetry,
+    # so the angular phases are exercised.
     coh = coherent_state(1.0 + 0.5j, 20)
     rec = fock_from_char(char_of_state(coh), 20)
-    checks.append(("char round trip (coherent)", float(np.abs(rec.rho - coh.rho).max()), 1e-6))
+    checks.append(("coherent rho closed form", float(np.abs(rec.rho - coh.rho).max()), 1e-6))
+    # A Fock state has no Gaussian terms: its chi is sampled on a grid and
+    # folded back to rho.  What it reads is the tail past the grid's edges.
+    one = fock_state(1, 20)
+    rec = fock_from_char(char_of_state(one), 20)
+    checks.append(("fock-1 fold round trip", float(np.abs(rec.rho - one.rho).max()), 1e-6))
 
     dsq = decompose_output_mode(sq, u, u)
     chi_out = propagate_char(dsq, vacuum_state(20))

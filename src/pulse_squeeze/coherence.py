@@ -35,17 +35,25 @@ pick a vacuum-seeded output mode) takes ``ModeSpectrum.head``: one narrow
 block whose certificate covers those pairs alone, their residuals and the
 bound on every other eigenvalue lying below the last of them.
 
+Everything a ``state`` run or a sweep reads goes through the kernels'
+product protocol (``BogoliubovKernels.times``): the images ``F u`` and
+``G u``, and the head's products with G and G^T.  With ``vacuum_total``,
+which a resonant cavity sums tile by tile, these need no n x n matrix, so
+a resonant cavity (``kernels.ToeplitzKernels``) never fills one for them.
+The full ladder, the vacuum kernel and ``g1_total`` read the filled G.
+
 A real G (float64 kernels: a resonant OPO or TWPA) keeps the whole ladder
 real: the blocks are real with twice the columns in the same storage, and
 the dense solve forms a real symmetric Gram matrix by ``syrk``; a complex
-G takes complex blocks and ``herk``.
+G takes complex blocks and ``herk``.  The branch reads the kernels'
+``dtype``, never G itself.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -166,12 +174,12 @@ class ModeSpectrum:
         k = self.kernels
         cut = OCCUPATION_CUT * self.total
         cols = LADDER_HEAD * count
-        per = 1 if np.iscomplexobj(k.G) else 2
+        per = 1 if k.dtype == complex else 2
         if ("vacuum" in self.__dict__ or self.vacuum_total <= cut
                 or cols > per * (k.grid.n_points // LADDER_SHARE)):
             return self.vacuum[:count]
         if count not in self._heads:
-            vals, vecs, certified = _ritz_block(k.G, k.grid.dt, self.vacuum_total, cut, cols, count)
+            vals, vecs, certified = _ritz_block(k, k.grid.dt, self.vacuum_total, cut, cols, count)
             self._heads[count] = self._modes(vals, vecs) if certified else self.vacuum[:count]
         return self._heads[count]
 
@@ -220,9 +228,11 @@ def _gaussian_block(rows: int, cols: int) -> np.ndarray:
     return normal[:size].reshape(rows, cols)
 
 
-def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, cols: int, count=None):
+def _ritz_block(g, dt: float, total: float, cut: float, cols: int, count=None):
     """Ritz pairs above ``cut`` of a ``cols``-column block, at most
-    ``count`` of them, and whether they are certified.
+    ``count`` of them, and whether they are certified.  ``g`` is the n x n
+    G, or a kernel pair whose product protocol applies it
+    (``BogoliubovKernels.times``), so a ladder head fills no matrix.
 
     The block ``Omega`` is ``_gaussian_block``, drawn as ``2 cols`` reals
     viewed as ``cols`` complex columns for a complex G and as ``cols`` real
@@ -242,16 +252,24 @@ def _ritz_block(g: np.ndarray, dt: float, total: float, cut: float, cols: int, c
     are then the top ``count`` of the ladder.
     """
 
+    if isinstance(g, BogoliubovKernels):
+        n, is_complex, times = g.grid.n_points, g.dtype == complex, partial(g.times, "G")
+    else:
+        n, is_complex = len(g), np.iscomplexobj(g)
+
+        def times(x, transpose=False):
+            return (g.T if transpose else g) @ x
+
     def h(x):
-        return dt * np.conj(g @ np.conj(x))
+        return dt * np.conj(times(np.conj(x)))
 
     def h_adj(x):
-        return dt * (g.T @ x)
+        return dt * times(x, transpose=True)
 
-    if np.iscomplexobj(g):
-        omega = _gaussian_block(len(g), 2 * cols).view(complex)
+    if is_complex:
+        omega = _gaussian_block(n, 2 * cols).view(complex)
     else:
-        omega = _gaussian_block(len(g), cols)
+        omega = _gaussian_block(n, cols)
     q = np.linalg.qr(h(h_adj(omega)))[0]
     q = np.linalg.qr(h(h_adj(q)))[0]
     w, s, zh = np.linalg.svd(h_adj(q), full_matrices=False)

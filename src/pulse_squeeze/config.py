@@ -53,6 +53,13 @@ __all__ = [
 FLOAT_FORMAT = "%.16e"
 
 
+# libyaml's loader and dumper where PyYAML was built with it: the same
+# constructors and resolvers, so the same dicts and the same text, about
+# eight times faster than the pure-Python classes.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 class ConfigError(ValueError):
     """Configuration failed validation; message carries the offending key."""
 
@@ -62,7 +69,7 @@ def load_config(path: str | Path) -> dict:
     ConfigError naming the path, on one line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
     except yaml.YAMLError as exc:
@@ -82,12 +89,12 @@ def load_recipe(name: str) -> dict:
             if p.name.endswith(".yaml")
         )
         raise ConfigError(f"unknown recipe {name!r}; available: {', '.join(available)}")
-    return yaml.safe_load(ref.read_text(encoding="utf-8"))
+    return yaml.load(ref.read_text(encoding="utf-8"), Loader=_LOADER)
 
 
 def dump_config(cfg: dict) -> str:
     """Canonical serialization; parse -> dump -> parse is the identity."""
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
+    return yaml.dump(cfg, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
 
 
 def config_hash(cfg: dict) -> str:

@@ -8,17 +8,18 @@ end-of-window cavity back into it, which keeps the grid-to-grid map
 symplectic to round-off instead of leaking one vacuum mode at the window
 edge.  The chain converges to the continuum input-output kernels at second
 order in dt.  A detuned OPO runs the chain slice by slice and returns
-complex128 kernels.  At zero detuning the gain half-steps commute and the
-cavity's x and p quadratures evolve apart, so the chain sums in closed form
-to float64 kernels, with no loop over slices.
+complex128 kernels.
 
-A TWPA is a chain of identical OPO stages.  A resonant stage (detuning 0)
-never mixes x with p, and each of its quadrature maps is ``E T E^-1``: a
+A TWPA is a chain of identical OPO stages, and a resonant OPO is the chain
+of one.  A resonant stage (detuning 0) never mixes x with p: its gain
+half-steps commute, and each of its quadrature maps is ``E T E^-1``, a
 diagonal scale by the pump area ``C_k`` up to slice k around an
 f-circulant Toeplitz ``T`` that all stages share.  The chain raises the
 length-n symbol of ``T`` as a polynomial modulo ``z^n - f`` (about
-log2(n_stages) convolutions) and fills F and G once; its kernels stay
-real.  Against a long-double power of the float64 stage (n = 128, stage
+log2(n_stages) convolutions) and returns ``kernels.ToeplitzKernels``: the
+pump profile and the wrapped symbols of the x and p maps, O(n) numbers,
+whose products run by FFT and whose float64 F and G are filled only when
+read.  Against a long-double power of the float64 stage (n = 128, stage
 area 4 / n_stages) it is off by 8.8e-16, 1.3e-15, 7.6e-15 and 7.6e-14 of
 the largest F entry at 2, 7, 100 and 1000 stages; raising the two n x n
 maps was off by 6.2e-15, 1.0e-14, 1.7e-13 and 2.9e-12.  A detuned stage
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TemporalGrid
-from .kernels import BogoliubovKernels, _quadrature_power, verify_symplectic
+from .kernels import BogoliubovKernels, ToeplitzKernels, _quadrature_power, verify_symplectic
 
 __all__ = [
     "GaussianPump",
@@ -222,9 +223,10 @@ def _resonant_pump(params: OpoParams, grid: TemporalGrid) -> tuple[np.ndarray, f
 def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Input-output kernels of a pulse-pumped OPO cavity.
 
-    At ``detuning == 0`` the kernels are float64 and come in closed form
-    (:func:`_resonant_opo`); otherwise the slice chain builds them as
-    complex128 (:func:`_detuned_opo`).
+    At ``detuning == 0`` the cavity is a one-stage resonant chain
+    (:func:`_resonant_chain`): float64 kernels held as their Toeplitz
+    symbols; otherwise the slice chain builds them as complex128
+    (:func:`_detuned_opo`).
 
     Raises
     ------
@@ -235,7 +237,7 @@ def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
     """
     if params.detuning:
         return _detuned_opo(params, grid, _covered_areas(params.pump, grid))
-    return _resonant_opo(grid, *_resonant_pump(params, grid))
+    return _resonant_chain(grid, *_resonant_pump(params, grid), 1)
 
 
 def _detuned_opo(params: OpoParams, grid: TemporalGrid,
@@ -296,77 +298,6 @@ def _detuned_opo(params: OpoParams, grid: TemporalGrid,
     return BogoliubovKernels(grid, out_f, out_g)
 
 
-# Row tiles of ``_resonant_opo``: at most _TILE_ROWS rows, and few enough
-# that the cavity decay across a tile, |log eta| per row, adds at most
-# _TILE_DECAY to the exponent of a tile-local factor.
-_TILE_DECAY = 16.0
-_TILE_ROWS = 64
-
-
-def _resonant_opo(grid: TemporalGrid, mid: np.ndarray, total: float,
-                  log_eta: float) -> BogoliubovKernels:
-    """The slice chain at zero detuning, summed in closed form.
-
-    Each gain half-step is then ``exp(a_k/2 sigma_x)`` (``a_k`` the pump
-    area of slice k): the half-steps commute, and ``x = phi + psi`` and ``p
-    = phi - psi`` evolve apart, scaled by ``e^(+a_k/2)`` and ``e^(-a_k/2)``.
-    With ``C_k`` (``mid``) the pump area up to the middle of slice k, ``A``
-    (``total``) the total area and ``eta = exp(log_eta)``, the x map ``X =
-    (F + G) dt`` is
-
-        X[k, j] = eta delta_kj - s^2 eta^(k-j-1) e^(C_k - C_j) / (1 - L)     (k > j)
-        X[k, j] = eta delta_kj - s^2 eta^(n+k-j-1) e^(A + C_k - C_j) / (1 - L)   (k <= j)
-
-    with loop gain ``L = eta^n e^A``: the lower triangle is the chain's
-    emission, and the division by ``1 - L`` (and the upper triangle) the
-    closure of the initial-cavity port.  ``P = (F - G) dt`` is the same
-    with ``-C`` and ``-A``.  Past ``eta delta_kj``, every entry is the
-    product of a row and a column factor, so F and G are written row tile
-    by row tile as rank-2 products; each tile takes its exponents relative
-    to its first row, so no factor overflows on a long window.
-    """
-    n = grid.n_points
-    eta = math.exp(log_eta)
-
-    # Rows: x, p.  kappa folds in -s^2 / (1 - L) and the 1 / (2 dt) of
-    # F = (X + P) / (2 dt), G = (X - P) / (2 dt).
-    sign = np.array([[1.0], [-1.0]])
-    loop = np.exp(n * log_eta + sign * total)
-    kappa = -(1.0 - eta * eta) * (0.5 / grid.dt) / (1.0 - loop)
-    index = np.arange(n)
-    tile = int(min(_TILE_ROWS, max(1.0, _TILE_DECAY / -log_eta)))
-    upper = ~np.tri(tile, k=-1, dtype=bool)
-    F = np.empty((n, n))
-    G = np.empty((n, n))
-    for k0 in range(0, n, tile):
-        k1 = min(k0 + tile, n)
-        # Row factors eta^(k-k0) e^(+-(C_k - C_k0)); column factors kappa
-        # eta^(k0-1-j) e^(-+(C_j - C_k0)) below the diagonal and, for the
-        # closure on and above it, the same times eta^n e^(+-A).  Powers of
-        # eta are integer multiples of log_eta: a difference of two long
-        # products would lose digits on a long window.
-        d = sign * (mid - mid[k0])  # +-(C_j - C_k0)
-        rows = np.exp(index[: k1 - k0] * log_eta + d[:, k0:k1])
-        power = k0 - 1 - index
-        cols = np.empty((2, n))
-        cols[:, :k1] = kappa * np.exp(power[:k1] * log_eta - d[:, :k1])
-        above = kappa * np.exp((power[k0:] + n) * log_eta + sign * total - d[:, k0:])
-        cols[:, k1:] = above[:, k1 - k0:]
-        above = above[:, : k1 - k0]  # the tile's diagonal block, k <= j
-        keep = upper[: k1 - k0, : k1 - k0]
-        # F = x + p and G = x - p as rank-2 products.  G takes the row
-        # factors (x - p, p) and the column factors (x, x - p), so it is
-        # exactly 0 without a pump.
-        (x, p), (cx, cp), (ax, ap) = rows, cols, above
-        for out, r, c, a in ((F, rows, cols, above),
-                             (G, [x - p, p], [cx, cx - cp], [ax, ax - ap])):
-            r = np.transpose(r)
-            np.matmul(r, c, out=out[k0:k1])
-            np.copyto(out[k0:k1, k0:k1], r @ a, where=keep)
-    F.flat[:: n + 1] += eta / grid.dt
-    return BogoliubovKernels(grid, F, G)
-
-
 def build_opa(params: OpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Kernels of a single-pass amplifier, grid interpreted as frequency.
 
@@ -413,8 +344,8 @@ def build_twpa(params: TwpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     A resonant stage's quadrature maps are ``E T E^-1`` with ``E =
     diag(e^(+-C_k))`` and ``T`` f-circulant (:func:`_resonant_chain`), so the
     chain raises two length-n coefficient vectors to the power ``n_stages``
-    and fills F and G once; it builds no stage kernels and multiplies no
-    matrices.  A detuned stage mixes x with p: its real 2n x 2n quadrature
+    and keeps them as its kernels' symbols; it builds no stage kernels and
+    multiplies no matrices.  A detuned stage mixes x with p: its real 2n x 2n quadrature
     map is raised by ``kernels._quadrature_power``.  Both run the stage's
     grid checks.  Against a long-double power of the float64 stage (n =
     128, stage area 4 / n_stages), the resonant fold is off by 8.8e-16,
@@ -464,47 +395,40 @@ def _circulant_power(c: np.ndarray, f: float, power: int) -> np.ndarray:
 
 
 def _resonant_chain(grid: TemporalGrid, mid: np.ndarray, total: float, log_eta: float,
-                    n_stages: int) -> BogoliubovKernels:
-    """``n_stages`` resonant stages (:func:`_resonant_opo`) in closed form.
+                    n_stages: int) -> ToeplitzKernels:
+    """``n_stages`` resonant stages, as their quadrature maps' symbols.
 
-    The stage's x map is ``X = E T E^-1`` with ``E = diag(e^(C_k))`` and
-    ``T[k, j] = c_(k-j)`` for ``k >= j``, ``f c_(n+k-j)`` for ``k < j``:
-    f-circulant with ``f = e^A``, ``c_0 = eta - s^2 eta^(n-1) e^A / (1 -
-    L)`` and ``c_d = -s^2 eta^(d-1) / (1 - L)`` for ``d >= 1``.  The p map
-    takes ``-C`` and ``-A``.  All stages share ``E``, so ``X^N = E T^N
-    E^-1``, and ``T^N`` is f-circulant again, with coefficients from
-    :func:`_circulant_power`.  Its n x n entries are a strided Toeplitz view
-    of the wrapped coefficients; scaled by ``e^(+-(C_k - C_j))`` they give
-    ``X^N`` and ``P^N``, and ``F = (X^N + P^N) / (2 dt)``, ``G = (X^N -
-    P^N) / (2 dt)``.  Each scale is a product of a row and a column factor
-    centred on ``A / 2``, so no factor passes ``e^(A/2)``.  Without a pump
-    both maps are the same bits, so G is exactly 0.
+    At zero detuning each gain half-step of the slice chain is ``exp(a_k/2
+    sigma_x)`` (``a_k`` the pump area of slice k): the half-steps commute,
+    and ``x = phi + psi`` and ``p = phi - psi`` evolve apart.  With ``C_k``
+    (``mid``) the pump area up to the middle of slice k, ``A`` (``total``)
+    and loop gain ``L = eta^n e^A``, the stage's x map is ``X = E T E^-1``
+    with ``E = diag(e^(C_k))`` and ``T[k, j] = c_(k-j)`` for ``k >= j``, ``f
+    c_(n+k-j)`` for ``k < j``: f-circulant with ``f = e^A``, ``c_0 = eta - s^2
+    eta^(n-1) e^A / (1 - L)`` and ``c_d = -s^2 eta^(d-1) / (1 - L)`` for ``d
+    >= 1`` (the lower triangle is the chain's emission, the division by ``1
+    - L`` and the upper triangle the closure of the initial-cavity port).
+    The p map takes ``-C`` and ``-A``.  All stages share ``E``, so ``X^N = E
+    T^N E^-1``, and ``T^N`` is f-circulant again, with coefficients from
+    :func:`_circulant_power`.  The kernels keep ``s = C - A / 2`` and the
+    wrapped coefficients of ``T^N`` for x and p, the symbol vectors of
+    :class:`ToeplitzKernels`; centring ``s`` on ``A / 2`` keeps every scale
+    below ``e^(A/2)``.  Without a pump both symbols are the same bits, so G
+    is exactly 0.
     """
     n = grid.n_points
     eta = math.exp(log_eta)
     index = np.arange(n)
-    shifted = mid - 0.5 * total
 
-    def chain_map(sign):
-        """``X^N`` (sign 1) or ``P^N`` (sign -1)."""
+    def symbol(sign):
+        """The wrapped coefficients of ``T^N`` (sign 1) or of the p map's
+        (sign -1): entry (k, j) of the map reads ``[n - 1 - k + j]``, c_(k-j)
+        from the reversed coefficients, f c_(n+k-j) after them."""
         f = math.exp(sign * total)
         kappa = -(1.0 - eta * eta) / (1.0 - math.exp(n * log_eta + sign * total))
         c = kappa * np.exp((index - 1) * log_eta)
         c[0] = eta + kappa * math.exp((n - 1) * log_eta + sign * total)
         c = _circulant_power(c, f, n_stages)
-        # Entry (k, j) reads wrapped[n - 1 - k + j]: c_(k-j) from the reversed
-        # coefficients, f c_(n+k-j) after them.
-        wrapped = np.concatenate([c[::-1], f * c[:0:-1]])
-        toeplitz = np.lib.stride_tricks.sliding_window_view(wrapped, n)[::-1]
-        m = np.exp(sign * shifted)[:, None] * toeplitz
-        m *= np.exp(-sign * shifted)
-        return m
+        return np.concatenate([c[::-1], f * c[:0:-1]])
 
-    x, p = chain_map(1.0), chain_map(-1.0)
-    g = x - p
-    x += p
-    del p
-    scale = 0.5 / grid.dt
-    x *= scale
-    g *= scale
-    return BogoliubovKernels(grid, x, g)
+    return ToeplitzKernels(grid, mid - 0.5 * total, symbol(1.0), symbol(-1.0))

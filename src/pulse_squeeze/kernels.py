@@ -12,7 +12,7 @@ preservation pins the two symplectic conditions checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,7 @@ from .grids import (
 
 __all__ = [
     "BogoliubovKernels",
+    "ToeplitzKernels",
     "PullbackResult",
     "SymplecticReport",
     "identity_kernels",
@@ -40,41 +41,182 @@ __all__ = [
 DISPERSIVE_XI_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class BogoliubovKernels:
     """Transfer object for a quadratic optical element.
 
     ``F`` and ``G`` hold the sampled kernels F(x, x') and G(x, x'); the
     operator action carries the quadrature weight dt, so the identity map
-    stores ``F = eye / dt``.  Both are float64 when both arrays passed in
+    stores ``F = eye / dt``.  ``dtype`` is float64 when both arrays passed in
     are real, as the builders that know their kernels are real pass them
-    (:func:`identity_kernels`, a resonant OPO and a resonant TWPA), and
-    complex128 otherwise.  Consumers branch on that dtype, never on the
-    values: a real pair takes real arithmetic throughout.
+    (:func:`identity_kernels`; a resonant cavity is a :class:`ToeplitzKernels`),
+    and complex128 otherwise.  Consumers branch on ``dtype``, never on the
+    arrays: a real pair takes real arithmetic throughout.
+
+    :meth:`times` is the one product protocol: F, G, F^T or G^T times a
+    vector or a thin block.  The images, the pullback and the ladder head go
+    through it; a kernel pair held in a cheaper form than two n x n arrays
+    (:class:`ToeplitzKernels`) fills ``F`` and ``G`` only for the consumers
+    that read them whole: ``verify_symplectic``, ``compose``, the vacuum
+    kernel, ``g1_total`` and the full ladder.
     """
 
-    grid: TemporalGrid
-    F: np.ndarray = field(repr=False)
-    G: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.grid.n_points
-        dtype = complex if np.iscomplexobj(self.F) or np.iscomplexobj(self.G) else float
-        F = np.ascontiguousarray(np.asarray(self.F, dtype=dtype))
-        G = np.ascontiguousarray(np.asarray(self.G, dtype=dtype))
+    def __init__(self, grid: TemporalGrid, F: np.ndarray, G: np.ndarray):
+        n = grid.n_points
+        dtype = np.dtype(complex if np.iscomplexobj(F) or np.iscomplexobj(G) else float)
+        F = np.ascontiguousarray(F, dtype=dtype)
+        G = np.ascontiguousarray(G, dtype=dtype)
         if F.shape != (n, n) or G.shape != (n, n):
             raise ValueError("F and G must be n x n for an n-point grid")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
+        self.grid, self.dtype, self.F, self.G = grid, dtype, F, G
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(grid={self.grid!r}, dtype={self.dtype})"
+
+    def times(self, kernel: str, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``K y``, or ``K^T y`` when ``transpose``, for ``kernel`` "F" or "G"
+        (the sampled kernel, no dt) and ``y`` a vector or an (n, k) block."""
+        a = self.F if kernel == "F" else self.G
+        return _times(a.T if transpose else a, y)
 
     @cached_property
     def vacuum_total(self) -> float:
         """Photons the device emits with no input, ``dt^2 ||G||_F^2``: the
         trace of the squeezed-vacuum part of g1.  It depends on the device
-        alone, so it is computed once per kernel pair, by one ``vdot`` that
-        makes no n x n temporary."""
+        alone, so it is computed once per kernel pair: here by one ``vdot``
+        that makes no n x n temporary, and for :class:`ToeplitzKernels` from
+        G's row tiles, without filling G."""
         g = self.G.ravel()
         return self.grid.dt**2 * float(np.vdot(g, g).real)
+
+
+# Rows per tile of a ToeplitzKernels fill or ``vacuum_total``.
+_FILL_ROWS = 32
+# The largest spread of a ToeplitzKernels pump profile, max s - min s, whose
+# products go through FFTs.  Their rounding grows about as e^(1.3 spread)
+# against the largest entry of the product (a single stage on fig4's grid,
+# pump width 2: 1e-14 at spread 2, 3e-13 at 4, 3e-11 at 8); past it the
+# filled kernels multiply.  Every recipe stays below it (fig4: 1.5).
+_FFT_SPREAD = 2.0
+
+
+class ToeplitzKernels(BogoliubovKernels):
+    """Real kernels whose quadrature maps are Toeplitz up to a diagonal scale.
+
+    The x map ``X = (F + G) dt`` is ``E T+ E^-1`` and the p map ``P = (F - G)
+    dt`` is ``E^-1 T- E``, with ``E = diag(e^s)`` and ``T[k, j] = t[n - 1 - k
+    + j]`` for the length-(2n - 1) symbol vectors ``t+`` and ``t-``.  A
+    resonant cavity is one (``devices._resonant_chain``); it holds ``s``
+    and ``t+-`` alone, O(n) numbers.
+
+    :meth:`times` writes the products in the split
+
+        2 dt G = Ch U Ch - Ch V Sh + Sh V Ch - Sh U Sh,
+
+    with ``Ch = diag(cosh s)``, ``Sh = diag(sinh s)`` and ``U``, ``V`` the
+    Toeplitz matrices of ``t+ - t-`` and ``t+ + t-`` (F swaps U and V), so
+    a small G is never the difference of the two large products ``X y`` and
+    ``P y``: without a pump, ``s = 0`` and ``t+ = t-``, and G y is exactly 0.
+    Each product is two forward and two inverse real FFTs of length 2n, a
+    linear convolution with no wrap-around.  A pump profile that spreads
+    over more than ``_FFT_SPREAD`` (a single stage of pump area above 2)
+    multiplies the filled kernels instead, as the FFT rounding grows with
+    ``e^(max s - min s)``.
+
+    ``F`` and ``G`` are filled on first read, row tile by row tile, each
+    entry as ``X = (e^s_k T+[k, j]) e^-s_j``, ``P = (e^-s_k T-[k, j]) e^s_j``,
+    ``F = (X + P) / (2 dt)`` and ``G = (X - P) / (2 dt)``.  ``vacuum_total``
+    sums the squares of the same G tiles without keeping them.
+    """
+
+    def __init__(self, grid: TemporalGrid, s: np.ndarray, t_plus: np.ndarray,
+                 t_minus: np.ndarray):
+        n = grid.n_points
+        if s.shape != (n,) or t_plus.shape != (2 * n - 1,) or t_minus.shape != t_plus.shape:
+            raise ValueError("s needs n entries and each symbol 2n - 1 for an n-point grid")
+        self.grid, self.dtype = grid, np.dtype(float)
+        self.s, self.t_plus, self.t_minus = s, t_plus, t_minus
+
+    @cached_property
+    def _spectra(self) -> dict:
+        """By ``transpose``: the real FFTs of ``(t+ - t-, t+ + t-) / (2 dt)``,
+        reversed for ``T y`` and as they are for ``T^T y``, as columns."""
+        scale = 0.5 / self.grid.dt
+        u = (self.t_plus - self.t_minus) * scale
+        v = (self.t_plus + self.t_minus) * scale
+        size = 2 * self.grid.n_points
+        return {transpose: tuple(np.fft.rfft(w if transpose else w[::-1], size)[:, None]
+                                 for w in (u, v))
+                for transpose in (False, True)}
+
+    def times(self, kernel: str, y: np.ndarray, transpose: bool = False) -> np.ndarray:
+        if np.ptp(self.s) > _FFT_SPREAD:
+            return super().times(kernel, y, transpose)
+        y = np.asarray(y)
+        if np.iscomplexobj(y):
+            return _on_real_view(lambda r: self.times(kernel, r, transpose), y)
+        # T y is the middle n entries of the linear convolution of the
+        # reversed symbol with y, T^T y that of the symbol itself.  With a =
+        # Ch y and b = Sh y, G y = Ch (U a - V b) + Sh (V a - U b) and G^T y =
+        # Ch (U^T a + V^T b) - Sh (V^T a + U^T b).
+        n = self.grid.n_points
+        size = 2 * n
+        u, v = self._spectra[transpose]
+        p, q = (u, v) if kernel == "G" else (v, u)
+        sign = 1.0 if transpose else -1.0
+        ch, sh = np.cosh(self.s)[:, None], np.sinh(self.s)[:, None]
+        block = y.reshape(n, -1)
+        a = np.fft.rfft(ch * block, size, axis=0)
+        b = np.fft.rfft(sh * block, size, axis=0)
+        first = np.fft.irfft(p * a + sign * (q * b), size, axis=0)[n - 1 : size - 1]
+        second = np.fft.irfft(q * a + sign * (p * b), size, axis=0)[n - 1 : size - 1]
+        return (ch * first - sign * (sh * second)).reshape(y.shape)
+
+    def _map_rows(self):
+        """Row tiles ``(rows, X[rows], P[rows])`` of the two quadrature maps,
+        in two buffers that each tile overwrites."""
+        n = self.grid.n_points
+        window = np.lib.stride_tricks.sliding_window_view
+        plus, minus = (window(t, n)[::-1] for t in (self.t_plus, self.t_minus))
+        grow, shrink = np.exp(self.s), np.exp(-self.s)
+        x_buf, p_buf = np.empty((2, _FILL_ROWS, n))
+        for k0 in range(0, n, _FILL_ROWS):
+            rows = slice(k0, min(k0 + _FILL_ROWS, n))
+            x, p = x_buf[: rows.stop - k0], p_buf[: rows.stop - k0]
+            np.multiply(grow[rows, None], plus[rows], out=x)
+            x *= shrink
+            np.multiply(shrink[rows, None], minus[rows], out=p)
+            p *= grow
+            yield rows, x, p
+
+    def _fill(self, combine) -> np.ndarray:
+        n = self.grid.n_points
+        scale = 0.5 / self.grid.dt
+        out = np.empty((n, n))
+        for rows, x, p in self._map_rows():
+            combine(x, p, out=out[rows])
+            out[rows] *= scale
+        return out
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return self._fill(np.add)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return self._fill(np.subtract)
+
+    @cached_property
+    def vacuum_total(self) -> float:
+        """``dt^2 ||G||_F^2`` as ``||X - P||_F^2 / 4``, summed over the row
+        tiles of the fill (3.3 ms at n = 1024, one tile of two 32 x n
+        buffers at a time), within 4e-14 of a ``vdot`` of the filled G; an
+        FFT correlation of ``e^(+-2s)`` would cancel ``||X||^2 + ||P||^2``
+        against ``2 <X, P>``."""
+        total = 0.0
+        for _rows, x, p in self._map_rows():
+            x -= p
+            total += float(np.vdot(x, x))
+        return 0.25 * total
 
 
 @dataclass(frozen=True)
@@ -140,7 +282,7 @@ def _to_quadrature(k: BogoliubovKernels) -> np.ndarray:
     m = np.zeros((2 * n, 2 * n))
     np.add(k.F.real, k.G.real, out=m[:n, :n])
     np.subtract(k.F.real, k.G.real, out=m[n:, n:])
-    if np.iscomplexobj(k.F):
+    if k.dtype == complex:
         np.add(k.F.imag, k.G.imag, out=m[:n, n:])
         np.negative(m[:n, n:], out=m[:n, n:])
         np.subtract(k.F.imag, k.G.imag, out=m[n:, :n])
@@ -230,12 +372,21 @@ def verify_symplectic(k: BogoliubovKernels) -> SymplecticReport:
     )
 
 
+def _on_real_view(op, z: np.ndarray) -> np.ndarray:
+    """``op`` of a real linear map applied to a complex vector or block ``z``
+    through its real view, two real columns per complex one, so a real
+    operator is never cast to a complex copy."""
+    z = np.ascontiguousarray(z)
+    return np.ascontiguousarray(op(z.view(float).reshape(len(z), -1))).view(complex).reshape(
+        z.shape)
+
+
 def _times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``a @ z`` for a complex vector ``z``.  A real ``a`` multiplies the
-    ``(n, 2)`` real view of ``z``, so it is never cast to a complex copy."""
-    if np.iscomplexobj(a):
+    """``a @ z`` for a vector or block ``z``; a real ``a`` takes the real view
+    of a complex ``z``."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(z):
         return a @ z
-    return (a @ np.ascontiguousarray(z).view(float).reshape(-1, 2)).view(complex).ravel()
+    return _on_real_view(a.__matmul__, z)
 
 
 def apply_to_mode(k: BogoliubovKernels, u: ModeFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +398,7 @@ def apply_to_mode(k: BogoliubovKernels, u: ModeFunction) -> tuple[np.ndarray, np
     if u.grid != k.grid:
         raise GridMismatchError("mode does not live on the kernel grid")
     dt = k.grid.dt
-    return dt * _times(k.F, u.amplitudes), dt * _times(k.G, u.amplitudes)
+    return dt * k.times("F", u.amplitudes), dt * k.times("G", u.amplitudes)
 
 
 def pullback_output_mode(k: BogoliubovKernels, v: ModeFunction) -> PullbackResult:
@@ -260,9 +411,9 @@ def pullback_output_mode(k: BogoliubovKernels, v: ModeFunction) -> PullbackResul
     if v.grid != k.grid:
         raise GridMismatchError("mode does not live on the kernel grid")
     dt = k.grid.dt
-    # conj() of a real kernel is the kernel itself, so a real pair is read in place.
-    f_raw = dt * _times(k.F.conj().T, v.amplitudes)
-    g_raw = dt * _times(k.G.conj().T, v.amplitudes.conj())
+    # F^dag v = conj(F^T conj(v)) and G^dag conj(v) = conj(G^T v).
+    f_raw = dt * np.conj(k.times("F", v.amplitudes.conj(), transpose=True))
+    g_raw = dt * np.conj(k.times("G", v.amplitudes, transpose=True))
     f_mode = ModeFunction(k.grid, f_raw)
     zeta = f_mode.norm
     if zeta < DISPERSIVE_XI_TOL:

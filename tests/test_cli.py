@@ -22,6 +22,9 @@ from pulse_squeeze.config import (
 from pulse_squeeze.kernels import BogoliubovKernels
 
 
+RECIPES = ("fig2a", "fig2b", "fig3ab", "fig3cd", "fig3ef", "fig4")
+
+
 def _base_config(**overrides):
     cfg = {
         "device": {"kind": "squeezer", "r": 0.8, "center": 0.0, "width": 1.0},
@@ -71,8 +74,66 @@ class TestConfig:
         assert yaml.safe_load(dump_config(cfg)) == cfg
         assert config_hash(cfg) == config_hash(yaml.safe_load(dump_config(cfg)))
 
+    @staticmethod
+    def ci_configs():
+        """Every bundled recipe and every config the CI workflow derives
+        from one, by name."""
+        fig4 = load_recipe("fig4")
+        state = lambda **value: set_by_path(fig4, "input.state", value)
+        fig3ef = load_recipe("fig3ef")
+        gain = {"name": "device.total_gain",
+                "values": [float(v) for v in sweep_axes(fig3ef)[1][1]]}
+        long_window = {"t_start": -10.0, "t_end": 2000.0, "n_points": 1024}
+        return {
+            **{name: load_recipe(name) for name in RECIPES},
+            "fig4-detuned": set_by_path(fig4, "device.detuning", 0.7),
+            "fig4-coherent": state(kind="coherent", alpha=2.5, dim=60),
+            "fig4-squeezed": set_by_path(state(kind="squeezed", r=0.5, dim=60),
+                                         "device.pump.area", 0.0),
+            "fig4-cat-complex": state(kind="even_cat", alpha="2+1j", dim=60),
+            "fig4-coherent-far": state(kind="coherent", alpha=4.5, dim=60),
+            "fig4-vacuum-v1": state(kind="vacuum", dim=60),
+            "fig4-vacuum-v2": set_by_path(state(kind="vacuum", dim=60), "output_mode", "auto_v2"),
+            "fig4-fock1": state(kind="fock", n=1, dim=60),
+            "twpa": set_by_path(set_by_path(fig3ef, "grid.n_points", 512), "sweep",
+                                {"axes": [gain]}),
+            "fig2b-long": set_by_path(set_by_path(load_recipe("fig2b"), "grid", long_window),
+                                      "device.pump.area", 1.5),
+        }
+
+    def test_libyaml_matches_pure_python(self):
+        # libyaml's dumper writes the pure-Python dumper's bytes, so every
+        # config_hash is unchanged, and its loader reads them back to the
+        # same dict.
+        import hashlib
+
+        from pulse_squeeze import config
+
+        assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        assert config._DUMPER is getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+        for name, cfg in self.ci_configs().items():
+            text = yaml.dump(cfg, Dumper=yaml.SafeDumper, sort_keys=True, default_flow_style=False)
+            assert dump_config(cfg) == text, name
+            assert config_hash(cfg) == hashlib.sha256(text.encode()).hexdigest(), name
+            assert yaml.load(text, Loader=config._LOADER) == yaml.safe_load(text) == cfg, name
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_invalid_yaml_is_one_line_naming_the_path(self, loader, tmp_path, monkeypatch):
+        from pulse_squeeze import config
+
+        if not hasattr(yaml, loader):
+            pytest.skip(f"PyYAML built without {loader}")
+        monkeypatch.setattr(config, "_LOADER", getattr(yaml, loader))
+        path = tmp_path / "bad.yaml"
+        for text in ("device: {kind: [\n", "device: {kind: opo\ngrid: [1, 2\n", "a: b: c\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError) as caught:
+                config.load_config(path)
+            message = str(caught.value)
+            assert message.startswith(f"{path}: invalid YAML: ") and "\n" not in message
+
     def test_all_recipes_validate(self):
-        for name in ("fig2a", "fig2b", "fig3ab", "fig3cd", "fig3ef", "fig4"):
+        for name in RECIPES:
             validate_config(load_recipe(name))
 
     def test_readme_lists_every_config_key(self):
@@ -756,9 +817,39 @@ class TestVerifyCommand:
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        # both TWPA folds: the resonant symbol power and the detuned full power
+        # both TWPA folds: the resonant symbol power and the detuned full
+        # power; the resonant FFT products; and both paths to rho, the
+        # closed form of a Gaussian-sum input and the fold of a Fock input
         names = {line.split("  residual")[0].strip() for line in out.splitlines()}
-        assert {"twpa symplectic", "detuned twpa symplectic"} <= names
+        assert {"twpa symplectic", "detuned twpa symplectic", "resonant operator",
+                "coherent rho closed form", "fock-1 fold round trip"} <= names
+
+
+class TestKernelFills:
+    """Which runs fill a resonant cavity's n x n kernels: a state run and a
+    sweep read images, pullbacks and the ladder head through the product
+    protocol; a modes run writes the full ladder, which reads G."""
+
+    @pytest.mark.parametrize("command, recipe, fills", [
+        ("state", "fig4", []),
+        ("sweep", "fig3ab", []),
+        ("modes", "fig2b", ["G"] * 9),
+    ])
+    def test_fills(self, command, recipe, fills, tmp_path, monkeypatch):
+        from pulse_squeeze.kernels import ToeplitzKernels
+
+        filled = []
+        fill = ToeplitzKernels._fill
+
+        def spying(self, combine):
+            filled.append({np.add: "F", np.subtract: "G"}[combine])
+            return fill(self, combine)
+
+        monkeypatch.setattr(ToeplitzKernels, "_fill", spying)
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert cli.main([command, "--recipe", recipe, "--out", str(tmp_path)]) == 0
+        assert filled == fills
 
     def test_corrupt_injection_reports_specific_invariant(self, capsys, monkeypatch):
         from pulse_squeeze import devices

@@ -178,21 +178,26 @@ def _chain_twin(params):
     return dataclasses.replace(params, detuning=1e-300)
 
 
+# The resonant OPO's closed-form cases: fig4, fig3ab and fig2a windows, and
+# a window whose eta^n underflows.
+CLOSED_FORM_CASES = [
+    ((-10.0, 30.0), 64, 0.08, 0.01),
+    ((-10.0, 30.0), 256, 8.0, 0.3),
+    ((-10.0, 30.0), 1024, 1.5, 0.1),
+    ((-12.0, 30.0), 512, 1.5, 0.02),
+    ((-12.0, 30.0), 512, 8.0, 2.0),
+    ((-30.0, 50.0), 1024, 1.0, 0.01),
+    ((-30.0, 50.0), 512, 0.08, 4.0),
+    ((-30.0, 50.0), 256, 8.0, 4.0),
+    ((-10.0, 2000.0), 1024, 1.5, 0.3),
+    ((-10.0, 2000.0), 256, 0.08, 2.0),
+]
+
+
 class TestResonantClosedForm:
     """The resonant OPO in closed form against the slice chain."""
 
-    @pytest.mark.parametrize("window, n, area, width", [
-        ((-10.0, 30.0), 64, 0.08, 0.01),
-        ((-10.0, 30.0), 256, 8.0, 0.3),
-        ((-10.0, 30.0), 1024, 1.5, 0.1),
-        ((-12.0, 30.0), 512, 1.5, 0.02),
-        ((-12.0, 30.0), 512, 8.0, 2.0),
-        ((-30.0, 50.0), 1024, 1.0, 0.01),
-        ((-30.0, 50.0), 512, 0.08, 4.0),
-        ((-30.0, 50.0), 256, 8.0, 4.0),
-        ((-10.0, 2000.0), 1024, 1.5, 0.3),
-        ((-10.0, 2000.0), 256, 0.08, 2.0),
-    ])
+    @pytest.mark.parametrize("window, n, area, width", CLOSED_FORM_CASES)
     def test_matches_slice_chain(self, window, n, area, width):
         # fig4, fig3ab and fig2a windows, and a window whose eta^n underflows
         grid = TemporalGrid(*window, n)
@@ -231,15 +236,132 @@ class TestResonantClosedForm:
             build_opo(OpoParams(0.3, 1.0, GaussianPump(1.5, 0.0, 0.1)), default_opo_grid(1.0, 128))
 
     def test_peak_memory(self):
-        # The slice chain peaks at 3.0x the kernels it returns.
+        # The slice chain peaks at 3.0x the kernels it returns.  The resonant
+        # cavity holds only its symbols, so building it stays far below one
+        # kernel, and each first read of F or G fills that one array in row
+        # tiles.
         grid = default_opo_grid(1.0, 1024)
         tracemalloc.start()
         try:
             k = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.5, 0.0, 0.1)), grid)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            for name in ("F", "G"):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                getattr(k, name)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * (k.F.nbytes + k.G.nbytes)
+        one = k.F.nbytes
+        assert k.G.nbytes == one
+        assert peaks[0] < 1.5 * (k.F.nbytes + k.G.nbytes)
+        assert peaks[0] < 0.05 * one
+        assert max(peaks[1:]) < 1.5 * one
+
+
+def _resonant_devices():
+    """The ten closed-form OPO cases and resonant chains of 2, 100 and 1000
+    stages at total gains 0.5 and 8 (n = 256), as builders by name."""
+    devices = {
+        f"opo-{window}-{n}-{area}-{width}": (
+            lambda window=window, n=n, area=area, width=width: build_opo(
+                OpoParams(0.0, 1.0, GaussianPump(area, 0.0, width)), TemporalGrid(*window, n)))
+        for window, n, area, width in CLOSED_FORM_CASES
+    }
+    for n_stages in (2, 100, 1000):
+        for gain in (0.5, 8.0):
+            devices[f"twpa-{n_stages}-{gain}"] = (
+                lambda n_stages=n_stages, gain=gain: build_twpa(
+                    TwpaParams(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2)), n_stages,
+                               gain / n_stages), TemporalGrid(-10.0, 30.0, 256)))
+    return devices
+
+
+RESONANT = _resonant_devices()
+
+
+@pytest.fixture
+def raise_errors():
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield
+
+
+def _products(k, y):
+    """``(name, transpose, K y)`` through the product protocol, for F, G and
+    their transposes."""
+    return [(name, transpose, k.times(name, y, transpose))
+            for name in ("F", "G") for transpose in (False, True)]
+
+
+@pytest.mark.usefixtures("raise_errors")
+class TestResonantOperator:
+    """A resonant cavity's FFT products, fills and ``vacuum_total``."""
+
+    @pytest.mark.parametrize("name", list(RESONANT))
+    def test_products_match_filled_kernels(self, name):
+        k = RESONANT[name]()
+        n = k.grid.n_points
+        rng = np.random.default_rng(7)
+        for y in (rng.normal(size=(n, 16)), rng.normal(size=n) + 1j * rng.normal(size=n)):
+            for kernel, transpose, got in _products(k, y):
+                dense = getattr(k, kernel)
+                want = (dense.T if transpose else dense) @ y
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("gain", [0.5, 8.0])
+    def test_hundred_stage_products_match_long_double_chain(self, gain):
+        grid = TemporalGrid(-10.0, 30.0, 256)
+        stage = OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.2))
+        k = build_twpa(TwpaParams(stage, 100, gain / 100), grid)
+        expected = dict(zip("FG", long_double_chain(
+            build_twpa(TwpaParams(stage, 1, gain / 100), grid), 100)))
+        # Against the F image's largest entry, as the chain's own error is
+        # measured against F's (the G images at gain 0.5 are 150x smaller,
+        # and the filled G is as far off them as the FFT products).
+        y = np.random.default_rng(8).normal(size=(256, 16)).astype(np.longdouble)
+        scale = np.abs(expected["F"] @ y).max()
+        for kernel, transpose, got in _products(k, y.astype(float)):
+            dense = expected[kernel]
+            want = (dense.T if transpose else dense) @ y
+            assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("build", [
+        lambda grid: build_opo(OpoParams(0.0, 1.0, GaussianPump(0.0, 0.0, 0.3)), grid),
+        lambda grid: build_twpa(
+            TwpaParams(OpoParams(0.0, 1.0, GaussianPump(0.0, 0.0, 0.3)), 10, 0.0), grid),
+    ])
+    def test_g_products_vanish_without_pump(self, build):
+        k = build(default_opo_grid(1.0, 256))
+        rng = np.random.default_rng(9)
+        for y in (rng.normal(size=(256, 16)), rng.normal(size=256) + 1j * rng.normal(size=256)):
+            for kernel, _transpose, got in _products(k, y):
+                assert (kernel == "F") == bool(got.any())
+        assert k.vacuum_total == 0.0
+
+    @pytest.mark.parametrize("name", ["opo-(-10.0, 30.0)-1024-1.5-0.1", "twpa-100-8.0"])
+    def test_fill_is_the_elementwise_map_sum(self, name):
+        # Entry (k, j) of each map reads its symbol at n - 1 - k + j, scaled by
+        # e^(+-s_k) and e^(-+s_j) in that order; F and G are their sum and
+        # difference over 2 dt.  The tiled fill repeats these operations.
+        k = RESONANT[name]()
+        n = k.grid.n_points
+        index = n - 1 - np.arange(n)[:, None] + np.arange(n)
+        x = np.exp(k.s)[:, None] * k.t_plus[index]
+        x *= np.exp(-k.s)
+        p = np.exp(-k.s)[:, None] * k.t_minus[index]
+        p *= np.exp(k.s)
+        scale = 0.5 / k.grid.dt
+        assert np.array_equal(k.G, (x - p) * scale)
+        assert np.array_equal(k.F, (x + p) * scale)
+
+    @pytest.mark.parametrize("name", list(RESONANT))
+    def test_vacuum_total_matches_long_double_sum(self, name):
+        k = RESONANT[name]()
+        total = k.vacuum_total
+        g = k.G.astype(np.longdouble)
+        want = float(np.sum(g * g) * np.longdouble(k.grid.dt) ** 2)
+        assert total == pytest.approx(want, rel=1e-12)
 
 
 class TestBuildOpa:
