@@ -178,8 +178,7 @@ def _chain_twin(params):
     return dataclasses.replace(params, detuning=1e-300)
 
 
-# The resonant OPO's closed-form cases: fig4, fig3ab and fig2a windows, and
-# a window whose eta^n underflows.
+# (window, n, pump area, pump width) of a resonant OPO.
 CLOSED_FORM_CASES = [
     ((-10.0, 30.0), 64, 0.08, 0.01),
     ((-10.0, 30.0), 256, 8.0, 0.3),
@@ -299,11 +298,20 @@ class TestResonantOperator:
 
     @pytest.mark.parametrize("name", list(RESONANT))
     def test_products_match_filled_kernels(self, name):
+        # The FFT products fill nothing.  A stage of pump area above 2 (the
+        # OPO at area 8, two stages at total gain 8) spreads its profile past
+        # _FFT_SPREAD and multiplies its filled kernels instead.
+        from pulse_squeeze.kernels import _FFT_SPREAD
+
         k = RESONANT[name]()
         n = k.grid.n_points
         rng = np.random.default_rng(7)
-        for y in (rng.normal(size=(n, 16)), rng.normal(size=n) + 1j * rng.normal(size=n)):
-            for kernel, transpose, got in _products(k, y):
+        blocks = (rng.normal(size=(n, 16)), rng.normal(size=n) + 1j * rng.normal(size=n))
+        products = [_products(k, y) for y in blocks]
+        filled = {"F", "G"} & k.__dict__.keys()
+        assert filled == (set() if np.ptp(k.s) <= _FFT_SPREAD else {"F", "G"})
+        for y, results in zip(blocks, products):
+            for kernel, transpose, got in results:
                 dense = getattr(k, kernel)
                 want = (dense.T if transpose else dense) @ y
                 assert got.shape == want.shape and got.dtype == want.dtype
