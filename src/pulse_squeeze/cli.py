@@ -319,7 +319,7 @@ def _verify_checks():
     opo = build_opo(OpoParams(0.3, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
     checks.append(("opo symplectic", verify_symplectic(opo).max_residual, 1e-12))
     # At detuning 0 the OPO is a one-stage resonant chain: float64 kernels
-    # held as Toeplitz symbols, filled here for the check.
+    # held as f-circulant first columns, filled here for the check.
     resonant = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.2, 0.0, 0.3)), grid)
     checks.append(("resonant opo symplectic", verify_symplectic(resonant).max_residual, 1e-12))
 

@@ -39,7 +39,7 @@ Everything a ``state`` run or a sweep reads goes through the kernels'
 product protocol (``BogoliubovKernels.times``): the images ``F u`` and
 ``G u``, and the head's products with G and G^T.  With ``vacuum_total``,
 which a resonant cavity sums tile by tile, these need no n x n matrix, so
-a resonant cavity (``kernels.ToeplitzKernels``) never fills one for them.
+a resonant cavity (``kernels.CirculantKernels``) never fills one for them.
 The full ladder, the vacuum kernel and ``g1_total`` read the filled G.
 
 A real G (float64 kernels: a resonant OPO or TWPA) keeps the whole ladder

@@ -16,10 +16,10 @@ half-steps commute, and each of its quadrature maps is ``E T E^-1``, a
 diagonal scale by the pump area ``C_k`` up to slice k around an
 f-circulant Toeplitz ``T`` that all stages share.  The chain raises the
 length-n symbol of ``T`` as a polynomial modulo ``z^n - f`` (about
-log2(n_stages) convolutions) and returns ``kernels.ToeplitzKernels``: the
-pump profile and the wrapped symbols of the x and p maps, O(n) numbers,
-whose products run by FFT and whose float64 F and G are filled only when
-read.  Against a long-double power of the float64 stage (n = 128, stage
+log2(n_stages) convolutions) and returns ``kernels.CirculantKernels``: the
+pump profile, the first columns of the x and p maps and the stage's pump
+area, O(n) numbers, whose products run by FFT and whose float64 F and G
+are filled only when read.  Against a long-double power of the float64 stage (n = 128, stage
 area 4 / n_stages) it is off by 8.8e-16, 1.3e-15, 7.6e-15 and 7.6e-14 of
 the largest F entry at 2, 7, 100 and 1000 stages; raising the two n x n
 maps was off by 6.2e-15, 1.0e-14, 1.7e-13 and 2.9e-12.  A detuned stage
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TemporalGrid
-from .kernels import BogoliubovKernels, ToeplitzKernels, _quadrature_power, verify_symplectic
+from .kernels import BogoliubovKernels, CirculantKernels, _quadrature_power, verify_symplectic
 
 __all__ = [
     "GaussianPump",
@@ -224,8 +224,8 @@ def build_opo(params: OpoParams, grid: TemporalGrid) -> BogoliubovKernels:
     """Input-output kernels of a pulse-pumped OPO cavity.
 
     At ``detuning == 0`` the cavity is a one-stage resonant chain
-    (:func:`_resonant_chain`): float64 kernels held as their Toeplitz
-    symbols; otherwise the slice chain builds them as complex128
+    (:func:`_resonant_chain`): float64 kernels held as their f-circulant
+    first columns; otherwise the slice chain builds them as complex128
     (:func:`_detuned_opo`).
 
     Raises
@@ -344,7 +344,7 @@ def build_twpa(params: TwpaParams, grid: TemporalGrid) -> BogoliubovKernels:
     A resonant stage's quadrature maps are ``E T E^-1`` with ``E =
     diag(e^(+-C_k))`` and ``T`` f-circulant (:func:`_resonant_chain`), so the
     chain raises two length-n coefficient vectors to the power ``n_stages``
-    and keeps them as its kernels' symbols; it builds no stage kernels and
+    and keeps them as its kernels' first columns; it builds no stage kernels and
     multiplies no matrices.  A detuned stage mixes x with p: its real 2n x 2n quadrature
     map is raised by ``kernels._quadrature_power``.  Both run the stage's
     grid checks.  Against a long-double power of the float64 stage (n =
@@ -395,8 +395,8 @@ def _circulant_power(c: np.ndarray, f: float, power: int) -> np.ndarray:
 
 
 def _resonant_chain(grid: TemporalGrid, mid: np.ndarray, total: float, log_eta: float,
-                    n_stages: int) -> ToeplitzKernels:
-    """``n_stages`` resonant stages, as their quadrature maps' symbols.
+                    n_stages: int) -> CirculantKernels:
+    """``n_stages`` resonant stages, as their quadrature maps' first columns.
 
     At zero detuning each gain half-step of the slice chain is ``exp(a_k/2
     sigma_x)`` (``a_k`` the pump area of slice k): the half-steps commute,
@@ -410,25 +410,22 @@ def _resonant_chain(grid: TemporalGrid, mid: np.ndarray, total: float, log_eta: 
     - L`` and the upper triangle the closure of the initial-cavity port).
     The p map takes ``-C`` and ``-A``.  All stages share ``E``, so ``X^N = E
     T^N E^-1``, and ``T^N`` is f-circulant again, with coefficients from
-    :func:`_circulant_power`.  The kernels keep ``s = C - A / 2`` and the
-    wrapped coefficients of ``T^N`` for x and p, the symbol vectors of
-    :class:`ToeplitzKernels`; centring ``s`` on ``A / 2`` keeps every scale
-    below ``e^(A/2)``.  Without a pump both symbols are the same bits, so G
-    is exactly 0.
+    :func:`_circulant_power`.  The kernels (:class:`CirculantKernels`) keep
+    ``s = C - A / 2``, the first columns of ``T^N`` for x and p, and ``A``;
+    centring ``s`` on ``A / 2`` keeps every scale of their fill below
+    ``e^(A/2)``.  Without a pump both columns are the same bits, so G is
+    exactly 0.
     """
     n = grid.n_points
     eta = math.exp(log_eta)
     index = np.arange(n)
 
-    def symbol(sign):
-        """The wrapped coefficients of ``T^N`` (sign 1) or of the p map's
-        (sign -1): entry (k, j) of the map reads ``[n - 1 - k + j]``, c_(k-j)
-        from the reversed coefficients, f c_(n+k-j) after them."""
+    def column(sign):
+        """The first column of ``T^N`` (sign 1) or of the p map's (sign -1)."""
         f = math.exp(sign * total)
         kappa = -(1.0 - eta * eta) / (1.0 - math.exp(n * log_eta + sign * total))
         c = kappa * np.exp((index - 1) * log_eta)
         c[0] = eta + kappa * math.exp((n - 1) * log_eta + sign * total)
-        c = _circulant_power(c, f, n_stages)
-        return np.concatenate([c[::-1], f * c[:0:-1]])
+        return _circulant_power(c, f, n_stages)
 
-    return ToeplitzKernels(grid, mid - 0.5 * total, symbol(1.0), symbol(-1.0))
+    return CirculantKernels(grid, mid - 0.5 * total, column(1.0), column(-1.0), total)

@@ -12,6 +12,7 @@ preservation pins the two symplectic conditions checked by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +27,7 @@ from .grids import (
 
 __all__ = [
     "BogoliubovKernels",
-    "ToeplitzKernels",
+    "CirculantKernels",
     "PullbackResult",
     "SymplecticReport",
     "identity_kernels",
@@ -48,14 +49,14 @@ class BogoliubovKernels:
     operator action carries the quadrature weight dt, so the identity map
     stores ``F = eye / dt``.  ``dtype`` is float64 when both arrays passed in
     are real, as the builders that know their kernels are real pass them
-    (:func:`identity_kernels`; a resonant cavity is a :class:`ToeplitzKernels`),
+    (:func:`identity_kernels`; a resonant cavity is a :class:`CirculantKernels`),
     and complex128 otherwise.  Consumers branch on ``dtype``, never on the
     arrays: a real pair takes real arithmetic throughout.
 
     :meth:`times` is the one product protocol: F, G, F^T or G^T times a
     vector or a thin block.  The images, the pullback and the ladder head go
     through it; a kernel pair held in a cheaper form than two n x n arrays
-    (:class:`ToeplitzKernels`) fills ``F`` and ``G`` only for the consumers
+    (:class:`CirculantKernels`) fills ``F`` and ``G`` only for the consumers
     that read them whole: ``verify_symplectic``, ``compose``, the vacuum
     kernel, ``g1_total`` and the full ladder.
     """
@@ -83,44 +84,41 @@ class BogoliubovKernels:
         """Photons the device emits with no input, ``dt^2 ||G||_F^2``: the
         trace of the squeezed-vacuum part of g1.  It depends on the device
         alone, so it is computed once per kernel pair: here by one ``vdot``
-        that makes no n x n temporary, and for :class:`ToeplitzKernels` from
+        that makes no n x n temporary, and for :class:`CirculantKernels` from
         G's row tiles, without filling G."""
         g = self.G.ravel()
         return self.grid.dt**2 * float(np.vdot(g, g).real)
 
 
-# Rows per tile of a ToeplitzKernels fill or ``vacuum_total``.
+# Rows per tile of a CirculantKernels fill or ``vacuum_total``.
 _FILL_ROWS = 32
-# The largest spread of a ToeplitzKernels pump profile, max s - min s, whose
-# products go through FFTs.  Their rounding grows about as e^(1.3 spread)
-# against the largest entry of the product (a single stage on fig4's grid,
-# pump width 2: 1e-14 at spread 2, 3e-13 at 4, 3e-11 at 8); past it the
-# filled kernels multiply.  Every recipe stays below it (fig4: 1.5).
-_FFT_SPREAD = 2.0
 
 
-class ToeplitzKernels(BogoliubovKernels):
-    """Real kernels whose quadrature maps are Toeplitz up to a diagonal scale.
+class CirculantKernels(BogoliubovKernels):
+    """Real kernels whose quadrature maps are f-circulant up to a diagonal scale.
 
     The x map ``X = (F + G) dt`` is ``E T+ E^-1`` and the p map ``P = (F - G)
-    dt`` is ``E^-1 T- E``, with ``E = diag(e^s)`` and ``T[k, j] = t[n - 1 - k
-    + j]`` for the length-(2n - 1) symbol vectors ``t+`` and ``t-``.  A
-    resonant cavity is one (``devices._resonant_chain``); it holds ``s``
-    and ``t+-`` alone, O(n) numbers.
+    dt`` is ``E^-1 T- E``, with ``E = diag(e^s)`` and ``T+-`` f-circulant:
+    ``T[k, j] = c_(k-j)`` for ``k >= j`` and ``f c_(n+k-j)`` for ``k < j``,
+    with first columns ``c+-`` and ``f = e^(+-A)``.  A resonant cavity is one
+    (``devices._resonant_chain``, ``A`` its stage's pump area); it holds
+    ``s``, ``c+-`` and ``A`` (``area``) alone, O(n) numbers.
 
-    :meth:`times` writes the products in the split
+    :meth:`times` uses ``T = R^-1 C R`` with ``R = diag(f^(k/n))`` and ``C``
+    circulant with first column ``w_d = c_d f^(d/n)``, so ``X = D C+ D^-1``
+    and ``P = D^-1 C- D`` with ``D = diag(e^r)``, ``r_k = s_k - k A / n``.  Neither the
+    circulant symbols nor ``D`` carry the wrapped corner's ``f``, so the
+    rounding stays at round-off of the products' largest entry (2.7e-14 at
+    pump area 8, where FFTs of the Toeplitz form with ``E`` lost 2.3e-10).
+    The products are written in the split
 
         2 dt G = Ch U Ch - Ch V Sh + Sh V Ch - Sh U Sh,
 
-    with ``Ch = diag(cosh s)``, ``Sh = diag(sinh s)`` and ``U``, ``V`` the
-    Toeplitz matrices of ``t+ - t-`` and ``t+ + t-`` (F swaps U and V), so
-    a small G is never the difference of the two large products ``X y`` and
-    ``P y``: without a pump, ``s = 0`` and ``t+ = t-``, and G y is exactly 0.
-    Each product is two forward and two inverse real FFTs of length 2n, a
-    linear convolution with no wrap-around.  A pump profile that spreads
-    over more than ``_FFT_SPREAD`` (a single stage of pump area above 2)
-    multiplies the filled kernels instead, as the FFT rounding grows with
-    ``e^(max s - min s)``.
+    with ``Ch = diag(cosh r)``, ``Sh = diag(sinh r)`` and ``U``, ``V`` the
+    circulants of the symbols' difference and sum (F swaps U and V), so a
+    small G is never the difference of the two large products ``X y`` and
+    ``P y``: without a pump, ``r = 0`` and ``C+ = C-``, and G y is exactly 0.
+    Each product is two forward and two inverse real FFTs of length n.
 
     ``F`` and ``G`` are filled on first read, row tile by row tile, each
     entry as ``X = (e^s_k T+[k, j]) e^-s_j``, ``P = (e^-s_k T-[k, j]) e^s_j``,
@@ -128,55 +126,58 @@ class ToeplitzKernels(BogoliubovKernels):
     sums the squares of the same G tiles without keeping them.
     """
 
-    def __init__(self, grid: TemporalGrid, s: np.ndarray, t_plus: np.ndarray,
-                 t_minus: np.ndarray):
+    def __init__(self, grid: TemporalGrid, s: np.ndarray, c_plus: np.ndarray,
+                 c_minus: np.ndarray, area: float):
         n = grid.n_points
-        if s.shape != (n,) or t_plus.shape != (2 * n - 1,) or t_minus.shape != t_plus.shape:
-            raise ValueError("s needs n entries and each symbol 2n - 1 for an n-point grid")
+        if s.shape != c_plus.shape or c_plus.shape != c_minus.shape or s.shape != (n,):
+            raise ValueError("s and both first columns need n entries for an n-point grid")
         self.grid, self.dtype = grid, np.dtype(float)
-        self.s, self.t_plus, self.t_minus = s, t_plus, t_minus
+        self.s, self.c_plus, self.c_minus, self.area = s, c_plus, c_minus, area
 
     @cached_property
-    def _spectra(self) -> dict:
-        """By ``transpose``: the real FFTs of ``(t+ - t-, t+ + t-) / (2 dt)``,
-        reversed for ``T y`` and as they are for ``T^T y``, as columns."""
+    def _circulant(self) -> tuple:
+        """``(cosh r, sinh r)`` as columns, and the real FFTs of ``(w+ - w-,
+        w+ + w-) / (2 dt)`` for ``C y``; ``C^T`` takes their conjugates.  ``r``
+        is centred between its extremes, which keeps ``cosh r`` smallest."""
+        n = self.grid.n_points
+        ramp = np.arange(n) * (self.area / n)
+        r = self.s - ramp
+        r -= 0.5 * (r.max() + r.min())
+        plus = self.c_plus * np.exp(ramp)
+        minus = self.c_minus * np.exp(-ramp)
         scale = 0.5 / self.grid.dt
-        u = (self.t_plus - self.t_minus) * scale
-        v = (self.t_plus + self.t_minus) * scale
-        size = 2 * self.grid.n_points
-        return {transpose: tuple(np.fft.rfft(w if transpose else w[::-1], size)[:, None]
-                                 for w in (u, v))
-                for transpose in (False, True)}
+        u, v = (np.fft.rfft(w * scale)[:, None] for w in (plus - minus, plus + minus))
+        return np.cosh(r)[:, None], np.sinh(r)[:, None], u, v
 
     def times(self, kernel: str, y: np.ndarray, transpose: bool = False) -> np.ndarray:
-        if np.ptp(self.s) > _FFT_SPREAD:
-            return super().times(kernel, y, transpose)
         y = np.asarray(y)
         if np.iscomplexobj(y):
-            return _on_real_view(lambda r: self.times(kernel, r, transpose), y)
-        # T y is the middle n entries of the linear convolution of the
-        # reversed symbol with y, T^T y that of the symbol itself.  With a =
-        # Ch y and b = Sh y, G y = Ch (U a - V b) + Sh (V a - U b) and G^T y =
-        # Ch (U^T a + V^T b) - Sh (V^T a + U^T b).
+            return _on_real_view(lambda real: self.times(kernel, real, transpose), y)
+        # With a = Ch y and b = Sh y, G y = Ch (U a - V b) + Sh (V a - U b) and
+        # G^T y = Ch (U^T a + V^T b) - Sh (V^T a + U^T b).
         n = self.grid.n_points
-        size = 2 * n
-        u, v = self._spectra[transpose]
+        ch, sh, u, v = self._circulant
+        if transpose:
+            u, v = u.conj(), v.conj()
         p, q = (u, v) if kernel == "G" else (v, u)
         sign = 1.0 if transpose else -1.0
-        ch, sh = np.cosh(self.s)[:, None], np.sinh(self.s)[:, None]
         block = y.reshape(n, -1)
-        a = np.fft.rfft(ch * block, size, axis=0)
-        b = np.fft.rfft(sh * block, size, axis=0)
-        first = np.fft.irfft(p * a + sign * (q * b), size, axis=0)[n - 1 : size - 1]
-        second = np.fft.irfft(q * a + sign * (p * b), size, axis=0)[n - 1 : size - 1]
+        a = np.fft.rfft(ch * block, axis=0)
+        b = np.fft.rfft(sh * block, axis=0)
+        first = np.fft.irfft(p * a + sign * (q * b), n, axis=0)
+        second = np.fft.irfft(q * a + sign * (p * b), n, axis=0)
         return (ch * first - sign * (sh * second)).reshape(y.shape)
 
     def _map_rows(self):
         """Row tiles ``(rows, X[rows], P[rows])`` of the two quadrature maps,
         in two buffers that each tile overwrites."""
         n = self.grid.n_points
+        # Entry (k, j) of T reads the wrapped coefficients at n - 1 - k + j:
+        # c_(k-j) from the reversed column, f c_(n+k-j) after it.
         window = np.lib.stride_tricks.sliding_window_view
-        plus, minus = (window(t, n)[::-1] for t in (self.t_plus, self.t_minus))
+        plus, minus = (window(np.concatenate([c[::-1], math.exp(sign * self.area) * c[:0:-1]]),
+                              n)[::-1]
+                       for sign, c in ((1.0, self.c_plus), (-1.0, self.c_minus)))
         grow, shrink = np.exp(self.s), np.exp(-self.s)
         x_buf, p_buf = np.empty((2, _FILL_ROWS, n))
         for k0 in range(0, n, _FILL_ROWS):

@@ -836,16 +836,16 @@ class TestKernelFills:
         ("modes", "fig2b", ["G"] * 9),
     ])
     def test_fills(self, command, recipe, fills, tmp_path, monkeypatch):
-        from pulse_squeeze.kernels import ToeplitzKernels
+        from pulse_squeeze.kernels import CirculantKernels
 
         filled = []
-        fill = ToeplitzKernels._fill
+        fill = CirculantKernels._fill
 
         def spying(self, combine):
             filled.append({np.add: "F", np.subtract: "G"}[combine])
             return fill(self, combine)
 
-        monkeypatch.setattr(ToeplitzKernels, "_fill", spying)
+        monkeypatch.setattr(CirculantKernels, "_fill", spying)
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             assert cli.main([command, "--recipe", recipe, "--out", str(tmp_path)]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -298,18 +299,12 @@ class TestResonantOperator:
 
     @pytest.mark.parametrize("name", list(RESONANT))
     def test_products_match_filled_kernels(self, name):
-        # The FFT products fill nothing.  A stage of pump area above 2 (the
-        # OPO at area 8, two stages at total gain 8) spreads its profile past
-        # _FFT_SPREAD and multiplies its filled kernels instead.
-        from pulse_squeeze.kernels import _FFT_SPREAD
-
         k = RESONANT[name]()
         n = k.grid.n_points
         rng = np.random.default_rng(7)
         blocks = (rng.normal(size=(n, 16)), rng.normal(size=n) + 1j * rng.normal(size=n))
         products = [_products(k, y) for y in blocks]
-        filled = {"F", "G"} & k.__dict__.keys()
-        assert filled == (set() if np.ptp(k.s) <= _FFT_SPREAD else {"F", "G"})
+        assert not {"F", "G"} & k.__dict__.keys()  # the FFT products fill nothing
         for y, results in zip(blocks, products):
             for kernel, transpose, got in results:
                 dense = getattr(k, kernel)
@@ -349,15 +344,18 @@ class TestResonantOperator:
 
     @pytest.mark.parametrize("name", ["opo-(-10.0, 30.0)-1024-1.5-0.1", "twpa-100-8.0"])
     def test_fill_is_the_elementwise_map_sum(self, name):
-        # Entry (k, j) of each map reads its symbol at n - 1 - k + j, scaled by
-        # e^(+-s_k) and e^(-+s_j) in that order; F and G are their sum and
-        # difference over 2 dt.  The tiled fill repeats these operations.
+        # Entry (k, j) of each map reads its wrapped first column, c_(k-j)
+        # then f c_(n+k-j), at n - 1 - k + j, scaled by e^(+-s_k) and
+        # e^(-+s_j) in that order; F and G are their sum and difference over
+        # 2 dt.  The tiled fill repeats these operations.
         k = RESONANT[name]()
         n = k.grid.n_points
         index = n - 1 - np.arange(n)[:, None] + np.arange(n)
-        x = np.exp(k.s)[:, None] * k.t_plus[index]
+        plus, minus = (np.concatenate([c[::-1], math.exp(sign * k.area) * c[:0:-1]])
+                       for sign, c in ((1.0, k.c_plus), (-1.0, k.c_minus)))
+        x = np.exp(k.s)[:, None] * plus[index]
         x *= np.exp(-k.s)
-        p = np.exp(-k.s)[:, None] * k.t_minus[index]
+        p = np.exp(-k.s)[:, None] * minus[index]
         p *= np.exp(k.s)
         scale = 0.5 / k.grid.dt
         assert np.array_equal(k.G, (x - p) * scale)
