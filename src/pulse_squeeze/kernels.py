@@ -106,11 +106,11 @@ class CirculantKernels(BogoliubovKernels):
 
     :meth:`times` uses ``T = R^-1 C R`` with ``R = diag(f^(k/n))`` and ``C``
     circulant with first column ``w_d = c_d f^(d/n)``, so ``X = D C+ D^-1``
-    and ``P = D^-1 C- D`` with ``D = diag(e^r)``, ``r_k = s_k - k A / n``.  Neither the
-    circulant symbols nor ``D`` carry the wrapped corner's ``f``, so the
-    rounding stays at round-off of the products' largest entry (2.7e-14 at
-    pump area 8, where FFTs of the Toeplitz form with ``E`` lost 2.3e-10).
-    The products are written in the split
+    and ``P = D^-1 C- D`` with ``D = diag(e^r)``, ``r_k = s_k - k A / n``.
+    Neither the circulant symbols nor ``D`` carry the wrapped corner's
+    ``f``, so the products stay at round-off of their largest entry (2.7e-14
+    at pump area 8, where FFTs of the Toeplitz form with ``E`` lost 2.3e-10).
+    They are written in the split
 
         2 dt G = Ch U Ch - Ch V Sh + Sh V Ch - Sh U Sh,
 
