@@ -825,32 +825,6 @@ class TestVerifyCommand:
                 "coherent rho closed form", "fock-1 fold round trip"} <= names
 
 
-class TestKernelFills:
-    """Which runs fill a resonant cavity's n x n kernels: a state run and a
-    sweep read images, pullbacks and the ladder head through the product
-    protocol; a modes run writes the full ladder, which reads G."""
-
-    @pytest.mark.parametrize("command, recipe, fills", [
-        ("state", "fig4", []),
-        ("sweep", "fig3ab", []),
-        ("modes", "fig2b", ["G"] * 9),
-    ])
-    def test_fills(self, command, recipe, fills, tmp_path, monkeypatch):
-        from pulse_squeeze.kernels import CirculantKernels
-
-        filled = []
-        fill = CirculantKernels._fill
-
-        def spying(self, combine):
-            filled.append({np.add: "F", np.subtract: "G"}[combine])
-            return fill(self, combine)
-
-        monkeypatch.setattr(CirculantKernels, "_fill", spying)
-        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            assert cli.main([command, "--recipe", recipe, "--out", str(tmp_path)]) == 0
-        assert filled == fills
-
     def test_corrupt_injection_reports_specific_invariant(self, capsys, monkeypatch):
         from pulse_squeeze import devices
 
@@ -881,3 +855,30 @@ class TestKernelFills:
         assert err.splitlines() == [
             "numerical failure: FloatingPointError: overflow encountered in exp"]
         assert "Traceback" not in err
+
+
+class TestKernelFills:
+    """Which runs fill a resonant cavity's n x n kernels: a state run and a
+    sweep read images, pullbacks and the ladder head through the product
+    protocol; a modes run writes the full ladder, which reads G."""
+
+    @pytest.mark.parametrize("command, recipe, fills", [
+        ("state", "fig4", []),
+        ("sweep", "fig3ab", []),
+        ("modes", "fig2b", ["G"] * 9),
+    ])
+    def test_fills(self, command, recipe, fills, tmp_path, monkeypatch):
+        from pulse_squeeze.kernels import CirculantKernels
+
+        filled = []
+        fill = CirculantKernels._fill
+
+        def spying(self, combine):
+            filled.append({np.add: "F", np.subtract: "G"}[combine])
+            return fill(self, combine)
+
+        monkeypatch.setattr(CirculantKernels, "_fill", spying)
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert cli.main([command, "--recipe", recipe, "--out", str(tmp_path)]) == 0
+        assert filled == fills
