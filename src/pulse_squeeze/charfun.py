@@ -58,6 +58,10 @@ MAX_EXTENT = 34.0
 BOUNDARY_TOL = 1e-6  # |chi| at the edges, low enough for the fit and Fock sums
 NOT_DECAYED_TOL = 1e-3  # |chi| at the edges above which a stage warns of aliasing
 
+# Rows of the mesh per channel evaluation in ``CharGrid.sample_half``: bounds
+# the channel's full-shaped temporaries to a block of the grid.
+SAMPLE_ROWS = 32
+
 # Fock reconstruction cap: displacement matrix elements above this size are
 # not resolved by the default grid spacing.
 MAX_FOCK_DIM = 60
@@ -178,17 +182,27 @@ class CharGrid:
         beta = 0 row included): ``re[:half + 1]`` and the whole ``im``."""
         return self.re_axis[: self.n_side // 2 + 1], self.im_axis
 
-    def sample_half(self, evaluator: GaussianChannel) -> np.ndarray:
+    def sample_half(
+        self, evaluator: GaussianChannel, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The single-mode channel ``evaluator`` on rows ``0 .. half`` of the
         mesh, by ``evaluator.at`` on the contiguous real axes of
-        ``half_axes``, ``re[:half + 1, None]`` and ``im[None, :]``.
+        ``half_axes``, ``re[rows, None]`` and ``im[None, :]``, written into
+        ``out`` (default: a new array of the channel's dtype) ``SAMPLE_ROWS``
+        rows at a time.  The channel is elementwise, so the blocks give the
+        bits of one call on all the rows.
 
         Every chi the package samples is ``Tr[rho D(beta)]`` of a density
         matrix, and ``D(beta)^dag = D(-beta)`` makes it Hermitian,
         chi(-beta) = conj(chi(beta)), so these rows determine the rest: the
         overlaps and the Fock reconstruction read them alone."""
         re, im = self.half_axes()
-        return evaluator.at(re[:, None], im[None, :])
+        for start in range(0, len(re), SAMPLE_ROWS):
+            block = evaluator.at(re[start : start + SAMPLE_ROWS, None], im[None, :])
+            if out is None:
+                out = np.empty((len(re), len(im)), dtype=block.dtype)
+            out[start : start + SAMPLE_ROWS] = block
+        return out
 
     def edge_magnitudes(self, evaluator: GaussianChannel) -> tuple[float, float]:
         """``CharFunction.edge_magnitudes`` of ``sample(evaluator)``, from
@@ -208,8 +222,8 @@ class CharGrid:
         column j to m - 1 - j."""
         half = self.n_side // 2
         values = np.empty(self.shape, dtype=complex)
-        values[: half + 1] = self.sample_half(evaluator)
-        values[half + 1 :] = np.conj(values[half - 1 :: -1, ::-1])
+        self.sample_half(evaluator, values[: half + 1])
+        np.conj(values[half - 1 :: -1, ::-1], out=values[half + 1 :])
         return values
 
     @staticmethod
@@ -412,14 +426,18 @@ def wigner_from_char(
             stacklevel=2,
         )
     axis = np.linspace(-extent, extent, n_side)
-    u = chi.grid.re_axis
-    v = chi.grid.im_axis
-    # W(x,p) = (1/2 pi^2) sum_{u,v} chi e^{i sqrt2 (u p - v x)} h^2
-    phase_p = np.exp(1j * np.sqrt(2.0) * np.outer(u, axis))
+    u, v = chi.grid.half_axes()
+    half = len(u) - 1
+    # W(x,p) = (1/2 pi^2) Re sum_{u,v} chi e^{i sqrt2 (u p - v x)} h^2.  The
+    # term at -beta is the conjugate of the term at beta (chi is Hermitian),
+    # so the rows u < 0 count twice and the u = 0 row once.
+    phase_p = np.outer(u, axis) * (1j * np.sqrt(2.0))
+    np.exp(phase_p, out=phase_p)
+    phase_p[:half] *= 2.0
     phase_x = np.exp(-1j * np.sqrt(2.0) * np.outer(v, axis))
-    # chi.values has indices [u, v]; contract v with phase_x then u with phase_p.
-    inner = chi.values @ phase_x  # (u, x)
-    w = (phase_p.T @ inner).T  # (x, p)
+    # chi.values has indices [u, v]; contract u with phase_p, then v with
+    # phase_x, so the only intermediate is (p, v).
+    w = ((phase_p.T @ chi.values[: half + 1]) @ phase_x).T  # (x, p)
     values = np.real(w) * chi.grid.weight / (2.0 * np.pi**2)
     return WignerGrid(x_axis=axis, p_axis=axis, values=values)
 
@@ -632,7 +650,8 @@ def _fock_fold(chi: CharFunction, dim: int) -> np.ndarray:
     return rho
 
 
-def overlap(chi: CharFunction, target: GaussianChannel | CharFunction) -> float:
+def overlap(chi: CharFunction, target: GaussianChannel | CharFunction,
+            conjugate: bool = False) -> float:
     """Re (1/pi) int conj(chi(beta)) chi_target(beta) d^2 beta, which is
     Tr[rho rho_target] for states.  ``target`` is a channel, sampled here on
     rows ``0 .. half`` of chi's grid by ``CharGrid.sample_half``, or a chi on
@@ -641,7 +660,11 @@ def overlap(chi: CharFunction, target: GaussianChannel | CharFunction) -> float:
     Both chi are Hermitian, so a mirror pair beta, -beta adds the same
     Re(conj chi chi_target) twice: the sum is
     (h^2/pi) [2 sum_(rows < half) + sum_(row half)] over the half plane.
-    A real target skips Im chi.  ``overlaps`` takes a batch of channels."""
+    A real target skips Im chi.  ``overlaps`` takes a batch of channels.
+
+    ``conjugate`` scores conj(chi) instead, the chi turned by pi, from chi's
+    own rows: negating a sum negates each of its roundings, so the bits are
+    those of the conjugated copy."""
     half = chi.grid.n_side // 2
     if isinstance(target, CharFunction):
         if target.grid != chi.grid:
@@ -652,12 +675,14 @@ def overlap(chi: CharFunction, target: GaussianChannel | CharFunction) -> float:
     c = chi.values[: half + 1]
     rows = np.sum(c.real * target_half.real, axis=1)
     if np.iscomplexobj(target_half):
-        rows += np.sum(c.imag * target_half.imag, axis=1)
+        imag = np.sum(c.imag * target_half.imag, axis=1)
+        rows = rows - imag if conjugate else rows + imag
     return float((2.0 * np.sum(rows[:half]) + rows[half]) * chi.grid.weight / np.pi)
 
 
-def overlaps(chi: CharFunction, targets: Sequence[GaussianChannel]) -> np.ndarray:
-    """``overlap`` of chi with each channel of ``targets``.
+def overlaps(chi: CharFunction, targets: Sequence[GaussianChannel],
+             conjugate: bool = False) -> np.ndarray:
+    """``overlap`` of chi (or of its conjugate) with each channel of ``targets``.
 
     When the targets share a ``SeparableChi`` base, each through a diagonal
     X and no noise (the squeeze-fit targets and alignment probes of every
@@ -671,7 +696,7 @@ def overlaps(chi: CharFunction, targets: Sequence[GaussianChannel]) -> np.ndarra
     base = targets[0].base if targets else None
     if not isinstance(base, SeparableChi) or any(
             t.base is not base or t.X[0, 1] or t.X[1, 0] or t.Y.any() for t in targets):
-        return np.array([overlap(chi, t) for t in targets])
+        return np.array([overlap(chi, t, conjugate) for t in targets])
     re, im = chi.grid.half_axes()
     scales = np.array([t.X[0, 0] for t in targets]), np.array([t.X[1, 1] for t in targets])
     factors = base.factors(scales[0][:, None] * re, scales[1][:, None] * im)
@@ -679,7 +704,10 @@ def overlaps(chi: CharFunction, targets: Sequence[GaussianChannel]) -> np.ndarra
     a = np.stack([np.broadcast_to(f, (k, len(re))) for f, _ in factors])  # (t, k, rows)
     b = np.concatenate([np.broadcast_to(g, (k, len(im))) for _, g in factors])  # (t k, cols)
     c = chi.values[: len(re)]
-    c = np.conj(c) if np.iscomplexobj(a) or np.iscomplexobj(b) else c.real
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        c = c if conjugate else np.conj(c)
+    else:
+        c = c.real
     weights = np.full((len(re), 1), 2.0)
     weights[-1] = 1.0
     contracted = ((weights * c) @ b.T).T.reshape(a.shape)  # (t, k, rows)

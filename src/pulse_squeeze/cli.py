@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +63,20 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: Path, header_meta: dict, columns: list[str], rows) -> None:
     """Floats as ``FLOAT_FORMAT``, anything else as ``str``: each row is one
-    %-format of its values, the format built once per sequence of value types."""
-    lines = [f"# {k}: {v}" for k, v in header_meta.items()]
-    lines.append(",".join(columns))
+    %-format of its values, the format built once per sequence of value types,
+    and written as it is formatted."""
     formats = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types not in formats:
-            formats[types] = ",".join(FLOAT_FORMAT if issubclass(t, (float, np.floating))
-                                      else "%s" for t in types)
-        lines.append(formats[types] % row)
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        for k, v in header_meta.items():
+            out.write(f"# {k}: {v}\n")
+        out.write(",".join(columns) + "\n")
+        for row in rows:
+            row = tuple(row)
+            types = tuple(map(type, row))
+            if types not in formats:
+                formats[types] = ",".join(FLOAT_FORMAT if issubclass(t, (float, np.floating))
+                                          else "%s" for t in types) + "\n"
+            out.write(formats[types] % row)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -154,25 +157,112 @@ def _workers() -> int:
     return workers
 
 
+# A ticket is one item's index in this many little-endian bytes.  The parent
+# writes them in chunks of at most POSIX's smallest PIPE_BUF, a multiple of
+# the ticket width, and a pipe writes such a chunk whole, so every read of one
+# ticket's width returns one whole ticket to exactly one helper.
+_TICKET_BYTES = 4
+_TICKET_CHUNK = 512
+
+
+def _helper(task, items: list, tickets: int, results: int) -> None:
+    """A forked helper: run ``task`` on the item of each ticket it reads, one
+    at a time, and once the tickets run out send its ``(index, ok, result or
+    exception)`` list, pickled, through the ``results`` pipe."""
+    done = []
+    while ticket := os.read(tickets, _TICKET_BYTES):
+        index = int.from_bytes(ticket, "little")
+        try:
+            done.append((index, True, task(items[index])))
+        except Exception as exc:  # re-raised by the parent
+            done.append((index, False, exc))
+    with open(results, "wb") as pipe:
+        pickle.dump(done, pipe)
+
+
+def _fork_map(task, items: list, workers: int) -> list:
+    """``list(map(task, items))`` over ``workers`` forked helpers.
+
+    The helpers share one ticket pipe, so each item runs in exactly one of
+    them and an uneven workload keeps every helper busy; each sends its
+    results through its own pipe.  The tickets are written after forking,
+    so the pipe's capacity does not bound the number of items.  The first
+    item whose task raised, in item order, re-raises its exception here; a
+    helper that ends without sending its results raises a ``RuntimeError``
+    with its exit status (negative: the signal that ended it).  Every helper
+    is reaped, and killed first if the parent fails, so none outlives the
+    call."""
+    tickets_read, tickets_write = os.pipe()
+    helpers = {}  # pid -> read end of the helper's result pipe
+    try:
+        for _ in range(workers):
+            results_read, results_write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(tickets_write)
+                    os.close(results_read)
+                    _helper(task, items, tickets_read, results_write)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(results_write)
+            helpers[pid] = results_read
+        tickets = b"".join(i.to_bytes(_TICKET_BYTES, "little") for i in range(len(items)))
+        try:
+            for start in range(0, len(tickets), _TICKET_CHUNK):
+                os.write(tickets_write, tickets[start:start + _TICKET_CHUNK])
+        except BrokenPipeError:
+            pass  # every helper has ended; their exit statuses say why
+        os.close(tickets_write)
+        tickets_write = None
+        outcomes = [None] * len(items)
+        for pid in list(helpers):
+            with open(helpers[pid], "rb") as pipe:
+                helpers[pid] = None  # closed with the file
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del helpers[pid]
+            if status or not payload:
+                raise RuntimeError(
+                    f"a worker process ended without its results (exit status {status})")
+            for index, ok, value in pickle.loads(payload):
+                outcomes[index] = (ok, value)
+    finally:
+        os.close(tickets_read)
+        if tickets_write is not None:
+            os.close(tickets_write)
+        for pid, fd in helpers.items():
+            if fd is not None:
+                os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
 def _run_by_device(points: list, task, manifest: RunManifest) -> list:
     """Results of the ``(index, cfg)`` points, in index order.
 
     Points that share a device and grid share one build: one group per
     distinct device, in order of first appearance, and one ``task`` call per
-    group, spread over at most ``_workers()`` processes, or run in-process
-    when that comes to one.  A group's key is the canonical JSON of its
-    device and grid blocks.  The pool size used goes to the manifest."""
+    group, spread over at most ``_workers()`` forked helpers by
+    ``_fork_map``, or run in-process when that comes to one or the platform
+    cannot fork.  A group's key is the canonical JSON of its device and grid
+    blocks.  The pool size used goes to the manifest."""
     groups: dict[str, list] = {}
     for index, point in points:
         key = json.dumps({"device": point["device"], "grid": point["grid"]}, sort_keys=True)
         groups.setdefault(key, []).append((index, point))
     workers = min(_workers(), len(groups))
+    if not hasattr(os, "fork"):
+        workers = 1
     manifest.environment["workers"] = workers
-    if workers == 1:
-        done = list(map(task, groups.values()))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(task, groups.values()))
+    tasks = list(groups.values())
+    done = list(map(task, tasks)) if workers == 1 else _fork_map(task, tasks, workers)
     return sorted((point for group in done for point in group), key=lambda r: r[0])
 
 
@@ -245,14 +335,14 @@ def cmd_state(cfg: dict, out: Path, digest: str) -> RunManifest:
     rho = res.rho_out.rho
     meta = {"config": digest, "dim": run.fock_dim}
     columns = [f"c{j}" for j in range(run.fock_dim)]
-    _write_csv(out / "rho_re.csv", meta, columns, [list(row) for row in rho.real])
-    _write_csv(out / "rho_im.csv", meta, columns, [list(row) for row in rho.imag])
+    _write_csv(out / "rho_re.csv", meta, columns, rho.real)
+    _write_csv(out / "rho_im.csv", meta, columns, rho.imag)
     wig = wigner_for_display(res.chi_out)
     wig_meta = dict(meta)
     wig_meta["x_axis"] = f"[{wig.x_axis[0]}, {wig.x_axis[-1]}] x {len(wig.x_axis)}"
     wig_meta["convention"] = "a=(x+ip)/sqrt2, int W dx dp = 1"
     _write_csv(out / "wigner.csv", wig_meta, [f"p{j}" for j in range(len(wig.p_axis))],
-               [list(row) for row in wig.values])
+               wig.values)
     metrics = {k: float(v) for k, v in res.metrics.items()}
     _write_json(out / "metrics.json", metrics)
     for name in ("rho_re.csv", "rho_im.csv", "wigner.csv", "metrics.json"):

@@ -8,6 +8,7 @@ keys to the kind's builder (a device's takes the grid, a state's no argument).""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -21,7 +22,6 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 import yaml
 
 from .blas import blas_threads
@@ -315,6 +315,15 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(f"sweep.axes[{i}]: at {name} = {value}: {exc}") from None
 
 
+def _scipy_version() -> str:
+    """The installed scipy's ``__version__``, read from its ``version.py``
+    without running scipy's ``__init__``, which no command needs at start-up."""
+    path = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "version.py")
+    namespace = {}
+    exec(compile(path.read_bytes(), str(path), "exec"), namespace)
+    return namespace["version"]
+
+
 def _run_environment() -> dict:
     """What a run's speed and parallel layout depend on: cores, the worker
     setting, the pool size used (1 in-process; a command that starts a pool
@@ -325,7 +334,7 @@ def _run_environment() -> dict:
         "workers": 1,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
     }
 
 

@@ -133,10 +133,11 @@ def align_amplified_axis(
     The principal axis of the output channel's covariance fixes the turn up
     to pi, and the chi turned by theta is that of ``decomp.rephased(-theta)``.
     The theta + pi candidate is chi(-beta e^{i theta}) = conj(chi(beta e^{i theta})),
-    so it is the first candidate conjugated, and it wins a coarse fidelity
-    probe only by more than round-off: a parity-symmetric state such as the
-    even cat scores both alike.  Near-isotropic states (no measurable
-    squeezing) are left unturned: their principal axis is covariance noise.
+    so it is the first candidate conjugated, scored from the first's rows
+    and built only if it wins a coarse fidelity probe by more than
+    round-off: a parity-symmetric state such as the even cat scores both
+    alike.  Near-isotropic states (no measurable squeezing) are left
+    unturned: their principal axis is covariance noise.
     """
     vx, vp, c = gaussian_covariance(output_channel(decomp, state_evaluator(state)))
     half_spread = np.sqrt(0.25 * (vx - vp) ** 2 + c * c)
@@ -144,14 +145,13 @@ def align_amplified_axis(
     if half_spread < 0.025 * mean:
         return propagate_char(decomp, state), 0.0
     theta = 0.5 * np.arctan2(2.0 * c, vx - vp)
-    phis = (theta, theta + np.pi)
     first = propagate_char(decomp.rephased(-theta), state)
-    mirrored = CharFunction(first.grid, np.conj(first.values), first.evaluator.then(-np.eye(2)))
-    rots = [first, mirrored]
     probes = [squeeze_target_evaluator(state, r) for r in ALIGN_PROBE_RS]
-    scores = [overlaps(rot, probes).max() for rot in rots]
-    best = 1 if scores[1] - scores[0] > ALIGN_TIE_RTOL * abs(scores[0]) else 0
-    return rots[best], float(phis[best])
+    score, mirror_score = (overlaps(first, probes, conjugate).max() for conjugate in (False, True))
+    if mirror_score - score > ALIGN_TIE_RTOL * abs(score):
+        mirrored = first.evaluator.then(-np.eye(2))
+        return CharFunction(first.grid, np.conj(first.values), mirrored), float(theta + np.pi)
+    return first, float(theta)
 
 
 def run_modes(

@@ -307,3 +307,14 @@ def reference_squeezed_vacuum_chi(r):
         return np.exp(-0.5 * np.abs(b * ch + np.conj(b) * sh) ** 2)
 
     return chi
+
+
+def reference_full_plane_wigner(chi, extent=6.0, n_side=129):
+    """The Wigner transform summed over every grid point, the oracle for
+    ``wigner_from_char``'s half-plane sum: W(x, p) = (h^2 / 2 pi^2) Re
+    sum_(u, v) chi(u + i v) e^{i sqrt2 (u p - v x)}, as two matrix products."""
+    axis = np.linspace(-extent, extent, n_side)
+    phase_p = np.exp(1j * np.sqrt(2.0) * np.outer(chi.grid.re_axis, axis))
+    phase_x = np.exp(-1j * np.sqrt(2.0) * np.outer(chi.grid.im_axis, axis))
+    w = (phase_p.T @ (chi.values @ phase_x)).T  # (x, p)
+    return np.real(w) * chi.grid.weight / (2.0 * np.pi**2)

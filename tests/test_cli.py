@@ -66,6 +66,12 @@ def test_write_csv_matches_per_element_formatter(tmp_path):
     cli._write_csv(tmp_path / "new.csv", meta, columns, rows)
     per_element(tmp_path / "old.csv", meta, columns, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # the state command hands its arrays over as they are, rows of float64
+    array = np.random.default_rng(1).normal(size=(4, 3)) + 1j
+    for values in (array.real, array.imag.T):
+        cli._write_csv(tmp_path / "new.csv", meta, columns, values)
+        per_element(tmp_path / "old.csv", meta, columns, [list(row) for row in values])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestConfig:
@@ -383,7 +389,11 @@ class TestCliCommands:
             ["modes", "--config", str(path), "--out", str(tmp_path / "modes")],
             ["verify"],
         ]
-        lazy = ["scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py"]
+        # The manifest reads scipy's version from its version.py, and the
+        # pools are forked helpers, so these recipes load neither scipy nor
+        # the standard library's process pools.
+        lazy = ["scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py",
+                "scipy", "multiprocessing", "concurrent.futures"]
         script = (
             "import sys\n"
             "from pulse_squeeze import cli\n"
@@ -489,6 +499,9 @@ class TestCliCommands:
         assert env["PULSE_SQUEEZE_WORKERS"] == "3"
         assert env["workers"] == 1  # one point: one group, run in-process
         assert env["numpy"] == np.__version__
+        import scipy
+
+        assert env["scipy"] == scipy.__version__
         assert all(isinstance(n, int) and n >= 1 for n in env["blas_threads"].values())
 
     def test_sweep_requires_two_axes(self, tmp_path):
@@ -728,27 +741,32 @@ class TestCliCommands:
         self._run_layouts(tmp_path, "sweep", cfg, {
             "serial": {"PULSE_SQUEEZE_WORKERS": "1"},
             "pool": {"PULSE_SQUEEZE_WORKERS": "2", "OPENBLAS_NUM_THREADS": "1"},
+            "three": {"PULSE_SQUEEZE_WORKERS": "3"},
         })
         for name in ("heatmap_n1.csv", "heatmap_ratio.csv"):
-            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pool" / name).read_bytes()
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert serial == (tmp_path / "pool" / name).read_bytes(), name
+            assert serial == (tmp_path / "three" / name).read_bytes(), name
 
     def test_modes_identical_across_workers_and_blas_threads(self, tmp_path):
         # fig2b's nine pump widths are nine devices: one in-process run, one
-        # spread over two workers, and one with the BLAS variable set.
+        # spread over two workers, one over three, and one with the BLAS
+        # variable set.
         cfg = load_recipe("fig2b")
         cfg["grid"]["n_points"] = 256
         self._run_layouts(tmp_path, "modes", cfg, {
             "serial": {"PULSE_SQUEEZE_WORKERS": "1"},
             "pool": {"PULSE_SQUEEZE_WORKERS": "2"},
+            "three": {"PULSE_SQUEEZE_WORKERS": "3"},
             "one": {"OPENBLAS_NUM_THREADS": "1"},
         })
         for name in ("occupations.csv", "modes.csv", "spectrum.json"):
             serial = (tmp_path / "serial" / name).read_bytes()
-            assert serial == (tmp_path / "pool" / name).read_bytes(), name
-            assert serial == (tmp_path / "one" / name).read_bytes(), name
+            for run in ("pool", "three", "one"):
+                assert serial == (tmp_path / run / name).read_bytes(), (run, name)
         workers = [json.loads((tmp_path / run / "manifest.json").read_text())["environment"]
-                   ["workers"] for run in ("serial", "pool")]
-        assert workers == [1, 2]
+                   ["workers"] for run in ("serial", "pool", "three")]
+        assert workers == [1, 2, 3]
 
     @pytest.mark.parametrize(
         "case", ["modes", "modes-opa", "modes-twpa", "modes-twpa-detuned", "state"])
@@ -882,3 +900,83 @@ class TestKernelFills:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             assert cli.main([command, "--recipe", recipe, "--out", str(tmp_path)]) == 0
         assert filled == fills
+
+
+class TestForkedHelpers:
+    """``modes`` and ``sweep`` spread their device groups over forked helpers
+    that take one group at a time from a shared ticket pipe."""
+
+    @staticmethod
+    def _three_devices(tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(_base_config(
+            sweep={"axes": [{"name": "device.r", "values": [0.5, 0.8, 1.1]}]})))
+        return ["modes", "--config", str(path), "--out", str(tmp_path / "out")]
+
+    def test_each_item_runs_in_exactly_one_helper(self, tmp_path):
+        # 200 tickets take two chunks of the ticket pipe
+        log = tmp_path / "log"
+
+        def task(i):
+            with open(log, "a") as f:
+                f.write(f"{i} {os.getpid()}\n")
+            return i * i
+
+        assert cli._fork_map(task, list(range(200)), 3) == [i * i for i in range(200)]
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(i) for i, _ in runs) == list(range(200))
+        pids = {pid for _, pid in runs}
+        assert str(os.getpid()) not in pids and len(pids) <= 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_first_failed_item_raises_with_its_type(self):
+        def task(i):
+            if i in (3, 5):
+                raise KeyError(f"item {i}")
+            return i
+
+        with pytest.raises(KeyError, match="item 3"):
+            cli._fork_map(task, list(range(8)), 2)
+
+    def test_point_raising_in_a_helper_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "2")
+        point = cli._modes_point
+
+        def failing(args, kernels):
+            if args[0] == 1:
+                raise ValueError("point 1 failed")
+            return point(args, kernels)
+
+        monkeypatch.setattr(cli, "_modes_point", failing)
+        assert cli.main(self._three_devices(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: ValueError: point 1 failed"]
+
+    def test_killed_helper_exits_2_and_leaves_no_child(self, tmp_path, monkeypatch, capsys):
+        import signal
+
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "2")
+        device, parent = cli._modes_device, os.getpid()
+
+        def killed(points):
+            if points[0][0] == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return device(points)
+
+        monkeypatch.setattr(cli, "_modes_device", killed)
+        assert cli.main(self._three_devices(tmp_path)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: RuntimeError: a worker process ended without its results "
+            "(exit status -9)"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_runs_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "3")
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "_fork_map", None)
+        argv = self._three_devices(tmp_path)
+        assert cli.main(argv) == 0
+        manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text())
+        assert manifest["environment"]["workers"] == 1

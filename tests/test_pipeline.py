@@ -216,6 +216,43 @@ class TestAlignAmplifiedAxis:
         # the unflipped state keeps theta
         assert abs(align_amplified_axis(d, state)[1]) < 1e-6
 
+    def test_mirror_built_only_when_it_wins(self, grid, u_mode, monkeypatch):
+        built = []
+        monkeypatch.setattr(pipeline, "CharFunction",
+                            lambda *args: built.append(args) or charfun.CharFunction(*args))
+        d = self._through_squeezer(grid, u_mode, 0.9)
+        # a parity tie keeps the first candidate and copies nothing
+        align_amplified_axis(d, even_cat_state(2.0, 50))
+        assert built == []
+        # a mirror that wins is the one conjugated copy of the first
+        aligned, phi = align_amplified_axis(d.rephased(-np.pi), coherent_state(1.0 + 0.3j, 40))
+        assert abs(phi - np.pi) < 1e-6
+        assert len(built) == 1 and aligned.values is built[0][1]
+
+
+class TestFig4ChiMemory:
+    def test_propagate_and_wigner_peak(self):
+        # fig4's output chi is sampled 32 half rows at a time and its Wigner
+        # map summed over the half plane: together they peak at 2.04 times
+        # the chi's own 1.5 MB (4.51 with one-shot sampling and the full
+        # plane)
+        import tracemalloc
+
+        kernels, u, state = TestLadderHeadInStateRuns._fig4()
+        result = run_state_analysis(kernels, u, state)
+        decomp = result.decomposition.rephased(-result.metrics["rotation"])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            chi = propagate_char(decomp, state)
+            pipeline.wigner_for_display(chi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert chi.grid.shape == (727, 129)
+        assert np.array_equal(chi.values, result.chi_out.values)
+        assert peak < 2.5 * chi.values.nbytes
+
 
 class TestDeviceDispatch:
     def test_grid_and_device_from_config(self):

@@ -10,6 +10,7 @@ from conftest import (
     reference_coherent_chi,
     reference_even_cat_chi,
     reference_fock_chi,
+    reference_full_plane_wigner,
     reference_propagated_chi,
     reference_squeezed_chi,
     reference_squeezed_vacuum_chi,
@@ -25,6 +26,7 @@ from pulse_squeeze.charfun import (
     FOCK_CUT_TOL,
     MAX_EXTENT,
     MAX_FOCK_DIM,
+    SAMPLE_ROWS,
     CharFunction,
     CharGrid,
     GaussianChannel,
@@ -281,6 +283,35 @@ class TestCharGridSample:
 
         grid_.sample(GaussianChannel(base))
         assert shapes == [(5, 9)]
+
+    def test_evaluates_blocks_of_rows(self):
+        # 70 half rows: two full blocks and a short one, into one array of
+        # the channel's dtype
+        grid_ = CharGrid(3.0, 139, 1.0, 47)
+        shapes = []
+
+        def base(u, v):
+            shapes.append(np.broadcast(u, v).shape)
+            return np.exp(-0.5 * (u * u + v * v))
+
+        half = grid_.sample_half(GaussianChannel(base))
+        assert shapes == [(SAMPLE_ROWS, 47), (SAMPLE_ROWS, 47), (70 - 2 * SAMPLE_ROWS, 47)]
+        assert half.shape == (70, 47) and half.dtype == np.float64
+
+    @pytest.mark.parametrize("name", ["cat", "fock1"])
+    def test_fig4_blocks_match_one_call_bit_for_bit(self, name, fig4_runs):
+        # fig4's output channel on its chi grid, whose 364 half rows are not
+        # a multiple of the block, with the cat or a Fock-1 input
+        chi, evaluator = fig4_runs["cat"]
+        if name == "fock1":
+            evaluator = GaussianChannel(state_evaluator(fock_state(1, 60)).base,
+                                        evaluator.X, evaluator.Y)
+        re, im = chi.grid.half_axes()
+        assert len(re) == 364 and len(re) % SAMPLE_ROWS
+        one_call = evaluator.at(re[:, None], im[None, :])
+        assert np.array_equal(chi.grid.sample_half(evaluator), one_call)
+        if name == "cat":
+            assert np.array_equal(chi.values[: len(re)], one_call)
 
 
 class TestRectangularGrid:
@@ -568,6 +599,14 @@ class TestWigner:
         # interference fringes flip sign repeatedly at x = 0
         assert (np.abs(np.diff(np.sign(cut[np.abs(cut) > 1e-3]))) > 0).sum() >= 6
 
+    @pytest.mark.parametrize("name", ["vacuum", "fock1", "coherent-complex", "cat",
+                                      "cat-complex", "squeezed"])
+    def test_half_plane_matches_full_plane_sum(self, name):
+        chi = char_of_state(TestPerAxisOverlaps.STATES[name])
+        want = reference_full_plane_wigner(chi)
+        got = wigner_from_char(chi).values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_rotation_moves_quadratures(self):
         state = squeezed_state(0.6, 50)
         chi = char_of_state(state)
@@ -726,6 +765,19 @@ def fig4_chi(fig4_runs):
     return fig4_runs["cat"][0]
 
 
+class TestFig4Wigner:
+    @pytest.mark.parametrize("name", list(FIG4_VARIANTS))
+    def test_half_plane_matches_full_plane_sum(self, name, fig4_runs):
+        # |W| <= 1/pi for every state; coherent-4.5's output lies outside the
+        # window, where W is below 1e-8 of that
+        chi = fig4_runs[name][0]
+        want = reference_full_plane_wigner(chi)
+        got = wigner_from_char(chi).values
+        assert np.abs(got - want).max() <= 1e-14 / np.pi
+        if name == "cat":
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _largest_radius_sq(grid):
     return grid.extent**2 + grid.im_extent**2
 
@@ -853,6 +905,19 @@ class TestPerAxisOverlaps:
             monkeypatch.undo()
             assert sampled == []
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", [*STATES, "coherent-rho"])
+    def test_conjugate_scores_the_conjugated_copy_bit_for_bit(self, name, grid, u_mode):
+        # the alignment's theta + pi candidate, scored from the first's rows;
+        # coherent-rho is a complex chi without a closed form, so each target
+        # is sampled
+        from pulse_squeeze.metrics import squeeze_target_evaluator
+
+        state = self.STATES.get(name) or QuantumState(coherent_state(1.0 - 0.7j, 30).rho)
+        chi = TestRectangularGrid._squeezed_output(grid, u_mode, state)
+        mirrored = CharFunction(chi.grid, np.conj(chi.values), chi.evaluator.then(-np.eye(2)))
+        targets = [squeeze_target_evaluator(state, r) for r in (0.5, 1.3)]
+        assert np.array_equal(overlaps(chi, targets, conjugate=True), overlaps(mirrored, targets))
 
     def test_fock_sum_input_samples_each_target(self, grid, u_mode):
         from pulse_squeeze.metrics import squeeze_target_evaluator
