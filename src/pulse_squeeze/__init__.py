@@ -52,6 +52,7 @@ from .grids import (
 )
 from .kernels import (
     BogoliubovKernels,
+    apply_to_mode,
     compose,
     ideal_squeezer_kernels,
     identity_kernels,

@@ -38,15 +38,15 @@ from .config import (
     sweep_axes,
     validate_config,
 )
-from .coherence import single_mode_condition
-from .grids import TemporalGrid
-from .kernels import BogoliubovKernels, verify_symplectic
+from .coherence import input_moments, single_mode_condition
+from .grids import TemporalGrid, gaussian_mode
+from .kernels import BogoliubovKernels, apply_to_block, verify_symplectic
 from .pipeline import (
     device_from_config,
     grid_from_config,
     input_mode_from_config,
     input_state_from_config,
-    run_modes,
+    modes_from_images,
     run_state_analysis,
     wigner_for_display,
 )
@@ -87,25 +87,91 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_worker(args, kernels: BogoliubovKernels):
-    """Occupation metrics of one sweep point on its device's kernels."""
-    index, cfg = args
+def _state_moments(block: dict):
+    """Moments of the state an ``input`` block sets, or the exception that
+    stopped them."""
     try:
-        u = input_mode_from_config(cfg["input"], kernels.grid)
-        state = input_state_from_config(cfg["input"])
-        return index, run_modes(kernels, u, state).metrics, None
+        return input_moments(input_state_from_config(block))
+    except Exception as exc:  # recorded for every point of this state
+        return exc
+
+
+def _group_inputs(points: list, kernels: BogoliubovKernels) -> list:
+    """Per ``(index, cfg)`` point on ``kernels``, in order: its pulse's images
+    and its input's moments ``(fu, gu, moments)``, or the exception that
+    stopped it.
+
+    One block of work for the group: each point's ``input`` block is parsed
+    once, the state and moments of each distinct ``input.state`` block are
+    built once (through ``input_state_from_config``, the name perfbench
+    traces as the state build), and the points' pulses, stacked as the
+    columns of one block, take one F and one G product (``apply_to_block``).
+    A point whose input fails to parse or whose state fails to build keeps
+    its own exception; one raised by the block product is that of every
+    other point."""
+    grid = kernels.grid
+    states, columns, inputs = {}, [], []
+    for _, cfg in points:
+        try:
+            pulse = parse_config(cfg["input"], "input").pulse
+            key = json.dumps(cfg["input"]["state"], sort_keys=True)
+            if key not in states:
+                states[key] = _state_moments(cfg["input"])
+            moments = states[key]
+            if isinstance(moments, Exception):
+                given = moments
+            else:
+                columns.append(gaussian_mode(grid, pulse.center, pulse.width).amplitudes)
+                given = (len(columns) - 1, moments)
+        except Exception as exc:  # recorded per point
+            given = exc
+        inputs.append(given)
+    if not columns:
+        return inputs
+    try:
+        fu, gu = apply_to_block(kernels, np.column_stack(columns))
+    except Exception as exc:  # recorded for every point of the block
+        return [given if isinstance(given, Exception) else exc for given in inputs]
+    return [given if isinstance(given, Exception) else (fu[:, given[0]], gu[:, given[0]], given[1])
+            for given in inputs]
+
+
+def _device_group(points: list) -> tuple:
+    """The kernels of the device the ``(index, cfg)`` points share, built
+    once, and each point's ``_group_inputs``; a failed build is every
+    point's exception, with no kernels."""
+    cfg = points[0][1]
+    try:
+        kernels = device_from_config(cfg["device"], grid_from_config(cfg["grid"]))
+    except Exception as exc:  # recorded for every point of the group
+        return None, [exc] * len(points)
+    return kernels, _group_inputs(points, kernels)
+
+
+def _sweep_worker(args, kernels: BogoliubovKernels | None, inputs):
+    """Occupation metrics of one sweep point from its ``_group_inputs`` on
+    its device's kernels, as ``(index, metrics, None)``, or ``(index, None,
+    error)`` when its device, input or split failed.  It runs once per
+    point, looked up by name: perfbench's traced runs wrap it for their
+    per-point spans."""
+    index, _cfg = args
+    if isinstance(inputs, Exception):
+        return index, None, _error_text(inputs)
+    try:
+        return index, modes_from_images(kernels, *inputs).metrics, None
     except Exception as exc:  # recorded per point, run continues
         return index, None, _error_text(exc)
 
 
-def _modes_point(args, kernels: BogoliubovKernels):
-    """One ``modes`` point on its device's kernels: its index, occupations
-    row (n1, n2, ratio and the top ``LADDER_COLUMNS`` ladder occupations),
-    spectrum record and dominant mode.  A failure raises."""
-    index, cfg = args
-    u = input_mode_from_config(cfg["input"], kernels.grid)
-    state = input_state_from_config(cfg["input"])
-    res = run_modes(kernels, u, state)
+def _modes_point(args, kernels: BogoliubovKernels | None, inputs):
+    """One ``modes`` point from its ``_group_inputs`` on its device's
+    kernels: its index, occupations row (n1, n2, ratio and the top
+    ``LADDER_COLUMNS`` ladder occupations), spectrum record and dominant
+    mode.  A failure, its own or its device's, raises."""
+    index, _cfg = args
+    if isinstance(inputs, Exception):
+        raise inputs
+    res = modes_from_images(kernels, *inputs)
     sp = res.spectrum
     vac = [lam for lam, _ in sp.vacuum[:LADDER_COLUMNS]]
     vac += [0.0] * (LADDER_COLUMNS - len(vac))
@@ -123,23 +189,19 @@ def _modes_point(args, kernels: BogoliubovKernels):
 
 
 def _device_worker(points):
-    """One sweep pool task: build the device the ``(index, cfg)`` points
-    share once, then run each point on its kernels.  A failed build is
-    recorded for every point of the group."""
-    cfg = points[0][1]
-    try:
-        kernels = device_from_config(cfg["device"], grid_from_config(cfg["grid"]))
-    except Exception as exc:  # recorded per point, run continues
-        return [(index, None, _error_text(exc)) for index, _ in points]
-    return [_sweep_worker(point, kernels) for point in points]
+    """One sweep pool task: one device group as one block of work
+    (``_device_group``), then ``_sweep_worker`` once per point, which
+    records a failure for its point alone; a failed build or block product
+    is recorded for every point it stopped."""
+    kernels, inputs = _device_group(points)
+    return [_sweep_worker(point, kernels, given) for point, given in zip(points, inputs)]
 
 
 def _modes_device(points):
-    """One ``modes`` pool task: ``_device_worker`` without the recording; a
-    failed build or point raises."""
-    cfg = points[0][1]
-    kernels = device_from_config(cfg["device"], grid_from_config(cfg["grid"]))
-    return [_modes_point(point, kernels) for point in points]
+    """One ``modes`` pool task: ``_device_worker`` with ``_modes_point``,
+    which raises the first failed point's error, in point order."""
+    kernels, inputs = _device_group(points)
+    return [_modes_point(point, kernels, given) for point, given in zip(points, inputs)]
 
 
 def _workers() -> int:
@@ -390,7 +452,8 @@ def _verify_checks():
     from .devices import GaussianPump, OpaParams, OpoParams, TwpaParams
     from .devices import build_opa, build_opo, build_twpa, default_opo_grid
     from .grids import ModeFunction, gaussian_mode, normalize
-    from .kernels import compose, identity_kernels, ideal_squeezer_kernels, pullback_output_mode
+    from .kernels import (apply_to_mode, compose, identity_kernels, ideal_squeezer_kernels,
+                          pullback_output_mode)
     from .metrics import quadrature_variance
     from .states import coherent_state, fock_state, vacuum_state
     from .charfun import char_of_state, fock_from_char, propagate_char
@@ -463,14 +526,13 @@ def _verify_checks():
     checks.append(("compose associativity", assoc, 1e-8))
 
     passive = build_opo(OpoParams(0.0, 1.0, GaussianPump(0.0, 0.0, 0.5)), grid)
-    from .kernels import apply_to_mode
     fu, _gu = apply_to_mode(passive, u)
     energy = abs(np.sum(np.abs(fu) ** 2) * grid.dt - 1.0)
     checks.append(("passive energy conservation", energy, 1e-11))
 
     mom = input_moments(fock_state(1, 30))
     g1 = g1_total(opo, u, mom)
-    sp = seeded_vacuum_split(opo, u, mom)
+    sp = seeded_vacuum_split(opo, *apply_to_mode(opo, u), mom)
     trace_err = abs(g1.trace() - (sp.seeded_total + sp.vacuum_total)) / max(g1.trace(), 1e-12)
     checks.append(("g1 trace consistency", trace_err, 1e-12))
 

@@ -37,7 +37,8 @@ bound on every other eigenvalue lying below the last of them.
 
 Everything a ``state`` run or a sweep reads goes through the kernels'
 product protocol (``BogoliubovKernels.times``): the images ``F u`` and
-``G u``, and the head's products with G and G^T.  With ``vacuum_total``,
+``G u`` (for a sweep's device group, of all its pulses in one block), and
+the head's products with G and G^T.  With ``vacuum_total``,
 which a resonant cavity sums tile by tile, these need no n x n matrix, so
 a resonant cavity (``kernels.CirculantKernels``) never fills one for them.
 The full ladder, the vacuum kernel and ``g1_total`` read the filled G.
@@ -341,9 +342,15 @@ def g1_total(
 
 
 def seeded_vacuum_split(
-    k: BogoliubovKernels, u: ModeFunction, moments: InputMoments
+    k: BogoliubovKernels, fu: np.ndarray, gu: np.ndarray, moments: InputMoments
 ) -> ModeSpectrum:
     """Split g1 into input-seeded modes and squeezed-vacuum modes.
+
+    ``fu`` and ``gu`` are the input pulse's dt-weighted images ``F u`` and
+    ``G u`` on ``k``: one pulse from ``kernels.apply_to_mode``, or a column
+    each of the images a sweep's device group takes of all its pulses at
+    once (``kernels.apply_to_block``).  The input reaches the output through
+    these two vectors alone.
 
     With ``V = [F u, conj(G u)] = Q R`` and ``M = [[n, m*], [m, n]]``, the
     seeded part of g1 is ``Q R M^T R^dag Q^dag``: the eigenpairs ``(lam, y)``
@@ -351,7 +358,6 @@ def seeded_vacuum_split(
     modes ``Q y``.
     """
     dt = k.grid.dt
-    fu, gu = apply_to_mode(k, u)
     q, r = np.linalg.qr(np.column_stack([fu, gu.conj()]))
     mt = np.array([[moments.n, moments.m], [np.conj(moments.m), moments.n]])
     vals, vecs = np.linalg.eigh(dt * (r @ mt @ r.conj().T))

@@ -36,6 +36,7 @@ __all__ = [
     "verify_symplectic",
     "pullback_output_mode",
     "apply_to_mode",
+    "apply_to_block",
 ]
 
 # A pullback with xi below this is treated as purely dispersive (no g mode).
@@ -390,16 +391,28 @@ def _times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _on_real_view(a.__matmul__, z)
 
 
-def apply_to_mode(k: BogoliubovKernels, u: ModeFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Forward images ``(F u, G u)`` (dt-weighted), unnormalized.
+def apply_to_block(k: BogoliubovKernels, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward images ``(F U, G U)`` (dt-weighted) of the pulses sampled on
+    ``k``'s grid as the columns of ``pulses`` (an n x m block, or one
+    n-vector): one :meth:`~BogoliubovKernels.times` call per kernel, so a
+    :class:`CirculantKernels` takes its FFTs along axis 0 and dense kernels
+    one matrix product.  Column j of each image is the image of column j,
+    bit for bit on a resonant cavity; a dense product of many columns
+    sums in another order than that of one column, so the two differ by
+    round-off."""
+    dt = k.grid.dt
+    return dt * k.times("F", pulses), dt * k.times("G", pulses)
 
-    These are the seeded-field amplitudes entering the output coherence
-    function for an input occupying ``u``.
+
+def apply_to_mode(k: BogoliubovKernels, u: ModeFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Forward images ``(F u, G u)`` (dt-weighted), unnormalized: the
+    seeded-field amplitudes of an input occupying ``u``, and what
+    ``coherence.seeded_vacuum_split`` takes.  A sweep's device group takes
+    its points' images together, by :func:`apply_to_block`.
     """
     if u.grid != k.grid:
         raise GridMismatchError("mode does not live on the kernel grid")
-    dt = k.grid.dt
-    return dt * k.times("F", u.amplitudes), dt * k.times("G", u.amplitudes)
+    return apply_to_block(k, u.amplitudes)
 
 
 def pullback_output_mode(k: BogoliubovKernels, v: ModeFunction) -> PullbackResult:

@@ -32,7 +32,7 @@ from .coherence import (
 from .config import CONFIG, parse_config
 from .decomposition import OutputDecomposition, decompose_output_mode
 from .grids import ModeFunction, TemporalGrid, gaussian_mode, load_mode_samples, normalize
-from .kernels import BogoliubovKernels
+from .kernels import BogoliubovKernels, apply_to_mode
 from .metrics import (
     SqueezeFitResult,
     gaussian_covariance,
@@ -52,6 +52,7 @@ __all__ = [
     "select_output_mode",
     "align_amplified_axis",
     "run_modes",
+    "modes_from_images",
     "run_state_analysis",
 ]
 
@@ -158,8 +159,16 @@ def run_modes(
     kernels: BogoliubovKernels, u: ModeFunction, state: QuantumState
 ) -> PointResult:
     """Coherence split only: occupations and mode shapes."""
-    moments = input_moments(state)
-    spectrum = seeded_vacuum_split(kernels, u, moments)
+    return modes_from_images(kernels, *apply_to_mode(kernels, u), input_moments(state))
+
+
+def modes_from_images(
+    kernels: BogoliubovKernels, fu: np.ndarray, gu: np.ndarray, moments: InputMoments
+) -> PointResult:
+    """:func:`run_modes` from the input pulse's images ``(F u, G u)`` and the
+    input state's moments, which a sweep's device group computes once for
+    all of its points."""
+    spectrum = seeded_vacuum_split(kernels, fu, gu, moments)
     metrics = {
         "n1": spectrum.seeded[0][0] if spectrum.seeded else 0.0,
         "n2": spectrum.seeded[1][0] if len(spectrum.seeded) > 1 else 0.0,

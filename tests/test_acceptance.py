@@ -179,7 +179,7 @@ def test_criterion_04_fock_two_mode_structure():
     for width in (0.1, 0.316, 1.0):
         point = set_by_path(cfg, "device.pump.width", width)
         k = device_from_config(point["device"], grid)
-        sp = seeded_vacuum_split(k, u, input_moments(state))
+        sp = seeded_vacuum_split(k, *apply_to_mode(k, u), input_moments(state))
         assert len(sp.seeded) == 2
         n1, n2 = sp.seeded[0][0], sp.seeded[1][0]
         fractions.append(min(n1, n2) / (n1 + n2))

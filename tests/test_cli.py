@@ -20,6 +20,7 @@ from pulse_squeeze.config import (
     validate_config,
 )
 from pulse_squeeze.kernels import BogoliubovKernels
+from pulse_squeeze.pipeline import run_modes
 
 
 RECIPES = ("fig2a", "fig2b", "fig3ab", "fig3cd", "fig3ef", "fig4")
@@ -631,9 +632,9 @@ class TestCliCommands:
             for j, v2 in enumerate(vals2):
                 point = set_by_path(set_by_path(cfg, name1, float(v1)), name2, float(v2))
                 grid = cli.grid_from_config(point["grid"])
-                metrics = cli.run_modes(build(point["device"], grid),
-                                        cli.input_mode_from_config(point["input"], grid),
-                                        cli.input_state_from_config(point["input"])).metrics
+                metrics = run_modes(build(point["device"], grid),
+                                    cli.input_mode_from_config(point["input"], grid),
+                                    cli.input_state_from_config(point["input"])).metrics
                 n1[i, j], ratio[i, j] = metrics["n1"], metrics["ratio"]
         ref = tmp_path / "ref"
         ref.mkdir()
@@ -943,10 +944,10 @@ class TestForkedHelpers:
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "2")
         point = cli._modes_point
 
-        def failing(args, kernels):
+        def failing(args, *group):
             if args[0] == 1:
                 raise ValueError("point 1 failed")
-            return point(args, kernels)
+            return point(args, *group)
 
         monkeypatch.setattr(cli, "_modes_point", failing)
         assert cli.main(self._three_devices(tmp_path)) == 2
@@ -980,3 +981,187 @@ class TestForkedHelpers:
         assert cli.main(argv) == 0
         manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text())
         assert manifest["environment"]["workers"] == 1
+
+
+class TestDeviceGroups:
+    """A device group is one block of work: each point's input is parsed
+    once, each distinct input state built once, and every pulse of the group
+    takes its images from one F and one G product."""
+
+    @staticmethod
+    def _run(tmp_path, command: str, cfg: dict) -> Path:
+        path = tmp_path / f"{command}.yaml"
+        path.write_text(dump_config(cfg))
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def _table(path: Path) -> np.ndarray:
+        rows = [r for r in path.read_text().splitlines() if r and not r.startswith("#")][1:]
+        return np.array([[float(v) for v in row.split(",")] for row in rows])
+
+    @staticmethod
+    def _one_point(point: dict):
+        grid = cli.grid_from_config(point["grid"])
+        return run_modes(cli.device_from_config(point["device"], grid),
+                         cli.input_mode_from_config(point["input"], grid),
+                         cli.input_state_from_config(point["input"]))
+
+    def _one_point_maps(self, cfg: dict) -> np.ndarray:
+        """n1 and ratio of every sweep point, each on a device of its own."""
+        (name1, vals1), (name2, vals2) = sweep_axes(cfg)
+        maps = np.full((2, len(vals1), len(vals2)), np.nan)
+        for i, v1 in enumerate(vals1):
+            for j, v2 in enumerate(vals2):
+                point = set_by_path(set_by_path(cfg, name1, float(v1)), name2, float(v2))
+                metrics = self._one_point(point).metrics
+                maps[:, i, j] = metrics["n1"], metrics.get("ratio", np.nan)
+        return maps
+
+    def test_fig3ab_takes_one_f_and_one_g_product_per_group(self, tmp_path, monkeypatch):
+        from pulse_squeeze.kernels import CirculantKernels
+
+        calls, depth = [], []
+        times = CirculantKernels.times
+
+        def spying(self, kernel, y, transpose=False):
+            if not depth:  # a complex block recurses once through its real view
+                calls.append((kernel, np.shape(y), transpose))
+            depth.append(kernel)
+            try:
+                return times(self, kernel, y, transpose)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(CirculantKernels, "times", spying)
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        assert cli.main(["sweep", "--recipe", "fig3ab", "--out", str(tmp_path)]) == 0
+        # 16 pump widths, each a group of 16 seed delays on n = 512
+        assert calls == [("F", (512, 16), False), ("G", (512, 16), False)] * 16
+
+    @pytest.mark.parametrize("device, rtol", [("resonant opo", 0.0), ("detuned opo", 1e-13),
+                                              ("opa", 1e-13)])
+    def test_grouped_matches_one_point_runs(self, device, rtol, tmp_path, monkeypatch):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        if device == "opa":
+            cfg = load_recipe("fig3cd")
+            second = {"name": "device.pump_spectral_width", "values": [1.0, 2.0]}
+            centers = [-1.0, -0.5, 0.0, 0.5]
+        else:
+            cfg = set_by_path(load_recipe("fig3ab"), "device.detuning",
+                              0.0 if device == "resonant opo" else 0.3)
+            second = {"name": "device.pump.width", "values": [0.1, 0.5]}
+            centers = [-3.0, -1.0, 0.0, 1.0]
+        cfg["grid"]["n_points"] = 128
+        cfg["sweep"] = {"axes": [{"name": "input.pulse.center", "values": centers}, second]}
+        got = np.stack([self._table(self._run(tmp_path, "sweep", cfg) / name)[:, 1:]
+                        for name in ("heatmap_n1.csv", "heatmap_ratio.csv")])
+        want = self._one_point_maps(cfg)
+        assert np.all(np.isfinite(want))
+        assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+        # modes, through the same groups: n1 and n2 along the input axis
+        cfg["sweep"] = {"axes": [{"name": "input.pulse.center", "values": centers}]}
+        occupations = self._table(self._run(tmp_path, "modes", cfg) / "occupations.csv")
+        for row, center in zip(occupations, centers):
+            metrics = self._one_point(set_by_path(cfg, "input.pulse.center", center)).metrics
+            want = np.array([metrics["n1"], metrics["n2"]])
+            assert np.all(np.abs(row[1:3] - want) <= rtol * want)
+
+    def test_state_axis_gives_each_point_its_moments(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        alphas = [0.5, 1.0, 1.5]
+        cfg = _base_config(sweep={"axes": [
+            {"name": "input.state.alpha", "values": alphas},
+            {"name": "input.pulse.center", "values": [-0.5, 0.0]},
+        ]})
+        built = []
+        build = cli.input_state_from_config
+        monkeypatch.setattr(cli, "input_state_from_config",
+                            lambda block: built.append(block["state"]["alpha"]) or build(block))
+        out = self._run(tmp_path, "sweep", cfg)
+        assert built == alphas  # one state per distinct input.state block
+        n1 = self._table(out / "heatmap_n1.csv")[:, 1:]
+        want = self._one_point_maps(cfg)[0]
+        assert np.all(np.abs(n1 - want) <= 1e-13 * want)
+        # a coherent input feeds one mode with |alpha|^2 times the photons
+        np.testing.assert_allclose(n1 / n1[1], (np.array(alphas) ** 2)[:, None] * [1.0, 1.0],
+                                   rtol=1e-9)
+
+    @staticmethod
+    def _squeezed_fig3ab() -> dict:
+        # A squeezed input has |m| > n, which makes the pumped cavity's
+        # seeded part of g1 indefinite: its split raises.  r = 0 is vacuum.
+        cfg = load_recipe("fig3ab")
+        cfg["grid"]["n_points"] = 128
+        cfg["input"]["state"] = {"kind": "squeezed", "r": 0.0, "dim": 30}
+        return cfg
+
+    def test_failed_split_is_recorded_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        cfg = self._squeezed_fig3ab()
+        centers = [-1.0, 0.0, 1.0]
+        cfg["sweep"] = {"axes": [{"name": "input.state.r", "values": [0.0, 0.5]},
+                                 {"name": "input.pulse.center", "values": centers}]}
+        errors = []
+        for center in centers:
+            with pytest.raises(ValueError, match="indefinite") as split:
+                self._one_point(set_by_path(set_by_path(cfg, "input.state.r", 0.5),
+                                            "input.pulse.center", center))
+            errors.append(f"ValueError: {split.value}")
+        out = self._run(tmp_path, "sweep", cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [{"point": [1, j], "error": errors[j]} for j in range(3)]
+        assert all("\n" not in error for error in errors)
+        n1 = self._table(out / "heatmap_n1.csv")[:, 1:]
+        assert n1[0].tolist() == [0.0, 0.0, 0.0]  # vacuum seeds no mode
+        assert np.all(np.isnan(n1[1]))
+
+    def test_modes_raises_its_first_failed_point(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        cfg = self._squeezed_fig3ab()
+        cfg["sweep"] = {"axes": [{"name": "input.state.r", "values": [0.0, 0.5, 0.7]}]}
+        with pytest.raises(ValueError) as first:
+            self._one_point(set_by_path(cfg, "input.state.r", 0.5))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+        assert cli.main(["modes", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical failure: ValueError: {first.value}"]
+
+    def test_block_and_input_failures(self, tmp_path, monkeypatch):
+        # The second group's block product raises: every point of its block
+        # records that error.  A point whose input fails to parse records
+        # its own, in either group.
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        cfg = _base_config(sweep={"axes": [
+            {"name": "device.r", "values": [0.5, 0.8]},
+            {"name": "input.pulse.center", "values": [-1.0, 0.0, 1.0]},
+        ]})
+        blocks, block = [], cli.apply_to_block
+
+        def failing_block(kernels, pulses):
+            blocks.append(pulses.shape)
+            if len(blocks) == 2:
+                raise RuntimeError("block product failed")
+            return block(kernels, pulses)
+
+        parse = cli.parse_config
+
+        def failing_parse(raw, name=None):
+            if name == "input" and raw["pulse"]["center"] == 1.0:
+                raise ConfigError("input.pulse.center: not this one")
+            return parse(raw, name)
+
+        monkeypatch.setattr(cli, "apply_to_block", failing_block)
+        monkeypatch.setattr(cli, "parse_config", failing_parse)
+        out = self._run(tmp_path, "sweep", cfg)
+        assert blocks == [(128, 2), (128, 2)]
+        parsed = "ConfigError: input.pulse.center: not this one"
+        product = "RuntimeError: block product failed"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            {"point": [0, 2], "error": parsed}, {"point": [1, 0], "error": product},
+            {"point": [1, 1], "error": product}, {"point": [1, 2], "error": parsed}]
+        n1 = self._table(out / "heatmap_n1.csv")[:, 1:]
+        assert np.isfinite(n1[0, :2]).all() and np.isnan(n1[0, 2]) and np.isnan(n1[1]).all()

@@ -12,7 +12,7 @@ from pulse_squeeze.coherence import (
     vacuum_kernel,
 )
 from pulse_squeeze.grids import ModeFunction, inner_product
-from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
+from pulse_squeeze.kernels import apply_to_mode, ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import (
     QuantumState,
     coherent_state,
@@ -96,15 +96,18 @@ class TestG1Total:
 
 class TestSeededVacuumSplit:
     def test_coherent_feeds_one_mode(self, grid, u_mode, opo_kernels):
-        sp = seeded_vacuum_split(opo_kernels, u_mode, input_moments(coherent_state(1.5, 40)))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 input_moments(coherent_state(1.5, 40)))
         assert len(sp.seeded) == 1
 
     def test_fock_feeds_two_modes(self, grid, u_mode, opo_kernels):
-        sp = seeded_vacuum_split(opo_kernels, u_mode, input_moments(fock_state(1, 30)))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 input_moments(fock_state(1, 30)))
         assert len(sp.seeded) == 2
 
     def test_vacuum_feeds_none(self, grid, u_mode, opo_kernels):
-        sp = seeded_vacuum_split(opo_kernels, u_mode, InputMoments(0.0, 0.0))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 InputMoments(0.0, 0.0))
         assert sp.seeded == []
         assert sp.vacuum_total > 0
 
@@ -122,12 +125,13 @@ class TestSeededVacuumSplit:
     def test_trace_consistency(self, grid, u_mode, opo_kernels):
         m = input_moments(fock_state(1, 30))
         g1 = g1_total(opo_kernels, u_mode, m)
-        sp = seeded_vacuum_split(opo_kernels, u_mode, m)
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode), m)
         total = sp.seeded_total + sp.vacuum_total
         assert total == pytest.approx(g1.trace(), rel=1e-6)
 
     def test_seeded_modes_orthonormal(self, grid, u_mode, opo_kernels):
-        sp = seeded_vacuum_split(opo_kernels, u_mode, input_moments(fock_state(1, 30)))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 input_moments(fock_state(1, 30)))
         v1, v2 = sp.seeded[0][1], sp.seeded[1][1]
         assert abs(inner_product(v1, v1)) == pytest.approx(1.0, abs=1e-9)
         assert abs(inner_product(v1, v2)) < 1e-9
@@ -153,7 +157,7 @@ class TestSeededVacuumSplit:
             cut = OCCUPATION_CUT * g1.trace()
             vals, vecs = np.linalg.eigh(dt * (g1.entries - vacuum_kernel(k).entries).T)
             vals, vecs = vals[::-1], vecs[:, ::-1] / np.sqrt(dt)
-            sp = seeded_vacuum_split(k, u_mode, moments)
+            sp = seeded_vacuum_split(k, *apply_to_mode(k, u_mode), moments)
             assert len(sp.seeded) == np.count_nonzero(vals > cut)
             for (lam, v), lam_dense, vec in zip(sp.seeded, vals, vecs.T):
                 assert abs(lam - lam_dense) <= 1e-12 * vals[0]
@@ -162,7 +166,51 @@ class TestSeededVacuumSplit:
     def test_squeezed_input_raises(self, u_mode, opo_kernels):
         # |m| > n: the seeded part is indefinite, not a coherence function
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            seeded_vacuum_split(opo_kernels, u_mode, input_moments(squeezed_state(0.6, 40)))
+            seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                input_moments(squeezed_state(0.6, 40)))
+
+
+
+class TestBlockImages:
+    """A sweep's device group takes its pulses' images in one block
+    (``apply_to_block``); each column splits as one pulse's images from
+    ``apply_to_mode`` do: bit for bit on a resonant cavity's FFT products,
+    within 1e-13 on dense kernels (1e-12 for the mode shapes), whose one
+    matrix product sums in another order."""
+
+    @pytest.fixture(scope="class")
+    def devices(self, grid, opo_kernels, freq_grid):
+        from pulse_squeeze.devices import GaussianPump, OpaParams, OpoParams, build_opa, build_opo
+
+        resonant = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.5, 0.0, 0.1)), grid)
+        return {"resonant opo": (resonant, 0.0), "detuned opo": (opo_kernels, 1e-13),
+                "opa": (build_opa(OpaParams(0.5, 1.0, 2.0), freq_grid), 1e-13)}
+
+    @pytest.mark.parametrize("name", ["resonant opo", "detuned opo", "opa"])
+    def test_columns_split_as_one_pulse(self, devices, name):
+        from pulse_squeeze.grids import gaussian_mode
+        from pulse_squeeze.kernels import CirculantKernels, apply_to_block
+
+        k, rtol = devices[name]
+        assert isinstance(k, CirculantKernels) == (rtol == 0.0)
+        pulses = [gaussian_mode(k.grid, center, width)
+                  for center in (-3.0, -1.0, 0.0, 0.5) for width in (0.5, 1.0)]
+        fu, gu = apply_to_block(k, np.column_stack([u.amplitudes for u in pulses]))
+        moments = input_moments(fock_state(1, 30))
+        for j, u in enumerate(pulses):
+            one = apply_to_mode(k, u)
+            for block, image in zip((fu[:, j], gu[:, j]), one):
+                assert np.abs(block - image).max() <= rtol * np.abs(image).max()
+            got = seeded_vacuum_split(k, fu[:, j], gu[:, j], moments)
+            want = seeded_vacuum_split(k, *one, moments)
+            assert len(got.seeded) == len(want.seeded) == 2
+            for (lam, v), (lam_want, v_want) in zip(got.seeded, want.seeded):
+                assert abs(lam - lam_want) <= rtol * lam_want
+                # the 2 x 2 eigenvectors take the occupations' round-off
+                # over their gap (1.6e-14 of the largest sample on the OPA)
+                assert np.abs(v.amplitudes - v_want.amplitudes).max() <= (
+                    10 * rtol * np.abs(v_want.amplitudes).max())
+            assert got.vacuum_total == want.vacuum_total
 
 
 class TestVacuumLadder:
@@ -237,7 +285,7 @@ class TestVacuumLadder:
         "name", ["opo", "opo-vacuum", "opa", "twpa-20", "fig2a-1.0", "fig2a-4.0"])
     def test_matches_dense_oracle(self, cases, name, monkeypatch):
         k, u, moments = cases[name]
-        sp = seeded_vacuum_split(k, u, moments)
+        sp = seeded_vacuum_split(k, *apply_to_mode(k, u), moments)
         dense_calls = self.spy(monkeypatch, "_dense_ladder")
         self.assert_matches_dense(sp, monkeypatch)
         # Only the widest ladder takes the dense solve: its blocks would pass
@@ -257,7 +305,8 @@ class TestVacuumLadder:
         monkeypatch.setattr(coherence, "LADDER_SHARE", k.grid.n_points // width)
         blocks = self.spy(monkeypatch, "_ritz_block")
         dense_calls = self.spy(monkeypatch, "_dense_ladder")
-        self.assert_matches_dense(seeded_vacuum_split(k, u, moments), monkeypatch)
+        split = seeded_vacuum_split(k, *apply_to_mode(k, u), moments)
+        self.assert_matches_dense(split, monkeypatch)
         assert [certified for _, _, certified in blocks] == [False]
         assert len(dense_calls) == 1
 
@@ -373,7 +422,7 @@ class TestVacuumLadder:
         assert not unpumped.G.any()
         for k in (identity_kernels(grid), unpumped):
             for moments in (InputMoments(0.0, 0.0), input_moments(fock_state(1, 30))):
-                sp = seeded_vacuum_split(k, u_mode, moments)
+                sp = seeded_vacuum_split(k, *apply_to_mode(k, u_mode), moments)
                 assert sp.vacuum_total == 0.0
                 assert sp.vacuum == []
 
@@ -483,11 +532,13 @@ class TestSingleModeCondition:
 
 class TestOccupationRatio:
     def test_coherent_ratio_unity(self, grid, u_mode, opo_kernels):
-        sp = seeded_vacuum_split(opo_kernels, u_mode, input_moments(coherent_state(1.0, 40)))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 input_moments(coherent_state(1.0, 40)))
         assert occupation_ratio(sp) == pytest.approx(1.0)
 
     def test_fock_identity_device(self, grid, u_mode):
-        sp = seeded_vacuum_split(identity_kernels(grid), u_mode, input_moments(fock_state(1, 30)))
+        k = identity_kernels(grid)
+        sp = seeded_vacuum_split(k, *apply_to_mode(k, u_mode), input_moments(fock_state(1, 30)))
         assert occupation_ratio(sp) == pytest.approx(1.0)
 
     def test_short_pump_ratio_near_one(self, grid):
@@ -498,12 +549,13 @@ class TestOccupationRatio:
         ratios = []
         for width in (0.05, 1.5):
             k = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.5, 0.0, width)), grid)
-            sp = seeded_vacuum_split(k, u, input_moments(fock_state(1, 30)))
+            sp = seeded_vacuum_split(k, *apply_to_mode(k, u), input_moments(fock_state(1, 30)))
             ratios.append(occupation_ratio(sp))
         assert ratios[0] > 0.9
         assert ratios[0] > ratios[1]
 
     def test_no_seeded_modes_raises(self, grid, u_mode, opo_kernels):
-        sp = seeded_vacuum_split(opo_kernels, u_mode, InputMoments(0.0, 0.0))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 InputMoments(0.0, 0.0))
         with pytest.raises(ValueError):
             occupation_ratio(sp)

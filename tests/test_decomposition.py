@@ -21,7 +21,7 @@ from pulse_squeeze.devices import (
     default_opo_grid,
 )
 from pulse_squeeze.grids import ModeFunction, TemporalGrid, gaussian_mode
-from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
+from pulse_squeeze.kernels import apply_to_mode, ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import QuantumState, coherent_state, destroy, fock_state
 
 from conftest import pullback_rows, random_mode, reference_rotated_chi
@@ -47,7 +47,8 @@ class TestDecomposeOutputMode:
         assert d.E == pytest.approx(0.0, abs=2e-5)  # f || u up to round-off
 
     def test_commutator_identity_on_device_modes(self, grid, u_mode, opo_kernels):
-        sp = seeded_vacuum_split(opo_kernels, u_mode, input_moments(fock_state(1, 30)))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 input_moments(fock_state(1, 30)))
         for _, v in sp.seeded:
             d = decompose_output_mode(opo_kernels, u_mode, v)
             assert d.commutator() == pytest.approx(1.0, abs=1e-6)
@@ -184,7 +185,7 @@ class TestBlochMessiahParams:
         rng = np.random.default_rng(9)
         fits = []
         for k, u in devices:
-            sp = seeded_vacuum_split(k, u, input_moments(fock_state(1, 10)))
+            sp = seeded_vacuum_split(k, *apply_to_mode(k, u), input_moments(fock_state(1, 10)))
             vs = [mode for _, mode in sp.seeded[:2] + sp.vacuum[:2]]
             vs += [random_mode(k.grid, rng, 0.0, 2.0) for _ in range(3)]
             for v in vs:
@@ -270,7 +271,7 @@ class TestFockSpaceOracle:
     def test_char_propagation_matches_circuit(self, grid, u_mode):
         # one weak decomposition, compared at dim 8 with oracle headroom
         k = build_opo(OpoParams(0.1, 1.0, GaussianPump(0.3, 0.0, 0.4)), grid)
-        sp = seeded_vacuum_split(k, u_mode, input_moments(fock_state(1, 20)))
+        sp = seeded_vacuum_split(k, *apply_to_mode(k, u_mode), input_moments(fock_state(1, 20)))
         d = decompose_output_mode(k, u_mode, sp.seeded[0][1])
         p = bloch_messiah_params(d)
         assert p["residual"] < 1e-8

@@ -154,7 +154,7 @@ class TestBuildOpo:
             grid = default_opo_grid(1.0, n)
             k = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.5, 0.0, 0.3)), grid)
             u = gaussian_mode(grid, 0.0, 1.0)
-            sp = seeded_vacuum_split(k, u, InputMoments(1.0, 0.0))
+            sp = seeded_vacuum_split(k, *apply_to_mode(k, u), InputMoments(1.0, 0.0))
             occupations[n] = [lam for lam, _ in sp.seeded]
         for a, b in zip(occupations[512], occupations[1024]):
             assert abs(a - b) / b < 0.01
@@ -396,7 +396,7 @@ class TestBuildOpa:
 
         k = build_opa(OpaParams(0.3, 0.0, 2.0), freq_grid)
         u = gaussian_mode(freq_grid, 0.0, 1.0)
-        sp = seeded_vacuum_split(k, u, input_moments(fock_state(1, 20)))
+        sp = seeded_vacuum_split(k, *apply_to_mode(k, u), input_moments(fock_state(1, 20)))
         assert occupation_ratio(sp) > 0.99
         assert sp.seeded[0][0] > 10.0  # high gain together with single-mode
 
@@ -618,7 +618,8 @@ class TestRealPath:
         # whose neighbours are at least 1e-6 of the top value away.
         moments = input_moments(fock_state(1, 30))
         v_in = gaussian_mode(grid, 0.0, 1.0)
-        ladders = [seeded_vacuum_split(k, v_in, moments).vacuum for k in (real, oracle)]
+        ladders = [seeded_vacuum_split(k, *apply_to_mode(k, v_in), moments).vacuum
+                   for k in (real, oracle)]
         assert len(ladders[0]) == len(ladders[1])
         assert (len(ladders[0]) > 0) == (name != "identity")
         if not ladders[0]:

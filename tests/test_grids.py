@@ -41,6 +41,24 @@ def test_equal_grids_hash_alike():
     assert len({a, b}) == 1
 
 
+def test_grid_equality_tolerance():
+    # Ends within 1e-12 of each other are equal, with as many points.
+    g = TemporalGrid(-12.0, 30.0, 512)
+    assert g == TemporalGrid(-12.0 + 0.9e-12, 30.0 - 0.9e-12, 512)
+    assert g != TemporalGrid(-12.0 + 1.1e-12, 30.0, 512)
+    assert g != TemporalGrid(-12.0, 30.0 + 1.1e-12, 512)
+    assert g != TemporalGrid(-12.0, 30.0, 513)
+    assert g.__eq__(object()) is NotImplemented
+    assert g.__eq__((-12.0, 30.0, 512)) is NotImplemented
+    assert g != (-12.0, 30.0, 512)
+    # the scalar test is np.isclose's with rtol 0 and atol 1e-12
+    rng = np.random.default_rng(5)
+    for shift in rng.uniform(-2e-12, 2e-12, size=(200, 2)):
+        other = TemporalGrid(-12.0 + shift[0], 30.0 + shift[1], 512)
+        close = np.isclose([g.t_start, g.t_end], [other.t_start, other.t_end], rtol=0, atol=1e-12)
+        assert (g == other) == bool(close.all())
+
+
 class TestInnerProduct:
     def test_normalized_self_overlap(self, grid):
         f = gaussian_mode(grid, 0.0, 1.3)

@@ -5,7 +5,7 @@ from pulse_squeeze.charfun import char_of_state, overlap, propagate_char
 from pulse_squeeze.coherence import InputMoments, seeded_vacuum_split
 from pulse_squeeze.decomposition import decompose_output_mode
 from pulse_squeeze.devices import GaussianPump, OpoParams, build_opo
-from pulse_squeeze.kernels import ideal_squeezer_kernels
+from pulse_squeeze.kernels import apply_to_mode, ideal_squeezer_kernels
 from pulse_squeeze.metrics import (
     fidelity,
     gaussian_covariance,
@@ -51,7 +51,7 @@ class TestPurity:
         # single squeezed-vacuum mode: purity from rho equals the Gaussian
         # covariance-determinant identity
         k = build_opo(OpoParams(0.0, 1.0, GaussianPump(1.0, 0.0, 0.5)), grid)
-        sp = seeded_vacuum_split(k, u_mode, InputMoments(0.0, 0.0))
+        sp = seeded_vacuum_split(k, *apply_to_mode(k, u_mode), InputMoments(0.0, 0.0))
         d = decompose_output_mode(k, u_mode, sp.vacuum[0][1])
         chi = propagate_char(d, vacuum_state(20))
         vx, vp, cxp = gaussian_covariance(chi)

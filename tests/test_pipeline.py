@@ -144,9 +144,10 @@ class TestLadderHeadInStateRuns:
     def test_vacuum_seeded_mode_from_head(self, selector, index, monkeypatch):
         from pulse_squeeze.coherence import InputMoments, ModeSpectrum, seeded_vacuum_split
         from pulse_squeeze.grids import inner_product
+        from pulse_squeeze.kernels import apply_to_mode
 
         kernels, u, _ = self._fig4({"kind": "vacuum", "dim": 60})
-        spectrum = seeded_vacuum_split(kernels, u, InputMoments(0.0, 0.0))
+        spectrum = seeded_vacuum_split(kernels, *apply_to_mode(kernels, u), InputMoments(0.0, 0.0))
         self._no_full_ladder(monkeypatch)
         mode = pipeline.select_output_mode(spectrum, selector)
         monkeypatch.undo()

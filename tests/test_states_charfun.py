@@ -51,7 +51,7 @@ from pulse_squeeze.config import load_recipe, parse_config
 from pulse_squeeze.decomposition import OutputDecomposition, decompose_output_mode
 from pulse_squeeze.devices import OpaParams, build_opa
 from pulse_squeeze.grids import gaussian_mode, orthogonal_complement
-from pulse_squeeze.kernels import ideal_squeezer_kernels, identity_kernels
+from pulse_squeeze.kernels import apply_to_mode, ideal_squeezer_kernels, identity_kernels
 from pulse_squeeze.states import (
     DEFAULT_DIM,
     QuantumState,
@@ -959,7 +959,7 @@ class TestJointTwoModeChar:
     def test_marginal_matches_single_mode(self, grid, u_mode, opo_kernels):
         state = fock_state(1, 20)
         mom = input_moments(state)
-        sp = seeded_vacuum_split(opo_kernels, u_mode, mom)
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode), mom)
         v1, v2 = sp.seeded[0][1], sp.seeded[1][1]
         joint = joint_two_mode_char(opo_kernels, u_mode, v1, v2, state)
         d = decompose_output_mode(opo_kernels, u_mode, v1)
@@ -978,7 +978,8 @@ class TestJointTwoModeChar:
         from pulse_squeeze.metrics import purity
 
         state = fock_state(1, 20)
-        sp = seeded_vacuum_split(opo_kernels, u_mode, input_moments(state))
+        sp = seeded_vacuum_split(opo_kernels, *apply_to_mode(opo_kernels, u_mode),
+                                 input_moments(state))
         v1, v2 = sp.seeded[0][1], sp.seeded[1][1]
         joint = joint_two_mode_char(opo_kernels, u_mode, v1, v2, state, extent=6.0, n_side=49)
         marg = joint.marginal(0)
