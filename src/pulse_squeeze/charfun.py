@@ -20,9 +20,9 @@ is built.
 
 One policy, ``_auto_grid``, sizes every chi grid, growing it from edge
 probes and sampling it once; overlaps and the Wigner transform work on the
-grid of the chi they get.  The Fock reconstruction is exact for an input
-whose chi is a sum of Gaussians (its ``GaussianTerm``), and folds chi on its
-grid for any other input.
+grid of the chi they get.  The Fock reconstruction reads no grid: it is
+exact for every input, from the channel and the input's Gaussian terms
+(``GaussianTerm``) or its density matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .states import QuantumState, SeparableChi, log_factorial
+from .states import QuantumState, SeparableChi, log_factorial, vacuum_state
 
 __all__ = [
     "GaussianChannel",
@@ -42,6 +42,7 @@ __all__ = [
     "CharFunction",
     "WignerGrid",
     "char_from_rho",
+    "FockSumChi",
     "state_evaluator",
     "char_of_state",
     "output_channel",
@@ -62,11 +63,10 @@ NOT_DECAYED_TOL = 1e-3  # |chi| at the edges above which a stage warns of aliasi
 # the channel's full-shaped temporaries to a block of the grid.
 SAMPLE_ROWS = 32
 
-# Fock reconstruction cap: displacement matrix elements above this size are
-# not resolved by the default grid spacing.
+# Largest output dim of the Fock reconstruction and of a config's fock_dim:
+# it bounds the recurrence's work and the exported matrices' size.
 MAX_FOCK_DIM = 60
 FOCK_TRACE_TOL = 1e-6  # fock_from_char warns when it captures a trace below 1 - this
-FOCK_CUT_TOL = 1e-25  # most that fock_from_char's radius cut drops from any entry of rho
 
 
 def real_linear_map(p: complex, q: complex = 0.0) -> np.ndarray:
@@ -378,10 +378,21 @@ def _auto_grid(evaluator, what: str) -> CharFunction:
     return chi
 
 
+@dataclass(frozen=True, eq=False)
+class FockSumChi:
+    """chi(u, v) = ``char_from_rho(rho, u + 1j * v)``, the base of a state
+    with no closed form; ``fock_from_char`` reads its ``rho``."""
+
+    rho: np.ndarray
+
+    def __call__(self, u, v):
+        return char_from_rho(self.rho, u + 1j * v)
+
+
 def state_evaluator(state: QuantumState) -> GaussianChannel:
     """Exact chi of a Fock-basis state, its closed form else the Fock sum, as
     the identity channel."""
-    return GaussianChannel(state.char_eval or (lambda u, v: char_from_rho(state.rho, u + 1j * v)))
+    return GaussianChannel(state.char_eval or FockSumChi(state.rho))
 
 
 def char_of_state(state: QuantumState) -> CharFunction:
@@ -442,54 +453,14 @@ def wigner_from_char(
     return WignerGrid(x_axis=axis, p_axis=axis, values=values)
 
 
-def _log_displacement_bound(dim: int) -> Callable[[float], float]:
-    """x -> log of e^{-x/2} L_{dim-1}(-x), which bounds every |<m|D(beta)|n>|
-    with m, n < dim at x = |beta|^2 >= dim - 1, and falls for x >= 2 (dim - 1).
-
-    Normal ordering, D(beta) = e^{-x/2} e^{beta a^dag} e^{-beta* a}, gives
-    |<m|D(beta)|n>| <= e^{-x/2} sqrt(m! n!) sum_k x^{(m+n)/2 - k} / (k! (m-k)! (n-k)!).
-    Raising m by one multiplies term k by sqrt(x (m+1)) / (m+1-k) >= 1 once
-    x >= m + 1, so every (m, n) is bounded by (dim-1, dim-1), whose sum is
-    e^{-x/2} sum_j C(dim-1, j) x^j / j!; each term e^{-x/2} x^j falls for x > 2j.
-    """
-    j = np.arange(dim)
-    log_coeffs = log_factorial(dim - 1) - log_factorial(dim - 1 - j) - 2.0 * log_factorial(j)
-
-    def log_bound(x: float) -> float:
-        terms = log_coeffs + j * np.log(x)
-        top = terms.max()
-        return float(-0.5 * x + top + np.log(np.exp(terms - top).sum()))
-
-    return log_bound
-
-
-def _fock_cut(dim: int, grid: CharGrid) -> float:
-    """The smallest x_cut >= 2 (dim - 1), to bisection precision, at which
-    (spacing^2 / pi) * (grid points) * bound(x_cut) <= ``FOCK_CUT_TOL``, with
-    ``_log_displacement_bound``'s bound: as |chi| <= 1 and the bound falls
-    past x_cut, the grid points with |beta|^2 > x_cut add less than
-    ``FOCK_CUT_TOL`` to any entry of rho."""
-    log_bound = _log_displacement_bound(dim)
-    log_tol = np.log(FOCK_CUT_TOL * np.pi / (grid.weight * grid.n_side * grid.im_n_side))
-    lo = hi = 2.0 * (dim - 1)
-    while hi == 0.0 or log_bound(hi) > log_tol:
-        lo, hi = hi, 2.0 * hi + 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if log_bound(mid) > log_tol else (lo, mid)
-    return hi
-
-
 def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
-    """Invert the Weyl transform: rho = (1/pi) int chi(beta) D(-beta) d^2 beta.
+    """The density matrix of chi's state on levels 0 .. dim - 1, exact and
+    read from ``chi.evaluator`` alone, never from a grid: from the channel
+    and its base's ``GaussianTerm`` (vacuum, coherent, squeezed vacuum, even
+    cat), or for any other input (Fock n >= 1, a mixed rho) its ``rho``.  A
+    base that carries neither raises ``TypeError``.
 
-    The input's kind alone picks the path.  When ``chi.evaluator.base``
-    carries ``GaussianTerm`` (vacuum, coherent, squeezed vacuum, even cat),
-    rho is exact and reads no grid (``_gaussian_sum_fock``); any other input
-    (Fock n >= 1, a mixed rho) is folded on chi's grid (``_fock_fold``),
-    which warns when chi has not decayed at the grid's edges.
-
-    Closed form.  With the unnormalised coherent states sum_n z^n/sqrt(n!) |n>,
+    With the unnormalised coherent states sum_n z^n/sqrt(n!) |n>,
 
         sum_mn rho_mn s^m t^n / sqrt(m! n!)
             = e^{st} (1/pi) int chi(beta) e^{-s beta + t beta* - |beta|^2/2} d^2 beta.
@@ -510,50 +481,25 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
 
         b_{m+1,n} = (y_0 b_mn + Q_00 sqrt(m) b_{m-1,n} + Q_01 sqrt(n) b_{m,n-1}) / sqrt(m+1),
 
-    one recurrence per term, vectorised over n and over the terms, summed.
-
-    Fold.  The quadrature runs on chi's own grid, as ``_auto_grid`` sized
-    it, and skips only arithmetic that cannot reach rho:
-
-    - Half plane.  chi(-beta) = conj(chi(beta)), so a mirror pair beta, -beta
-      adds (-beta)^d [chi + (-1)^d conj(chi)] to the d-th diagonal: 2 Re chi
-      (-beta)^d for even d, 2i Im chi (-beta)^d for odd d.  Only the rows
-      Re beta <= 0 are folded; the Re beta = 0 row holds both members of its
-      pairs and takes weight 1/2.
-    - Radius cut.  Points with |beta|^2 > x_cut are dropped, where
-      ``_fock_cut`` picks x_cut from a rigorous bound on the displacement
-      matrix elements (``_log_displacement_bound``) so that everything dropped
-      adds less than ``FOCK_CUT_TOL`` = 1e-25 to any entry of rho.  No result
-      depends on the cut: fig4's chi (727 x 129 points, dim 60, x_cut 504)
-      gives the same rho as the uncut full-plane sum to round-off.
-
-    The matrix element <a+d|D(-beta)|a> is (-beta)^d e^{-|beta|^2/2}
-    L_a^{(d)}(|beta|^2) up to a constant (Cahill & Glauber, Phys. Rev. 177,
-    1857 (1969)), and both axes share one spacing, so every grid point has
-    |beta|^2 = spacing^2 (i^2 + j^2) for integer steps i, j.  So for each d
-    the kept points are folded onto their distinct radii (two ``bincount``
-    passes), and the Laguerre recurrence runs on the radii alone.  The fold
-    checks only that chi has decayed at the edges, not that the spacing
-    resolves its oscillation.
+    one recurrence per term (``_gaussian_sum_fock``).  A Fock sum is one
+    term with two more variables (``_fock_sum_fock``).
 
     Either path gives the lower triangle.  The reconstruction is Hermitized,
     tiny negative eigenvalues (round-off, above -1e-6) are clamped to zero,
-    and the result is renormalized; larger negativity means the grid is too
-    coarse and raises.  A captured trace below ``1 - FOCK_TRACE_TOL`` (a
-    state reaching past ``dim``) is renormalized too, with a warning naming
-    dim and trace.
+    and the result is renormalized; larger negativity raises.  A captured
+    trace below ``1 - FOCK_TRACE_TOL`` (a state reaching past ``dim``) is
+    renormalized too, with a warning naming dim and trace; none raises.
     """
     if not 1 <= dim <= MAX_FOCK_DIM:
         raise ValueError(f"dim {dim} is outside the supported range 1..{MAX_FOCK_DIM}")
-    if getattr(chi.evaluator.base, "terms", ()):
+    base = chi.evaluator.base
+    if getattr(base, "terms", ()):
         rho = _gaussian_sum_fock(chi.evaluator, dim)
+    elif getattr(base, "rho", None) is not None:
+        rho = _fock_sum_fock(chi.evaluator, base.rho, dim)
     else:
-        if chi.boundary_magnitude() > NOT_DECAYED_TOL:
-            warnings.warn(
-                "chi has not decayed at the grid boundary; reconstruction may alias",
-                stacklevel=2,
-            )
-        rho = _fock_fold(chi, dim)
+        raise TypeError(f"fock_from_char: the base {base!r} carries neither Gaussian terms "
+                        "nor a density matrix")
     rho = rho + np.tril(rho, -1).conj().T
     rho = 0.5 * (rho + rho.conj().T)
 
@@ -561,11 +507,13 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
     if eigvals.min() < -1e-6:
         raise ValueError(
             f"reconstructed state has eigenvalue {eigvals.min():.3e}; "
-            "the beta grid is too coarse for this dim"
+            "the channel is not a physical one"
         )
     eigvals = np.clip(eigvals, 0.0, None)
     rho = (eigvecs * eigvals) @ eigvecs.conj().T
     trace = float(np.real(np.trace(rho)))
+    if trace <= 0.0:
+        raise ValueError(f"fock_from_char: dim {dim} captures none of the state")
     if trace < 1.0 - FOCK_TRACE_TOL:
         warnings.warn(f"fock_from_char: dim {dim} captures trace {trace:.6g} of the state; "
                       "the density matrix is renormalised", stacklevel=2)
@@ -577,6 +525,8 @@ def fock_from_char(chi: CharFunction, dim: int) -> QuantumState:
 # st = z^T SWAP z / 2: the generating function of ``fock_from_char``.
 _GAMMA = np.array([[-1.0, 1.0], [-1j, -1j]])
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+# (p, q) = N (g, d): the chi of ``_fock_sum_fock``'s generating operator.
+_N = np.array([[-1.0, 1.0], [1j, 1j]])
 
 
 def _gaussian_sum_fock(channel: GaussianChannel, dim: int) -> np.ndarray:
@@ -611,43 +561,53 @@ def _gaussian_sum_fock(channel: GaussianChannel, dim: int) -> np.ndarray:
     return np.tril(b.sum(axis=1))
 
 
-def _fock_fold(chi: CharFunction, dim: int) -> np.ndarray:
-    """The lower triangle rho[a + d, a] of ``fock_from_char``'s quadrature,
-    before Hermitizing and clamping."""
-    grid = chi.grid
-    half = grid.n_side // 2
-    re_steps = np.arange(-half, 1)  # rows 0 .. half: Re beta <= 0
-    im_steps = np.arange(grid.im_n_side) - grid.im_n_side // 2
-    steps_sq = re_steps[:, None] ** 2 + im_steps[None, :] ** 2
-    kept = steps_sq <= _fock_cut(dim, grid) / grid.weight
-    keys, radius_of = np.unique(steps_sq[kept], return_inverse=True)
-    n_r = len(keys)
-    x = grid.weight * keys
-    pref = np.exp(-0.5 * x)
-    pair = 2.0 * chi.values[: half + 1]
-    pair[half] *= 0.5
-    pair = pair[kept]
-    parts = (pair.real.copy(), pair.imag.copy())  # 2 Re chi, 2 Im chi
-    minus_b = -(grid.re_axis[: half + 1, None] + 1j * grid.im_axis[None, :])[kept]
-    power = np.ones_like(minus_b)  # (-beta)^d, from d = 0 up
-    scale = grid.weight / np.pi
+def _fock_sum_fock(channel: GaussianChannel, rho_in: np.ndarray, dim: int) -> np.ndarray:
+    """The lower triangle of rho for the input density matrix ``rho_in``
+    through ``channel``, by the four-index case of ``fock_from_char``'s
+    recurrence.
+
+    The generating operator E(g, d) = sum_ab g^a d^b / sqrt(a! b!) |a><b|
+    has chi exp(g d + d beta - g beta* - |beta|^2/2): one term with
+    c = e^{g d}, a = a2 = 1 and (p, q) = N (g, d).  Through the channel,
+    with K = X^T X + Y + I and L = [Gamma, X^T N], its generating function
+    in z = (s, t, g, d) is (2 / sqrt(det K)) exp(z^T Q z / 2) with
+    Q = L^T K^-1 L + diag(SWAP, SWAP) and no linear term.  The coefficient
+    B[m, n, a, b] of s^m t^n g^a d^b / sqrt(m! n! a! b!) is
+    <m|Phi(|a><b|)|n>, so rho = sum_ab rho_in[a, b] B[:, :, a, b], and
+    B_{k + e_i} = sum_j Q_ij sqrt(k_j) B_{k - e_j} / sqrt(k_i + 1).
+
+    The slabs B[:, :, a, b] are made up to the input's highest occupied
+    level: B[:, :, 0, 0], the vacuum's output, by ``_gaussian_sum_fock``;
+    row 0 by raising b, every later row by raising a.  Each is added to rho
+    as it is made, and only the rows the next ones read are kept."""
+    levels = int(np.flatnonzero(np.any(rho_in != 0, axis=0))[-1]) + 1
+    X = channel.X
+    K = X.T @ X + channel.Y + np.eye(2)
+    L = np.hstack([_GAMMA, X.T @ _N])
+    Q = L.T @ np.linalg.inv(K) @ L + np.kron(np.eye(2), _SWAP)
+    roots = np.sqrt(np.arange(max(dim, levels + 1)))
+
+    def raised(i, k):
+        """Slab k + e_i, from the slabs k, k - e_a and k - e_b."""
+        slab = slabs[k]
+        out = np.zeros_like(slab)
+        out[1:] = (Q[i, 0] * roots[1:dim, None]) * slab[:-1]
+        out[:, 1:] += (Q[i, 1] * roots[1:dim]) * slab[:, :-1]
+        for j, lower in enumerate(((k[0] - 1, k[1]), (k[0], k[1] - 1))):
+            if k[j]:
+                out += (Q[i, 2 + j] * roots[k[j]]) * slabs[lower]
+        return out / roots[k[i - 2] + 1]
+
+    vacuum = _gaussian_sum_fock(GaussianChannel(vacuum_state(1).char_eval, X, channel.Y), dim)
+    slabs = {(0, 0): vacuum + np.tril(vacuum, -1).conj().T}
     rho = np.zeros((dim, dim), dtype=complex)
-    folded = np.empty((2, n_r))
-    for d in range(dim):
-        # even d: 2 Re chi (-beta)^d; odd d: 2i Im chi (-beta)^d, folded as
-        # Im chi (-beta)^d and turned by i below
-        part = parts[d % 2]
-        folded[0] = np.bincount(radius_of, weights=part * power.real, minlength=n_r)
-        folded[1] = np.bincount(radius_of, weights=part * power.imag, minlength=n_r)
-        folded *= pref
-        turn = 1.0 if d % 2 == 0 else 1j
-        coeff = float(np.exp(-0.5 * log_factorial(d)))
-        for a, lag in enumerate(_laguerre_seq(x, d, dim - d)):
-            re, im = folded @ lag
-            rho[a + d, a] = scale * coeff * turn * complex(re, im)
-            coeff *= np.sqrt((a + 1.0) / (a + 1.0 + d))
-        power *= minus_b
-    return rho
+    for a in range(levels):
+        for b in range(levels):
+            if a or b:
+                slabs[a, b] = raised(2, (a - 1, b)) if a else raised(3, (0, b - 1))
+                slabs.pop((a - 2, b), None)
+            rho += rho_in[a, b] * slabs[a, b]
+    return np.tril(rho)
 
 
 def overlap(chi: CharFunction, target: GaussianChannel | CharFunction,

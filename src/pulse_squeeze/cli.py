@@ -542,11 +542,11 @@ def _verify_checks():
     coh = coherent_state(1.0 + 0.5j, 20)
     rec = fock_from_char(char_of_state(coh), 20)
     checks.append(("coherent rho closed form", float(np.abs(rec.rho - coh.rho).max()), 1e-6))
-    # A Fock state has no Gaussian terms: its chi is sampled on a grid and
-    # folded back to rho.  What it reads is the tail past the grid's edges.
+    # A Fock state has no Gaussian terms: its rho comes back through the
+    # identity channel from the four-index Hermite recurrence on its own rho.
     one = fock_state(1, 20)
     rec = fock_from_char(char_of_state(one), 20)
-    checks.append(("fock-1 fold round trip", float(np.abs(rec.rho - one.rho).max()), 1e-6))
+    checks.append(("fock-1 rho closed form", float(np.abs(rec.rho - one.rho).max()), 1e-12))
 
     dsq = decompose_output_mode(sq, u, u)
     chi_out = propagate_char(dsq, vacuum_state(20))

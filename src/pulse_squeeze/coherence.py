@@ -38,10 +38,11 @@ bound on every other eigenvalue lying below the last of them.
 Everything a ``state`` run or a sweep reads goes through the kernels'
 product protocol (``BogoliubovKernels.times``): the images ``F u`` and
 ``G u`` (for a sweep's device group, of all its pulses in one block), and
-the head's products with G and G^T.  With ``vacuum_total``,
-which a resonant cavity sums tile by tile, these need no n x n matrix, so
-a resonant cavity (``kernels.CirculantKernels``) never fills one for them.
-The full ladder, the vacuum kernel and ``g1_total`` read the filled G.
+the ladder blocks' products with G and G^T, for the head and the full
+ladder alike.  With ``vacuum_total``, which a resonant cavity sums tile
+by tile, these need no n x n matrix, so a resonant cavity
+(``kernels.CirculantKernels``) never fills one for them.  The dense
+ladder solve, the vacuum kernel and ``g1_total`` read the filled G.
 
 A real G (float64 kernels: a resonant OPO or TWPA) keeps the whole ladder
 real: the blocks are real with twice the columns in the same storage, and
@@ -161,7 +162,7 @@ class ModeSpectrum:
         cut = OCCUPATION_CUT * self.total
         if self.vacuum_total <= cut:
             return []
-        pairs = _block_ladder(k.G, dt, self.vacuum_total, cut)
+        pairs = _block_ladder(k, dt, self.vacuum_total, cut)
         if pairs is None:
             pairs = _dense_ladder(k.G, dt, cut)
         return self._modes(*pairs)
@@ -192,20 +193,21 @@ class ModeSpectrum:
         ]
 
 
-def _block_ladder(g: np.ndarray, dt: float, total: float, cut: float):
-    """Descending ladder pairs ``(vals, vecs)`` above ``cut`` from the first
-    certified block, or None when the blocks would together pass the
-    storage of n / ``LADDER_SHARE`` complex columns.  The first block holds
-    ``LADDER_START`` complex columns, or twice as many real ones when G is
-    real.  A failed block of c columns sizes the next from its kept count
-    k: ``max(c, 2 k) + 16`` columns, or three times as many when all its
-    pairs were kept, since k then only bounds the ladder from below."""
-    per = 1 if np.iscomplexobj(g) else 2
-    budget = per * (g.shape[0] // LADDER_SHARE)
+def _block_ladder(k: BogoliubovKernels, dt: float, total: float, cut: float):
+    """Descending ladder pairs ``(vals, vecs)`` of the kernels ``k`` above
+    ``cut`` from the first certified block, or None when the blocks would
+    together pass the storage of n / ``LADDER_SHARE`` complex columns.  The
+    first block holds ``LADDER_START`` complex columns, or twice as many
+    real ones when G is real.  A failed block of c columns sizes the next
+    from its kept count m: ``max(c, 2 m) + 16`` columns, or three times as
+    many when all its pairs were kept, since m then only bounds the ladder
+    from below."""
+    per = 1 if k.dtype == complex else 2
+    budget = per * (k.grid.n_points // LADDER_SHARE)
     cols = per * LADDER_START
     while cols <= budget:
         budget -= cols
-        vals, vecs, certified = _ritz_block(g, dt, total, cut, cols)
+        vals, vecs, certified = _ritz_block(k, dt, total, cut, cols)
         if certified:
             return vals, vecs
         kept = len(vals)
@@ -229,11 +231,12 @@ def _gaussian_block(rows: int, cols: int) -> np.ndarray:
     return normal[:size].reshape(rows, cols)
 
 
-def _ritz_block(g, dt: float, total: float, cut: float, cols: int, count=None):
+def _ritz_block(k: BogoliubovKernels, dt: float, total: float, cut: float, cols: int,
+                count=None):
     """Ritz pairs above ``cut`` of a ``cols``-column block, at most
-    ``count`` of them, and whether they are certified.  ``g`` is the n x n
-    G, or a kernel pair whose product protocol applies it
-    (``BogoliubovKernels.times``), so a ladder head fills no matrix.
+    ``count`` of them, and whether they are certified.  G acts through the
+    kernels' product protocol (``BogoliubovKernels.times``), so a block
+    fills no matrix.
 
     The block ``Omega`` is ``_gaussian_block``, drawn as ``2 cols`` reals
     viewed as ``cols`` complex columns for a complex G and as ``cols`` real
@@ -252,14 +255,7 @@ def _ritz_block(g, dt: float, total: float, cut: float, cols: int, count=None):
     ladder, the bound need only lie below the last of them: the kept pairs
     are then the top ``count`` of the ladder.
     """
-
-    if isinstance(g, BogoliubovKernels):
-        n, is_complex, times = g.grid.n_points, g.dtype == complex, partial(g.times, "G")
-    else:
-        n, is_complex = len(g), np.iscomplexobj(g)
-
-        def times(x, transpose=False):
-            return (g.T if transpose else g) @ x
+    n, is_complex, times = k.grid.n_points, k.dtype == complex, partial(k.times, "G")
 
     def h(x):
         return dt * np.conj(times(np.conj(x)))

@@ -55,11 +55,11 @@ class BogoliubovKernels:
     arrays: a real pair takes real arithmetic throughout.
 
     :meth:`times` is the one product protocol: F, G, F^T or G^T times a
-    vector or a thin block.  The images, the pullback and the ladder head go
-    through it; a kernel pair held in a cheaper form than two n x n arrays
+    vector or a thin block.  The images, the pullback and the ladder blocks
+    go through it; a kernel pair held in a cheaper form than two n x n arrays
     (:class:`CirculantKernels`) fills ``F`` and ``G`` only for the consumers
     that read them whole: ``verify_symplectic``, ``compose``, the vacuum
-    kernel, ``g1_total`` and the full ladder.
+    kernel, ``g1_total`` and the dense ladder solve.
     """
 
     def __init__(self, grid: TemporalGrid, F: np.ndarray, G: np.ndarray):

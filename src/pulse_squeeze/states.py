@@ -71,10 +71,13 @@ class SeparableChi:
     ``terms``, when not empty, is the same chi as a sum of ``GaussianTerm``
     (Bourassa et al., PRX Quantum 2, 040315 (2021)): a Gaussian channel
     keeps each term Gaussian, so ``charfun.fock_from_char`` reads an output
-    state's density matrix from them in closed form."""
+    state's density matrix from them in closed form.  A chi with no terms
+    carries the state's density matrix as ``rho`` instead, from which
+    ``fock_from_char`` reads it."""
 
     factors: Callable[[np.ndarray, np.ndarray], list[tuple[np.ndarray, np.ndarray]]]
     terms: tuple[GaussianTerm, ...] = ()
+    rho: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, u, v):
         terms = [f * g for f, g in self.factors(u, v)]
@@ -144,9 +147,9 @@ def fock_state(n: int, dim: int = DEFAULT_DIM) -> QuantumState:
     c = np.zeros(dim, complex)
     c[n] = 1.0
     # e^{-|beta|^2 / 2} L_n(|beta|^2) for n = 0 and 1, on beta = u + i v;
-    # the vacuum's is one Gaussian
+    # the vacuum's is one Gaussian, and the single photon's carries |1><1|
     char_eval = {0: SeparableChi(_vacuum_factors, (GaussianTerm(0.0, 1.0, 0.0, 1.0, 0.0),)),
-                 1: SeparableChi(_single_photon_factors)}.get(n)
+                 1: SeparableChi(_single_photon_factors, rho=np.diag([0.0, 1.0]))}.get(n)
     return _pure(c, char_eval=char_eval)
 
 

@@ -8,9 +8,10 @@ the dim^3-dimensional space.  A mixed input goes through as one ket per
 eigenvector.  This is the independent cross-check for the
 characteristic-function propagation path.
 
-``full_plane_fock_fold`` is the oracle of ``charfun.fock_from_char``'s
-quadrature: the same sum over every grid point, with no half plane and no
-radius cut.
+``full_plane_fock_fold`` is an independent grid oracle of
+``charfun.fock_from_char``: the Weyl inversion
+rho = (1/pi) int chi(beta) D(-beta) d^2 beta as a sum over every point of a
+grid, which the tests sample at refined spacing.
 """
 
 from __future__ import annotations

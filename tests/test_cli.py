@@ -838,10 +838,10 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         # both TWPA folds: the resonant symbol power and the detuned full
         # power; the resonant FFT products; and both paths to rho, the
-        # closed form of a Gaussian-sum input and the fold of a Fock input
+        # closed forms of a Gaussian-sum input and of a Fock-sum input
         names = {line.split("  residual")[0].strip() for line in out.splitlines()}
         assert {"twpa symplectic", "detuned twpa symplectic", "resonant operator",
-                "coherent rho closed form", "fock-1 fold round trip"} <= names
+                "coherent rho closed form", "fock-1 rho closed form"} <= names
 
 
     def test_corrupt_injection_reports_specific_invariant(self, capsys, monkeypatch):
@@ -877,14 +877,16 @@ class TestVerifyCommand:
 
 
 class TestKernelFills:
-    """Which runs fill a resonant cavity's n x n kernels: a state run and a
-    sweep read images, pullbacks and the ladder head through the product
-    protocol; a modes run writes the full ladder, which reads G."""
+    """Which runs fill a resonant cavity's n x n kernels: every run reads
+    images, pullbacks and the ladder blocks through the product protocol,
+    and only a ladder too wide for the blocks fills G for the dense solve:
+    fig2a's two longest pumps."""
 
     @pytest.mark.parametrize("command, recipe, fills", [
         ("state", "fig4", []),
         ("sweep", "fig3ab", []),
-        ("modes", "fig2b", ["G"] * 9),
+        ("modes", "fig2b", []),
+        ("modes", "fig2a", ["G"] * 2),
     ])
     def test_fills(self, command, recipe, fills, tmp_path, monkeypatch):
         from pulse_squeeze.kernels import CirculantKernels

@@ -337,14 +337,17 @@ class TestVacuumLadder:
 
     @staticmethod
     def real_gram(lam, seed=3):
-        """A real G on n = 512 points whose ladder values are ``lam``:
-        ``H = dt G = U sqrt(lam) V^T`` with random orthogonal U and V."""
+        """Real kernels on n = 512 points whose ladder values are ``lam``:
+        F the identity, and ``H = dt G = U sqrt(lam) V^T`` with random
+        orthogonal U and V."""
         from pulse_squeeze.grids import TemporalGrid
+        from pulse_squeeze.kernels import BogoliubovKernels
 
         grid = TemporalGrid(0.0, 1.0, 512)
         rng = np.random.default_rng(seed)
         u, v = (np.linalg.qr(rng.normal(size=(512, 512)))[0] for _ in range(2))
-        return (u * np.sqrt(lam)) @ v.T / grid.dt, grid.dt
+        g = (u * np.sqrt(lam)) @ v.T / grid.dt
+        return BogoliubovKernels(grid, np.eye(512) / grid.dt, g), grid.dt
 
     @staticmethod
     def pinned(vecs):
@@ -368,7 +371,8 @@ class TestVacuumLadder:
         i = np.arange(512)
         lam = 10.0 ** (-4.0 * np.minimum(i, pairs - 1) / pairs) * np.where(
             i < pairs, 1.0, 0.1 * 0.5 ** (i - pairs))
-        g, dt = self.real_gram(lam)
+        k, dt = self.real_gram(lam)
+        g = k.G
         cut = np.sqrt(lam[pairs - 1] * lam[pairs])
         seen = []
         ritz = coherence._ritz_block
@@ -378,7 +382,7 @@ class TestVacuumLadder:
             return ritz(*args)
 
         monkeypatch.setattr(coherence, "_ritz_block", spying)
-        vals, vecs = _block_ladder(g, dt, float(lam.sum()), cut)
+        vals, vecs = _block_ladder(k, dt, float(lam.sum()), cut)
         assert seen == blocks
         dense_vals, dense_vecs = _dense_ladder(g, dt, cut)
         assert len(vals) == len(dense_vals) == pairs
@@ -403,8 +407,8 @@ class TestVacuumLadder:
         cut = 1e-5
         lam = np.concatenate([10.0 ** (-2.0 * np.arange(40) / 39), [0.9 * cut],
                               np.full(471, 0.5 * cut / 471)])
-        g, dt = self.real_gram(lam)
-        vals, _, certified = _ritz_block(g, dt, float(lam.sum()), cut, 64)
+        k, dt = self.real_gram(lam)
+        vals, _, certified = _ritz_block(k, dt, float(lam.sum()), cut, 64)
         assert len(vals) == 40
         assert not certified
 

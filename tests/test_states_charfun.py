@@ -23,18 +23,16 @@ from pulse_squeeze.charfun import (
     BASE_EXTENT,
     BASE_SPACING,
     BOUNDARY_TOL,
-    FOCK_CUT_TOL,
     MAX_EXTENT,
     MAX_FOCK_DIM,
     SAMPLE_ROWS,
     CharFunction,
     CharGrid,
     GaussianChannel,
+    FockSumChi,
     _auto_grid,
-    _fock_cut,
-    _fock_fold,
+    _fock_sum_fock,
     _gaussian_sum_fock,
-    _log_displacement_bound,
     char_from_rho,
     char_of_state,
     fock_from_char,
@@ -658,7 +656,8 @@ class TestFockFromChar:
         # phases count; the grid is off the with_extent sequence, and chi has
         # decayed below 1e-6 at its boundary.  The chi is the Fock sum of the
         # state's rho, an input with no Gaussian terms, so fock_from_char
-        # folds it on the grid.
+        # takes the four-index recurrence, which reads no grid: it gives the
+        # state's rho to round-off, and the coarse grid sum to its own error.
         dim = 20
         state = coherent_state(1.0 + 0.5j, dim)
         g, ev = CharGrid(5.6, 65), state_evaluator(QuantumState(state.rho))
@@ -678,13 +677,9 @@ class TestFockFromChar:
         oracle *= chi.grid.weight / np.pi
         assert np.abs(oracle - oracle.conj().T).max() < 1e-14
         assert np.abs(oracle - state.rho).max() < 1e-5
-        # This coarse grid leaves eigenvalues near -1e-8 in the sum, so the
-        # oracle goes through the same clamp and renormalisation.
-        eigvals, eigvecs = np.linalg.eigh(oracle)
-        assert eigvals.min() > -1e-6
-        clamped = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.conj().T
-        expected = clamped / np.trace(clamped).real
-        assert np.abs(fock_from_char(chi, dim).rho - expected).max() < 1e-12
+        rho = fock_from_char(chi, dim).rho
+        assert np.abs(rho - state.rho).max() < 1e-14
+        assert np.abs(rho - oracle).max() < 1e-5
 
     def test_low_trace_warns_with_its_trace(self):
         # |alpha|^2 = 9: dim 5 holds the Poisson weight of n = 0..4.
@@ -706,6 +701,11 @@ class TestFockFromChar:
             warnings.simplefilter("error")
             rec = fock_from_char(chi, 40)
         assert np.abs(rec.rho - coherent_state(1.0 + 0.5j, 40).rho).max() < 1e-6
+
+    def test_no_captured_trace_raises(self):
+        # Fock 2 through the identity channel has no weight on levels 0 and 1
+        with pytest.raises(ValueError, match="dim 2 captures none of the state"):
+            fock_from_char(char_of_state(fock_state(2, 10)), 2)
 
     @pytest.mark.parametrize("dim", [0, MAX_FOCK_DIM + 1])
     def test_dim_cap(self, dim):
@@ -776,59 +776,6 @@ class TestFig4Wigner:
         assert np.abs(got - want).max() <= 1e-14 / np.pi
         if name == "cat":
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
-def _largest_radius_sq(grid):
-    return grid.extent**2 + grid.im_extent**2
-
-
-class TestFockFold:
-    """``fock_from_char``'s half-plane, radius-cut fold against the uncut
-    full-plane sum, ``fockspace.full_plane_fock_fold``, before the clamp."""
-
-    def test_fig4_output_where_the_cut_bites(self, fig4_chi):
-        assert fig4_chi.grid.shape == (727, 129)
-        assert _fock_cut(60, fig4_chi.grid) < _largest_radius_sq(fig4_chi.grid)
-        raw = _fock_fold(fig4_chi, 60)
-        assert np.abs(raw - full_plane_fock_fold(fig4_chi, 60)).max() <= 1e-15
-
-    @pytest.mark.parametrize("dim", [1, 2, 20, 40])
-    def test_rectangular_squeezed_fock_one(self, grid, u_mode, dim):
-        chi = TestRectangularGrid._squeezed_output(grid, u_mode, fock_state(1, 20))
-        assert chi.grid.extent >= 20.0 and chi.grid.n_side > chi.grid.im_n_side
-        assert _fock_cut(dim, chi.grid) < _largest_radius_sq(chi.grid)
-        raw = _fock_fold(chi, dim)
-        assert np.abs(raw - full_plane_fock_fold(chi, dim)).max() <= 1e-15
-
-    def test_coherent_state_grid(self):
-        state = coherent_state(1.0 + 0.5j, 20)
-        g, ev = CharGrid(5.6, 65), state_evaluator(state)
-        chi = CharFunction(g, g.sample(ev), ev)
-        raw = _fock_fold(chi, 20)
-        assert np.abs(raw - full_plane_fock_fold(chi, 20)).max() <= 1e-15
-
-    @pytest.mark.parametrize("dim", range(1, MAX_FOCK_DIM + 1))
-    def test_bound_below_tolerance_and_falling_past_the_cut(self, dim):
-        grid = CharGrid.with_extent(MAX_EXTENT)
-        x_cut = _fock_cut(dim, grid)
-        assert x_cut >= 2.0 * (dim - 1)
-        points = grid.n_side * grid.im_n_side
-        per_point = FOCK_CUT_TOL * np.pi / (grid.weight * points)
-        past = x_cut + np.linspace(0.0, 4.0 * x_cut + 100.0, 400)
-        bounds = np.array([_log_displacement_bound(dim)(x) for x in past])
-        assert bounds[0] <= np.log(per_point)
-        assert np.all(np.diff(bounds) < 0.0)
-
-    @pytest.mark.parametrize("dim", [1, 2, 7, 30, 60])
-    def test_bound_holds_for_every_matrix_element(self, dim):
-        # |<m|D(beta)|n>| = sqrt(n!/m!) x^{(m-n)/2} e^{-x/2} |L_n^{(m-n)}(x)|, m >= n
-        m, n = np.tril_indices(dim)
-        log_bound = _log_displacement_bound(dim)
-        for x in np.linspace(max(dim - 1.0, 0.5), _fock_cut(dim, CharGrid(34.0, 727)), 25):
-            log_element = (0.5 * (gammaln(n + 1.0) - gammaln(m + 1.0))
-                           + 0.5 * (m - n) * np.log(x) - 0.5 * x
-                           + np.log(np.abs(eval_genlaguerre(n, m - n, x)) + 1e-300))
-            assert log_element.max() <= log_bound(x) + 1e-12
 
 
 class TestHalfPlaneOverlap:
@@ -1069,6 +1016,17 @@ def _reconstructed(chi, dim):
         return fock_from_char(chi, dim).rho
 
 
+# Circuits of ``fockspace.three_mode_output_state`` weak enough that its
+# dim-20 truncation stays below 2e-10 on the 8 x 8 block compared.
+_QUIET = dict.fromkeys(("theta1", "phi1", "theta2", "phi2", "theta3", "phi3", "r2"), 0.0)
+CIRCUITS = {
+    "identity": dict(_QUIET, r1=0.0),
+    "squeezer": dict(_QUIET, r1=0.2),
+    "generic": {"theta1": 0.7, "phi1": 0.4, "theta2": 0.5, "phi2": -1.1, "theta3": 0.3,
+                "phi3": 2.0, "r1": 0.2, "r2": -0.1, "phi_k": 0.6, "phi_u": -0.8},
+}
+
+
 class TestGaussianSumFock:
     """``fock_from_char`` of an input whose chi is a sum of Gaussians is
     exact: a fold of the same output chi at half the spacing, on a grid
@@ -1115,22 +1073,15 @@ class TestGaussianSumFock:
         assert np.abs(rho * np.trace(want).real - want).max() <= 1e-13
 
     def test_matches_circuit_oracle(self):
-        # Inputs and circuits weak enough that the oracle's dim-20 truncation
-        # stays below 2e-10 on the 8 x 8 block compared.
+        # Inputs weak enough that the oracle's dim-20 truncation stays below
+        # 2e-10 on the 8 x 8 block compared.
         from pulse_squeeze.decomposition import reconstruct_row
 
         dim, block = 20, 8
-        quiet = dict.fromkeys(("theta1", "phi1", "theta2", "phi2", "theta3", "phi3", "r2"), 0.0)
-        circuits = {
-            "identity": dict(quiet, r1=0.0),
-            "squeezer": dict(quiet, r1=0.2),
-            "generic": {"theta1": 0.7, "phi1": 0.4, "theta2": 0.5, "phi2": -1.1, "theta3": 0.3,
-                        "phi3": 2.0, "r1": 0.2, "r2": -0.1, "phi_k": 0.6, "phi_u": -0.8},
-        }
         states = [vacuum_state(dim), coherent_state(0.6, dim), coherent_state(0.5 - 0.3j, dim),
                   squeezed_state(0.2, dim), squeezed_state(-0.2, dim),
                   even_cat_state(0.8, dim), even_cat_state(0.7 + 0.4j, dim)]
-        for circuit, params in circuits.items():
+        for circuit, params in CIRCUITS.items():
             row = OutputDecomposition(*reconstruct_row(params))
             for state in states:
                 oracle = three_mode_output_state(params, state.rho, dim).rho[:block, :block]
@@ -1165,19 +1116,93 @@ class TestGaussianSumFock:
                       for t in terms)
             assert _close(got, state.char_eval(u, v), 1e-14), name
 
-    def test_fold_runs_only_without_terms(self, grid, u_mode, monkeypatch):
+
+def _mixed_state(dim):
+    """A mixed state on levels 0 .. 2 with complex coherences, in ``dim``."""
+    upper = np.array([[0.5, 0.1 + 0.05j, 0.04 - 0.03j],
+                      [0.0, 0.3, -0.06j],
+                      [0.0, 0.0, 0.2]])
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:3, :3] = upper + np.triu(upper, 1).conj().T
+    return QuantumState(rho)
+
+
+class TestFockSumFock:
+    """``fock_from_char`` of an input with no Gaussian terms (Fock n >= 1, a
+    mixed rho) is exact and reads no grid: the Fock-circuit oracle, the
+    identity channel and a fold of the same output chi at half the spacing,
+    on a grid grown 1.5x past where chi has decayed, are its oracles."""
+
+    STATES = {"fock1": fock_state(1, 20), "fock2": fock_state(2, 20), "mixed": _mixed_state(20)}
+
+    def test_bases_carry_rho(self):
+        # Fock 1 keeps its per-axis factors, and with them overlaps' fast path
+        for name, state in self.STATES.items():
+            base = state_evaluator(state).base
+            assert not getattr(base, "terms", ()), name
+            assert isinstance(base, SeparableChi if name == "fock1" else FockSumChi), name
+            levels = len(base.rho)
+            assert np.array_equal(base.rho, state.rho[:levels, :levels]), name
+            assert not state.rho[levels:].any(), name
+
+    def test_matches_circuit_oracle(self):
+        from pulse_squeeze.decomposition import reconstruct_row
+
+        dim, block = 20, 8
+        for circuit, params in CIRCUITS.items():
+            row = OutputDecomposition(*reconstruct_row(params))
+            for name, state in self.STATES.items():
+                oracle = three_mode_output_state(params, state.rho, dim).rho[:block, :block]
+                evaluator = output_channel(row, state_evaluator(state))
+                with np.errstate(all="raise"):
+                    raw = _fock_sum_fock(evaluator, evaluator.base.rho, dim)
+                got = (raw + np.tril(raw, -1).conj().T)[:block, :block]
+                assert np.abs(got - oracle).max() <= 1e-12, (circuit, name)
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_identity_channel_returns_rho(self, name):
+        state = self.STATES[name]
+        rho = _reconstructed(char_of_state(state), state.dim)
+        assert np.abs(rho - state.rho).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_reads_no_grid(self, name, fig4_chi):
+        evaluator = TestGaussianSumFock._channel(self.STATES[name], "fig4", fig4_chi)
+        chi = _auto_grid(evaluator, "test")
+        blank = CharFunction(chi.grid, np.full(chi.grid.shape, np.nan), evaluator)
+        assert np.array_equal(_reconstructed(blank, 20), _reconstructed(chi, 20))
+
+    @pytest.mark.parametrize("channel", TestGaussianSumFock.CHANNELS)
+    @pytest.mark.parametrize("name", list(STATES))
+    def test_matches_refined_fold(self, name, channel, fig4_chi):
+        dim = 20
+        evaluator = TestGaussianSumFock._channel(self.STATES[name], channel, fig4_chi)
+        chi = _auto_grid(evaluator, "test")
+        fine = _refined(chi.grid, 1.5)
+        folded = full_plane_fock_fold(CharFunction(fine, fine.sample(evaluator), evaluator), dim)
+        with np.errstate(all="raise"):
+            raw = _fock_sum_fock(evaluator, evaluator.base.rho, dim)
+        assert np.abs(raw - folded).max() <= 1e-13
+        want = _clamped(folded)
+        rho = _reconstructed(chi, dim)
+        assert np.abs(rho * np.trace(want).real - want).max() <= 1e-13
+
+    def test_runs_only_without_terms(self, monkeypatch):
         from pulse_squeeze import charfun
 
-        folded, fold = [], charfun._fock_fold
-        monkeypatch.setattr(charfun, "_fock_fold",
-                            lambda chi, dim: folded.append(dim) or fold(chi, dim))
+        taken, real = [], charfun._fock_sum_fock
+        monkeypatch.setattr(charfun, "_fock_sum_fock",
+                            lambda *args: taken.append(args[-1]) or real(*args))
+        for state in TestGaussianSumFock.STATES.values():
+            _reconstructed(char_of_state(state), 10)
+        assert taken == []
         for state in self.STATES.values():
             _reconstructed(char_of_state(state), 10)
-        assert folded == []
-        mixed = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        mixed[0, 1] = mixed[1, 0] = 0.1
-        for state in (fock_state(1, 20), fock_state(2, 20), QuantumState(mixed)):
-            assert not getattr(state_evaluator(state).base, "terms", ())
-            chi = TestRectangularGrid._squeezed_output(grid, u_mode, state, r=0.4)
-            _reconstructed(chi, 10)
-        assert folded == [10, 10, 10]
+        assert taken == [10, 10, 10]
+
+    def test_base_without_terms_or_rho_raises(self):
+        chi = char_of_state(fock_state(1, 20))
+        for base in (SeparableChi(chi.evaluator.base.factors), lambda u, v: chi.evaluator.base(u, v)):
+            blank = CharFunction(chi.grid, chi.values, GaussianChannel(base))
+            with pytest.raises(TypeError, match="neither Gaussian terms nor a density matrix"):
+                fock_from_char(blank, 10)
