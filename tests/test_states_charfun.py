@@ -1127,6 +1127,27 @@ def _mixed_state(dim):
     return QuantumState(rho)
 
 
+def _squeezed_fock_oracle(rho_in, r, levels):
+    """S rho_in S^dagger on levels 0 .. levels - 1 for the squeezer of
+    ``OutputDecomposition(cosh r, sinh r, 0, 0, 0)``, in closed form: S|0> is
+    sum_k tanh(r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r)) |2k>, and
+    S a^dagger S^dagger = cosh(r) a^dagger - sinh(r) a raises it to S|n>.
+    Column n reads levels up to n past its own, so the space holds that many
+    more and the rows kept are exact."""
+    size = levels + len(rho_in)
+    k = np.arange(0, size, 2) // 2
+    column = np.zeros(size)
+    column[::2] = np.exp(0.5 * gammaln(2 * k + 1) - gammaln(k + 1) - k * np.log(2.0)
+                         + k * np.log(np.tanh(r))) / np.sqrt(np.cosh(r))
+    creation = np.diag(np.sqrt(np.arange(1.0, size)), -1)
+    raise_ = np.cosh(r) * creation - np.sinh(r) * creation.T
+    columns = [column]
+    for n in range(1, len(rho_in)):
+        columns.append(raise_ @ columns[-1] / np.sqrt(n))
+    S = np.stack(columns, axis=1)[:levels]
+    return S @ rho_in @ S.conj().T
+
+
 class TestFockSumFock:
     """``fock_from_char`` of an input with no Gaussian terms (Fock n >= 1, a
     mixed rho) is exact and reads no grid: the Fock-circuit oracle, the
@@ -1158,6 +1179,26 @@ class TestFockSumFock:
                     raw = _fock_sum_fock(evaluator, evaluator.base.rho, dim)
                 got = (raw + np.tril(raw, -1).conj().T)[:block, :block]
                 assert np.abs(got - oracle).max() <= 1e-12, (circuit, name)
+
+    @pytest.mark.parametrize("dim", range(1, MAX_FOCK_DIM + 1))
+    def test_every_dim_is_exact_and_a_leading_block(self, dim, fig4_chi):
+        # Through a squeezer the closed form is the oracle at every supported
+        # dim, dims below the input's highest level included; through fig4's
+        # channel the triangle is the leading block of the largest dim's.
+        r = 0.9
+        squeezer = OutputDecomposition(np.cosh(r), np.sinh(r), 0.0, 0.0, 0.0)
+        for name, state in self.STATES.items():
+            evaluator = output_channel(squeezer, state_evaluator(state))
+            rho_in = evaluator.base.rho
+            with np.errstate(all="raise"):
+                raw = _fock_sum_fock(evaluator, rho_in, dim)
+            oracle = _squeezed_fock_oracle(rho_in, r, dim)
+            assert np.abs(raw - np.tril(oracle)).max() <= 1e-14, name
+            evaluator = TestGaussianSumFock._channel(state, "fig4", fig4_chi)
+            with np.errstate(all="raise"):
+                raw = _fock_sum_fock(evaluator, rho_in, dim)
+                largest = _fock_sum_fock(evaluator, rho_in, MAX_FOCK_DIM)
+            assert np.array_equal(raw, largest[:dim, :dim]), name
 
     @pytest.mark.parametrize("name", list(STATES))
     def test_identity_channel_returns_rho(self, name):
