@@ -17,6 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy loads numpy.fft on first use; importing it here loads it before a
+# command forks its helpers, so none of them imports it again.
+from numpy.fft import irfft, rfft
 
 from .grids import (
     DegenerateModeError,
@@ -147,7 +150,7 @@ class CirculantKernels(BogoliubovKernels):
         plus = self.c_plus * np.exp(ramp)
         minus = self.c_minus * np.exp(-ramp)
         scale = 0.5 / self.grid.dt
-        u, v = (np.fft.rfft(w * scale)[:, None] for w in (plus - minus, plus + minus))
+        u, v = (rfft(w * scale)[:, None] for w in (plus - minus, plus + minus))
         return np.cosh(r)[:, None], np.sinh(r)[:, None], u, v
 
     def times(self, kernel: str, y: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -163,10 +166,10 @@ class CirculantKernels(BogoliubovKernels):
         p, q = (u, v) if kernel == "G" else (v, u)
         sign = 1.0 if transpose else -1.0
         block = y.reshape(n, -1)
-        a = np.fft.rfft(ch * block, axis=0)
-        b = np.fft.rfft(sh * block, axis=0)
-        first = np.fft.irfft(p * a + sign * (q * b), n, axis=0)
-        second = np.fft.irfft(q * a + sign * (p * b), n, axis=0)
+        a = rfft(ch * block, axis=0)
+        b = rfft(sh * block, axis=0)
+        first = irfft(p * a + sign * (q * b), n, axis=0)
+        second = irfft(q * a + sign * (p * b), n, axis=0)
         return (ch * first - sign * (sh * second)).reshape(y.shape)
 
     def _map_rows(self):

@@ -106,6 +106,11 @@ class QuantumState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("rho must be a square matrix")
+        # NaN fails every comparison below without raising, so it is caught here.
+        bad = np.argwhere(~np.isfinite(rho))
+        if bad.size:
+            raise ValueError(f"rho has {len(bad)} non-finite entries, first at "
+                             f"{tuple(int(i) for i in bad[0])}: {rho[tuple(bad[0])]}")
         herm = np.linalg.norm(rho - rho.conj().T)
         if herm > 1e-10 * max(np.linalg.norm(rho), 1.0):
             raise ValueError(f"rho is not Hermitian (deviation {herm:.3e})")

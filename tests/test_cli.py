@@ -67,11 +67,17 @@ def test_write_csv_matches_per_element_formatter(tmp_path):
     cli._write_csv(tmp_path / "new.csv", meta, columns, rows)
     per_element(tmp_path / "old.csv", meta, columns, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    # the state command hands its arrays over as they are, rows of float64
+    # the state command hands its arrays over as they are, rows of float64,
+    # formatted from their tolist() rows to the bytes of numpy scalar rows
     array = np.random.default_rng(1).normal(size=(4, 3)) + 1j
-    for values in (array.real, array.imag.T):
+    special = np.array([[0.0, -0.0, np.nan, -np.nan], [np.inf, -np.inf, subnormal, -subnormal],
+                        [2.2250738585072014e-308 / 3, 1e300, -1e-300, 0.1]])
+    for values in (array.real, array.imag.T, special, special.T[::2]):
+        rows = [list(row) for row in values]
         cli._write_csv(tmp_path / "new.csv", meta, columns, values)
-        per_element(tmp_path / "old.csv", meta, columns, [list(row) for row in values])
+        per_element(tmp_path / "old.csv", meta, columns, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        cli._write_csv(tmp_path / "old.csv", meta, columns, rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -392,12 +398,15 @@ class TestCliCommands:
         ]
         # The manifest reads scipy's version from its version.py, and the
         # pools are forked helpers, so these recipes load neither scipy nor
-        # the standard library's process pools.
+        # the standard library's process pools.  numpy loads numpy.fft on
+        # first use; the CLI's import loads it, so the forked helpers
+        # inherit it instead of importing it.
         lazy = ["scipy.linalg", "scipy.special", "scipy._lib._array_api", "numpy.f2py",
                 "scipy", "multiprocessing", "concurrent.futures"]
         script = (
             "import sys\n"
             "from pulse_squeeze import cli\n"
+            "assert 'numpy.fft' in sys.modules\n"
             f"for argv in {recipes!r}:\n"
             "    assert cli.main(argv) == 0, argv\n"
             f"loaded = [m for m in {lazy!r} if m in sys.modules]\n"
@@ -585,9 +594,10 @@ class TestCliCommands:
         path.write_text(dump_config(cfg))
         assert cli.main(["modes", "--config", str(path), "--out", str(tmp_path / "one")]) == 0
         assert len(builds) == 1
-        # devices 1 and 2 truncate the pump: in-process or pooled, the run
-        # exits 2 with the error of the first failed point
-        centers = [0.0, 29.5, 29.8]
+        # devices 1 and 2 truncate the pump: in-process or pooled (four
+        # devices fork two helpers), the run exits 2 with the error of the
+        # first failed point
+        centers = [0.0, 29.5, 29.8, 0.5]
         with pytest.raises(GridTooShortError) as first:
             build(set_by_path(cfg, "device.pump.center", centers[1])["device"],
                   cli.grid_from_config(cfg["grid"]))
@@ -910,11 +920,23 @@ class TestForkedHelpers:
     that take one group at a time from a shared ticket pipe."""
 
     @staticmethod
-    def _three_devices(tmp_path):
-        path = tmp_path / "cfg.yaml"
+    def _devices(tmp_path, count: int = 4, out: str = "out"):
+        """A ``modes`` run over ``count`` devices: at two workers, four is
+        the fewest that fork."""
+        path = tmp_path / f"cfg{count}.yaml"
+        r_values = [0.5, 0.8, 1.1, 1.4][:count]
         path.write_text(dump_config(_base_config(
-            sweep={"axes": [{"name": "device.r", "values": [0.5, 0.8, 1.1]}]})))
-        return ["modes", "--config", str(path), "--out", str(tmp_path / "out")]
+            sweep={"axes": [{"name": "device.r", "values": r_values}]})))
+        return ["modes", "--config", str(path), "--out", str(tmp_path / out)]
+
+    @staticmethod
+    def _layout(argv: list) -> tuple:
+        """The run's ``workers`` and its data files' bytes."""
+        out = Path(argv[-1])
+        manifest = json.loads((out / "manifest.json").read_text())
+        return manifest["environment"]["workers"], {
+            name: (out / name).read_bytes()
+            for name in ("occupations.csv", "modes.csv", "spectrum.json")}
 
     def test_each_item_runs_in_exactly_one_helper(self, tmp_path):
         # 200 tickets take two chunks of the ticket pipe
@@ -952,7 +974,7 @@ class TestForkedHelpers:
             return point(args, *group)
 
         monkeypatch.setattr(cli, "_modes_point", failing)
-        assert cli.main(self._three_devices(tmp_path)) == 2
+        assert cli.main(self._devices(tmp_path)) == 2
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: ValueError: point 1 failed"]
 
@@ -968,7 +990,7 @@ class TestForkedHelpers:
             return device(points)
 
         monkeypatch.setattr(cli, "_modes_device", killed)
-        assert cli.main(self._three_devices(tmp_path)) == 2
+        assert cli.main(self._devices(tmp_path)) == 2
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: RuntimeError: a worker process ended without its results "
             "(exit status -9)"]
@@ -979,10 +1001,30 @@ class TestForkedHelpers:
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "3")
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(cli, "_fork_map", None)
-        argv = self._three_devices(tmp_path)
+        argv = self._devices(tmp_path)
         assert cli.main(argv) == 0
-        manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text())
-        assert manifest["environment"]["workers"] == 1
+        assert self._layout(argv)[0] == 1
+
+    @pytest.mark.parametrize("count, workers", [(2, 1), (3, 1), (4, 2)])
+    def test_each_helper_gets_two_groups(self, tmp_path, monkeypatch, count, workers):
+        # A helper that runs one group costs more than it saves, so at two
+        # workers two and three groups run in-process without forking, and
+        # four fork two helpers; each layout writes the one-worker run's bytes.
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
+        serial = self._devices(tmp_path, count, "serial")
+        assert cli.main(serial) == 0
+        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "2")
+        if workers == 1:
+            monkeypatch.setattr(os, "fork", no_fork)
+        pool = self._devices(tmp_path, count, "pool")
+        assert cli.main(pool) == 0
+        (serial_workers, serial_files), (pool_workers, pool_files) = map(
+            self._layout, (serial, pool))
+        assert (serial_workers, pool_workers) == (1, workers)
+        assert pool_files == serial_files
 
 
 class TestDeviceGroups:

@@ -117,6 +117,17 @@ class TestStateLibrary:
         with pytest.raises(ValueError):
             fock_state(25, 20)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rho_rejected(self, value):
+        # NaN passes the Hermiticity, trace and eigenvalue checks, which all
+        # compare against it; the message names the first bad entry.
+        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        rho[1, 2] = rho[2, 1] = value
+        with pytest.raises(ValueError, match=r"rho has 2 non-finite entries, first at \(1, 2\)"):
+            QuantumState(rho)
+        with pytest.raises(ValueError, match=r"rho has 1 non-finite entries, first at \(0, 0\)"):
+            QuantumState([[value]])
+
     def test_library_dispatch(self):
         def build(state):
             return parse_config({"state": state}, "input").state()
