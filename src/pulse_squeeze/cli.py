@@ -210,8 +210,8 @@ def _modes_device(points):
 
 def _workers() -> int:
     """The most helpers a run forks: ``PULSE_SQUEEZE_WORKERS``, a positive
-    integer, else the CPU count.  ``_run_by_device`` forks fewer when the
-    run has fewer than two device groups per helper."""
+    integer, else the CPU count.  ``_run_by_device`` forks no more than the
+    run has device groups, and none for a few light ones."""
     value = os.environ.get("PULSE_SQUEEZE_WORKERS")
     if not value:
         return os.cpu_count() or 1
@@ -311,25 +311,33 @@ def _fork_map(task, items: list, workers: int) -> list:
     return [value for _, value in outcomes]
 
 
-def _run_by_device(points: list, task, manifest: RunManifest) -> list:
+def _resonant(device: dict) -> bool:
+    """Whether a ``device`` block is a resonant OPO, or a TWPA of resonant
+    stages: kernels built in closed form by ``devices._resonant_chain``."""
+    stage = (device.get("stage") or {}) if device.get("kind") == "twpa" else device
+    return device.get("kind") in ("opo", "twpa") and not stage.get("detuning")
+
+
+def _run_by_device(points: list, task, manifest: RunManifest, light: bool = False) -> list:
     """Results of the ``(index, cfg)`` points, in index order.
 
     Points that share a device and grid share one build: one group per
     distinct device, in order of first appearance, and one ``task`` call per
-    group.  The groups are spread by ``_fork_map`` over at most
-    ``_workers()`` forked helpers, each given at least two groups, or run
-    in-process when that comes to one helper or the platform cannot fork.
-    A helper that runs one group costs more than it saves: on 2 cores a
-    fresh helper runs its first resonant fig3ab group (n = 512) in about 8
-    ms against 5 ms warm, and forking two helpers costs about 4 ms more.  A
-    group's key is the canonical JSON of its device and grid blocks.  The
-    number of helpers, 1 for in-process, goes to the manifest."""
+    group, spread over at most ``_workers()`` forked helpers by
+    ``_fork_map``, or run in-process when that comes to one or the platform
+    cannot fork.  Fewer than four ``light`` groups run in-process too: a
+    sweep group on a resonant device takes about 5 ms (fig3ab, n = 512),
+    less than a helper adds (about 4 ms to fork two and 3 ms more for a
+    fresh helper's first group, on 2 cores).  Heavier groups, such as
+    fig2a's ladders or an OPA build (30-460 ms), still gain from two
+    helpers.  A group's key is the canonical JSON of its device and grid
+    blocks.  The number of helpers, 1 for in-process, goes to the manifest."""
     groups: dict[str, list] = {}
     for index, point in points:
         key = json.dumps({"device": point["device"], "grid": point["grid"]}, sort_keys=True)
         groups.setdefault(key, []).append((index, point))
-    workers = min(_workers(), len(groups) // 2)
-    if workers < 2 or not hasattr(os, "fork"):
+    workers = min(_workers(), len(groups))
+    if (light and len(groups) < 4) or not hasattr(os, "fork"):
         workers = 1
     manifest.environment["workers"] = workers
     tasks = list(groups.values())
@@ -428,7 +436,8 @@ def cmd_sweep(cfg: dict, out: Path, digest: str) -> RunManifest:
               for i, v1 in enumerate(vals1) for j, v2 in enumerate(vals2)]
     n1_map = np.full((len(vals1), len(vals2)), np.nan)
     ratio_map = np.full((len(vals1), len(vals2)), np.nan)
-    for (i, j), metrics, error in _run_by_device(points, _device_worker, manifest):
+    light = all(_resonant(point["device"]) for _, point in points)
+    for (i, j), metrics, error in _run_by_device(points, _device_worker, manifest, light):
         if error is not None:
             manifest.failures.append({"point": [int(i), int(j)], "error": error})
             continue

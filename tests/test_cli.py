@@ -594,10 +594,9 @@ class TestCliCommands:
         path.write_text(dump_config(cfg))
         assert cli.main(["modes", "--config", str(path), "--out", str(tmp_path / "one")]) == 0
         assert len(builds) == 1
-        # devices 1 and 2 truncate the pump: in-process or pooled (four
-        # devices fork two helpers), the run exits 2 with the error of the
-        # first failed point
-        centers = [0.0, 29.5, 29.8, 0.5]
+        # devices 1 and 2 truncate the pump: in-process or pooled, the run
+        # exits 2 with the error of the first failed point
+        centers = [0.0, 29.5, 29.8]
         with pytest.raises(GridTooShortError) as first:
             build(set_by_path(cfg, "device.pump.center", centers[1])["device"],
                   cli.grid_from_config(cfg["grid"]))
@@ -920,23 +919,11 @@ class TestForkedHelpers:
     that take one group at a time from a shared ticket pipe."""
 
     @staticmethod
-    def _devices(tmp_path, count: int = 4, out: str = "out"):
-        """A ``modes`` run over ``count`` devices: at two workers, four is
-        the fewest that fork."""
-        path = tmp_path / f"cfg{count}.yaml"
-        r_values = [0.5, 0.8, 1.1, 1.4][:count]
+    def _three_devices(tmp_path):
+        path = tmp_path / "cfg.yaml"
         path.write_text(dump_config(_base_config(
-            sweep={"axes": [{"name": "device.r", "values": r_values}]})))
-        return ["modes", "--config", str(path), "--out", str(tmp_path / out)]
-
-    @staticmethod
-    def _layout(argv: list) -> tuple:
-        """The run's ``workers`` and its data files' bytes."""
-        out = Path(argv[-1])
-        manifest = json.loads((out / "manifest.json").read_text())
-        return manifest["environment"]["workers"], {
-            name: (out / name).read_bytes()
-            for name in ("occupations.csv", "modes.csv", "spectrum.json")}
+            sweep={"axes": [{"name": "device.r", "values": [0.5, 0.8, 1.1]}]})))
+        return ["modes", "--config", str(path), "--out", str(tmp_path / "out")]
 
     def test_each_item_runs_in_exactly_one_helper(self, tmp_path):
         # 200 tickets take two chunks of the ticket pipe
@@ -974,7 +961,7 @@ class TestForkedHelpers:
             return point(args, *group)
 
         monkeypatch.setattr(cli, "_modes_point", failing)
-        assert cli.main(self._devices(tmp_path)) == 2
+        assert cli.main(self._three_devices(tmp_path)) == 2
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: ValueError: point 1 failed"]
 
@@ -990,7 +977,7 @@ class TestForkedHelpers:
             return device(points)
 
         monkeypatch.setattr(cli, "_modes_device", killed)
-        assert cli.main(self._devices(tmp_path)) == 2
+        assert cli.main(self._three_devices(tmp_path)) == 2
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: RuntimeError: a worker process ended without its results "
             "(exit status -9)"]
@@ -1001,30 +988,71 @@ class TestForkedHelpers:
         monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "3")
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(cli, "_fork_map", None)
-        argv = self._devices(tmp_path)
+        argv = self._three_devices(tmp_path)
         assert cli.main(argv) == 0
-        assert self._layout(argv)[0] == 1
+        manifest = json.loads((Path(argv[-1]) / "manifest.json").read_text())
+        assert manifest["environment"]["workers"] == 1
 
-    @pytest.mark.parametrize("count, workers", [(2, 1), (3, 1), (4, 2)])
-    def test_each_helper_gets_two_groups(self, tmp_path, monkeypatch, count, workers):
-        # A helper that runs one group costs more than it saves, so at two
-        # workers two and three groups run in-process without forking, and
-        # four fork two helpers; each layout writes the one-worker run's bytes.
+    @pytest.mark.parametrize("detuning, count, workers",
+                             [(0.0, 2, 1), (0.0, 3, 1), (0.0, 4, 2), (0.3, 2, 2)])
+    def test_few_light_groups_run_in_process(self, tmp_path, monkeypatch, detuning, count,
+                                             workers):
+        # A sweep group on a resonant OPO costs less than a forked helper
+        # adds, so at two workers two or three of them run in-process
+        # without forking; four fork two helpers, as do two detuned OPOs.
+        # Every layout writes the one-worker run's bytes.
+        cfg = _base_config()
+        cfg["device"] = {"kind": "opo", "detuning": detuning, "decay": 1.0,
+                         "pump": {"area": 1.0, "center": 0.0, "width": 0.3}}
+        cfg["sweep"] = {"axes": [
+            {"name": "input.pulse.center", "values": [-1.0, 0.0]},
+            {"name": "device.pump.width", "values": [0.2, 0.3, 0.4, 0.5][:count]}]}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(dump_config(cfg))
+
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "1")
-        serial = self._devices(tmp_path, count, "serial")
-        assert cli.main(serial) == 0
-        monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", "2")
-        if workers == 1:
-            monkeypatch.setattr(os, "fork", no_fork)
-        pool = self._devices(tmp_path, count, "pool")
-        assert cli.main(pool) == 0
-        (serial_workers, serial_files), (pool_workers, pool_files) = map(
-            self._layout, (serial, pool))
-        assert (serial_workers, pool_workers) == (1, workers)
+        runs = []
+        for setting in ("1", "2"):
+            monkeypatch.setenv("PULSE_SQUEEZE_WORKERS", setting)
+            if setting == "2" and workers == 1:
+                monkeypatch.setattr(os, "fork", no_fork)
+            out = tmp_path / setting
+            assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs.append((manifest["environment"]["workers"], [
+                (out / name).read_bytes() for name in ("heatmap_n1.csv", "heatmap_ratio.csv")]))
+        (serial, serial_files), (pool, pool_files) = runs
+        assert (serial, pool) == (1, workers)
         assert pool_files == serial_files
+
+    def test_check_pooled_script(self, tmp_path):
+        # CI's layout steps run tests/check_pooled.py on their pooled runs'
+        # manifests; it fails on one that ran in-process.
+        script = Path(__file__).with_name("check_pooled.py")
+        paths = []
+        for workers in (2, 1):
+            path = tmp_path / f"{workers}.json"
+            path.write_text(json.dumps({"environment": {"workers": workers}}))
+            paths.append(str(path))
+        for args, code, message in ((paths[:1], 0, ""),
+                                    (paths, 1, f"ran in-process, not pooled: {paths[1:]}"),
+                                    ([], 1, "usage: check_pooled.py MANIFEST [MANIFEST ...]")):
+            run = subprocess.run([sys.executable, str(script), *args], capture_output=True,
+                                 text=True, timeout=60)
+            assert (run.returncode, run.stderr.strip()) == (code, message)
+
+    def test_resonant_devices(self):
+        stage = {"decay": 1.0, "pump": {"area": 0.01, "width": 0.2}}
+        assert cli._resonant({"kind": "opo", **stage})
+        assert cli._resonant({"kind": "opo", "detuning": 0.0, **stage})
+        assert not cli._resonant({"kind": "opo", "detuning": 0.3, **stage})
+        assert cli._resonant({"kind": "twpa", "n_stages": 10, "stage": stage})
+        assert not cli._resonant(
+            {"kind": "twpa", "n_stages": 10, "stage": {"detuning": -0.5, **stage}})
+        assert not cli._resonant({"kind": "opa", "gain": 0.5, "pump_spectral_width": 2.0})
+        assert not cli._resonant({"kind": "squeezer", "r": 0.8})
 
 
 class TestDeviceGroups:
